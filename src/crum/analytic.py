@@ -131,6 +131,26 @@ def eval_jet(f, x, order):
     return f.jet(x, order)
 
 
+def rel_residual(ref, other):
+    """Two-sided difference normalized by the reference value: |ref - other| / (1 + |ref|)."""
+    return abs(ref - other) / (1.0 + abs(ref))
+
+
+def worst_residual(residuals):
+    """Largest of the per-sample residuals, 0 when there are none.
+
+    Fails closed: a NaN or infinite sample makes the result inf, so that
+    sample can never pass a tolerance (a plain max would drop a NaN).
+    """
+    worst = 0.0
+    for r in residuals:
+        if not math.isfinite(r):
+            return math.inf
+        if r > worst:
+            worst = r
+    return worst
+
+
 def lu_det(matrix):
     """Determinant by partially pivoted LU on a complex matrix.
 

@@ -3,9 +3,17 @@
 Subcommands: `families list`, `chain` (build + verify, emit JSON report),
 `verify` (re-run the suite from a stored report's config), `limit`
 (convergence scans to CSV), `scan-gamma0` (shorthand for the shift-to-zero
-scan).  Exit codes: 0 success, 1 suite failure, 2 usage/parameter error.
-Only reports go to standard output (with `--out -`); diagnostics go to
-standard error.
+scan).
+
+A report's `status` is `pass` when every check ran and came in under its
+tolerance, `fail` when any check failed (a NaN or infinite residual fails),
+and `incomplete` when no check failed but some were skipped (a chain error
+inside an identity, a quadrature that did not converge, a strip violation).
+
+Exit codes: 0 success (for `chain` and `verify`: status `pass`), 1 status
+`fail` or `incomplete`, or a chain error, 2 usage/parameter error.  Only
+reports go to standard output (with `--out -`); diagnostics go to standard
+error.
 """
 
 from __future__ import annotations
@@ -113,8 +121,8 @@ def _cmd_chain(args):
     payload["config"] = json.loads(config.to_json())
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True))
     if not report.passed:
-        print("suite failed; see the identities with pass=false in the report",
-              file=sys.stderr)
+        print(f"suite status {report.status}; see the entries with pass=false "
+              "or skipped in the report", file=sys.stderr)
         return 1
     return 0
 
@@ -122,9 +130,7 @@ def _cmd_chain(args):
 def _cmd_verify(args):
     with open(args.report, encoding="utf-8") as fh:
         stored = json.load(fh)
-    cfg_dict = stored.get("config", stored)
-    allowed = set(RunConfig().__dict__)
-    config = RunConfig(**{k: v for k, v in cfg_dict.items() if k in allowed})
+    config = RunConfig.from_dict(stored.get("config", stored))
     report = run_suite(config)
     if args.out:
         payload = report.to_dict()

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .analytic import AnalyticFn, casoratian
+from .analytic import AnalyticFn, casoratian, rel_residual, worst_residual
 from .errors import BranchError, ChainBreakError, DomainError, PoleError
 
 NODE_SCAN_POINTS = 301
@@ -193,10 +193,24 @@ def hamiltonian_apply(level, f, x):
     g = level.gamma
     fv = _as_callable(f)
     x = complex(x)
-    term_down = level.sqrt_v(x) * level.sqrt_v_star(x - 1j * g) * fv(x - 1j * g)
-    term_up = level.sqrt_v_star(x) * level.sqrt_v(x + 1j * g) * fv(x + 1j * g)
-    diag = (level.v(x) + level.v_star(x)) * fv(x)
+    sv, svs = level.sqrt_v(x), level.sqrt_v_star(x)
+    term_down = sv * level.sqrt_v_star(x - 1j * g) * fv(x - 1j * g)
+    term_up = svs * level.sqrt_v(x + 1j * g) * fv(x + 1j * g)
+    diag = (sv ** 2 + svs ** 2) * fv(x)
     return term_down + term_up - diag + level.E_s * fv(x)
+
+
+def energy_fit(level, n, xs):
+    """Least-squares eigenvalue of phi_n from the difference equation at the points xs."""
+    f = lambda x: level._phi_fn(n, x)
+    num = 0j
+    den = 0.0
+    for x in xs:
+        hval = hamiltonian_apply(level, f, x)
+        pv = f(complex(x))
+        num += hval * pv.conjugate()
+        den += abs(pv) ** 2
+    return float((num / den).real)
 
 
 # ---------------------------------------------------------------------------
@@ -363,37 +377,23 @@ def check_function(levels, s, n, x):
 # ---------------------------------------------------------------------------
 
 def relation_residual(kind, levels, samples, ns=None, generic_fns=None, last_only=False):
-    """Max normalized residual of a chain identity over the sample points.
+    """Worst normalized residual of a chain identity over the sample points;
+    a non-finite sample makes it inf.
 
     kinds: zero_mode, quadratic, linear, intertwine, factorization,
     step_determinant, casoratian_jacobi, check_product, casoratian_ratio,
     downshift_roundtrip, iso_spectral, realness.  `last_only` restricts the
     determinant-prefix identities to the deepest level of the given chain.
     """
-    table = {
-        "zero_mode": _res_zero_mode,
-        "quadratic": _res_quadratic,
-        "linear": _res_linear,
-        "intertwine": _res_intertwine,
-        "factorization": _res_factorization,
-        "step_determinant": _res_step_determinant,
-        "downshift_roundtrip": _res_downshift,
-        "iso_spectral": _res_iso_spectral,
-        "realness": _res_realness,
-    }
-    if kind == "casoratian_jacobi":
-        return _res_casoratian_jacobi(levels, samples, generic_fns=generic_fns)
-    if kind in ("check_product", "casoratian_ratio"):
-        fn = _res_check_product if kind == "check_product" else _res_casoratian_ratio
-        s_values = [len(levels) - 1] if last_only else None
-        return fn(levels, samples, ns=ns, s_values=s_values)
-    if kind not in table:
+    residuals = _RESIDUALS.get(kind)
+    if residuals is None:
         raise DomainError(f"unknown relation kind {kind!r}")
-    return table[kind](levels, samples, ns=ns)
-
-
-def _norm(lhs, rhs):
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
+    if kind == "casoratian_jacobi":
+        return worst_residual(residuals(levels, samples, generic_fns))
+    if kind in ("check_product", "casoratian_ratio"):
+        s_values = [len(levels) - 1] if last_only else range(1, len(levels))
+        return worst_residual(residuals(levels, samples, ns, s_values))
+    return worst_residual(residuals(levels, samples, ns))
 
 
 def _level_ns(level, ns, count=2):
@@ -403,17 +403,14 @@ def _level_ns(level, ns, count=2):
 
 
 def _res_zero_mode(levels, samples, ns=None):
-    worst = 0.0
     for level in levels:
         low = apply_A(level, lambda x, lvl=level: lvl._phi_fn(lvl.s, x))
         for x in samples:
             scale = 1.0 + abs(level._phi_fn(level.s, complex(x)))
-            worst = max(worst, abs(low(x)) / scale)
-    return worst
+            yield abs(low(x)) / scale
 
 
 def _res_quadratic(levels, samples, ns=None):
-    worst = 0.0
     g = levels[0].gamma
     for level in levels[1:]:
         par = level.parent
@@ -421,12 +418,10 @@ def _res_quadratic(levels, samples, ns=None):
             x = complex(x)
             lhs = par.v(x - 0.5j * g) * par.v_star(x - 0.5j * g)
             rhs = level.v(x) * level.v_star(x - 1j * g)
-            worst = max(worst, _norm(lhs, rhs))
-    return worst
+            yield rel_residual(lhs, rhs)
 
 
 def _res_linear(levels, samples, ns=None):
-    worst = 0.0
     g = levels[0].gamma
     for level in levels[1:]:
         par = level.parent
@@ -435,12 +430,10 @@ def _res_linear(levels, samples, ns=None):
             x = complex(x)
             lhs = par.v(x + 0.5j * g) + par.v_star(x - 0.5j * g)
             rhs = level.v(x) + level.v_star(x) - gap
-            worst = max(worst, _norm(lhs, rhs))
-    return worst
+            yield rel_residual(lhs, rhs)
 
 
 def _res_intertwine(levels, samples, ns=None):
-    worst = 0.0
     for lo, hi in zip(levels[:-1], levels[1:]):
         for n in _level_ns(hi, ns):
             f = lambda x, nn=n, lvl=lo: lvl._phi_fn(nn, x)
@@ -450,13 +443,11 @@ def _res_intertwine(levels, samples, ns=None):
             for x in samples:
                 lhs = lhs_fn(x)
                 rhs = hamiltonian_apply(hi, af, x)
-                worst = max(worst, _norm(lhs, rhs))
-    return worst
+                yield rel_residual(lhs, rhs)
 
 
 def _res_factorization(levels, samples, ns=None):
     """A^[s-1] A^[s-1]dag + E_{s-1} equals the level-s difference operator."""
-    worst = 0.0
     for level in levels[1:]:
         par = level.parent
         for n in _level_ns(level, ns):
@@ -466,13 +457,11 @@ def _res_factorization(levels, samples, ns=None):
             for x in samples:
                 lhs = lifted(x) + par.E_s * f(complex(x))
                 rhs = hamiltonian_apply(level, f, x)
-                worst = max(worst, _norm(lhs, rhs))
-    return worst
+                yield rel_residual(lhs, rhs)
 
 
 def _res_step_determinant(levels, samples, ns=None):
     """One-step 2x2 determinant route to phi^[s]_n."""
-    worst = 0.0
     g = levels[0].gamma
     for level in levels[1:]:
         par = level.parent
@@ -485,16 +474,14 @@ def _res_step_determinant(levels, samples, ns=None):
                        - par._phi_fn(n, up) * par._phi_fn(s - 1, dn))
                 lhs = 1j * par.sqrt_v(up) / par._phi_fn(s - 1, dn) * det
                 rhs = level._phi_fn(n, x)
-                worst = max(worst, _norm(lhs, rhs))
-    return worst
+                yield rel_residual(lhs, rhs)
 
 
-def _res_check_product(levels, samples, ns=None, s_values=None):
+def _res_check_product(levels, samples, ns, s_values):
     """Plain determinant equals the shifted product of check functions."""
-    worst = 0.0
     fam = levels[0].family
     g = fam.gamma
-    for s in s_values or range(1, len(levels)):
+    for s in s_values:
         for n in _level_ns(levels[s], ns):
             fs = [fam.phi(k) for k in range(s)] + [fam.phi(n)]
             for x in samples:
@@ -503,19 +490,16 @@ def _res_check_product(levels, samples, ns=None, s_values=None):
                 rhs = check_function(levels, s, n, x)
                 for k in range(s):
                     rhs *= check_function(levels, k, k, x + 0.5j * (k - s) * g)
-                worst = max(worst, _norm(lhs, rhs))
-    return worst
+                yield rel_residual(lhs, rhs)
 
 
-def _res_casoratian_ratio(levels, samples, ns=None, s_values=None):
-    worst = 0.0
-    for s in s_values or range(1, len(levels)):
+def _res_casoratian_ratio(levels, samples, ns, s_values):
+    for s in s_values:
         for n in _level_ns(levels[s], ns):
             for x in samples:
                 lhs = phi_via_casoratian(levels, s, n, complex(x))
                 rhs = levels[s]._phi_fn(n, complex(x))
-                worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    return worst
+                yield rel_residual(rhs, lhs)
 
 
 def _res_casoratian_jacobi(levels, samples, generic_fns=None):
@@ -523,7 +507,6 @@ def _res_casoratian_jacobi(levels, samples, generic_fns=None):
     generic analytic test functions."""
     fam = levels[0].family
     g = fam.gamma
-    worst = 0.0
     lists = []
     smax = len(levels) - 1
     if smax >= 1:
@@ -542,8 +525,7 @@ def _res_casoratian_jacobi(levels, samples, generic_fns=None):
             m22 = casoratian(head + [f_n], x - 0.5j * g, g)
             lhs = m11 * m22 - m12 * m21
             rhs = -1j * casoratian(head, x, g) * casoratian(head + [f_s, f_n], x, g)
-            worst = max(worst, _norm(lhs, rhs))
-    return worst
+            yield rel_residual(lhs, rhs)
 
 
 def _default_generic_fns():
@@ -553,19 +535,16 @@ def _default_generic_fns():
 
 
 def _res_downshift(levels, samples, ns=None):
-    worst = 0.0
     for level in levels[1:]:
         for n in _level_ns(level, ns):
             rebuilt = downshift(level, n)
             for x in samples:
                 lhs = rebuilt(x)
                 rhs = level.parent._phi_fn(n, complex(x))
-                worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    return worst
+                yield rel_residual(rhs, lhs)
 
 
 def _res_iso_spectral(levels, samples, ns=None):
-    worst = 0.0
     for level in levels:
         for n in _level_ns(level, ns, count=3):
             f = lambda x, nn=n, lvl=level: lvl._phi_fn(nn, x)
@@ -573,21 +552,34 @@ def _res_iso_spectral(levels, samples, ns=None):
             for x in samples:
                 lhs = hamiltonian_apply(level, f, x)
                 rhs = e_n * f(complex(x))
-                worst = max(worst, abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(complex(x))))))
-    return worst
+                yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(complex(x)))))
 
 
 def _res_realness(levels, samples, ns=None):
     """phi^[s]_n star-equals itself at strip points."""
-    worst = 0.0
     for level in levels:
         for n in _level_ns(level, ns):
             for x in samples:
                 x = complex(x)
                 direct = level._phi_fn(n, x)
                 starred = complex(level._phi_fn(n, x.conjugate())).conjugate()
-                worst = max(worst, abs(direct - starred) / (1.0 + abs(direct)))
-    return worst
+                yield rel_residual(direct, starred)
+
+
+_RESIDUALS = {
+    "zero_mode": _res_zero_mode,
+    "quadratic": _res_quadratic,
+    "linear": _res_linear,
+    "intertwine": _res_intertwine,
+    "factorization": _res_factorization,
+    "step_determinant": _res_step_determinant,
+    "check_product": _res_check_product,
+    "casoratian_ratio": _res_casoratian_ratio,
+    "casoratian_jacobi": _res_casoratian_jacobi,
+    "downshift_roundtrip": _res_downshift,
+    "iso_spectral": _res_iso_spectral,
+    "realness": _res_realness,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .errors import DomainError, ParameterError, PoleError
 from .jets import Jet
 from .quadrature import QuadratureSpec
 from .special import QPOCH_TAIL
+from . import dqm as dqm_mod
 
 OQM_NAMES = ("hermite", "laguerre", "jacobi")
 DQM_NAMES = ("q_hermite", "askey_wilson")
@@ -685,24 +686,10 @@ def _validate_dqm(fam):
 
 def _dqm_energy_oracle(fam, nmax=4):
     """Least-squares eigenvalue extraction from the difference equation."""
-    sqv = fam.sqrt_v()
-    g = fam.gamma
-    xs = np.linspace(0.15 * math.pi, 0.85 * math.pi, 10)
+    level = dqm_mod.level0(fam)
+    xs = [complex(t) for t in np.linspace(0.15 * math.pi, 0.85 * math.pi, 10)]
     for n in range(nmax + 1):
-        phi = fam.phi(n)
-        num = 0j
-        den = 0.0
-        for xr in xs:
-            x = complex(xr)
-            sv = sqv.fn(x)
-            svs = complex(sqv.fn(x.conjugate())).conjugate()
-            hval = (sv * complex(sqv.fn((x - 1j * g).conjugate())).conjugate() * phi.fn(x - 1j * g)
-                    + svs * sqv.fn(x + 1j * g) * phi.fn(x + 1j * g)
-                    - (sv * sv + svs * svs) * phi.fn(x))
-            pv = phi.fn(x)
-            num += hval * pv.conjugate()
-            den += abs(pv) ** 2
-        e_fit = (num / den).real
+        e_fit = dqm_mod.energy_fit(level, n, xs)
         if abs(e_fit - fam.energy(n)) > 1e-8 * (1.0 + abs(fam.energy(n))):
             raise ParameterError(
                 f"{fam.label}: closed-form energy E_{n}={fam.energy(n):.8f} disagrees "

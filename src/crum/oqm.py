@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analytic import AnalyticFn, wronskian
+from .analytic import AnalyticFn, rel_residual, worst_residual, wronskian
 from .errors import ChainBreakError, DomainError, PoleError
 from .jets import Jet
 
@@ -219,60 +219,42 @@ def _hamiltonian_fn(level):
 
 
 def relation_residual(kind, levels, samples, test_fns=None):
-    """Max normalized two-sided difference of a chain identity over samples.
+    """Worst normalized residual of a chain identity over the samples; a
+    non-finite sample makes it inf.
 
     kinds: intertwine, riccati, factorization, potential_wronskian,
     wronskian_product, wronskian_ratio, downshift_roundtrip, zero_mode,
-    iso_spectral.
+    iso_spectral, realness (sampled at Im x = 0.15), node_count (nodes on
+    the interior grid against n - s; the samples are not used).
     """
+    residuals = _RESIDUALS.get(kind)
+    if residuals is None:
+        raise DomainError(f"unknown relation kind {kind!r}")
     if kind == "intertwine":
-        return _res_intertwine(levels, samples, test_fns)
-    if kind == "riccati":
-        return _res_riccati(levels, samples)
-    if kind == "factorization":
-        return _res_factorization(levels, samples)
-    if kind == "potential_wronskian":
-        return _res_potential_wronskian(levels, samples)
-    if kind == "wronskian_product":
-        return _res_wronskian_product(levels, samples)
-    if kind == "wronskian_ratio":
-        return _res_wronskian_ratio(levels, samples)
-    if kind == "downshift_roundtrip":
-        return _res_downshift(levels, samples)
-    if kind == "zero_mode":
-        return _res_zero_mode(levels, samples)
-    if kind == "iso_spectral":
-        return _res_iso_spectral(levels, samples)
-    raise DomainError(f"unknown relation kind {kind!r}")
+        return worst_residual(residuals(levels, samples, test_fns))
+    return worst_residual(residuals(levels, samples))
 
 
-def _norm_res(lhs, rhs):
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
+def _ns(level):
+    """Indices n of the eigenfunctions built at this level, ascending."""
+    return sorted(n for n in level._phi if n >= level.s)
 
 
 def _res_intertwine(levels, samples, test_fns=None):
     """A^[s] H^[s] = H^[s+1] A^[s] applied to test functions."""
-    worst = 0.0
     for lo_level, hi_level in zip(levels[:-1], levels[1:]):
         h_lo = _hamiltonian_fn(lo_level)
         h_hi = _hamiltonian_fn(hi_level)
-        fns = test_fns or [lo_level.phi(n) for n in _test_ns(lo_level, 2)]
+        fns = test_fns or [lo_level.phi(n) for n in _ns(lo_level)[-2:]]
         for f in fns:
             lhs_fn = apply_A(lo_level, h_lo(f))
             rhs_fn = h_hi(apply_A(lo_level, f))
             for x in samples:
-                worst = max(worst, _norm_res(lhs_fn(x), rhs_fn(x)))
-    return worst
-
-
-def _test_ns(level, count):
-    ns = sorted(n for n in level._phi if n >= level.s)
-    return ns[-count:] if len(ns) >= count else ns
+                yield rel_residual(lhs_fn(x), rhs_fn(x))
 
 
 def _res_riccati(levels, samples):
     """W_s'^2 + W_s'' = W_{s-1}'^2 - W_{s-1}'' - (E_s - E_{s-1})."""
-    worst = 0.0
     for level in levels[1:]:
         parent = level.parent
         gap = level.E_s - parent.E_s
@@ -281,24 +263,21 @@ def _res_riccati(levels, samples):
             jp = parent.w_prime.jet(x, 1)
             lhs = jn.value**2 + jn.deriv(1)
             rhs = jp.value**2 - jp.deriv(1) - gap
-            worst = max(worst, _norm_res(lhs, rhs))
-    return worst
+            yield rel_residual(lhs, rhs)
 
 
 def _res_factorization(levels, samples):
     """A^[s-1] A^[s-1]dag + E_{s-1} agrees with -d2 + U_s + E_s on tests."""
-    worst = 0.0
     for level in levels[1:]:
         parent = level.parent
-        for n in _test_ns(level, 2):
+        for n in _ns(level)[-2:]:
             f = level.phi(n)
             down = apply_Adag(parent, f)
             lifted = apply_A(parent, down)
             for x in samples:
                 lhs = lifted(x) + parent.E_s * f(x)
                 rhs = hamiltonian_apply(level, f, x)
-                worst = max(worst, _norm_res(lhs, rhs))
-    return worst
+                yield rel_residual(lhs, rhs)
 
 
 def _res_potential_wronskian(levels, samples):
@@ -307,7 +286,6 @@ def _res_potential_wronskian(levels, samples):
     The log-Wronskian form is the full partner potential; the chain stores
     the potential with the level constant E_s split off, hence the shift.
     """
-    worst = 0.0
     base = levels[0]
     u0 = base.family.potential()
     for level in levels[1:]:
@@ -325,8 +303,7 @@ def _res_potential_wronskian(levels, samples):
             w, w1, w2 = j.coeffs[0], j.deriv(1), j.deriv(2)
             lhs = u_s(x) + level.E_s
             rhs = u0(x) - 2.0 * (w2 * w - w1 * w1) / (w * w)
-            worst = max(worst, _norm_res(lhs, rhs))
-    return worst
+            yield rel_residual(lhs, rhs)
 
 
 def _jet_nth(jet, j, order):
@@ -363,7 +340,6 @@ def _res_wronskian_product(levels, samples):
     """Wronskian of the first s eigenfunctions equals the seed product, and
     appending phi_n appends the lifted eigenfunction."""
     base = levels[0]
-    worst = 0.0
     for s in range(1, len(levels)):
         fs = [base.phi(k) for k in range(s)]
         for x in samples:
@@ -371,54 +347,77 @@ def _res_wronskian_product(levels, samples):
             prod = 1.0 + 0j
             for k in range(s):
                 prod *= levels[k].phi(k)(x)
-            worst = max(worst, _norm_res(w, prod))
-            for n in _test_ns(levels[s], 1):
+            yield rel_residual(w, prod)
+            for n in _ns(levels[s])[-1:]:
                 wn = wronskian(fs + [base.phi(n)], x)
-                worst = max(worst, _norm_res(wn, prod * levels[s].phi(n)(x)))
-    return worst
+                yield rel_residual(wn, prod * levels[s].phi(n)(x))
 
 
 def _res_wronskian_ratio(levels, samples):
-    worst = 0.0
     for s in range(1, len(levels)):
         level = levels[s]
-        for n in _test_ns(level, 2):
+        for n in _ns(level)[-2:]:
             direct = level.phi(n)
             for x in samples:
-                worst = max(worst, _norm_res(phi_via_wronskian(levels, s, n, x), direct(x)))
-    return worst
+                yield rel_residual(phi_via_wronskian(levels, s, n, x), direct(x))
 
 
 def _res_downshift(levels, samples):
-    worst = 0.0
     for level in levels[1:]:
-        for n in _test_ns(level, 2):
+        for n in _ns(level)[-2:]:
             rebuilt = downshift(level, n)
             target = level.parent.phi(n)
             for x in samples:
-                worst = max(worst, _norm_res(rebuilt(x), target(x)))
-    return worst
+                yield rel_residual(rebuilt(x), target(x))
 
 
 def _res_zero_mode(levels, samples):
-    worst = 0.0
     for level in levels:
         seed = level.phi(level.s)
         low = apply_A(level, seed)
         for x in samples:
             scale = 1.0 + abs(seed(x))
-            worst = max(worst, abs(low(x)) / scale)
-    return worst
+            yield abs(low(x)) / scale
 
 
 def _res_iso_spectral(levels, samples):
-    worst = 0.0
     for level in levels:
-        for n in _test_ns(level, 3):
+        for n in _ns(level)[-3:]:
             f = level.phi(n)
             e_n = level.family.energy(n)
             for x in samples:
                 lhs = hamiltonian_apply(level, f, x)
                 rhs = e_n * f(x)
-                worst = max(worst, abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(x)))))
-    return worst
+                yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(x))))
+
+
+def _res_realness(levels, samples):
+    """phi^[s]_n star-equals itself, off the real axis at Im x = 0.15."""
+    for level in levels:
+        for n in _ns(level)[:3]:
+            f = level.phi(n)
+            for x in samples:
+                x = complex(x.real, 0.15)
+                yield rel_residual(f(x), complex(f(x.conjugate())).conjugate())
+
+
+def _res_node_count(levels, samples):
+    """Sign changes of phi^[s]_n on the interior grid against n - s."""
+    for level in levels:
+        for n in _ns(level)[:4]:
+            yield abs(node_count(level.phi(n), level.interior()) - (n - level.s))
+
+
+_RESIDUALS = {
+    "intertwine": _res_intertwine,
+    "riccati": _res_riccati,
+    "factorization": _res_factorization,
+    "potential_wronskian": _res_potential_wronskian,
+    "wronskian_product": _res_wronskian_product,
+    "wronskian_ratio": _res_wronskian_ratio,
+    "downshift_roundtrip": _res_downshift,
+    "zero_mode": _res_zero_mode,
+    "iso_spectral": _res_iso_spectral,
+    "realness": _res_realness,
+    "node_count": _res_node_count,
+}

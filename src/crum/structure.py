@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import AnalyticFn, wronskian, casoratian
+from .analytic import AnalyticFn, casoratian, rel_residual, worst_residual, wronskian
 from .errors import DomainError
 from .families import make_family
 from . import dqm as dqm_mod
@@ -151,12 +151,7 @@ def _global_shape_residual_dqm(family, level1, kappa, logv, npoints):
     lo, hi = family.interior(0.9)
     xs = [complex(t) for t in np.linspace(lo, hi, npoints // 2)]
     xs += [x + 0.25j * abs(family.gamma) for x in xs[: npoints - npoints // 2]]
-    worst = 0.0
-    for x in xs:
-        lhs = level1.v(x)
-        rhs = kappa * cmath.exp(logv(x))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst
+    return worst_residual(rel_residual(level1.v(x), kappa * cmath.exp(logv(x))) for x in xs)
 
 
 def _shape_fit_oqm(family, chain, npoints):
@@ -194,7 +189,7 @@ def _shape_fit_oqm(family, chain, npoints):
         lo, hi = family.interior(0.9)
         xs = [complex(t) for t in np.linspace(lo, hi, npoints)]
         pot2 = fam2.potential()
-        res = max(abs(u1(x) - pot2(x) - u[0]) / (1.0 + abs(u1(x))) for x in xs)
+        res = worst_residual(abs(u1(x) - pot2(x) - u[0]) / (1.0 + abs(u1(x))) for x in xs)
         if best is None or res < best[0]:
             best = (res, u, fam2)
     if best is None:
@@ -291,15 +286,10 @@ def eta_relations_residual(kind, family, chain, samples):
     """
     if family.kind != "dqm" and kind != "eta_affine":
         raise DomainError("coordinate relations on potentials need a difference family")
-    if kind == "eta_affine":
-        return _res_eta_affine(family, samples)
-    if kind == "V1_from_eta":
-        return _res_v1_from_eta(family, chain, samples)
-    if kind == "eta_level":
-        return _res_eta_level(family, chain, samples)
-    if kind == "Vs_product":
-        return _res_vs_product(family, chain, samples)
-    raise DomainError(f"unknown eta relation {kind!r}")
+    residuals = _ETA_RESIDUALS.get(kind)
+    if residuals is None:
+        raise DomainError(f"unknown eta relation {kind!r}")
+    return worst_residual(residuals(family, chain, samples))
 
 
 def _affine_fit(xs, ys):
@@ -308,7 +298,7 @@ def _affine_fit(xs, ys):
     return coef  # (a, b)
 
 
-def _res_eta_affine(family, samples):
+def _res_eta_affine(family, chain, samples):
     eta = family.eta()
     if family.kind == "dqm":
         num, den = family.phi(1), family.phi0()
@@ -317,8 +307,8 @@ def _res_eta_affine(family, samples):
     ratios = [num.fn(complex(x)) / den.fn(complex(x)) for x in samples]
     etas = [eta.fn(complex(x)) for x in samples]
     a, b = _affine_fit(etas, ratios)
-    worst = max(abs(r - (a + b * e)) / (1.0 + abs(r)) for r, e in zip(ratios, etas))
-    return worst
+    for r, e in zip(ratios, etas):
+        yield rel_residual(r, a + b * e)
 
 
 def _res_v1_from_eta(family, chain, samples):
@@ -326,14 +316,11 @@ def _res_v1_from_eta(family, chain, samples):
     eta = family.eta().fn
     v0 = chain[0]
     v1 = chain[1]
-    worst = 0.0
     for x in samples:
         x = complex(x)
         lhs = v1.v(x + 0.5j * g)
         ratio = (eta(x - 1j * g) - eta(x)) / (eta(x) - eta(x + 1j * g))
-        rhs = v0.v(x) * ratio
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst
+        yield rel_residual(lhs, v0.v(x) * ratio)
 
 
 def _eta_level_sum(eta, x, s, g):
@@ -345,7 +332,6 @@ def _res_eta_level(family, chain, samples):
     symmetrized eta sum."""
     g = family.gamma
     eta = family.eta().fn
-    worst = 0.0
     for s in range(1, len(chain)):
         level = chain[s]
         ratios, etas = [], []
@@ -355,15 +341,13 @@ def _res_eta_level(family, chain, samples):
             etas.append(_eta_level_sum(eta, x, s, g))
         a, b = _affine_fit(etas, ratios)
         for r, e in zip(ratios, etas):
-            worst = max(worst, abs(r - (a + b * e)) / (1.0 + abs(r)))
-    return worst
+            yield rel_residual(r, a + b * e)
 
 
 def _res_vs_product(family, chain, samples):
     """Depth-s potential from the base one through a telescoping eta product."""
     g = family.gamma
     eta = family.eta().fn
-    worst = 0.0
     for s in range(1, len(chain)):
         level = chain[s]
         for x in samples:
@@ -374,8 +358,15 @@ def _res_vs_product(family, chain, samples):
                 num = eta(x - 1j * g) - eta(x + 1j * k * g)
                 den = eta(x) - eta(x + 1j * (k + 1) * g)
                 prod *= num / den
-            worst = max(worst, abs(lhs - prod) / (1.0 + abs(lhs)))
-    return worst
+            yield rel_residual(lhs, prod)
+
+
+_ETA_RESIDUALS = {
+    "eta_affine": _res_eta_affine,
+    "V1_from_eta": _res_v1_from_eta,
+    "eta_level": _res_eta_level,
+    "Vs_product": _res_vs_product,
+}
 
 
 # ---------------------------------------------------------------------------

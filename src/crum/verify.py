@@ -12,20 +12,22 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .analytic import inner_product, casoratian, wronskian
+from .analytic import casoratian, inner_product, worst_residual, wronskian
 from .errors import AccuracyError, CrumError, StripError
-from .families import make_family, virtual_state
+from .families import _oracle_box, _plain_params, make_family, virtual_state
 from .quadrature import QuadratureSpec, refinement_sequence
 from . import dqm as dqm_mod
 from . import oqm as oqm_mod
 from . import structure as structure_mod
 
 GOLDEN = 0.6180339887498949
+_MASK64 = (1 << 64) - 1
 
 DEFAULT_TOLERANCES = {
     "zero_mode": 1e-9,
@@ -62,7 +64,10 @@ DQM_STEP_IDENTITIES = ("quadratic", "linear", "intertwine", "factorization",
 
 @dataclass
 class RunConfig:
-    """Everything a suite run depends on; JSON round-trips losslessly."""
+    """Everything a suite run depends on; JSON round-trips losslessly.
+
+    Complex parameters are stored as [re, im], as in the report.
+    """
 
     family: str = "hermite"
     params: dict = field(default_factory=dict)
@@ -70,20 +75,31 @@ class RunConfig:
     nmax: int = 5
     samples: int = 20
     tolerances: dict = field(default_factory=dict)
-    precision: str = "double"
     seed: int = 2021
     out: str = ""
-    check_limits: bool = False
 
     def tolerance(self, name):
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
+        data = asdict(self)
+        data["params"] = _plain_params(self.params)
+        return json.dumps(data, sort_keys=True)
 
     @staticmethod
     def from_json(text):
-        return RunConfig(**json.loads(text))
+        return RunConfig.from_dict(json.loads(text))
+
+    @staticmethod
+    def from_dict(data):
+        """Config from decoded JSON: a stored config or a whole report.  Keys
+        that are not config fields, such as report fields or keys written by
+        older versions, are ignored."""
+        known = {f.name for f in fields(RunConfig)}
+        config = RunConfig(**{k: v for k, v in data.items() if k in known})
+        config.params = {k: complex(*v) if isinstance(v, list) else v
+                         for k, v in config.params.items()}
+        return config
 
 
 @dataclass
@@ -171,7 +187,7 @@ def sample_points(family, count, seed, lines=(0.0,)):
     """Low-discrepancy (golden-rotation) points on the central 90% of the
     domain, replicated on the requested horizontal lines."""
     lo, hi = family.interior(0.9)
-    offset = (seed % 1000) / 1000.0
+    offset = _seed_offset(seed)
     base = [(lo + ((offset + GOLDEN * k) % 1.0) * (hi - lo)) for k in range(count)]
     pts = []
     for im in lines:
@@ -179,178 +195,151 @@ def sample_points(family, count, seed, lines=(0.0,)):
     return pts
 
 
+def _seed_offset(seed):
+    """Offset in [0, 1) of the golden rotation: the seed through the splitmix64
+    finalizer (a bijection of 64-bit integers), so that distinct seeds, nearby
+    ones included, get unrelated offsets."""
+    z = (seed + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return ((z ^ (z >> 31)) >> 11) / 2.0**53
+
+
 # ---------------------------------------------------------------------------
 # the suite
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _ChainKind:
+    """What the suite driver needs to know about one kind of chain.
+
+    Chain functions are reached through `chain` (a module) when called, never
+    stored, so a rebinding of a module attribute reaches every call.
+    """
+
+    chain: object               # the chain module: oqm or dqm
+    build: Callable             # (family, config) -> levels
+    residual_options: Callable  # (level, config) -> keywords for chain.relation_residual
+    level_identities: tuple
+    step_identities: tuple
+    prefix_identities: frozenset  # step identities checked on levels[:s+1], not a pair
+    grid_identities: frozenset    # checked on a grid rather than at the samples
+    point_sets: Callable        # (family, config) -> sample sets to try in order; the last is the real axis
+    growth_det: Callable        # (family, s) -> x -> (determinant, LU growth)
+    oracle: Callable            # (family, levels, config) -> (block, ok)
+    eta_kinds: tuple
+    eta_tol: float
+
+
 def run_suite(config: RunConfig):
     t0 = time.perf_counter()
     family = make_family(config.family, **config.params)
-    if family.kind == "oqm":
-        report = _suite_oqm(family, config)
-    else:
-        report = _suite_dqm(family, config)
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    kind = _KINDS[family.kind]
+    levels = kind.build(family, config)
+    point_sets = kind.point_sets(family, config)
+    axis = point_sets[-1]
+    verdicts = []
+    level_blocks = []
+
+    for s, level in enumerate(levels):
+        identities = {}
+        for name in kind.level_identities:
+            identities[name] = _identity(kind, name, [level], level, point_sets, config)
+        if s >= 1:
+            for name in kind.step_identities:
+                chain = levels[: s + 1] if name in kind.prefix_identities else levels[s - 1 : s + 1]
+                identities[name] = _identity(kind, name, chain, level, point_sets, config)
+        gram = _gram_block(family, levels, s, config)
+        verdicts += [entry["pass"] for entry in identities.values()]
+        verdicts.append(gram.get("pass"))
+        level_blocks.append({"s": s, "E_s": float(level.E_s),
+                             "identities": identities, "gram": gram})
+
+    oracle, oracle_ok = kind.oracle(family, levels, config)
+    shape = _shape_block(family, levels)
+    eta_rel, eta_verdict = _eta_block(family, levels, axis, kind)
+    virt = _virtual_block(family, levels, config, axis, kind.chain)
+    verdicts += [oracle_ok, shape["pass"], eta_verdict, virt["pass"]]
+    growth = (_growth_scan(kind.growth_det(family, config.depth), axis)
+              if config.depth >= 1 else 1.0)
+
+    desc = family.descriptor()
+    return VerificationReport(
+        schema="crum-report/1", family=family.name, params=desc["params"],
+        gamma=desc["gamma"], depth=config.depth, seed=config.seed, levels=level_blocks,
+        oracle=oracle, shape_invariance=shape, eta_relations=eta_rel, virtual_state=virt,
+        status=_status(verdicts), lu_growth=float(growth),
+        wall_time_s=time.perf_counter() - t0)
+
+
+def _status(verdicts):
+    """fail if any check failed; incomplete if checks were skipped but none
+    failed; pass only when every check ran and passed."""
+    if any(v is not None and not v for v in verdicts):
+        return "fail"
+    return "incomplete" if any(v is None for v in verdicts) else "pass"
+
+
+def _identity(kind, name, chain, level, point_sets, config):
+    """One identity entry, from the first sample set whose shifted points all
+    stay inside the strip; any other chain error is recorded as a skip."""
+    for pts in point_sets:
+        try:
+            res = kind.chain.relation_residual(name, chain, pts,
+                                               **kind.residual_options(level, config))
+        except StripError:
+            continue
+        except CrumError as exc:
+            return _skip(f"{type(exc).__name__}: {exc}")
+        return _entry(res, config.tolerance(name),
+                      1 if name in kind.grid_identities else len(pts))
+    return _skip("no strip-feasible sample points at this depth")
 
 
 def _entry(residual, tol, samples):
-    ok = bool(residual <= tol)
-    return {"residual": float(residual), "tol": float(tol), "pass": ok,
-            "samples": int(samples)}, ok
+    return {"residual": float(residual), "tol": float(tol), "pass": bool(residual <= tol),
+            "samples": int(samples)}
 
 
 def _skip(reason):
-    return {"residual": None, "tol": None, "pass": None, "skipped": reason}, True
+    return {"residual": None, "tol": None, "pass": None, "skipped": reason}
 
 
-def _suite_oqm(family, config):
-    levels = oqm_mod.build_chain(family, config.depth, nmax=config.nmax)
-    pts = sample_points(family, config.samples, config.seed)
-    all_ok = True
-    level_blocks = []
-    worst_growth = 1.0
+def _growth_scan(det, pts):
+    """Largest LU element-growth factor of the deepest determinant over the
+    first five sample points; points whose shifts leave the strip are passed over."""
 
-    for s, level in enumerate(levels):
-        identities = {}
-        for kind in OQM_LEVEL_IDENTITIES:
-            if kind == "node_count":
-                mismatch = _node_mismatch(levels, s, config.nmax)
-                entry, ok = _entry(mismatch, config.tolerance(kind), 1)
-            elif kind == "realness":
-                res = _oqm_realness(level, pts, config)
-                entry, ok = _entry(res, config.tolerance(kind), len(pts))
-            else:
-                res = oqm_mod.relation_residual(kind, [level], pts)
-                entry, ok = _entry(res, config.tolerance(kind), len(pts))
-            identities[kind] = entry
-            all_ok &= ok
-        if s >= 1:
-            pair = [levels[s - 1], levels[s]]
-            prefix = levels[: s + 1]
-            for kind in OQM_STEP_IDENTITIES:
-                chain_arg = prefix if kind in ("potential_wronskian", "wronskian_product",
-                                               "wronskian_ratio") else pair
-                try:
-                    res = oqm_mod.relation_residual(kind, chain_arg, pts)
-                    entry, ok = _entry(res, config.tolerance(kind), len(pts))
-                except CrumError as exc:
-                    entry, ok = _skip(f"{type(exc).__name__}: {exc}")
-                identities[kind] = entry
-                all_ok &= ok
-        gram_block, g_ok, growth = _gram_block(family, levels, s, config)
-        worst_growth = max(worst_growth, growth)
-        all_ok &= g_ok
-        level_blocks.append({"s": s, "E_s": float(level.E_s),
-                             "identities": identities, "gram": gram_block})
-
-    oracle, o_ok = _oracle_oqm(family, levels, config)
-    all_ok &= o_ok
-    shape = _shape_block(family, levels, config)
-    all_ok &= shape.get("pass", True)
-    eta_rel = _eta_block(family, levels, config, pts)
-    all_ok &= eta_rel.get("pass", True)
-    virt = _virtual_block(family, levels, config, pts)
-    all_ok &= virt["pass"]
-    worst_growth = max(worst_growth, _wronskian_growth(family, levels, pts))
-
-    return VerificationReport(
-        schema="crum-report/1", family=family.name,
-        params=family.descriptor()["params"], gamma=None, depth=config.depth,
-        seed=config.seed, levels=level_blocks, oracle=oracle,
-        shape_invariance=shape, eta_relations=eta_rel, virtual_state=virt,
-        status="pass" if all_ok else "fail", lu_growth=float(worst_growth),
-        wall_time_s=0.0)
-
-
-def _wronskian_growth(family, levels, pts):
-    """Largest LU element-growth factor seen in the deepest determinants."""
-    s = len(levels) - 1
-    if s < 1:
-        return 1.0
-    fs = [family.phi(k) for k in range(s)]
-    worst = 1.0
-    for x in pts[:5]:
-        _val, growth = wronskian(fs, x, info=True)
-        worst = max(worst, growth)
-    return worst
-
-
-def _suite_dqm(family, config):
-    levels = dqm_mod.build_chain(family, config.depth)
-    g = family.gamma
-    lines = (0.0, 0.5 * g, -0.5 * g, g, -g)
-    pts_lines = sample_points(family, max(4, config.samples // len(lines)), config.seed, lines)
-    pts_axis = sample_points(family, config.samples, config.seed)
-    all_ok = True
-    level_blocks = []
-
-    def run_identity(kind, chain_arg, level):
-        # strip-line samples first; on a strip violation fall back to the
-        # real axis, and only then record a skip with the reason
-        for pts in (pts_lines, pts_axis):
+    def growths():
+        for x in pts[:5]:
             try:
-                res = dqm_mod.relation_residual(kind, chain_arg, pts,
-                                                ns=_ns_for(level, config),
-                                                last_only=True)
-                return _entry(res, config.tolerance(kind), len(pts))
+                yield det(x)[1]
             except StripError:
                 continue
-            except CrumError as exc:
-                return _skip(f"{type(exc).__name__}: {exc}")
-        return _skip("no strip-feasible sample points at this depth")
 
-    for s, level in enumerate(levels):
-        identities = {}
-        for kind in DQM_LEVEL_IDENTITIES:
-            entry, ok = run_identity(kind, [level], level)
-            identities[kind] = entry
-            all_ok &= ok
-        if s >= 1:
-            for kind in DQM_STEP_IDENTITIES:
-                chain_arg = levels[: s + 1]
-                if kind in ("quadratic", "linear", "intertwine", "factorization",
-                            "step_determinant", "downshift_roundtrip"):
-                    chain_arg = [levels[s - 1], levels[s]]
-                entry, ok = run_identity(kind, chain_arg, level)
-                identities[kind] = entry
-                all_ok &= ok
-        gram_block, g_ok, _growth = _gram_block(family, levels, s, config)
-        all_ok &= g_ok
-        level_blocks.append({"s": s, "E_s": float(level.E_s),
-                             "identities": identities, "gram": gram_block})
-
-    oracle, o_ok = _oracle_dqm(family, config)
-    all_ok &= o_ok
-    shape = _shape_block(family, levels, config)
-    all_ok &= shape.get("pass", True)
-    eta_rel = _eta_block(family, levels, config, pts_axis)
-    all_ok &= eta_rel.get("pass", True)
-    virt = _virtual_block(family, levels, config, pts_axis)
-    all_ok &= virt["pass"]
-    growth = _casoratian_growth(family, levels, pts_axis)
-
-    return VerificationReport(
-        schema="crum-report/1", family=family.name,
-        params=family.descriptor()["params"], gamma=float(g), depth=config.depth,
-        seed=config.seed, levels=level_blocks, oracle=oracle,
-        shape_invariance=shape, eta_relations=eta_rel, virtual_state=virt,
-        status="pass" if all_ok else "fail", lu_growth=float(growth), wall_time_s=0.0)
+    return max(1.0, worst_residual(growths()))
 
 
-def _casoratian_growth(family, levels, pts):
-    s = len(levels) - 1
-    if s < 1:
-        return 1.0
+def _wronskian_det(family, s):
+    fs = [family.phi(k) for k in range(s)]
+    return lambda x: wronskian(fs, x, info=True)
+
+
+def _casoratian_det(family, s):
     fs = [family.phi(k) for k in range(s + 1)]
-    worst = 1.0
-    for x in pts[:5]:
-        try:
-            _val, growth = casoratian(fs, x, family.gamma, info=True)
-        except StripError:
-            continue
-        worst = max(worst, growth)
-    return worst
+    return lambda x: casoratian(fs, x, family.gamma, info=True)
+
+
+def _axis_points(family, config):
+    return [sample_points(family, config.samples, config.seed)]
+
+
+def _strip_points(family, config):
+    """Points on five lines across the strip, then the real axis as the
+    fallback for identities whose shifted points leave the strip."""
+    g = family.gamma
+    lines = (0.0, 0.5 * g, -0.5 * g, g, -g)
+    return [sample_points(family, max(4, config.samples // len(lines)), config.seed, lines),
+            sample_points(family, config.samples, config.seed)]
 
 
 def _ns_for(level, config):
@@ -358,42 +347,15 @@ def _ns_for(level, config):
     return [n for n in range(lo, min(config.nmax, lo + 2) + 1)]
 
 
-def _node_mismatch(levels, s, nmax):
-    level = levels[s]
-    lo, hi = level.interior()
-    worst = 0
-    for n in range(s, min(nmax, s + 3) + 1):
-        count = oqm_mod.node_count(level.phi(n), (lo, hi))
-        worst = max(worst, abs(count - (n - s)))
-    return worst
-
-
-def _oqm_realness(level, pts, config):
-    worst = 0.0
-    for n in range(level.s, min(config.nmax, level.s + 2) + 1):
-        f = level.phi(n)
-        for x in pts:
-            x = complex(x.real, 0.15)
-            direct = f(x)
-            starred = complex(f(x.conjugate())).conjugate()
-            worst = max(worst, abs(direct - starred) / (1.0 + abs(direct)))
-    return worst
-
-
 def _gram_block(family, levels, s, config):
-    nmax = min(config.nmax, s + 3)
-    ns = list(range(s, nmax + 1))
+    ns = list(range(s, min(config.nmax, s + 3) + 1))
     if len(ns) < 2:
-        return {"skipped": "fewer than two levels in range"}, True, 1.0
-    level = levels[s]
-    if family.kind == "oqm":
-        fns = [level.phi(n) for n in ns]
-    else:
-        fns = [level.phi(n) for n in ns]
+        return {"skipped": "fewer than two levels in range"}
+    fns = [levels[s].phi(n) for n in ns]
     try:
         g = gram_matrix(fns, family.quad)
     except AccuracyError as exc:
-        return {"skipped": f"quadrature: {exc}"}, True, 1.0
+        return {"skipped": f"quadrature: {exc}"}
     herm_defect = float(np.max(np.abs(g - g.conj().T)))
     expected = np.asarray([family.hnorm(n) * _gap_product(family, s, n) for n in ns])
     diag = np.real(np.diag(g))
@@ -412,7 +374,7 @@ def _gram_block(family, levels, s, config):
         "hermiticity_defect": herm_defect,
         "tol": tol,
         "pass": bool(ok),
-    }, bool(ok), 1.0
+    }
 
 
 def _gap_product(family, s, n):
@@ -427,8 +389,6 @@ def _oracle_oqm(family, levels, config):
     block = {}
     ok = True
     tol = config.tolerance("oracle_spectrum")
-    from .families import _oracle_box
-
     for s in (0, 1):
         if s >= len(levels):
             break
@@ -453,22 +413,13 @@ def _oracle_oqm(family, levels, config):
     return block, ok
 
 
-def _oracle_dqm(family, config):
-    """Least-squares eigenvalue extraction from the difference equation."""
-    level = dqm_mod.level0(family)
+def _oracle_dqm(family, levels, config):
+    """Least-squares eigenvalues of the level-0 difference equation."""
     xs = sample_points(family, 10, config.seed)
     block = {"levels": {}}
     ok = True
     for n in range(0, min(config.nmax, 4) + 1):
-        f = lambda x, nn=n: level._phi_fn(nn, x)
-        num = 0j
-        den = 0.0
-        for x in xs:
-            hval = dqm_mod.hamiltonian_apply(level, f, x)
-            pv = f(complex(x))
-            num += hval * pv.conjugate()
-            den += abs(pv) ** 2
-        e_fit = float((num / den).real)
+        e_fit = dqm_mod.energy_fit(levels[0], n, xs)
         e_closed = family.energy(n)
         err = abs(e_fit - e_closed) / (1.0 + abs(e_closed))
         this_ok = err <= config.tolerance("oracle_spectrum")
@@ -478,12 +429,12 @@ def _oracle_dqm(family, config):
     return block, ok
 
 
-def _shape_block(family, levels, config):
+def _shape_block(family, levels):
     fit = structure_mod.shape_invariance_residual(family, levels)
     block = {
         "converged": fit.converged,
         "kappa": fit.kappa if math.isfinite(fit.kappa) else None,
-        "fitted_params": {k: _jsonable(v) for k, v in fit.params.items()},
+        "fitted_params": _plain_params(fit.params),
         "max_residual": fit.max_residual if math.isfinite(fit.max_residual) else None,
         "tol": 1e-7,
     }
@@ -501,38 +452,32 @@ def _shape_block(family, levels, config):
     return block
 
 
-def _eta_block(family, levels, config, pts):
-    if family.kind != "dqm":
-        res = structure_mod.eta_relations_residual("eta_affine", family, levels, pts)
-        ok = res <= 1e-8
-        return {"eta_affine": float(res), "tol": 1e-7, "pass": bool(ok)}
+def _eta_block(family, levels, pts, kind):
+    """The coordinate relations; returns the block and its verdict (None when
+    a relation was skipped and none failed)."""
     block = {}
     ok = True
-    for kind in ("eta_affine", "V1_from_eta", "eta_level", "Vs_product"):
+    skipped = False
+    for name in kind.eta_kinds:
         try:
-            res = structure_mod.eta_relations_residual(kind, family, levels, pts)
+            res = structure_mod.eta_relations_residual(name, family, levels, pts)
         except StripError as exc:
-            block[kind] = f"skipped: {exc}"
+            block[name] = f"skipped: {exc}"
+            skipped = True
             continue
-        block[kind] = float(res)
-        ok &= res <= 1e-7
-    block["tol"] = 1e-7
+        block[name] = float(res)
+        ok &= res <= kind.eta_tol
+    block["tol"] = kind.eta_tol
     block["pass"] = bool(ok)
-    return block
+    return block, (None if skipped and ok else bool(ok))
 
 
-def _virtual_block(family, levels, config, pts):
+def _virtual_block(family, levels, config, pts, chain):
     """The excluded zero mode: annihilated by the raising factor, flagged out
     of the Hilbert space by the norm-refinement scan."""
     phi_prime = virtual_state(family)
-    if family.kind == "oqm":
-        lvl0 = levels[0]
-        up = oqm_mod.apply_Adag(lvl0, phi_prime)
-        res = max(abs(up(x)) / (1.0 + abs(phi_prime(x))) for x in pts)
-    else:
-        lvl0 = levels[0]
-        up = dqm_mod.apply_Adag(lvl0, phi_prime.fn)
-        res = max(abs(up(x)) / (1.0 + abs(phi_prime.fn(complex(x)))) for x in pts)
+    up = chain.apply_Adag(levels[0], phi_prime)
+    res = worst_residual(abs(up(x)) / (1.0 + abs(phi_prime(x))) for x in pts)
     flag = norm_divergence_flag(phi_prime, family.quad)
     tol = config.tolerance("virtual_zero_mode")
     ok = res <= tol
@@ -545,7 +490,34 @@ def _virtual_block(family, levels, config, pts):
     }
 
 
-def _jsonable(v):
-    if isinstance(v, complex):
-        return v.real if v.imag == 0 else [v.real, v.imag]
-    return v
+_KINDS = {
+    "oqm": _ChainKind(
+        chain=oqm_mod,
+        build=lambda family, config: oqm_mod.build_chain(family, config.depth, nmax=config.nmax),
+        residual_options=lambda level, config: {},
+        level_identities=OQM_LEVEL_IDENTITIES,
+        step_identities=OQM_STEP_IDENTITIES,
+        prefix_identities=frozenset({"potential_wronskian", "wronskian_product",
+                                     "wronskian_ratio"}),
+        grid_identities=frozenset({"node_count"}),
+        point_sets=_axis_points,
+        growth_det=_wronskian_det,
+        oracle=_oracle_oqm,
+        eta_kinds=("eta_affine",),
+        eta_tol=1e-8,
+    ),
+    "dqm": _ChainKind(
+        chain=dqm_mod,
+        build=lambda family, config: dqm_mod.build_chain(family, config.depth),
+        residual_options=lambda level, config: {"ns": _ns_for(level, config), "last_only": True},
+        level_identities=DQM_LEVEL_IDENTITIES,
+        step_identities=DQM_STEP_IDENTITIES,
+        prefix_identities=frozenset({"check_product", "casoratian_ratio", "casoratian_jacobi"}),
+        grid_identities=frozenset(),
+        point_sets=_strip_points,
+        growth_det=_casoratian_det,
+        oracle=_oracle_dqm,
+        eta_kinds=("eta_affine", "V1_from_eta", "eta_level", "Vs_product"),
+        eta_tol=1e-7,
+    ),
+}

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crum.analytic import (AnalyticFn, casoratian, eval_jet, from_poly,
-                           inner_product, lu_det, star_eval, wronskian)
+                           inner_product, lu_det, star_eval, worst_residual,
+                           wronskian)
 from crum.errors import AccuracyError, CapabilityError, StripError
 from crum.jets import Jet
 from crum.quadrature import QuadratureSpec
@@ -183,6 +184,13 @@ def test_lu_det_growth():
     det, growth = lu_det([[1.0, 2.0], [3.0, 4.0]])
     assert abs(det + 2.0) < 1e-14
     assert growth >= 0.5
+
+
+def test_worst_residual_fails_closed():
+    assert worst_residual([]) == 0.0
+    assert worst_residual(iter([1e-12, 3e-12, 2e-12])) == 3e-12
+    for bad in (math.nan, math.inf, -math.inf):
+        assert worst_residual([1e-12, bad, 2e-12]) == math.inf
 
 
 # -- inner products -----------------------------------------------------------

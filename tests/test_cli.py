@@ -84,6 +84,28 @@ def test_verify_subcommand_round_trip(tmp_path, capsys):
     assert "re-verified hermite" in err
 
 
+def test_chain_with_a_skip_is_incomplete(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    code, _, err = run_cli(capsys, "chain", "--family", "laguerre", "--param", "g=3",
+                           "--depth", "2", "--seed", "1", "--out", str(out_file))
+    assert code == 1
+    assert json.loads(out_file.read_text())["status"] == "incomplete"
+    assert "incomplete" in err
+
+
+def test_chain_and_verify_with_complex_params(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    params = ["--param", "a1=0.3", "--param", "a2=-0.2", "--param", "a3=0.1+0.2j",
+              "--param", "a4=0.1-0.2j", "--param", "q=0.6"]
+    code, _, _ = run_cli(capsys, "chain", "--family", "askey_wilson", *params, "--depth", "1",
+                         "--nmax", "3", "--samples", "4", "--out", str(out_file))
+    assert code == 0
+    assert json.loads(out_file.read_text())["config"]["params"]["a3"] == [0.1, 0.2]
+    code, _, err = run_cli(capsys, "verify", str(out_file))
+    assert code == 0
+    assert "re-verified askey_wilson depth 1: pass" in err
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     out_file = tmp_path / "report.json"
     monkeypatch.setenv("CRUM_SEED", "777")

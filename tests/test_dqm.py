@@ -144,6 +144,11 @@ def test_realness_of_chain_states(q_hermite_chain, q_hermite):
     assert res <= 1e-10
 
 
+def test_realness_nan_sample_fails_closed(q_hermite_chain, q_hermite):
+    pts = _strip_pts(q_hermite) + [complex(math.nan, 0.0)]
+    assert dqm.relation_residual("realness", q_hermite_chain[:1], pts) == math.inf
+
+
 def test_branch_anchor_positive(askey_wilson, askey_wilson_chain):
     # the radicand of the square-root prefactor is positive on Im x = gamma/2
     g = askey_wilson.gamma

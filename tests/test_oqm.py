@@ -203,9 +203,17 @@ def test_phi_via_wronskian_matches_operators(hermite_chain):
     ("downshift_roundtrip", 1e-8),
     ("zero_mode", 1e-9),
     ("iso_spectral", 1e-8),
+    ("realness", 1e-9),
+    ("node_count", 0.0),
 ])
 def test_hermite_relation_residuals(hermite_chain, hermite, kind, tol):
     assert oqm.relation_residual(kind, hermite_chain, _pts(hermite)) <= tol
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_sample_fails_closed(hermite_chain, hermite, bad):
+    pts = _pts(hermite) + [complex(bad, 0.0)]
+    assert oqm.relation_residual("zero_mode", hermite_chain, pts) == math.inf
 
 
 def test_potential_wronskian_laguerre(laguerre_chain, laguerre):

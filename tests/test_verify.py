@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from crum import virtual_state
-from crum.errors import ParameterError
+from crum import dqm, virtual_state
+from crum.errors import ChainBreakError, ParameterError
 from crum.verify import (DEFAULT_TOLERANCES, DQM_LEVEL_IDENTITIES,
                          DQM_STEP_IDENTITIES, OQM_LEVEL_IDENTITIES,
                          OQM_STEP_IDENTITIES, RunConfig, grid_eigensolve,
@@ -102,6 +102,21 @@ def test_suite_q_hermite_inventory_and_pass():
     assert rep.gamma == pytest.approx(math.log(0.5))
 
 
+def test_chain_error_in_an_identity_is_not_a_pass(monkeypatch):
+    real = dqm.relation_residual
+
+    def broken(kind, *args, **kwargs):
+        if kind == "linear":
+            raise ChainBreakError("injected")
+        return real(kind, *args, **kwargs)
+
+    monkeypatch.setattr(dqm, "relation_residual", broken)
+    rep = run_suite(RunConfig(family="q_hermite", params={"q": 0.5}, depth=1, nmax=3,
+                              samples=4, seed=7))
+    assert rep.levels[1]["identities"]["linear"]["skipped"] == "ChainBreakError: injected"
+    assert rep.status == "incomplete"
+
+
 def test_suite_rejects_bad_parameters():
     with pytest.raises(ParameterError, match="closed"):
         run_suite(RunConfig(family="askey_wilson",
@@ -119,10 +134,15 @@ def test_report_determinism():
 
 
 def test_run_config_round_trip():
-    cfg = RunConfig(family="askey_wilson", params={"q": 0.6, "a1": 0.3}, depth=2,
-                    nmax=5, samples=18, tolerances={"zero_mode": 1e-8}, seed=9)
-    back = RunConfig.from_json(cfg.to_json())
-    assert back == cfg
+    for params in ({"q": 0.6, "a1": 0.3},
+                   {"q": 0.6, "a1": 0.3, "a3": 0.1 + 0.2j, "a4": 0.1 - 0.2j}):
+        cfg = RunConfig(family="askey_wilson", params=params, depth=2,
+                        nmax=5, samples=18, tolerances={"zero_mode": 1e-8}, seed=9)
+        back = RunConfig.from_json(cfg.to_json())
+        assert back == cfg
+        # configs stored by older versions carry two more keys
+        stored = dict(json.loads(cfg.to_json()), precision="double", check_limits=False)
+        assert RunConfig.from_dict(stored) == cfg
 
 
 def test_sample_points_deterministic_and_in_domain(hermite):
@@ -131,6 +151,7 @@ def test_sample_points_deterministic_and_in_domain(hermite):
     c = sample_points(hermite, 10, 6)
     assert a == b
     assert a != c
+    assert sample_points(hermite, 10, 21) != sample_points(hermite, 10, 2021)
     lo, hi = hermite.interior(0.9)
     assert all(lo <= p.real <= hi and p.imag == 0 for p in a)
 
