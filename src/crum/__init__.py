@@ -3,12 +3,12 @@
 and the imaginary-shift difference setting."""
 
 from .analytic import AnalyticFn, casoratian, inner_product, star_eval, wronskian
-from .families import catalog, family_eval, make_family, virtual_state
+from .families import catalog, make_family, virtual_state
 from .verify import RunConfig, VerificationReport, run_suite
 
 __all__ = [
     "AnalyticFn", "casoratian", "inner_product", "star_eval", "wronskian",
-    "catalog", "family_eval", "make_family", "virtual_state",
+    "catalog", "make_family", "virtual_state",
     "RunConfig", "VerificationReport", "run_suite",
 ]
 

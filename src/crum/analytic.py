@@ -37,7 +37,6 @@ class AnalyticFn:
     label: str = ""
     is_real: bool = False
     jet_fn: Optional[Callable[[complex, int], Jet]] = None
-    sqrt_fn: Optional[Callable[[complex], complex]] = None
 
     def check_strip(self, x):
         x = complex(x)
@@ -46,8 +45,6 @@ class AnalyticFn:
         return x
 
     def __call__(self, x):
-        if isinstance(x, np.ndarray):
-            return np.asarray([self.fn(complex(v)) for v in x])
         return self.fn(self.check_strip(x))
 
     def jet(self, x, order):
@@ -99,36 +96,11 @@ class AnalyticFn:
         )
 
 
-def from_poly(coeffs, label="", strip_halfwidth=math.inf):
-    """AnalyticFn for a polynomial given its coefficients c_0 + c_1 x + ..."""
-    cs = [complex(c) for c in coeffs]
-
-    def fn(x):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    def jet_fn(x, order):
-        jx = Jet.variable(x, order)
-        acc = Jet.const(0.0, x, order)
-        for c in reversed(cs):
-            acc = acc * jx + c
-        return acc
-
-    return AnalyticFn(fn, strip_halfwidth=strip_halfwidth, label=label,
-                      is_real=all(c.imag == 0 for c in cs), jet_fn=jet_fn)
-
-
 def star_eval(f, x):
     """Value of the star-conjugate of f at x: conj(f(conj x))."""
     x = f.check_strip(x)
     f.check_strip(x.conjugate())
     return complex(f.fn(x.conjugate())).conjugate()
-
-
-def eval_jet(f, x, order):
-    return f.jet(x, order)
 
 
 def rel_residual(ref, other):
@@ -178,7 +150,7 @@ def lu_det(matrix):
         if col + 1 < n:
             factors = a[col + 1 :, col] / a[col, col]
             a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-            growth = max(growth, np.max(np.abs(a[col + 1 :, col:])) if col + 1 < n else 0.0)
+            growth = max(growth, np.max(np.abs(a[col + 1 :, col:])))
     return det, growth / scale0
 
 

@@ -2,8 +2,8 @@
 
 Subcommands: `families list`, `chain` (build + verify, emit JSON report),
 `verify` (re-run the suite from a stored report's config), `limit`
-(convergence scans to CSV), `scan-gamma0` (shorthand for the shift-to-zero
-scan).
+(convergence scans to CSV), `scan-gamma0` (shorthand for
+`limit --mode gamma-to-0`).
 
 A report's `status` is `pass` when every check ran and came in under its
 tolerance, `fail` when any check failed (a NaN or infinite residual fails),
@@ -76,6 +76,7 @@ def build_parser():
     scan = sub.add_parser("scan-gamma0", help="shift-to-zero determinant scan")
     scan.add_argument("--gammas", default="1e-1,1e-2,1e-3")
     scan.add_argument("--csv", default="-")
+    scan.set_defaults(mode="gamma-to-0")
     return p
 
 
@@ -153,13 +154,6 @@ def _cmd_limit(args):
     return 0
 
 
-def _cmd_scan_gamma0(args):
-    gs = tuple(float(t) for t in args.gammas.split(","))
-    table = limit_check("gamma_to_0", gammas=gs)
-    _write_text(args.csv, _csv_text(emit_csv_rows(table)))
-    return 0
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -171,7 +165,7 @@ def main(argv=None):
         "chain": _cmd_chain,
         "verify": _cmd_verify,
         "limit": _cmd_limit,
-        "scan-gamma0": _cmd_scan_gamma0,
+        "scan-gamma0": _cmd_limit,
     }
     try:
         return handlers[args.command](args)

@@ -140,44 +140,6 @@ def apply_Adag(level, f):
     return out
 
 
-def generic_apply_A(v_fn, gamma, f):
-    """Lowering factor for a standalone analytic potential (principal or
-    attached square root); used by the continuum-limit checks."""
-    sq = _sqrt_of(v_fn)
-
-    def sqs(x):
-        return complex(sq(complex(x).conjugate())).conjugate()
-
-    fv = _as_callable(f)
-
-    def out(x):
-        x = complex(x)
-        return 1j * (sqs(x - 0.5j * gamma) * fv(x - 0.5j * gamma)
-                     - sq(x + 0.5j * gamma) * fv(x + 0.5j * gamma))
-
-    return out
-
-
-def generic_hamiltonian_apply(v_fn, gamma, f, x):
-    sq = _sqrt_of(v_fn)
-
-    def sqs(xx):
-        return complex(sq(complex(xx).conjugate())).conjugate()
-
-    fv = _as_callable(f)
-    x = complex(x)
-    return (sq(x) * sqs(x - 1j * gamma) * fv(x - 1j * gamma)
-            + sqs(x) * sq(x + 1j * gamma) * fv(x + 1j * gamma)
-            - (sq(x) ** 2 + sqs(x) ** 2) * fv(x))
-
-
-def _sqrt_of(v_fn):
-    if isinstance(v_fn, AnalyticFn) and v_fn.sqrt_fn is not None:
-        return v_fn.sqrt_fn
-    fv = _as_callable(v_fn)
-    return lambda x: cmath.sqrt(fv(x))
-
-
 def _as_callable(f):
     if isinstance(f, AnalyticFn):
         return f.fn
@@ -225,15 +187,12 @@ def level0(family):
         return complex(sqv_fn(complex(x).conjugate())).conjugate()
 
     memo = {}
-    phi_cache = {}
 
     def phi_fn(n, x):
         key = (n, x)
         hit = memo.get(key)
         if hit is None:
-            if n not in phi_cache:
-                phi_cache[n] = family.phi(n).fn
-            hit = phi_cache[n](x)
+            hit = family.phi(n).fn(x)
             memo[key] = hit
         return hit
 
@@ -284,12 +243,12 @@ def next_potential(level):
     def sqrt_v_star(x):
         return complex(sqrt_v(complex(x).conjugate())).conjugate()
 
-    return sqrt_v, sqrt_v_star, sigma, psi
+    return sqrt_v, sqrt_v_star, sigma
 
 
-def step_chain(level, nmax=None):
+def step_chain(level):
     s_new = level.s + 1
-    sqrt_v, sqrt_v_star, sigma, psi = next_potential(level)
+    sqrt_v, sqrt_v_star, sigma = next_potential(level)
     memo = {}
 
     def phi_fn(n, x):
@@ -300,10 +259,9 @@ def step_chain(level, nmax=None):
             memo[key] = hit
         return hit
 
-    new = DqmChainLevel(level.family, s_new, level.family.energy(s_new),
-                        sqrt_v, sqrt_v_star, phi_fn, parent=level,
-                        branch_anchor={"anchor_im": 0.5 * level.gamma, "seed_sign": sigma})
-    return new
+    return DqmChainLevel(level.family, s_new, level.family.energy(s_new),
+                         sqrt_v, sqrt_v_star, phi_fn, parent=level,
+                         branch_anchor={"anchor_im": 0.5 * level.gamma, "seed_sign": sigma})
 
 
 DEPTH_CAP = 4
@@ -376,7 +334,7 @@ def check_function(levels, s, n, x):
 # identity residuals
 # ---------------------------------------------------------------------------
 
-def relation_residual(kind, levels, samples, ns=None, generic_fns=None, last_only=False):
+def relation_residual(kind, levels, samples, ns=None, last_only=False):
     """Worst normalized residual of a chain identity over the sample points;
     a non-finite sample makes it inf.
 
@@ -388,8 +346,6 @@ def relation_residual(kind, levels, samples, ns=None, generic_fns=None, last_onl
     residuals = _RESIDUALS.get(kind)
     if residuals is None:
         raise DomainError(f"unknown relation kind {kind!r}")
-    if kind == "casoratian_jacobi":
-        return worst_residual(residuals(levels, samples, generic_fns))
     if kind in ("check_product", "casoratian_ratio"):
         s_values = [len(levels) - 1] if last_only else range(1, len(levels))
         return worst_residual(residuals(levels, samples, ns, s_values))
@@ -502,7 +458,7 @@ def _res_casoratian_ratio(levels, samples, ns, s_values):
                 yield rel_residual(rhs, lhs)
 
 
-def _res_casoratian_jacobi(levels, samples, generic_fns=None):
+def _res_casoratian_jacobi(levels, samples, ns=None):
     """Two-determinant contraction identity, on eigenfunction lists and on
     generic analytic test functions."""
     fam = levels[0].family
@@ -510,12 +466,10 @@ def _res_casoratian_jacobi(levels, samples, generic_fns=None):
     lists = []
     smax = len(levels) - 1
     if smax >= 1:
-        ns = _level_ns(levels[smax], None, count=1)
-        lists.append(([fam.phi(k) for k in range(smax)], fam.phi(smax), fam.phi(ns[0])))
-    if generic_fns is None:
-        generic_fns = _default_generic_fns()
-    if len(generic_fns) >= 3:
-        lists.append((list(generic_fns[:-2]), generic_fns[-2], generic_fns[-1]))
+        n = _level_ns(levels[smax], None, count=1)[0]
+        lists.append(([fam.phi(k) for k in range(smax)], fam.phi(smax), fam.phi(n)))
+    generic = _generic_fns()
+    lists.append((generic[:-2], generic[-2], generic[-1]))
     for head, f_s, f_n in lists:
         for x in samples:
             x = complex(x)
@@ -528,7 +482,7 @@ def _res_casoratian_jacobi(levels, samples, generic_fns=None):
             yield rel_residual(lhs, rhs)
 
 
-def _default_generic_fns():
+def _generic_fns():
     mk = lambda fn, lbl: AnalyticFn(fn, label=lbl)
     return [mk(lambda x: 1.0 + 0j, "1"), mk(lambda x: x, "x"),
             mk(lambda x: x * x, "x^2"), mk(lambda x: cmath.exp(1j * x), "e^{ix}")]
@@ -581,31 +535,3 @@ _RESIDUALS = {
     "realness": _res_realness,
 }
 
-
-# ---------------------------------------------------------------------------
-# continuum-limit transfer
-# ---------------------------------------------------------------------------
-
-def casoratian_limit_transfer(oqm_family, c_values, n=2, x=0.4, a=1.0, gamma=1.0):
-    """Depth-1 determinant formula with shift gamma/c against the
-    derivative-determinant value, scaled by c/(sqrt(a) gamma).
-
-    The potential 1 + i (gamma/c) w with w(x) = x + 0.3 i x^2 carries a
-    genuine first-order tail, so the error decays like 1/c.
-    """
-    from .analytic import wronskian
-    from .oqm import level0 as oqm_level0
-
-    base = oqm_level0(oqm_family, nmax=max(3, n))
-    f0, fn = base.phi(0), base.phi(n)
-    target = wronskian([f0, fn], complex(x)) / f0(complex(x))
-    rows = []
-    for c in c_values:
-        gc = gamma / c
-        sq = lambda xx: cmath.sqrt(1.0 + 1j * gamma * (xx + 0.3j * xx * xx) / c)
-        num = casoratian([f0, fn], complex(x), gc)
-        den = casoratian([f0], complex(x) - 0.5j * gc, gc)
-        pref = sq(complex(x) + 0.5j * gc)
-        val = (c / (math.sqrt(a) * gamma)) * pref * num / den
-        rows.append((float(c), abs(val - target)))
-    return rows, abs(target)

@@ -39,17 +39,10 @@ _ENERGY_ORACLE_TOL = 1e-3
 class ShapeData:
     """Shape-invariance bookkeeping: parameter map, scale, first gap rule."""
 
-    def __init__(self, si, kappa, e1, delta=None):
+    def __init__(self, si, kappa, e1):
         self.si = si          # params dict -> params dict
         self.kappa = kappa    # positive scale constant
         self.e1 = e1          # params dict -> first energy gap
-        self.delta = delta if delta is not None else si  # shift used by the A'-zero mode
-
-    def orbit(self, params, n):
-        out = [dict(params)]
-        for _ in range(n):
-            out.append(self.si(out[-1]))
-        return out
 
 
 # --------------------------------------------------------------------------
@@ -102,10 +95,6 @@ class OqmFamily:
 
         return AnalyticFn(lambda x: jet_fn(x, 0).value, label=f"{self.label}.U",
                           is_real=True, jet_fn=jet_fn)
-
-    def phi0_log_jet(self, x, order):
-        """Jet of W(x); exponentiate for the ground state."""
-        return self._w_log_jet(x, order)
 
     def phi(self, n):
         """n-th eigenfunction phi_0 * P_n(eta), monic P_n, with exact jets."""
@@ -352,8 +341,7 @@ class DqmFamily:
         fam = self
         return AnalyticFn(lambda x: cmath.exp(fam._logV(complex(x))),
                           strip_halfwidth=self.strip_halfwidth,
-                          label=f"{self.label}.V",
-                          sqrt_fn=lambda x: cmath.exp(0.5 * fam._logV(complex(x))))
+                          label=f"{self.label}.V")
 
     # -- wavefunction side --------------------------------------------------
     def phi0(self):
@@ -380,11 +368,10 @@ class DqmFamily:
         if n < 0 or n > self.nmax:
             raise DomainError(f"n={n} outside tabulated range 0..{self.nmax}")
         fam = self
-        phi0 = self.phi0()
 
         def fn(x):
             x = complex(x)
-            return phi0.fn(x) * fam.poly_value(n, cmath.cos(x))
+            return cmath.exp(0.5 * fam._logphi0sq(x)) * fam.poly_value(n, cmath.cos(x))
 
         def jet_fn(x, order):
             w = (0.5 * fam._logphi0sq.jet(x, order)).exp()
@@ -425,10 +412,9 @@ class DqmFamily:
                           is_real=True,
                           jet_fn=lambda x, order: Jet.variable(x, order).sin())
 
-    def shifted(self, params=None):
-        """Same family at shifted parameters (ground-state shift by default)."""
-        p = self.shape.delta(self.params) if params is None else params
-        return make_family(self.name, **p)
+    def shifted(self):
+        """Same family at the shape-invariance-shifted parameters."""
+        return make_family(self.name, **self.shape.si(self.params))
 
     def descriptor(self):
         return {"name": self.name, "params": _plain_params(self.params),
@@ -560,25 +546,6 @@ def catalog():
         "q_hermite": "0 < q < 1; interval (0, pi); shift gamma = log q",
         "askey_wilson": "|a_j| < 1, {a*}={a} as a set, 0 < q < 1; interval (0, pi)",
     }
-
-
-def family_eval(fam, part, n=None, x=None):
-    """Uniform access to family data: V, Vstar, phi0, phi_n, eta, energy."""
-    if part == "energy":
-        return fam.energy(n)
-    if part == "eta":
-        return fam.eta()(x)
-    if part == "phi0":
-        return (fam.phi(0) if fam.kind == "oqm" else fam.phi0())(x)
-    if part == "phi_n":
-        return fam.phi(n)(x)
-    if fam.kind != "dqm":
-        raise DomainError(f"part {part!r} requires a difference family")
-    if part == "V":
-        return fam.v()(x)
-    if part == "Vstar":
-        return fam.v().star()(x)
-    raise DomainError(f"unknown part {part!r}")
 
 
 def virtual_state(fam):

@@ -40,7 +40,7 @@ class OqmChainLevel:
 
     def potential(self):
         """Deformed potential, in the log-free form phi_s''/phi_s."""
-        if getattr(self, "_u", None) is not None:
+        if self._u is not None:
             return self._u
         if self.s == 0:
             self._u = self.family.potential()
@@ -218,7 +218,7 @@ def _hamiltonian_fn(level):
     return act
 
 
-def relation_residual(kind, levels, samples, test_fns=None):
+def relation_residual(kind, levels, samples):
     """Worst normalized residual of a chain identity over the samples; a
     non-finite sample makes it inf.
 
@@ -230,8 +230,6 @@ def relation_residual(kind, levels, samples, test_fns=None):
     residuals = _RESIDUALS.get(kind)
     if residuals is None:
         raise DomainError(f"unknown relation kind {kind!r}")
-    if kind == "intertwine":
-        return worst_residual(residuals(levels, samples, test_fns))
     return worst_residual(residuals(levels, samples))
 
 
@@ -240,13 +238,14 @@ def _ns(level):
     return sorted(n for n in level._phi if n >= level.s)
 
 
-def _res_intertwine(levels, samples, test_fns=None):
-    """A^[s] H^[s] = H^[s+1] A^[s] applied to test functions."""
+def _res_intertwine(levels, samples):
+    """A^[s] H^[s] = H^[s+1] A^[s] applied to the two highest eigenfunctions
+    built at level s."""
     for lo_level, hi_level in zip(levels[:-1], levels[1:]):
         h_lo = _hamiltonian_fn(lo_level)
         h_hi = _hamiltonian_fn(hi_level)
-        fns = test_fns or [lo_level.phi(n) for n in _ns(lo_level)[-2:]]
-        for f in fns:
+        for n in _ns(lo_level)[-2:]:
+            f = lo_level.phi(n)
             lhs_fn = apply_A(lo_level, h_lo(f))
             rhs_fn = h_hi(apply_A(lo_level, f))
             for x in samples:

@@ -1,4 +1,4 @@
-"""Double-exponential and mapped Gauss-Legendre quadrature.
+"""Double-exponential (tanh-sinh) quadrature.
 
 Three variants of the double-exponential substitution cover the three
 physical domains (finite interval, half line, full line); the adaptive
@@ -24,8 +24,7 @@ class QuadratureSpec:
     """Domain plus accuracy contract for an integral.
 
     kind: 'interval' (uses a, b), 'half_line' (0, inf) or 'full_line'.
-    rule: 'tanh_sinh' (double exponential) or 'gauss_legendre'.
-    points: base number of nodes per level (DE) or total nodes (GL).
+    points: base number of nodes per level.
     decay_radius: for infinite domains, |x| beyond which an arithmetic
     failure of the integrand is read as underflow of a decaying tail (the
     node contributes zero) rather than as an error.
@@ -34,7 +33,6 @@ class QuadratureSpec:
     kind: str = "full_line"
     a: float = 0.0
     b: float = 0.0
-    rule: str = "tanh_sinh"
     points: int = 40
     tolerance: float = 1e-11
     max_level: int = 9
@@ -139,8 +137,6 @@ def integrate(fn, spec):
     Returns (value, error_estimate).  Raises AccuracyError (carrying the best
     estimate) when consecutive refinements refuse to settle.
     """
-    if spec.rule == "gauss_legendre":
-        return _integrate_gl(fn, spec)
     total = None
     abs_mass = 0.0   # integral of |f|; sets the resolvable scale for cancelling integrands
     prev = None
@@ -176,21 +172,3 @@ def integrate(fn, spec):
         f"quadrature did not converge (last change {err:.3e})", best=total
     )
 
-
-def _integrate_gl(fn, spec):
-    if spec.kind != "interval":
-        raise DomainError("gauss_legendre rule supports finite intervals only")
-    val_prev = None
-    for n in (spec.points, 2 * spec.points):
-        u, w = np.polynomial.legendre.leggauss(n)
-        mid, half = 0.5 * (spec.a + spec.b), 0.5 * (spec.b - spec.a)
-        x = mid + half * u
-        fx = np.asarray([fn(float(xi)) for xi in x], dtype=complex)
-        val = half * np.sum(w * fx)
-        if val_prev is not None:
-            err = abs(val - val_prev)
-            if err <= spec.tolerance * (1.0 + abs(val)):
-                return val, err
-            raise AccuracyError(f"GL refinement changed by {err:.3e}", best=val)
-        val_prev = val
-    return val_prev, math.inf

@@ -1,38 +1,14 @@
-"""Special functions: q-Pochhammer symbols and the complex gamma function.
+"""Special functions: the infinite q-Pochhammer symbol.
 
-The gamma function uses a fixed-coefficient Lanczos approximation (g=607/128,
-15 terms) with the reflection formula for Re z < 1/2; relative accuracy is
-well under 1e-12 throughout the strip |Im z| <= 20 needed here.
+`QPOCH_TAIL` is the truncation threshold shared with the families'
+ground-state log-sums; `qpochhammer_inf` is their independent oracle.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-
-from .errors import DomainError, PoleError
+from .errors import DomainError
 
 QPOCH_TAIL = 1e-17
-
-# Lanczos coefficients for g = 607/128 (Godfrey's set).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
 
 
 def qpochhammer_inf(a, q):
@@ -49,45 +25,3 @@ def qpochhammer_inf(a, q):
         result *= 1.0 - term
         term *= q
     return result
-
-
-def qpochhammer(a, q, n):
-    """Finite q-shifted factorial (a;q)_n."""
-    if n < 0:
-        raise DomainError("(a;q)_n needs n >= 0")
-    a = complex(a)
-    q = complex(q)
-    result = 1.0 + 0j
-    for k in range(n):
-        result *= 1.0 - a * q**k
-    return result
-
-
-def gamma_complex(z):
-    """Gamma(z) for complex z, Lanczos approximation plus reflection."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(f"gamma pole at z={z}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        s = cmath.sin(cmath.pi * z)
-        if s == 0:
-            raise PoleError(f"gamma pole at z={z}")
-        return cmath.pi / (s * gamma_complex(1.0 - z))
-    zz = z - 1.0
-    x = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        x += _LANCZOS_C[k] / (zz + k)
-    t = zz + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * x
-
-
-def special_eval(kind, **args):
-    """Dispatcher for the special-function kinds used by the families."""
-    if kind == "qpoch_inf":
-        return qpochhammer_inf(args["a"], args["q"])
-    if kind == "qpoch_finite":
-        return qpochhammer(args["a"], args["q"], args["n"])
-    if kind == "complex_gamma":
-        return gamma_complex(args["z"])
-    raise DomainError(f"unknown special function kind {kind!r}")

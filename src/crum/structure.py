@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .analytic import AnalyticFn, casoratian, rel_residual, worst_residual, wron
 from .errors import DomainError
 from .families import make_family
 from . import dqm as dqm_mod
-from . import oqm as oqm_mod
 
 
 @dataclass
@@ -252,28 +252,6 @@ def si_spectrum(family, n):
     return total
 
 
-def si_eigenfunction(family, n, x):
-    """Eigenfunction by cascading creation factors along the orbit.
-
-    Returns a value proportional to phi_n(x); proportionality (not equality)
-    is the contract, tested through ratio variance.
-    """
-    orbit = family.shape.orbit(family.params, n)
-    fams = [family if k == 0 else make_family(family.name, validate=False, **orbit[k])
-            for k in range(n + 1)]
-    if family.kind == "dqm":
-        f = fams[n].phi0().fn
-        for k in range(n - 1, -1, -1):
-            lvl = dqm_mod.level0(fams[k])
-            f = dqm_mod.apply_Adag(lvl, f)
-        return f(complex(x))
-    f = fams[n].phi(0)
-    for k in range(n - 1, -1, -1):
-        lvl = oqm_mod.level0(fams[k], nmax=0)
-        f = oqm_mod.apply_Adag(lvl, f)
-    return f(complex(x))
-
-
 # ---------------------------------------------------------------------------
 # sinusoidal-coordinate relations
 # ---------------------------------------------------------------------------
@@ -430,21 +408,21 @@ def _limit_c(config):
     tests = [("gauss", _std_fn("gauss")), ("x*gauss", _xgauss())]
     g = config.gamma
     a = config.a
+    xs = [complex(t) for t in np.linspace(-1.2, 1.2, 10)]
     for label, f in tests:
+        jets = [f.jet(x, 2) for x in xs]
+        lim_a = [jf.deriv(1) - _wp(config, x) * jf.value for x, jf in zip(xs, jets)]
+        lim_h = [-jf.deriv(2) + (_wp(config, x) ** 2 + _wpp(config, x)) * jf.value
+                 for x, jf in zip(xs, jets)]
         errs_a, errs_h = [], []
-        xs = [complex(t) for t in np.linspace(-1.2, 1.2, 10)]
         for c in config.c_values:
-            v = config.potential(c)
-            gc = g / c
-            worst_a = worst_h = 0.0
-            for x in xs:
-                low = dqm_mod.generic_apply_A(v, gc, f.fn)(x)
-                jf = f.jet(x, 2)
-                lim_a = jf.deriv(1) - _wp(config, x) * jf.value
-                worst_a = max(worst_a, abs((c / (math.sqrt(a) * g)) * low - lim_a))
-                hval = dqm_mod.generic_hamiltonian_apply(v, gc, f.fn, x)
-                lim_h = -jf.deriv(2) + (_wp(config, x) ** 2 + _wpp(config, x)) * jf.value
-                worst_h = max(worst_h, abs((c**2 / (a * g * g)) * hval - lim_h))
+            level = _limit_level(config.potential(c), g / c)
+            low = dqm_mod.apply_A(level, f.fn)
+            worst_a = worst_residual(abs((c / (math.sqrt(a) * g)) * low(x) - la)
+                                     for x, la in zip(xs, lim_a))
+            worst_h = worst_residual(
+                abs((c**2 / (a * g * g)) * dqm_mod.hamiltonian_apply(level, f.fn, x) - lh)
+                for x, lh in zip(xs, lim_h))
             errs_a.append(worst_a)
             errs_h.append(worst_h)
             table.rows.append(LimitRow("c_to_inf", f"A:{label}", float(c), float(worst_a)))
@@ -452,6 +430,19 @@ def _limit_c(config):
         table.slopes[f"A:{label}"], table.flags[f"A:{label}"] = _fit_slope(config.c_values, errs_a)
         table.slopes[f"H:{label}"], table.flags[f"H:{label}"] = _fit_slope(config.c_values, errs_h)
     return table
+
+
+def _limit_level(v, gamma):
+    """Stand-in for a chain level with potential v: shift gamma, level constant
+    0 and the principal square root of v, so the chain operators apply."""
+
+    def sqrt_v(x):
+        return cmath.sqrt(v(x))
+
+    def sqrt_v_star(x):
+        return complex(sqrt_v(complex(x).conjugate())).conjugate()
+
+    return SimpleNamespace(gamma=gamma, E_s=0.0, sqrt_v=sqrt_v, sqrt_v_star=sqrt_v_star)
 
 
 def _xgauss():
@@ -476,6 +467,8 @@ def _fit_slope(params, errs, scale=1.0):
     """log-log slope with sanity flags: 'exact' when errors sit at roundoff,
     'inconclusive' when the sequence is not monotone decreasing."""
     errs = [float(e) for e in errs]
+    if not all(math.isfinite(e) for e in errs):
+        return float("nan"), "inconclusive"
     if max(errs) <= 1e-13 * (1.0 + scale):
         return 0.0, "exact"
     if any(e == 0.0 for e in errs):

@@ -87,10 +87,6 @@ class RunConfig:
         return json.dumps(data, sort_keys=True)
 
     @staticmethod
-    def from_json(text):
-        return RunConfig.from_dict(json.loads(text))
-
-    @staticmethod
     def from_dict(data):
         """Config from decoded JSON: a stored config or a whole report.  Keys
         that are not config fields, such as report fields or keys written by

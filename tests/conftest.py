@@ -1,10 +1,34 @@
+import math
+
 import pytest
 
-from crum import make_family
+from crum import AnalyticFn, make_family
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
+from crum.jets import Jet
 
 AW_PARAMS = {"a1": 0.3, "a2": -0.2, "a3": 0.1 + 0.2j, "a4": 0.1 - 0.2j, "q": 0.6}
+
+
+def from_poly(coeffs, label="", strip_halfwidth=math.inf):
+    """AnalyticFn for a polynomial given its coefficients c_0 + c_1 x + ..."""
+    cs = [complex(c) for c in coeffs]
+
+    def fn(x):
+        acc = 0j
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    def jet_fn(x, order):
+        jx = Jet.variable(x, order)
+        acc = Jet.const(0.0, x, order)
+        for c in reversed(cs):
+            acc = acc * jx + c
+        return acc
+
+    return AnalyticFn(fn, strip_halfwidth=strip_halfwidth, label=label,
+                      is_real=all(c.imag == 0 for c in cs), jet_fn=jet_fn)
 
 
 @pytest.fixture(scope="session")

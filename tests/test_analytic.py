@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crum.analytic import (AnalyticFn, casoratian, eval_jet, from_poly,
-                           inner_product, lu_det, star_eval, worst_residual,
-                           wronskian)
+from conftest import from_poly
+from crum.analytic import (AnalyticFn, casoratian, inner_product, lu_det, star_eval,
+                           worst_residual, wronskian)
 from crum.errors import AccuracyError, CapabilityError, StripError
 from crum.jets import Jet
 from crum.quadrature import QuadratureSpec
@@ -59,16 +59,22 @@ def test_star_eval_outside_strip_raises():
         star_eval(f, 1j)
 
 
+def test_array_call_outside_strip_raises():
+    f = AnalyticFn(lambda x: x, strip_halfwidth=0.5, label="ident")
+    with pytest.raises((StripError, TypeError)):
+        f(np.array([2j]))
+
+
 # -- jets ---------------------------------------------------------------------
 
 def test_eval_jet_polynomial():
     f = from_poly([0.0, 0.0, 1.0])
-    j = eval_jet(f, 1.0, 2)
+    j = f.jet(1.0, 2)
     assert [complex(c) for c in j.coeffs] == [1.0, 2.0, 1.0]
 
 
 def test_eval_jet_gauss_at_zero():
-    j = eval_jet(GAUSS, 0.0, 2)
+    j = GAUSS.jet(0.0, 2)
     assert abs(j.coeffs[0] - 1.0) < 1e-15
     assert abs(j.coeffs[1]) < 1e-15
     assert abs(j.coeffs[2] + 0.5) < 1e-15
@@ -77,7 +83,7 @@ def test_eval_jet_gauss_at_zero():
 def test_eval_jet_matches_finite_differences(hermite):
     f = hermite.phi(2)
     x, h = 0.3, 1e-5
-    j = eval_jet(f, x, 3)
+    j = f.jet(x, 3)
     fd1 = (f(x + h) - f(x - h)) / (2 * h)
     fd2 = (f(x + h) - 2 * f(x) + f(x - h)) / h**2
     assert abs(j.deriv(1) - fd1) < 1e-6
@@ -88,8 +94,8 @@ def test_cauchy_fallback_jet_accuracy():
     # the circle radius is capped at 0.1, so roundoff amplification 1/r^k
     # limits the fallback near order 8; low orders are essentially exact
     f = AnalyticFn(lambda x: cmath.exp(-0.5 * x * x))  # no jet_fn attached
-    j = eval_jet(f, 0.4, 8)
-    exact = eval_jet(GAUSS, 0.4, 8)
+    j = f.jet(0.4, 8)
+    exact = GAUSS.jet(0.4, 8)
     for k in range(9):
         tol = 1e-9 if k <= 4 else 1e-4
         assert abs(j.coeffs[k] - exact.coeffs[k]) <= tol * (1 + abs(exact.coeffs[k]))
@@ -97,7 +103,7 @@ def test_cauchy_fallback_jet_accuracy():
 
 def test_jet_order_cap():
     with pytest.raises(CapabilityError):
-        eval_jet(GAUSS, 0.0, 100)
+        GAUSS.jet(0.0, 100)
 
 
 # -- determinants -------------------------------------------------------------

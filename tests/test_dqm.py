@@ -170,6 +170,13 @@ def test_chain_break_on_sign_changing_seed(q_hermite):
         dqm.step_chain(fake)
 
 
+def test_level0_phi_out_of_range(q_hermite):
+    level = dqm.level0(q_hermite)
+    assert level._phi_fn(2, 1.1 + 0j) == q_hermite.phi(2).fn(1.1 + 0j)
+    with pytest.raises(DomainError):
+        level._phi_fn(q_hermite.nmax + 1, 1.1 + 0j)
+
+
 # -- determinant formulas -------------------------------------------------------------
 
 def test_phi_via_casoratian_s0(q_hermite, q_hermite_chain):
@@ -194,7 +201,8 @@ def test_phi_via_casoratian_depth2_aw(askey_wilson, askey_wilson_chain):
 
 
 def test_casoratian_jacobi_on_polynomials():
-    from crum.analytic import casoratian, from_poly
+    from conftest import from_poly
+    from crum.analytic import casoratian
     fs = [from_poly([1.0]), from_poly([0.0, 1.0]), from_poly([0.0, 0.0, 1.0]),
           from_poly([0.0, 0.0, 0.0, 1.0])]
     x, gam = 0.7 + 0j, 0.4
@@ -255,17 +263,10 @@ def test_downshift_index_error(q_hermite_chain):
         dqm.downshift(q_hermite_chain[0], 1)
 
 
-# -- strips and limits ---------------------------------------------------------------
+# -- strips -------------------------------------------------------------------------
 
 def test_strip_guard_on_family_functions(askey_wilson):
     f = askey_wilson.phi(1)
     with pytest.raises(StripError):
         f(complex(1.3, 5.0))
 
-
-def test_casoratian_limit_transfer(hermite):
-    rows, target = dqm.casoratian_limit_transfer(hermite, [10.0, 100.0, 1000.0])
-    errs = [e for _, e in rows]
-    assert errs[2] < errs[1] < errs[0]
-    slope = -np.polyfit(np.log10([10.0, 100.0, 1000.0]), np.log10(errs), 1)[0]
-    assert abs(slope - 1.0) < 0.25

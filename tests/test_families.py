@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from crum import family_eval, make_family, virtual_state
+from conftest import AW_PARAMS
+from crum import make_family, virtual_state
 from crum.errors import DomainError, ParameterError
 from crum.quadrature import refinement_sequence
+from crum.special import qpochhammer_inf
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
 
@@ -60,12 +62,12 @@ def test_unknown_family():
         make_family("wilson")
 
 
-# -- family_eval surface --------------------------------------------------------
+# -- family accessors -----------------------------------------------------------
 
 def test_energy_examples(hermite, q_hermite, jacobi):
-    assert family_eval(hermite, "energy", n=3) == 6.0
-    assert abs(family_eval(q_hermite, "energy", n=1) - 1.0) < 1e-14
-    assert abs(family_eval(jacobi, "eta", x=math.pi / 2)) < 1e-15
+    assert hermite.energy(3) == 6.0
+    assert abs(q_hermite.energy(1) - 1.0) < 1e-14
+    assert abs(jacobi.eta()(math.pi / 2)) < 1e-15
 
 
 def test_phi_n_out_of_range(hermite):
@@ -75,8 +77,8 @@ def test_phi_n_out_of_range(hermite):
 
 def test_aw_potential_star_pair(askey_wilson):
     for xr in (0.6, 1.2, 2.2):
-        v = family_eval(askey_wilson, "V", x=xr)
-        vs = family_eval(askey_wilson, "Vstar", x=xr)
+        v = askey_wilson.v()(xr)
+        vs = askey_wilson.v().star()(xr)
         assert abs((v + vs).imag) < 1e-13 * (1 + abs(v))
 
 
@@ -144,6 +146,21 @@ def test_dqm_polynomial_degree(q_hermite):
             fit_lower = np.polyfit(ys, np.real(vals), n - 1)
             resid = np.max(np.abs(np.polyval(fit_lower, ys) - np.real(vals)))
             assert resid > 1e-6           # cannot be represented one degree lower
+
+
+@pytest.mark.parametrize("name,q", [("q_hermite", 0.5), ("askey_wilson", 0.6),
+                                    ("askey_wilson", 0.9)])
+def test_ground_state_log_sum_matches_q_pochhammer_products(name, q):
+    # phi0^2 = (e^{2ix};q)_inf (e^{-2ix};q)_inf / prod_a (a e^{ix};q)_inf (a e^{-ix};q)_inf
+    fam = make_family(name, **({"q": q} if name == "q_hermite" else {**AW_PARAMS, "q": q}))
+    for re in np.linspace(0.2, math.pi - 0.2, 9):
+        for im in (0.0, 0.1, -0.1, 0.2, -0.2):
+            x = complex(re, im)
+            z = cmath.exp(1j * x)
+            expected = qpochhammer_inf(z * z, q) * qpochhammer_inf(1 / (z * z), q)
+            for a in fam.avals:
+                expected /= qpochhammer_inf(a * z, q) * qpochhammer_inf(a / z, q)
+            assert abs(cmath.exp(fam._logphi0sq(x)) - expected) <= 1e-12 * abs(expected)
 
 
 # -- virtual states --------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from crum.errors import AccuracyError, DomainError
+from crum.errors import AccuracyError
 from crum.quadrature import QuadratureSpec, integrate, refinement_sequence
 
 
@@ -54,18 +54,6 @@ def test_convergent_norm_not_flagged():
     values, diverging = refinement_sequence(gauss, spec)
     assert not diverging
     assert abs(values[-1] - math.sqrt(math.pi)) < 1e-9
-
-
-def test_gauss_legendre_interval():
-    spec = QuadratureSpec(kind="interval", a=0.0, b=math.pi, rule="gauss_legendre",
-                          points=60, tolerance=1e-10)
-    val, _ = integrate(lambda x: math.sin(x) ** 2, spec)
-    assert abs(val - math.pi / 2) < 1e-10
-
-
-def test_gauss_legendre_needs_interval():
-    with pytest.raises(DomainError):
-        integrate(gauss, QuadratureSpec(kind="full_line", rule="gauss_legendre"))
 
 
 def test_nonconvergent_raises_with_best():

@@ -1,10 +1,7 @@
-import cmath
-import math
-
 import pytest
 
-from crum.errors import DomainError, PoleError
-from crum.special import gamma_complex, qpochhammer, qpochhammer_inf, special_eval
+from crum.errors import DomainError
+from crum.special import qpochhammer_inf
 
 
 def brute_qpoch_inf(a, q, nterms=4000):
@@ -31,46 +28,7 @@ def test_qpoch_complex_argument():
     assert abs(qpochhammer_inf(a, q) - brute_qpoch_inf(a, q)) < 1e-13
 
 
-def test_qpoch_finite():
-    a, q = 0.25, 0.5
-    assert qpochhammer(a, q, 0) == 1.0
-    assert abs(qpochhammer(a, q, 3) - (1 - a) * (1 - a * q) * (1 - a * q**2)) < 1e-15
-
-
 def test_qpoch_requires_q_inside_disk():
     with pytest.raises(DomainError):
         qpochhammer_inf(0.5, 1.0)
 
-
-def test_gamma_identity_values():
-    assert abs(gamma_complex(1.0) - 1.0) < 1e-14
-    assert abs(gamma_complex(0.5) - math.sqrt(math.pi)) < 1e-14
-    assert abs(gamma_complex(5.0) - 24.0) < 1e-12
-
-
-def test_gamma_functional_equation_on_strip():
-    for z in (0.3 + 5j, -1.2 + 3j, 2.5 - 12j, 0.1 + 20j, -3.7 - 8j):
-        lhs = gamma_complex(z + 1)
-        rhs = z * gamma_complex(z)
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-
-def test_gamma_reflection():
-    for z in (0.3 + 0.4j, -0.8 + 2j, 0.25 - 6j):
-        prod = gamma_complex(z) * gamma_complex(1 - z)
-        assert abs(prod - cmath.pi / cmath.sin(cmath.pi * z)) <= 1e-12 * abs(prod)
-
-
-def test_gamma_pole():
-    with pytest.raises(PoleError):
-        gamma_complex(0.0)
-    with pytest.raises(PoleError):
-        gamma_complex(-3.0)
-
-
-def test_special_eval_dispatch():
-    assert special_eval("qpoch_inf", a=0.0, q=0.5) == 1.0
-    assert special_eval("qpoch_finite", a=0.5, q=0.5, n=1) == 0.5
-    assert abs(special_eval("complex_gamma", z=1.0) - 1.0) < 1e-14
-    with pytest.raises(DomainError):
-        special_eval("nope")

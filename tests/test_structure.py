@@ -59,7 +59,7 @@ def test_operator_level_shape_invariance(q_hermite, q_hermite_chain):
             assert abs(left - right) <= 1e-8 * (1 + abs(left))
 
 
-# -- spectrum/eigenfunction from the orbit ------------------------------------------
+# -- spectrum from the orbit ------------------------------------------------------------
 
 def test_si_spectrum_zero_level(q_hermite):
     assert structure.si_spectrum(q_hermite, 0) == 0.0
@@ -80,31 +80,6 @@ def test_si_spectrum_matches_family(name, request):
     for n in range(9):
         closed = fam.energy(n)
         assert abs(structure.si_spectrum(fam, n) - closed) <= 1e-10 * (1 + abs(closed))
-
-
-def test_si_eigenfunction_n0(q_hermite):
-    x = 1.3
-    assert abs(structure.si_eigenfunction(q_hermite, 0, x)
-               - q_hermite.phi0()(complex(x))) < 1e-13
-
-
-@pytest.mark.parametrize("name,n,tol", [("q_hermite", 2, 1e-8), ("askey_wilson", 3, 1e-7)])
-def test_si_eigenfunction_proportionality(name, n, tol, request):
-    fam = request.getfixturevalue(name)
-    xs = np.linspace(0.5, 2.6, 10)
-    built = np.asarray([structure.si_eigenfunction(fam, n, complex(x)) for x in xs])
-    direct = np.asarray([fam.phi(n).fn(complex(x)) for x in xs])
-    ratio = built / direct
-    spread = np.max(np.abs(ratio - ratio.mean()))
-    assert spread <= tol * abs(ratio.mean())
-
-
-def test_si_eigenfunction_oqm(hermite):
-    xs = np.linspace(-1.5, 1.5, 8)
-    built = np.asarray([structure.si_eigenfunction(hermite, 2, complex(x)) for x in xs])
-    direct = np.asarray([hermite.phi(2).fn(complex(x)) for x in xs])
-    ratio = built / direct
-    assert np.max(np.abs(ratio - ratio.mean())) <= 1e-9 * abs(ratio.mean())
 
 
 # -- sinusoidal-coordinate relations ---------------------------------------------------
@@ -181,6 +156,23 @@ def test_c_scan_star_real_coefficient_cancels_first_order():
     table = structure.limit_check("c_to_inf", config)
     slopes = [table.slopes[k] for k in table.slopes if table.flags[k] == "ok"]
     assert slopes and all(abs(s - 2.0) < 0.4 for s in slopes)
+
+
+def _assert_scan_fails_closed(table):
+    assert table.rows and all(row.max_error == math.inf for row in table.rows)
+    assert not {"exact", "ok"} & set(table.flags.values())
+
+
+def test_c_scan_nan_everywhere_fails_closed():
+    nan = float("nan")
+    _assert_scan_fails_closed(structure.limit_check("c_to_inf",
+                                                    LimitScaling(w1=lambda x: complex(nan, 0))))
+
+
+def test_c_scan_nan_at_some_samples_fails_closed():
+    # NaN only where |Re x| >= 1: some of the scan's points on [-1.2, 1.2]
+    w1 = lambda x: complex(float("nan"), 0) if abs(x.real) >= 1 else x + 0.3j * x * x
+    _assert_scan_fails_closed(structure.limit_check("c_to_inf", LimitScaling(w1=w1)))
 
 
 def test_limit_scaling_expansion_invariant():

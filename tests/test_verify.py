@@ -138,7 +138,7 @@ def test_run_config_round_trip():
                    {"q": 0.6, "a1": 0.3, "a3": 0.1 + 0.2j, "a4": 0.1 - 0.2j}):
         cfg = RunConfig(family="askey_wilson", params=params, depth=2,
                         nmax=5, samples=18, tolerances={"zero_mode": 1e-8}, seed=9)
-        back = RunConfig.from_json(cfg.to_json())
+        back = RunConfig.from_dict(json.loads(cfg.to_json()))
         assert back == cfg
         # configs stored by older versions carry two more keys
         stored = dict(json.loads(cfg.to_json()), precision="double", check_limits=False)
