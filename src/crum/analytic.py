@@ -8,13 +8,14 @@ concurrently; evaluation is pure.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, StripError
+from .errors import CapabilityError, DomainError, StripError
 from .jets import Jet
 from .quadrature import QuadratureSpec, integrate
 
@@ -121,6 +122,34 @@ def worst_residual(residuals):
         if r > worst:
             worst = r
     return worst
+
+
+class Identity(NamedTuple):
+    """One entry of a chain kind's identity table."""
+
+    residuals: Callable       # (levels, samples, *options) -> residuals at levels[-1]
+    first_level: int = 0      # 1 for a step identity, which relates a level to its parent
+    sampled: bool = True      # False when checked on its own grid, not at the samples
+
+
+def identity_residual(table, name, levels, samples, *options):
+    """Worst residual of identity `name` of `table` at the deepest level of
+    `levels`, a chain from level 0; a non-finite sample makes it inf.
+
+    Fails closed: an unknown name, a level below the identity's first level
+    and an identity that evaluates nothing there raise DomainError.
+    """
+    entry = table.get(name)
+    if entry is None:
+        raise DomainError(f"unknown relation kind {name!r}")
+    s = len(levels) - 1
+    if s < entry.first_level:
+        raise DomainError(f"{name} applies from level {entry.first_level}, not at level {s}")
+    residuals = iter(entry.residuals(levels, samples, *options))
+    first = next(residuals, None)
+    if first is None:
+        raise DomainError(f"{name} evaluated nothing at level {s}")
+    return worst_residual(itertools.chain((first,), residuals))
 
 
 def lu_det(matrix):

@@ -31,6 +31,8 @@ from .structure import LimitScaling, emit_csv_rows, limit_check
 from .verify import RunConfig, run_suite
 
 _CSV_FIELDS = ("mode", "label", "parameter", "max_error", "fitted_slope", "flag")
+_C_VALUES = (10.0, 100.0, 1000.0)
+_GAMMAS = (1e-1, 1e-2, 1e-3)
 
 
 def _parse_param(text):
@@ -47,14 +49,24 @@ def _parse_param(text):
     return name.strip(), val
 
 
+def _float_list(text):
+    """Comma list of floats, as --c and --gammas take them."""
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers, got {text!r}") from None
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="crum", description=__doc__.splitlines()[0])
+    p = argparse.ArgumentParser(prog="crum", description=__doc__.splitlines()[0],
+                                allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True)
 
-    fam = sub.add_parser("families", help="catalog of built-in families")
+    fam = sub.add_parser("families", help="catalog of built-in families", allow_abbrev=False)
     fam.add_argument("action", choices=["list"])
 
-    chain = sub.add_parser("chain", help="build a chain and run the full suite")
+    chain = sub.add_parser("chain", help="build a chain and run the full suite", allow_abbrev=False)
     chain.add_argument("--family", required=True)
     chain.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     chain.add_argument("--depth", type=int, default=2)
@@ -63,18 +75,20 @@ def build_parser():
     chain.add_argument("--seed", type=int, default=None)
     chain.add_argument("--out", default="-", help="report path, '-' for stdout")
 
-    ver = sub.add_parser("verify", help="re-run the suite recorded in a report")
+    ver = sub.add_parser("verify", help="re-run the suite recorded in a report", allow_abbrev=False)
     ver.add_argument("report", help="existing JSON report (or config) file")
     ver.add_argument("--out", default="", help="optional path for the fresh report")
 
-    lim = sub.add_parser("limit", help="convergence scans")
+    lim = sub.add_parser("limit", help="convergence scans", allow_abbrev=False)
     lim.add_argument("--mode", choices=["gamma-to-0", "c-to-inf"], required=True)
-    lim.add_argument("--c", default="10,100,1000", help="comma list of c values")
-    lim.add_argument("--gammas", default="1e-1,1e-2,1e-3")
+    lim.add_argument("--c", type=_float_list,
+                     help="comma list of c values, c-to-inf only (default 10,100,1000)")
+    lim.add_argument("--gammas", type=_float_list,
+                     help="comma list of shifts, gamma-to-0 only (default 1e-1,1e-2,1e-3)")
     lim.add_argument("--csv", default="-", help="CSV path, '-' for stdout")
 
-    scan = sub.add_parser("scan-gamma0", help="shift-to-zero determinant scan")
-    scan.add_argument("--gammas", default="1e-1,1e-2,1e-3")
+    scan = sub.add_parser("scan-gamma0", help="shift-to-zero determinant scan", allow_abbrev=False)
+    scan.add_argument("--gammas", type=_float_list, default=_GAMMAS)
     scan.add_argument("--csv", default="-")
     scan.set_defaults(mode="gamma-to-0")
     return p
@@ -83,8 +97,11 @@ def build_parser():
 def _seed_from(args_seed):
     env = os.environ.get("CRUM_SEED")
     if env is not None:
-        return int(env)
-    return 2021 if args_seed is None else int(args_seed)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParameterError(f"CRUM_SEED must be an integer, got {env!r}") from None
+    return 2021 if args_seed is None else args_seed
 
 
 def _write_text(path, text):
@@ -130,8 +147,15 @@ def _cmd_chain(args):
 
 def _cmd_verify(args):
     with open(args.report, encoding="utf-8") as fh:
-        stored = json.load(fh)
-    config = RunConfig.from_dict(stored.get("config", stored))
+        try:
+            stored = json.load(fh)
+        except ValueError as exc:
+            raise ParameterError(f"{args.report} is not JSON: {exc}") from None
+    if isinstance(stored, dict):
+        stored = stored.get("config", stored)
+    if not isinstance(stored, dict):
+        raise ParameterError(f"{args.report} holds no report or config object")
+    config = RunConfig.from_dict(stored)
     report = run_suite(config)
     if args.out:
         payload = report.to_dict()
@@ -144,12 +168,10 @@ def _cmd_verify(args):
 
 def _cmd_limit(args):
     if args.mode == "c-to-inf":
-        cs = tuple(float(t) for t in args.c.split(","))
         table = limit_check("c_to_inf", LimitScaling(w1=lambda x: x + 0.3j * x * x,
-                                                     c_values=cs))
+                                                     c_values=args.c or _C_VALUES))
     else:
-        gs = tuple(float(t) for t in args.gammas.split(","))
-        table = limit_check("gamma_to_0", gammas=gs)
+        table = limit_check("gamma_to_0", gammas=args.gammas or _GAMMAS)
     _write_text(args.csv, _csv_text(emit_csv_rows(table)))
     return 0
 
@@ -158,6 +180,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "limit":
+            foreign = "gammas" if args.mode == "c-to-inf" else "c"
+            if getattr(args, foreign) is not None:
+                parser.error(f"--{foreign} does not apply to --mode {args.mode}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     handlers = {

@@ -18,11 +18,12 @@ potential, so no per-point phase guessing is ever needed.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
-from .analytic import AnalyticFn, casoratian, rel_residual, worst_residual
+from .analytic import AnalyticFn, Identity, casoratian, identity_residual, rel_residual
 from .errors import BranchError, ChainBreakError, DomainError, PoleError
 
 NODE_SCAN_POINTS = 301
@@ -78,8 +79,7 @@ class BranchedSqrt:
 class DqmChainLevel:
     """One rung of the difference chain."""
 
-    def __init__(self, family, s, e_s, sqrt_v, sqrt_v_star, phi_fn, parent=None,
-                 branch_anchor=None):
+    def __init__(self, family, s, e_s, sqrt_v, sqrt_v_star, phi_fn, parent=None):
         self.family = family
         self.s = s
         self.E_s = e_s
@@ -88,7 +88,6 @@ class DqmChainLevel:
         self.sqrt_v_star = sqrt_v_star
         self._phi_fn = phi_fn           # (n, x) -> complex, memoized
         self.parent = parent
-        self.branch_anchor = branch_anchor  # records (anchor_im, sign) choices
 
     def phi(self, n, x=None):
         if n < self.s:
@@ -186,15 +185,9 @@ def level0(family):
     def sqv_star(x):
         return complex(sqv_fn(complex(x).conjugate())).conjugate()
 
-    memo = {}
-
+    @functools.cache
     def phi_fn(n, x):
-        key = (n, x)
-        hit = memo.get(key)
-        if hit is None:
-            hit = family.phi(n).fn(x)
-            memo[key] = hit
-        return hit
+        return family.phi(n).fn(x)
 
     return DqmChainLevel(family, 0, family.energy(0), sqv_fn, sqv_star, phi_fn)
 
@@ -202,8 +195,8 @@ def level0(family):
 def next_potential(level):
     """Anchored square root of the next deformed potential.
 
-    Returns (sqrt_v, sqrt_v_star, seed_sign); refuses when the new seed
-    changes sign on the sampled physical region.
+    Returns (sqrt_v, sqrt_v_star); refuses when the new seed changes sign on
+    the sampled physical region.
     """
     s_new = level.s + 1
     g = level.gamma
@@ -243,25 +236,19 @@ def next_potential(level):
     def sqrt_v_star(x):
         return complex(sqrt_v(complex(x).conjugate())).conjugate()
 
-    return sqrt_v, sqrt_v_star, sigma
+    return sqrt_v, sqrt_v_star
 
 
 def step_chain(level):
     s_new = level.s + 1
-    sqrt_v, sqrt_v_star, sigma = next_potential(level)
-    memo = {}
+    sqrt_v, sqrt_v_star = next_potential(level)
 
+    @functools.cache
     def phi_fn(n, x):
-        key = (n, x)
-        hit = memo.get(key)
-        if hit is None:
-            hit = apply_A(level, lambda xx: level._phi_fn(n, xx))(x)
-            memo[key] = hit
-        return hit
+        return apply_A(level, lambda xx: level._phi_fn(n, xx))(x)
 
     return DqmChainLevel(level.family, s_new, level.family.energy(s_new),
-                         sqrt_v, sqrt_v_star, phi_fn, parent=level,
-                         branch_anchor={"anchor_im": 0.5 * level.gamma, "seed_sign": sigma})
+                         sqrt_v, sqrt_v_star, phi_fn, parent=level)
 
 
 DEPTH_CAP = 4
@@ -325,31 +312,19 @@ def check_function(levels, s, n, x):
     """Eigenfunction normalized by the square-root prefactor (the form whose
     shifted products build the plain determinants)."""
     x = complex(x)
-    g = levels[0].family.gamma
-    val = levels[s]._phi_fn(n, x) if s > 0 else levels[0]._phi_fn(n, x)
-    return val / _sqrt_v_prefactor(levels, s, x, g)
+    return levels[s]._phi_fn(n, x) / _sqrt_v_prefactor(levels, s, x, levels[0].gamma)
 
 
 # ---------------------------------------------------------------------------
 # identity residuals
 # ---------------------------------------------------------------------------
 
-def relation_residual(kind, levels, samples, ns=None, last_only=False):
-    """Worst normalized residual of a chain identity over the sample points;
-    a non-finite sample makes it inf.
-
-    kinds: zero_mode, quadratic, linear, intertwine, factorization,
-    step_determinant, casoratian_jacobi, check_product, casoratian_ratio,
-    downshift_roundtrip, iso_spectral, realness.  `last_only` restricts the
-    determinant-prefix identities to the deepest level of the given chain.
-    """
-    residuals = _RESIDUALS.get(kind)
-    if residuals is None:
-        raise DomainError(f"unknown relation kind {kind!r}")
-    if kind in ("check_product", "casoratian_ratio"):
-        s_values = [len(levels) - 1] if last_only else range(1, len(levels))
-        return worst_residual(residuals(levels, samples, ns, s_values))
-    return worst_residual(residuals(levels, samples, ns))
+def relation_residual(kind, levels, samples, ns=None):
+    """Worst normalized residual of identity `kind` (a key of IDENTITIES) at
+    the deepest level of `levels`, a chain from level 0, over the samples; a
+    non-finite sample makes it inf (see analytic.identity_residual).  `ns`
+    picks the eigenfunction indices checked; those below the level drop out."""
+    return identity_residual(IDENTITIES, kind, levels, samples, ns)
 
 
 def _level_ns(level, ns, count=2):
@@ -359,117 +334,116 @@ def _level_ns(level, ns, count=2):
 
 
 def _res_zero_mode(levels, samples, ns=None):
-    for level in levels:
-        low = apply_A(level, lambda x, lvl=level: lvl._phi_fn(lvl.s, x))
-        for x in samples:
-            scale = 1.0 + abs(level._phi_fn(level.s, complex(x)))
-            yield abs(low(x)) / scale
+    level = levels[-1]
+    low = apply_A(level, lambda x: level._phi_fn(level.s, x))
+    for x in samples:
+        scale = 1.0 + abs(level._phi_fn(level.s, complex(x)))
+        yield abs(low(x)) / scale
 
 
 def _res_quadratic(levels, samples, ns=None):
-    g = levels[0].gamma
-    for level in levels[1:]:
-        par = level.parent
-        for x in samples:
-            x = complex(x)
-            lhs = par.v(x - 0.5j * g) * par.v_star(x - 0.5j * g)
-            rhs = level.v(x) * level.v_star(x - 1j * g)
-            yield rel_residual(lhs, rhs)
+    level = levels[-1]
+    par = level.parent
+    g = level.gamma
+    for x in samples:
+        x = complex(x)
+        lhs = par.v(x - 0.5j * g) * par.v_star(x - 0.5j * g)
+        rhs = level.v(x) * level.v_star(x - 1j * g)
+        yield rel_residual(lhs, rhs)
 
 
 def _res_linear(levels, samples, ns=None):
-    g = levels[0].gamma
-    for level in levels[1:]:
-        par = level.parent
-        gap = level.E_s - par.E_s
-        for x in samples:
-            x = complex(x)
-            lhs = par.v(x + 0.5j * g) + par.v_star(x - 0.5j * g)
-            rhs = level.v(x) + level.v_star(x) - gap
-            yield rel_residual(lhs, rhs)
+    level = levels[-1]
+    par = level.parent
+    g = level.gamma
+    gap = level.E_s - par.E_s
+    for x in samples:
+        x = complex(x)
+        lhs = par.v(x + 0.5j * g) + par.v_star(x - 0.5j * g)
+        rhs = level.v(x) + level.v_star(x) - gap
+        yield rel_residual(lhs, rhs)
 
 
 def _res_intertwine(levels, samples, ns=None):
-    for lo, hi in zip(levels[:-1], levels[1:]):
-        for n in _level_ns(hi, ns):
-            f = lambda x, nn=n, lvl=lo: lvl._phi_fn(nn, x)
-            hf = lambda x, lvl=lo, ff=f: hamiltonian_apply(lvl, ff, x)
-            af = apply_A(lo, f)
-            lhs_fn = apply_A(lo, hf)
-            for x in samples:
-                lhs = lhs_fn(x)
-                rhs = hamiltonian_apply(hi, af, x)
-                yield rel_residual(lhs, rhs)
+    level = levels[-1]
+    par = level.parent
+    for n in _level_ns(level, ns):
+        f = lambda x, nn=n: par._phi_fn(nn, x)
+        hf = lambda x, ff=f: hamiltonian_apply(par, ff, x)
+        af = apply_A(par, f)
+        lhs_fn = apply_A(par, hf)
+        for x in samples:
+            lhs = lhs_fn(x)
+            rhs = hamiltonian_apply(level, af, x)
+            yield rel_residual(lhs, rhs)
 
 
 def _res_factorization(levels, samples, ns=None):
     """A^[s-1] A^[s-1]dag + E_{s-1} equals the level-s difference operator."""
-    for level in levels[1:]:
-        par = level.parent
-        for n in _level_ns(level, ns):
-            f = lambda x, nn=n, lvl=level: lvl._phi_fn(nn, x)
-            lowered = apply_Adag(par, f)
-            lifted = apply_A(par, lowered)
-            for x in samples:
-                lhs = lifted(x) + par.E_s * f(complex(x))
-                rhs = hamiltonian_apply(level, f, x)
-                yield rel_residual(lhs, rhs)
+    level = levels[-1]
+    par = level.parent
+    for n in _level_ns(level, ns):
+        f = lambda x, nn=n: level._phi_fn(nn, x)
+        lowered = apply_Adag(par, f)
+        lifted = apply_A(par, lowered)
+        for x in samples:
+            lhs = lifted(x) + par.E_s * f(complex(x))
+            rhs = hamiltonian_apply(level, f, x)
+            yield rel_residual(lhs, rhs)
 
 
 def _res_step_determinant(levels, samples, ns=None):
     """One-step 2x2 determinant route to phi^[s]_n."""
-    g = levels[0].gamma
-    for level in levels[1:]:
-        par = level.parent
-        s = level.s
-        for n in _level_ns(level, ns):
-            for x in samples:
-                x = complex(x)
-                up, dn = x + 0.5j * g, x - 0.5j * g
-                det = (par._phi_fn(s - 1, up) * par._phi_fn(n, dn)
-                       - par._phi_fn(n, up) * par._phi_fn(s - 1, dn))
-                lhs = 1j * par.sqrt_v(up) / par._phi_fn(s - 1, dn) * det
-                rhs = level._phi_fn(n, x)
-                yield rel_residual(lhs, rhs)
+    level = levels[-1]
+    par = level.parent
+    g = level.gamma
+    s = level.s
+    for n in _level_ns(level, ns):
+        for x in samples:
+            x = complex(x)
+            up, dn = x + 0.5j * g, x - 0.5j * g
+            det = (par._phi_fn(s - 1, up) * par._phi_fn(n, dn)
+                   - par._phi_fn(n, up) * par._phi_fn(s - 1, dn))
+            lhs = 1j * par.sqrt_v(up) / par._phi_fn(s - 1, dn) * det
+            rhs = level._phi_fn(n, x)
+            yield rel_residual(lhs, rhs)
 
 
-def _res_check_product(levels, samples, ns, s_values):
+def _res_check_product(levels, samples, ns=None):
     """Plain determinant equals the shifted product of check functions."""
     fam = levels[0].family
     g = fam.gamma
-    for s in s_values:
-        for n in _level_ns(levels[s], ns):
-            fs = [fam.phi(k) for k in range(s)] + [fam.phi(n)]
-            for x in samples:
-                x = complex(x)
-                lhs = casoratian(fs, x, g)
-                rhs = check_function(levels, s, n, x)
-                for k in range(s):
-                    rhs *= check_function(levels, k, k, x + 0.5j * (k - s) * g)
-                yield rel_residual(lhs, rhs)
+    s = len(levels) - 1
+    for n in _level_ns(levels[s], ns):
+        fs = [fam.phi(k) for k in range(s)] + [fam.phi(n)]
+        for x in samples:
+            x = complex(x)
+            lhs = casoratian(fs, x, g)
+            rhs = check_function(levels, s, n, x)
+            for k in range(s):
+                rhs *= check_function(levels, k, k, x + 0.5j * (k - s) * g)
+            yield rel_residual(lhs, rhs)
 
 
-def _res_casoratian_ratio(levels, samples, ns, s_values):
-    for s in s_values:
-        for n in _level_ns(levels[s], ns):
-            for x in samples:
-                lhs = phi_via_casoratian(levels, s, n, complex(x))
-                rhs = levels[s]._phi_fn(n, complex(x))
-                yield rel_residual(rhs, lhs)
+def _res_casoratian_ratio(levels, samples, ns=None):
+    s = len(levels) - 1
+    for n in _level_ns(levels[s], ns):
+        for x in samples:
+            lhs = phi_via_casoratian(levels, s, n, complex(x))
+            rhs = levels[s]._phi_fn(n, complex(x))
+            yield rel_residual(rhs, lhs)
 
 
 def _res_casoratian_jacobi(levels, samples, ns=None):
-    """Two-determinant contraction identity, on eigenfunction lists and on
-    generic analytic test functions."""
+    """Two-determinant contraction identity, on the eigenfunction list of the
+    deepest level and on generic analytic test functions."""
     fam = levels[0].family
     g = fam.gamma
-    lists = []
-    smax = len(levels) - 1
-    if smax >= 1:
-        n = _level_ns(levels[smax], None, count=1)[0]
-        lists.append(([fam.phi(k) for k in range(smax)], fam.phi(smax), fam.phi(n)))
+    s = len(levels) - 1
+    n = _level_ns(levels[s], None, count=1)[0]
     generic = _generic_fns()
-    lists.append((generic[:-2], generic[-2], generic[-1]))
+    lists = [([fam.phi(k) for k in range(s)], fam.phi(s), fam.phi(n)),
+             (generic[:-2], generic[-2], generic[-1])]
     for head, f_s, f_n in lists:
         for x in samples:
             x = complex(x)
@@ -489,49 +463,49 @@ def _generic_fns():
 
 
 def _res_downshift(levels, samples, ns=None):
-    for level in levels[1:]:
-        for n in _level_ns(level, ns):
-            rebuilt = downshift(level, n)
-            for x in samples:
-                lhs = rebuilt(x)
-                rhs = level.parent._phi_fn(n, complex(x))
-                yield rel_residual(rhs, lhs)
+    level = levels[-1]
+    for n in _level_ns(level, ns):
+        rebuilt = downshift(level, n)
+        for x in samples:
+            lhs = rebuilt(x)
+            rhs = level.parent._phi_fn(n, complex(x))
+            yield rel_residual(rhs, lhs)
 
 
 def _res_iso_spectral(levels, samples, ns=None):
-    for level in levels:
-        for n in _level_ns(level, ns, count=3):
-            f = lambda x, nn=n, lvl=level: lvl._phi_fn(nn, x)
-            e_n = level.family.energy(n)
-            for x in samples:
-                lhs = hamiltonian_apply(level, f, x)
-                rhs = e_n * f(complex(x))
-                yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(complex(x)))))
+    level = levels[-1]
+    for n in _level_ns(level, ns, count=3):
+        f = lambda x, nn=n: level._phi_fn(nn, x)
+        e_n = level.family.energy(n)
+        for x in samples:
+            lhs = hamiltonian_apply(level, f, x)
+            rhs = e_n * f(complex(x))
+            yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(complex(x)))))
 
 
 def _res_realness(levels, samples, ns=None):
     """phi^[s]_n star-equals itself at strip points."""
-    for level in levels:
-        for n in _level_ns(level, ns):
-            for x in samples:
-                x = complex(x)
-                direct = level._phi_fn(n, x)
-                starred = complex(level._phi_fn(n, x.conjugate())).conjugate()
-                yield rel_residual(direct, starred)
+    level = levels[-1]
+    for n in _level_ns(level, ns):
+        for x in samples:
+            x = complex(x)
+            direct = level._phi_fn(n, x)
+            starred = complex(level._phi_fn(n, x.conjugate())).conjugate()
+            yield rel_residual(direct, starred)
 
 
-_RESIDUALS = {
-    "zero_mode": _res_zero_mode,
-    "quadratic": _res_quadratic,
-    "linear": _res_linear,
-    "intertwine": _res_intertwine,
-    "factorization": _res_factorization,
-    "step_determinant": _res_step_determinant,
-    "check_product": _res_check_product,
-    "casoratian_ratio": _res_casoratian_ratio,
-    "casoratian_jacobi": _res_casoratian_jacobi,
-    "downshift_roundtrip": _res_downshift,
-    "iso_spectral": _res_iso_spectral,
-    "realness": _res_realness,
+# the suite checks these at every level from first_level up, in this order
+IDENTITIES = {
+    "zero_mode": Identity(_res_zero_mode),
+    "iso_spectral": Identity(_res_iso_spectral),
+    "realness": Identity(_res_realness),
+    "quadratic": Identity(_res_quadratic, first_level=1),
+    "linear": Identity(_res_linear, first_level=1),
+    "intertwine": Identity(_res_intertwine, first_level=1),
+    "factorization": Identity(_res_factorization, first_level=1),
+    "step_determinant": Identity(_res_step_determinant, first_level=1),
+    "check_product": Identity(_res_check_product, first_level=1),
+    "casoratian_ratio": Identity(_res_casoratian_ratio, first_level=1),
+    "casoratian_jacobi": Identity(_res_casoratian_jacobi, first_level=1),
+    "downshift_roundtrip": Identity(_res_downshift, first_level=1),
 }
-

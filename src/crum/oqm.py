@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analytic import AnalyticFn, rel_residual, worst_residual, wronskian
+from .analytic import AnalyticFn, Identity, identity_residual, rel_residual, wronskian
 from .errors import ChainBreakError, DomainError, PoleError
 from .jets import Jet
 
@@ -131,12 +131,10 @@ def node_count(fn, interval, npoints=NODE_GRID):
     return sum(1 for a, b in zip(signs[:-1], signs[1:]) if a != b)
 
 
-def step_chain(level, nmax=None):
+def step_chain(level):
     """Build level s+1 from level s; refuses if the new seed has a node."""
     s_new = level.s + 1
     ns = sorted(n for n in level._phi if n >= s_new)
-    if nmax is not None:
-        ns = [n for n in ns if n <= nmax]
     if not ns:
         raise ChainBreakError(f"no eigenfunctions left to lift to level {s_new}")
     phi_map = {n: apply_A(level, level.phi(n)) for n in ns}
@@ -169,7 +167,7 @@ def build_chain(family, depth, nmax=8):
             "deeper chains need a wider-mantissa backend")
     levels = [level0(family, nmax=nmax)]
     for _ in range(depth):
-        levels.append(step_chain(levels[-1], nmax=nmax))
+        levels.append(step_chain(levels[-1]))
     return levels
 
 
@@ -219,18 +217,10 @@ def _hamiltonian_fn(level):
 
 
 def relation_residual(kind, levels, samples):
-    """Worst normalized residual of a chain identity over the samples; a
-    non-finite sample makes it inf.
-
-    kinds: intertwine, riccati, factorization, potential_wronskian,
-    wronskian_product, wronskian_ratio, downshift_roundtrip, zero_mode,
-    iso_spectral, realness (sampled at Im x = 0.15), node_count (nodes on
-    the interior grid against n - s; the samples are not used).
-    """
-    residuals = _RESIDUALS.get(kind)
-    if residuals is None:
-        raise DomainError(f"unknown relation kind {kind!r}")
-    return worst_residual(residuals(levels, samples))
+    """Worst normalized residual of identity `kind` (a key of IDENTITIES) at
+    the deepest level of `levels`, a chain from level 0, over the samples; a
+    non-finite sample makes it inf (see analytic.identity_residual)."""
+    return identity_residual(IDENTITIES, kind, levels, samples)
 
 
 def _ns(level):
@@ -239,44 +229,45 @@ def _ns(level):
 
 
 def _res_intertwine(levels, samples):
-    """A^[s] H^[s] = H^[s+1] A^[s] applied to the two highest eigenfunctions
-    built at level s."""
-    for lo_level, hi_level in zip(levels[:-1], levels[1:]):
-        h_lo = _hamiltonian_fn(lo_level)
-        h_hi = _hamiltonian_fn(hi_level)
-        for n in _ns(lo_level)[-2:]:
-            f = lo_level.phi(n)
-            lhs_fn = apply_A(lo_level, h_lo(f))
-            rhs_fn = h_hi(apply_A(lo_level, f))
-            for x in samples:
-                yield rel_residual(lhs_fn(x), rhs_fn(x))
+    """A^[s-1] H^[s-1] = H^[s] A^[s-1] applied to the two highest
+    eigenfunctions built at level s-1."""
+    level = levels[-1]
+    parent = level.parent
+    h_lo = _hamiltonian_fn(parent)
+    h_hi = _hamiltonian_fn(level)
+    for n in _ns(parent)[-2:]:
+        f = parent.phi(n)
+        lhs_fn = apply_A(parent, h_lo(f))
+        rhs_fn = h_hi(apply_A(parent, f))
+        for x in samples:
+            yield rel_residual(lhs_fn(x), rhs_fn(x))
 
 
 def _res_riccati(levels, samples):
     """W_s'^2 + W_s'' = W_{s-1}'^2 - W_{s-1}'' - (E_s - E_{s-1})."""
-    for level in levels[1:]:
-        parent = level.parent
-        gap = level.E_s - parent.E_s
-        for x in samples:
-            jn = level.w_prime.jet(x, 1)
-            jp = parent.w_prime.jet(x, 1)
-            lhs = jn.value**2 + jn.deriv(1)
-            rhs = jp.value**2 - jp.deriv(1) - gap
-            yield rel_residual(lhs, rhs)
+    level = levels[-1]
+    parent = level.parent
+    gap = level.E_s - parent.E_s
+    for x in samples:
+        jn = level.w_prime.jet(x, 1)
+        jp = parent.w_prime.jet(x, 1)
+        lhs = jn.value**2 + jn.deriv(1)
+        rhs = jp.value**2 - jp.deriv(1) - gap
+        yield rel_residual(lhs, rhs)
 
 
 def _res_factorization(levels, samples):
     """A^[s-1] A^[s-1]dag + E_{s-1} agrees with -d2 + U_s + E_s on tests."""
-    for level in levels[1:]:
-        parent = level.parent
-        for n in _ns(level)[-2:]:
-            f = level.phi(n)
-            down = apply_Adag(parent, f)
-            lifted = apply_A(parent, down)
-            for x in samples:
-                lhs = lifted(x) + parent.E_s * f(x)
-                rhs = hamiltonian_apply(level, f, x)
-                yield rel_residual(lhs, rhs)
+    level = levels[-1]
+    parent = level.parent
+    for n in _ns(level)[-2:]:
+        f = level.phi(n)
+        down = apply_Adag(parent, f)
+        lifted = apply_A(parent, down)
+        for x in samples:
+            lhs = lifted(x) + parent.E_s * f(x)
+            rhs = hamiltonian_apply(level, f, x)
+            yield rel_residual(lhs, rhs)
 
 
 def _res_potential_wronskian(levels, samples):
@@ -287,22 +278,22 @@ def _res_potential_wronskian(levels, samples):
     """
     base = levels[0]
     u0 = base.family.potential()
-    for level in levels[1:]:
-        s = level.s
-        fs = [base.phi(k) for k in range(s)]
-        u_s = level.potential()
+    level = levels[-1]
+    s = level.s
+    fs = [base.phi(k) for k in range(s)]
+    u_s = level.potential()
 
-        def wr_jet(x, order):
-            jets = [f.jet(x, s - 1 + order) for f in fs]
-            m = [[_jet_nth(jets[k], j, order) for k in range(s)] for j in range(s)]
-            return _jet_det(m, x, order)
+    def wr_jet(x, order):
+        jets = [f.jet(x, s - 1 + order) for f in fs]
+        m = [[_jet_nth(jets[k], j, order) for k in range(s)] for j in range(s)]
+        return _jet_det(m, x, order)
 
-        for x in samples:
-            j = wr_jet(x, 2)
-            w, w1, w2 = j.coeffs[0], j.deriv(1), j.deriv(2)
-            lhs = u_s(x) + level.E_s
-            rhs = u0(x) - 2.0 * (w2 * w - w1 * w1) / (w * w)
-            yield rel_residual(lhs, rhs)
+    for x in samples:
+        j = wr_jet(x, 2)
+        w, w1, w2 = j.coeffs[0], j.deriv(1), j.deriv(2)
+        lhs = u_s(x) + level.E_s
+        rhs = u0(x) - 2.0 * (w2 * w - w1 * w1) / (w * w)
+        yield rel_residual(lhs, rhs)
 
 
 def _jet_nth(jet, j, order):
@@ -339,84 +330,84 @@ def _res_wronskian_product(levels, samples):
     """Wronskian of the first s eigenfunctions equals the seed product, and
     appending phi_n appends the lifted eigenfunction."""
     base = levels[0]
-    for s in range(1, len(levels)):
-        fs = [base.phi(k) for k in range(s)]
-        for x in samples:
-            w = wronskian(fs, x)
-            prod = 1.0 + 0j
-            for k in range(s):
-                prod *= levels[k].phi(k)(x)
-            yield rel_residual(w, prod)
-            for n in _ns(levels[s])[-1:]:
-                wn = wronskian(fs + [base.phi(n)], x)
-                yield rel_residual(wn, prod * levels[s].phi(n)(x))
+    s = len(levels) - 1
+    fs = [base.phi(k) for k in range(s)]
+    for x in samples:
+        w = wronskian(fs, x)
+        prod = 1.0 + 0j
+        for k in range(s):
+            prod *= levels[k].phi(k)(x)
+        yield rel_residual(w, prod)
+        for n in _ns(levels[s])[-1:]:
+            wn = wronskian(fs + [base.phi(n)], x)
+            yield rel_residual(wn, prod * levels[s].phi(n)(x))
 
 
 def _res_wronskian_ratio(levels, samples):
-    for s in range(1, len(levels)):
-        level = levels[s]
-        for n in _ns(level)[-2:]:
-            direct = level.phi(n)
-            for x in samples:
-                yield rel_residual(phi_via_wronskian(levels, s, n, x), direct(x))
+    s = len(levels) - 1
+    for n in _ns(levels[s])[-2:]:
+        direct = levels[s].phi(n)
+        for x in samples:
+            yield rel_residual(phi_via_wronskian(levels, s, n, x), direct(x))
 
 
 def _res_downshift(levels, samples):
-    for level in levels[1:]:
-        for n in _ns(level)[-2:]:
-            rebuilt = downshift(level, n)
-            target = level.parent.phi(n)
-            for x in samples:
-                yield rel_residual(rebuilt(x), target(x))
+    level = levels[-1]
+    for n in _ns(level)[-2:]:
+        rebuilt = downshift(level, n)
+        target = level.parent.phi(n)
+        for x in samples:
+            yield rel_residual(rebuilt(x), target(x))
 
 
 def _res_zero_mode(levels, samples):
-    for level in levels:
-        seed = level.phi(level.s)
-        low = apply_A(level, seed)
-        for x in samples:
-            scale = 1.0 + abs(seed(x))
-            yield abs(low(x)) / scale
+    level = levels[-1]
+    seed = level.phi(level.s)
+    low = apply_A(level, seed)
+    for x in samples:
+        scale = 1.0 + abs(seed(x))
+        yield abs(low(x)) / scale
 
 
 def _res_iso_spectral(levels, samples):
-    for level in levels:
-        for n in _ns(level)[-3:]:
-            f = level.phi(n)
-            e_n = level.family.energy(n)
-            for x in samples:
-                lhs = hamiltonian_apply(level, f, x)
-                rhs = e_n * f(x)
-                yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(x))))
+    level = levels[-1]
+    for n in _ns(level)[-3:]:
+        f = level.phi(n)
+        e_n = level.family.energy(n)
+        for x in samples:
+            lhs = hamiltonian_apply(level, f, x)
+            rhs = e_n * f(x)
+            yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(x))))
 
 
 def _res_realness(levels, samples):
     """phi^[s]_n star-equals itself, off the real axis at Im x = 0.15."""
-    for level in levels:
-        for n in _ns(level)[:3]:
-            f = level.phi(n)
-            for x in samples:
-                x = complex(x.real, 0.15)
-                yield rel_residual(f(x), complex(f(x.conjugate())).conjugate())
+    level = levels[-1]
+    for n in _ns(level)[:3]:
+        f = level.phi(n)
+        for x in samples:
+            x = complex(x.real, 0.15)
+            yield rel_residual(f(x), complex(f(x.conjugate())).conjugate())
 
 
 def _res_node_count(levels, samples):
     """Sign changes of phi^[s]_n on the interior grid against n - s."""
-    for level in levels:
-        for n in _ns(level)[:4]:
-            yield abs(node_count(level.phi(n), level.interior()) - (n - level.s))
+    level = levels[-1]
+    for n in _ns(level)[:4]:
+        yield abs(node_count(level.phi(n), level.interior()) - (n - level.s))
 
 
-_RESIDUALS = {
-    "intertwine": _res_intertwine,
-    "riccati": _res_riccati,
-    "factorization": _res_factorization,
-    "potential_wronskian": _res_potential_wronskian,
-    "wronskian_product": _res_wronskian_product,
-    "wronskian_ratio": _res_wronskian_ratio,
-    "downshift_roundtrip": _res_downshift,
-    "zero_mode": _res_zero_mode,
-    "iso_spectral": _res_iso_spectral,
-    "realness": _res_realness,
-    "node_count": _res_node_count,
+# the suite checks these at every level from first_level up, in this order
+IDENTITIES = {
+    "zero_mode": Identity(_res_zero_mode),
+    "iso_spectral": Identity(_res_iso_spectral),
+    "realness": Identity(_res_realness),
+    "node_count": Identity(_res_node_count, sampled=False),
+    "intertwine": Identity(_res_intertwine, first_level=1),
+    "riccati": Identity(_res_riccati, first_level=1),
+    "factorization": Identity(_res_factorization, first_level=1),
+    "potential_wronskian": Identity(_res_potential_wronskian, first_level=1),
+    "wronskian_product": Identity(_res_wronskian_product, first_level=1),
+    "wronskian_ratio": Identity(_res_wronskian_ratio, first_level=1),
+    "downshift_roundtrip": Identity(_res_downshift, first_level=1),
 }

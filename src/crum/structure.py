@@ -411,8 +411,8 @@ def _limit_c(config):
     xs = [complex(t) for t in np.linspace(-1.2, 1.2, 10)]
     for label, f in tests:
         jets = [f.jet(x, 2) for x in xs]
-        lim_a = [jf.deriv(1) - _wp(config, x) * jf.value for x, jf in zip(xs, jets)]
-        lim_h = [-jf.deriv(2) + (_wp(config, x) ** 2 + _wpp(config, x)) * jf.value
+        lim_a = [jf.deriv(1) - config.w_prime(x) * jf.value for x, jf in zip(xs, jets)]
+        lim_h = [-jf.deriv(2) + (config.w_prime(x) ** 2 + _wpp(config, x)) * jf.value
                  for x, jf in zip(xs, jets)]
         errs_a, errs_h = [], []
         for c in config.c_values:
@@ -453,10 +453,6 @@ def _xgauss():
         return j * (-0.5 * j * j).exp()
 
     return AnalyticFn(lambda x: x * cmath.exp(-0.5 * x * x), label="x*gauss", jet_fn=jet)
-
-
-def _wp(config, x):
-    return config.w_prime(x)
 
 
 def _wpp(config, x, h=1e-6):

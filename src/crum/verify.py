@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .analytic import casoratian, inner_product, worst_residual, wronskian
-from .errors import AccuracyError, CrumError, StripError
+from .errors import AccuracyError, CrumError, ParameterError, StripError
 from .families import _oracle_box, _plain_params, make_family, virtual_state
 from .quadrature import QuadratureSpec, refinement_sequence
 from . import dqm as dqm_mod
@@ -52,16 +52,6 @@ DEFAULT_TOLERANCES = {
     "virtual_zero_mode": 1e-8,
 }
 
-OQM_LEVEL_IDENTITIES = ("zero_mode", "iso_spectral", "realness", "node_count")
-OQM_STEP_IDENTITIES = ("intertwine", "riccati", "factorization",
-                       "potential_wronskian", "wronskian_product",
-                       "wronskian_ratio", "downshift_roundtrip")
-DQM_LEVEL_IDENTITIES = ("zero_mode", "iso_spectral", "realness")
-DQM_STEP_IDENTITIES = ("quadratic", "linear", "intertwine", "factorization",
-                       "step_determinant", "check_product", "casoratian_ratio",
-                       "casoratian_jacobi", "downshift_roundtrip")
-
-
 @dataclass
 class RunConfig:
     """Everything a suite run depends on; JSON round-trips losslessly.
@@ -77,6 +67,14 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     seed: int = 2021
     out: str = ""
+
+    def __post_init__(self):
+        for name, low in (("depth", 0), ("nmax", 0), ("samples", 1), ("seed", None)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            if low is not None and value < low:
+                raise ParameterError(f"{name} must be >= {low}, got {value}")
 
     def tolerance(self, name):
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -209,17 +207,13 @@ def _seed_offset(seed):
 class _ChainKind:
     """What the suite driver needs to know about one kind of chain.
 
-    Chain functions are reached through `chain` (a module) when called, never
-    stored, so a rebinding of a module attribute reaches every call.
+    Chain functions and tables are reached through `chain` (a module) when
+    called, never stored, so a rebinding of a module attribute reaches them.
     """
 
     chain: object               # the chain module: oqm or dqm
     build: Callable             # (family, config) -> levels
     residual_options: Callable  # (level, config) -> keywords for chain.relation_residual
-    level_identities: tuple
-    step_identities: tuple
-    prefix_identities: frozenset  # step identities checked on levels[:s+1], not a pair
-    grid_identities: frozenset    # checked on a grid rather than at the samples
     point_sets: Callable        # (family, config) -> sample sets to try in order; the last is the real axis
     growth_det: Callable        # (family, s) -> x -> (determinant, LU growth)
     oracle: Callable            # (family, levels, config) -> (block, ok)
@@ -238,13 +232,9 @@ def run_suite(config: RunConfig):
     level_blocks = []
 
     for s, level in enumerate(levels):
-        identities = {}
-        for name in kind.level_identities:
-            identities[name] = _identity(kind, name, [level], level, point_sets, config)
-        if s >= 1:
-            for name in kind.step_identities:
-                chain = levels[: s + 1] if name in kind.prefix_identities else levels[s - 1 : s + 1]
-                identities[name] = _identity(kind, name, chain, level, point_sets, config)
+        identities = {name: _identity(kind, name, levels[: s + 1], entry.sampled,
+                                      point_sets, config)
+                      for name, entry in kind.chain.IDENTITIES.items() if s >= entry.first_level}
         gram = _gram_block(family, levels, s, config)
         verdicts += [entry["pass"] for entry in identities.values()]
         verdicts.append(gram.get("pass"))
@@ -276,19 +266,18 @@ def _status(verdicts):
     return "incomplete" if any(v is None for v in verdicts) else "pass"
 
 
-def _identity(kind, name, chain, level, point_sets, config):
-    """One identity entry, from the first sample set whose shifted points all
-    stay inside the strip; any other chain error is recorded as a skip."""
+def _identity(kind, name, chain, sampled, point_sets, config):
+    """The entry of the deepest level of `chain`, from the first sample set
+    whose shifted points stay inside the strip; a chain error is a skip."""
     for pts in point_sets:
         try:
             res = kind.chain.relation_residual(name, chain, pts,
-                                               **kind.residual_options(level, config))
+                                               **kind.residual_options(chain[-1], config))
         except StripError:
             continue
         except CrumError as exc:
             return _skip(f"{type(exc).__name__}: {exc}")
-        return _entry(res, config.tolerance(name),
-                      1 if name in kind.grid_identities else len(pts))
+        return _entry(res, config.tolerance(name), len(pts) if sampled else 1)
     return _skip("no strip-feasible sample points at this depth")
 
 
@@ -491,11 +480,6 @@ _KINDS = {
         chain=oqm_mod,
         build=lambda family, config: oqm_mod.build_chain(family, config.depth, nmax=config.nmax),
         residual_options=lambda level, config: {},
-        level_identities=OQM_LEVEL_IDENTITIES,
-        step_identities=OQM_STEP_IDENTITIES,
-        prefix_identities=frozenset({"potential_wronskian", "wronskian_product",
-                                     "wronskian_ratio"}),
-        grid_identities=frozenset({"node_count"}),
         point_sets=_axis_points,
         growth_det=_wronskian_det,
         oracle=_oracle_oqm,
@@ -505,11 +489,7 @@ _KINDS = {
     "dqm": _ChainKind(
         chain=dqm_mod,
         build=lambda family, config: dqm_mod.build_chain(family, config.depth),
-        residual_options=lambda level, config: {"ns": _ns_for(level, config), "last_only": True},
-        level_identities=DQM_LEVEL_IDENTITIES,
-        step_identities=DQM_STEP_IDENTITIES,
-        prefix_identities=frozenset({"check_product", "casoratian_ratio", "casoratian_jacobi"}),
-        grid_identities=frozenset(),
+        residual_options=lambda level, config: {"ns": _ns_for(level, config)},
         point_sets=_strip_points,
         growth_det=_casoratian_det,
         oracle=_oracle_dqm,

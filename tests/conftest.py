@@ -31,6 +31,14 @@ def from_poly(coeffs, label="", strip_halfwidth=math.inf):
                       is_real=all(c.imag == 0 for c in cs), jet_fn=jet_fn)
 
 
+def worst_over_levels(chain_mod, kind, levels, samples, **options):
+    """Worst residual of identity `kind` over every level of `levels` it applies
+    to: relation_residual checks only the deepest level of the chain it is given."""
+    first = chain_mod.IDENTITIES[kind].first_level
+    return max(chain_mod.relation_residual(kind, levels[: s + 1], samples, **options)
+               for s in range(first, len(levels)))
+
+
 @pytest.fixture(scope="session")
 def hermite():
     return make_family("hermite")

@@ -21,7 +21,7 @@ from crum import dqm, oqm, structure
 from crum.quadrature import refinement_sequence
 from crum.verify import grid_eigensolve, gram_matrix
 
-from conftest import AW_PARAMS
+from conftest import AW_PARAMS, worst_over_levels
 
 OQM_CASES = [("hermite", {}), ("laguerre", {"g": 3.0}), ("jacobi", {"g": 2.0})]
 DQM_CASES = [("q_hermite", {"q": 0.5}), ("askey_wilson", AW_PARAMS)]
@@ -74,7 +74,7 @@ def test_criterion_1_differential_suite(oqm_chains):
     for name, (fam, levels, build_t) in oqm_chains.items():
         t0 = time.perf_counter()
         pts = _axis_pts(fam)
-        worst = {k: oqm.relation_residual(k, levels, pts) for k in kinds}
+        worst = {k: worst_over_levels(oqm, k, levels, pts) for k in kinds}
         elapsed = build_t + (time.perf_counter() - t0)
         fam_ok = max(worst.values()) <= 1e-7 and elapsed < 10.0
         ok &= note(1, fam_ok,
@@ -141,7 +141,7 @@ def test_criterion_4_difference_suite(dqm_chains):
     for name, (fam, levels, build_t) in dqm_chains.items():
         t0 = time.perf_counter()
         pts = _strip_pts(fam, 12)
-        worst = {k: dqm.relation_residual(k, levels, pts, ns=[3, 4, 5]) for k in kinds}
+        worst = {k: worst_over_levels(dqm, k, levels, pts, ns=[3, 4, 5]) for k in kinds}
         elapsed = build_t + (time.perf_counter() - t0)
         fam_ok = max(worst.values()) <= 1e-7 and elapsed < 60.0
         ok &= note(4, fam_ok,

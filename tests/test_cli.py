@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+
+import pytest
+
 from crum.cli import main
 
 
@@ -113,3 +116,47 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
             "--nmax", "3", "--out", str(out_file))
     report = json.loads(out_file.read_text())
     assert report["seed"] == 777
+
+
+def test_negative_depth_is_a_parameter_error(capsys):
+    code, out, err = run_cli(capsys, "chain", "--family", "hermite", "--depth", "-1")
+    assert code == 2
+    assert "depth must be >= 0" in err
+
+
+@pytest.mark.parametrize("text", ["not json {", "[1, 2]", '{"family": "hermite", "depth": "two"}'])
+def test_verify_bad_input_exit_code(tmp_path, capsys, text):
+    stored = tmp_path / "report.json"
+    stored.write_text(text)
+    code, _, err = run_cli(capsys, "verify", str(stored))
+    assert code == 2
+    assert "parameter error" in err
+
+
+def test_no_prefix_matching_of_flags(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "scan-gamma0", "--c", "3")[0] == 2
+    assert run_cli(capsys, "chain", "--fam", "hermite", "--depth", "1")[0] == 2
+    assert list(tmp_path.iterdir()) == []        # no CSV went to a file named 3
+
+
+@pytest.mark.parametrize("argv", [["--mode", "gamma-to-0", "--c", "1,2"],
+                                  ["--mode", "c-to-inf", "--gammas", "0.1"]])
+def test_limit_rejects_a_flag_of_the_other_mode(capsys, argv):
+    code, out, err = run_cli(capsys, "limit", *argv)
+    assert code == 2
+    assert out == ""
+    assert "does not apply" in err
+
+
+def test_limit_malformed_list_exit_code(capsys):
+    code, _, err = run_cli(capsys, "limit", "--mode", "c-to-inf", "--c", "10,abc")
+    assert code == 2
+    assert "comma list" in err
+
+
+def test_non_integer_seed_env_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("CRUM_SEED", "abc")
+    code, out, err = run_cli(capsys, "chain", "--family", "hermite", "--depth", "1")
+    assert code == 2
+    assert "CRUM_SEED" in err

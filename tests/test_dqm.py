@@ -8,6 +8,8 @@ from crum.errors import ChainBreakError, DomainError, StripError
 from crum import dqm
 from crum.verify import gram_matrix
 
+from conftest import worst_over_levels
+
 
 def _pts(fam, count=10, im=0.0):
     lo, hi = fam.interior()
@@ -88,12 +90,12 @@ def test_hamiltonian_matches_factor_product(q_hermite):
 # -- next potential / chain --------------------------------------------------------
 
 def test_quadratic_relation(q_hermite_chain, q_hermite):
-    res = dqm.relation_residual("quadratic", q_hermite_chain, _strip_pts(q_hermite, 20))
+    res = worst_over_levels(dqm, "quadratic", q_hermite_chain, _strip_pts(q_hermite, 20))
     assert res <= 1e-9
 
 
 def test_linear_relation(q_hermite_chain, q_hermite):
-    res = dqm.relation_residual("linear", q_hermite_chain, _strip_pts(q_hermite, 20))
+    res = worst_over_levels(dqm, "linear", q_hermite_chain, _strip_pts(q_hermite, 20))
     assert res <= 1e-8
 
 
@@ -140,7 +142,7 @@ def test_level1_gram_diagonal(name, request):
 
 
 def test_realness_of_chain_states(q_hermite_chain, q_hermite):
-    res = dqm.relation_residual("realness", q_hermite_chain, _strip_pts(q_hermite))
+    res = worst_over_levels(dqm, "realness", q_hermite_chain, _strip_pts(q_hermite))
     assert res <= 1e-10
 
 
@@ -227,9 +229,16 @@ def test_step_determinant_residual(q_hermite_chain, q_hermite):
 
 
 def test_check_product_aw(askey_wilson_chain, askey_wilson):
-    res = dqm.relation_residual("check_product", askey_wilson_chain,
-                                _pts(askey_wilson, 8), ns=[3], last_only=True)
+    res = worst_over_levels(dqm, "check_product", askey_wilson_chain,
+                            _pts(askey_wilson, 8), ns=[3])
     assert res <= 1e-7
+
+
+def test_identity_with_nothing_to_check_raises(q_hermite_chain, q_hermite):
+    with pytest.raises(DomainError, match="evaluated nothing at level 2"):
+        dqm.relation_residual("intertwine", q_hermite_chain, _pts(q_hermite), ns=[])
+    with pytest.raises(DomainError, match="applies from level 1"):
+        dqm.relation_residual("quadratic", q_hermite_chain[:1], _pts(q_hermite))
 
 
 # -- downshift -------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from crum.jets import Jet
 from crum import oqm
 from crum.verify import gram_matrix
 
+from conftest import worst_over_levels
+
 
 def _pts(fam, count=12):
     lo, hi = fam.interior()
@@ -207,7 +209,7 @@ def test_phi_via_wronskian_matches_operators(hermite_chain):
     ("node_count", 0.0),
 ])
 def test_hermite_relation_residuals(hermite_chain, hermite, kind, tol):
-    assert oqm.relation_residual(kind, hermite_chain, _pts(hermite)) <= tol
+    assert worst_over_levels(oqm, kind, hermite_chain, _pts(hermite)) <= tol
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -216,8 +218,13 @@ def test_non_finite_sample_fails_closed(hermite_chain, hermite, bad):
     assert oqm.relation_residual("zero_mode", hermite_chain, pts) == math.inf
 
 
+def test_step_identity_needs_a_parent_level(hermite_chain, hermite):
+    with pytest.raises(DomainError, match="applies from level 1"):
+        oqm.relation_residual("intertwine", hermite_chain[:1], _pts(hermite))
+
+
 def test_potential_wronskian_laguerre(laguerre_chain, laguerre):
-    res = oqm.relation_residual("potential_wronskian", laguerre_chain[:3], _pts(laguerre))
+    res = worst_over_levels(oqm, "potential_wronskian", laguerre_chain[:3], _pts(laguerre))
     assert res <= 1e-7
 
 

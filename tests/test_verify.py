@@ -4,13 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from crum import dqm, virtual_state
+from crum import dqm, oqm, virtual_state
 from crum.errors import ChainBreakError, ParameterError
-from crum.verify import (DEFAULT_TOLERANCES, DQM_LEVEL_IDENTITIES,
-                         DQM_STEP_IDENTITIES, OQM_LEVEL_IDENTITIES,
-                         OQM_STEP_IDENTITIES, RunConfig, grid_eigensolve,
-                         gram_matrix, norm_divergence_flag, run_suite,
-                         sample_points)
+from crum.verify import (DEFAULT_TOLERANCES, RunConfig, grid_eigensolve, gram_matrix,
+                         norm_divergence_flag, run_suite, sample_points)
+
+OQM_LEVEL_IDENTITIES = {"zero_mode", "iso_spectral", "realness", "node_count"}
+OQM_STEP_IDENTITIES = {"intertwine", "riccati", "factorization", "potential_wronskian",
+                       "wronskian_product", "wronskian_ratio", "downshift_roundtrip"}
+DQM_LEVEL_IDENTITIES = {"zero_mode", "iso_spectral", "realness"}
+DQM_STEP_IDENTITIES = {"quadratic", "linear", "intertwine", "factorization",
+                       "step_determinant", "check_product", "casoratian_ratio",
+                       "casoratian_jacobi", "downshift_roundtrip"}
 
 
 # -- grid eigensolver oracle -------------------------------------------------------
@@ -68,8 +73,25 @@ def test_virtual_state_divergence_flagging(hermite, jacobi):
 # -- suite runs ------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def hermite_report():
-    return run_suite(RunConfig(family="hermite", depth=3, nmax=6, seed=11))
+def hermite_run():
+    """A depth-3 hermite suite and the number of oqm.wronskian calls it made."""
+    calls = []
+    real = oqm.wronskian
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oqm, "wronskian", lambda *a, **k: calls.append(1) or real(*a, **k))
+        report = run_suite(RunConfig(family="hermite", depth=3, nmax=6, seed=11))
+    return report, len(calls)
+
+
+@pytest.fixture(scope="module")
+def hermite_report(hermite_run):
+    return hermite_run[0]
+
+
+def test_suite_checks_each_level_once(hermite_run):
+    # 3 levels x 20 samples x (2 wronskian_product + 4 wronskian_ratio calls);
+    # re-checking every lower level at each level made 720
+    assert hermite_run[1] == 360
 
 
 def test_suite_hermite_passes(hermite_report):
@@ -83,20 +105,16 @@ def test_suite_hermite_passes(hermite_report):
 
 def test_suite_identity_inventory(hermite_report):
     for blk in hermite_report.levels:
-        names = set(blk["identities"])
-        assert set(OQM_LEVEL_IDENTITIES) <= names
-        if blk["s"] >= 1:
-            assert set(OQM_STEP_IDENTITIES) <= names
+        expected = OQM_LEVEL_IDENTITIES | (OQM_STEP_IDENTITIES if blk["s"] >= 1 else set())
+        assert set(blk["identities"]) == expected
 
 
 def test_suite_q_hermite_inventory_and_pass():
     rep = run_suite(RunConfig(family="q_hermite", params={"q": 0.5}, depth=2, nmax=5, seed=7))
     assert rep.status == "pass"
     for blk in rep.levels:
-        names = set(blk["identities"])
-        assert set(DQM_LEVEL_IDENTITIES) <= names
-        if blk["s"] >= 1:
-            assert set(DQM_STEP_IDENTITIES) <= names
+        expected = DQM_LEVEL_IDENTITIES | (DQM_STEP_IDENTITIES if blk["s"] >= 1 else set())
+        assert set(blk["identities"]) == expected
         skipped = [k for k, v in blk["identities"].items() if v.get("skipped")]
         assert not skipped
     assert rep.gamma == pytest.approx(math.log(0.5))
@@ -115,6 +133,30 @@ def test_chain_error_in_an_identity_is_not_a_pass(monkeypatch):
                               samples=4, seed=7))
     assert rep.levels[1]["identities"]["linear"]["skipped"] == "ChainBreakError: injected"
     assert rep.status == "incomplete"
+
+
+def test_identity_that_evaluates_nothing_is_a_skip():
+    # with nmax=2 no eigenfunction above the seed is left at level 2
+    rep = run_suite(RunConfig(family="q_hermite", params={"q": 0.5}, depth=2, nmax=2,
+                              samples=4, seed=7))
+    skipped = {name for name, entry in rep.levels[2]["identities"].items()
+               if entry["pass"] is None}
+    assert skipped == {"iso_spectral", "realness", "intertwine", "factorization",
+                       "step_determinant", "check_product", "casoratian_ratio",
+                       "downshift_roundtrip"}
+    for name in skipped:
+        assert rep.levels[2]["identities"][name]["skipped"] == (
+            f"DomainError: {name} evaluated nothing at level 2")
+    assert rep.status == "incomplete"
+
+
+@pytest.mark.parametrize("field,value", [("samples", 0), ("depth", -1), ("nmax", -1),
+                                         ("depth", "two"), ("samples", 2.5), ("seed", None)])
+def test_run_config_rejects_what_cannot_run(field, value):
+    with pytest.raises(ParameterError, match=field):
+        RunConfig(family="hermite", **{field: value})
+    with pytest.raises(ParameterError, match=field):
+        RunConfig.from_dict({"family": "hermite", field: value})
 
 
 def test_suite_rejects_bad_parameters():
