@@ -185,9 +185,11 @@ def level0(family):
     def sqv_star(x):
         return complex(sqv_fn(complex(x).conjugate())).conjugate()
 
+    phi_n = functools.cache(lambda n: family.phi(n).fn)
+
     @functools.cache
     def phi_fn(n, x):
-        return family.phi(n).fn(x)
+        return phi_n(n)(x)
 
     return DqmChainLevel(family, 0, family.energy(0), sqv_fn, sqv_star, phi_fn)
 

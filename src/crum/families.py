@@ -250,39 +250,60 @@ def _conjugation_closed(avals, tol=1e-12):
 class _FactorLogSum:
     """Sum of principal logs of q-Pochhammer factors log(1 - c e^{i m x} q^k).
 
-    Each term is (coefficient c, integer direction m in {-2,-1,1,2}); the sum
-    runs factors down to the truncation threshold.  With all evaluation
-    points kept inside the open vertical strip 0 < Re x < pi and away from
-    the factor zeros the per-factor principal branch is single-valued, so
-    exp(half the sum) is the analytic square root that is positive on the
-    real segment.
+    Each factor group is (coefficient c, integer direction m in {-2,-1,1,2},
+    sign +1 numerator / -1 denominator) and stands for the whole product
+    (c e^{imx}; q)_inf.  The groups of one direction m are summed together:
+    with u = e^{imx} q^K, where K is the first k at which max |c| |e^{imx}| q^k
+    is at most 1/4, the factors k < K are direct principal logs and the rest
+    of every group is one q-series,
+
+        sum_g sign_g sum_{k>=K} Log(1 - c_g u q^(k-K))
+            = -sum_{j>=1} u^j sum_g sign_g c_g^j / (j (1 - q^j)),
+
+    summed by Horner's rule up to the length J at which 4^-J / (J (1 - q))
+    drops below QPOCH_TAIL.  The series keeps the principal branch: for
+    |w| < 1 the Taylor series -sum w^j / j is the principal Log(1 - w), and
+    summing it over k and g only reorders an absolutely convergent series.
+    With all evaluation points kept inside the open vertical strip
+    0 < Re x < pi and away from the factor zeros the per-factor principal
+    branch is single-valued, so exp(half the sum) is the analytic square root
+    that is positive on the real segment.
     """
 
     def __init__(self, q, terms):
         self.q = float(q)
-        self.terms = []  # (c, m, sign) with sign +1 numerator / -1 denominator
-        depth = int(math.ceil(math.log(QPOCH_TAIL) / math.log(self.q))) + 1
+        by_direction = {}
         for c, m, sign in terms:
-            if c == 0:
-                continue
-            ck = complex(c)
-            for _ in range(depth):
-                if abs(ck) < QPOCH_TAIL:
-                    break
-                self.terms.append((ck, m, sign))
-                ck *= self.q
+            if c != 0:
+                by_direction.setdefault(m, []).append((complex(c), sign))
+        n = 1
+        while 0.25**n / (n * (1.0 - self.q)) >= QPOCH_TAIL:
+            n += 1
+        # (m, groups, largest |c|, series coefficients highest power first)
+        self.directions = []
+        for m, groups in by_direction.items():
+            series = [sum(sign * c**j for c, sign in groups) / (j * (1.0 - self.q**j))
+                      for j in range(n, 0, -1)]
+            self.directions.append((m, groups, max(abs(c) for c, _ in groups), series))
 
     def __call__(self, x):
+        q = self.q
+        z = cmath.exp(1j * x)
+        zi = 1.0 / z
+        powers = {1: z, -1: zi, 2: z * z, -2: zi * zi}
         s = 0j
-        for c, m, sign in self.terms:
-            s += sign * cmath.log(1.0 - c * cmath.exp(1j * m * x))
-        return s
-
-    def jet(self, x, order):
-        jx = Jet.variable(x, order)
-        s = Jet.const(0.0, x, order)
-        for c, m, sign in self.terms:
-            s = s + sign * (1.0 - c * (1j * m * jx).exp()).log()
+        for m, groups, cmax, series in self.directions:
+            u = powers[m]
+            r = cmax * abs(u)
+            while r > 0.25:
+                for c, sign in groups:
+                    s += sign * cmath.log(1.0 - c * u)
+                u *= q
+                r *= q
+            tail = 0j
+            for b in series:
+                tail = (tail + b) * u
+            s -= tail
         return s
 
 
@@ -350,11 +371,8 @@ class DqmFamily:
         def fn(x):
             return cmath.exp(0.5 * fam._logphi0sq(complex(x)))
 
-        def jet_fn(x, order):
-            return (0.5 * fam._logphi0sq.jet(x, order)).exp()
-
         return AnalyticFn(fn, strip_halfwidth=self.strip_halfwidth,
-                          label=f"{self.label}.phi0", is_real=True, jet_fn=jet_fn)
+                          label=f"{self.label}.phi0", is_real=True)
 
     def poly_value(self, n, y):
         """Monic P_n(y) by the three-term recurrence."""
@@ -373,18 +391,8 @@ class DqmFamily:
             x = complex(x)
             return cmath.exp(0.5 * fam._logphi0sq(x)) * fam.poly_value(n, cmath.cos(x))
 
-        def jet_fn(x, order):
-            w = (0.5 * fam._logphi0sq.jet(x, order)).exp()
-            eta = Jet.variable(x, order).cos()
-            bs, cs = fam._bc
-            pm1 = Jet.const(0.0, x, order)
-            p = Jet.const(1.0, x, order)
-            for k in range(n):
-                pm1, p = p, (eta - bs[k]) * p - cs[k] * pm1
-            return w * p
-
         return AnalyticFn(fn, strip_halfwidth=self.strip_halfwidth,
-                          label=f"{self.label}.phi{n}", is_real=True, jet_fn=jet_fn)
+                          label=f"{self.label}.phi{n}", is_real=True)
 
     def eta(self):
         return AnalyticFn(lambda x: cmath.cos(complex(x)), label="cos",

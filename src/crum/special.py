@@ -1,7 +1,8 @@
 """Special functions: the infinite q-Pochhammer symbol.
 
 `QPOCH_TAIL` is the truncation threshold shared with the families'
-ground-state log-sums; `qpochhammer_inf` is their independent oracle.
+ground-state log-sums, where it sets the length of the q-series that sums
+each product's tail; `qpochhammer_inf` is their independent oracle.
 """
 
 from __future__ import annotations

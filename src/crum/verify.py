@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
@@ -75,6 +76,13 @@ class RunConfig:
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
             if low is not None and value < low:
                 raise ParameterError(f"{name} must be >= {low}, got {value}")
+        for name, kind in (("params", numbers.Number), ("tolerances", numbers.Real)):
+            table = getattr(self, name)
+            if not isinstance(table, dict):
+                raise ParameterError(f"{name} must be an object, got {table!r}")
+            for key, value in table.items():
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise ParameterError(f"{name}[{key!r}] must be a number, got {value!r}")
 
     def tolerance(self, name):
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -90,10 +98,19 @@ class RunConfig:
         that are not config fields, such as report fields or keys written by
         older versions, are ignored."""
         known = {f.name for f in fields(RunConfig)}
-        config = RunConfig(**{k: v for k, v in data.items() if k in known})
-        config.params = {k: complex(*v) if isinstance(v, list) else v
-                         for k, v in config.params.items()}
-        return config
+        kwargs = {k: v for k, v in data.items() if k in known}
+        if isinstance(kwargs.get("params"), dict):
+            kwargs["params"] = {k: _complex_pair(k, v) if isinstance(v, list) else v
+                                for k, v in kwargs["params"].items()}
+        return RunConfig(**kwargs)
+
+
+def _complex_pair(name, pair):
+    """A complex parameter stored as [re, im]."""
+    if len(pair) != 2 or not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                                 for t in pair):
+        raise ParameterError(f"params[{name!r}] must be a number or [re, im], got {pair!r}")
+    return complex(*pair)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from crum import AnalyticFn, make_family
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
 from crum.jets import Jet
+from crum.special import QPOCH_TAIL
 
 AW_PARAMS = {"a1": 0.3, "a2": -0.2, "a3": 0.1 + 0.2j, "a4": 0.1 - 0.2j, "q": 0.6}
 
@@ -29,6 +31,18 @@ def from_poly(coeffs, label="", strip_halfwidth=math.inf):
 
     return AnalyticFn(fn, strip_halfwidth=strip_halfwidth, label=label,
                       is_real=all(c.imag == 0 for c in cs), jet_fn=jet_fn)
+
+
+def factor_log_sum_oracle(q, groups, x):
+    """Term-by-term ground-state log-sum: the principal log of every factor
+    1 - c e^{imx} q^k of each group (c, m, sign), down to |c q^k| < QPOCH_TAIL."""
+    s = 0j
+    for c, m, sign in groups:
+        ck = complex(c)
+        while abs(ck) >= QPOCH_TAIL:
+            s += sign * cmath.log(1.0 - ck * cmath.exp(1j * m * x))
+            ck *= q
+    return s
 
 
 def worst_over_levels(chain_mod, kind, levels, samples, **options):

@@ -124,7 +124,11 @@ def test_negative_depth_is_a_parameter_error(capsys):
     assert "depth must be >= 0" in err
 
 
-@pytest.mark.parametrize("text", ["not json {", "[1, 2]", '{"family": "hermite", "depth": "two"}'])
+@pytest.mark.parametrize("text", [
+    "not json {", "[1, 2]", '{"family": "hermite", "depth": "two"}',
+    '{"family": "q_hermite", "params": [0.5]}',
+    '{"family": "askey_wilson", "params": {"q": 0.6, "a1": [0.1, 0.2, 0.3]}}',
+    '{"family": "hermite", "tolerances": [1e-9]}'])
 def test_verify_bad_input_exit_code(tmp_path, capsys, text):
     stored = tmp_path / "report.json"
     stored.write_text(text)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import AW_PARAMS
+from conftest import AW_PARAMS, factor_log_sum_oracle
 from crum import make_family, virtual_state
 from crum.errors import DomainError, ParameterError
 from crum.quadrature import refinement_sequence
@@ -161,6 +161,29 @@ def test_ground_state_log_sum_matches_q_pochhammer_products(name, q):
             for a in fam.avals:
                 expected /= qpochhammer_inf(a * z, q) * qpochhammer_inf(a / z, q)
             assert abs(cmath.exp(fam._logphi0sq(x)) - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.6, 0.9, 0.95])
+def test_ground_state_log_sum_matches_term_by_term_sum(q):
+    fam = make_family("askey_wilson", validate=False, **{**AW_PARAMS, "q": q})
+    logsum = fam._logphi0sq
+    # (c, m, sign) of each product in phi0^2, as in the test above
+    groups = [(1.0, 2, 1), (1.0, -2, 1)] + [(a, m, -1) for a in fam.avals for m in (1, -1)]
+    h = 0.95 * fam.strip_halfwidth
+    xs = [complex(re, im) for re in np.linspace(0.05, math.pi - 0.05, 13)
+          for im in (0.0, h, -h, 0.5 * h, -0.5 * h)]
+    # points where a factor c e^{imx} q^k sits on |c e^{imx} q^k| = 1/4, the
+    # switch between direct logs and the series, approached from both sides
+    for c, m, _ in groups:
+        for k in range(8):
+            # |e^{imx}| = e^{-m Im x} = 1 / (4 |c| q^k)
+            im = math.log(4 * abs(c) * q**k) / m
+            if abs(im) <= h:
+                xs += [complex(1.3, im + d) for d in (-1e-9, 0.0, 1e-9)]
+    assert len(xs) > 65
+    for x in xs:
+        expected = cmath.exp(0.5 * factor_log_sum_oracle(q, groups, x))
+        assert abs(cmath.exp(0.5 * logsum(x)) - expected) <= 1e-12 * abs(expected)
 
 
 # -- virtual states --------------------------------------------------------------
