@@ -77,47 +77,75 @@ class OqmFamily:
             self.quad = QuadratureSpec(kind="interval", a=a, b=b, tolerance=1e-12)
 
     # -- core evaluators -----------------------------------------------
-    def w_prime(self):
+    # Level s of the Crum chain is evaluated in closed form.  With
+    # phi_n = phi_0 P_n(eta) and P_n monic, Crum's Wronskian ratio collapses to
+    # phi^[s]_n = phi_0 (eta')^s P_n^(s)(eta), so W'^[s] = W' + s eta''/eta'
+    # and U^[s] = W'^[s]^2 + W'^[s]'; s = 0 is the family itself.
+    def w_prime(self, s=0):
+        """Pre-potential derivative W'^[s] of chain level s."""
         fam = self
+        return AnalyticFn(lambda x: fam._w_prime_s_jet(s, x, 0).value,
+                          label=f"{self.label}.W[{s}]'", is_real=True,
+                          jet_fn=lambda x, order: fam._w_prime_s_jet(s, x, order))
 
-        def fn(x):
-            return fam._w_prime_jet(x, 0).value
-
-        return AnalyticFn(fn, label=f"{self.label}.W'", is_real=True,
-                          jet_fn=self._w_prime_jet)
-
-    def potential(self):
+    def potential(self, s=0):
+        """Potential U^[s] of chain level s, with the level constant E_s split off."""
         fam = self
 
         def jet_fn(x, order):
-            wp = fam._w_prime_jet(x, order + 1)
+            wp = fam._w_prime_s_jet(s, x, order + 1)
             return (wp * wp).truncate(order) + wp.derivative()
 
-        return AnalyticFn(lambda x: jet_fn(x, 0).value, label=f"{self.label}.U",
+        return AnalyticFn(lambda x: jet_fn(x, 0).value, label=f"{self.label}.U[{s}]",
                           is_real=True, jet_fn=jet_fn)
 
-    def phi(self, n):
-        """n-th eigenfunction phi_0 * P_n(eta), monic P_n, with exact jets."""
+    def phi(self, n, s=0):
+        """Eigenfunction phi^[s]_n of chain level s, with exact jets; phi_n =
+        phi_0 P_n(eta) at s = 0."""
         if n < 0 or n > self.nmax:
             raise DomainError(f"n={n} outside tabulated range 0..{self.nmax}")
         fam = self
 
         def jet_fn(x, order):
-            w = fam._w_log_jet(x, order)
-            p = fam._poly_jet(n, x, order)
-            return p * w.exp()
+            out = fam._poly_jet(n, x, order, s) * fam._w_log_jet(x, order).exp()
+            if s:
+                d_eta = fam._eta_jet(x, order + 1).derivative()
+                for _ in range(s):
+                    out = out * d_eta
+            return out
 
         return AnalyticFn(lambda x: jet_fn(x, 0).value,
-                          label=f"{self.label}.phi{n}", is_real=True, jet_fn=jet_fn)
+                          label=f"{self.label}.phi[{s}]{n}", is_real=True, jet_fn=jet_fn)
 
-    def _poly_jet(self, n, x, order):
+    def _w_prime_s_jet(self, s, x, order):
+        """x-jet of W'^[s] = W' + s eta''/eta'."""
+        wp = self._w_prime_jet(x, order)
+        if s:
+            d_eta = self._eta_jet(x, order + 2).derivative()
+            wp = wp + s * (d_eta.derivative() / d_eta)
+        return wp
+
+    def _poly_jet(self, n, x, order, s):
+        """x-jet of P_n^(s)(eta(x)), the s-th eta-derivative of monic P_n.
+
+        The recurrence runs on a jet in eta of order s + order, which is
+        differentiated s times and composed with the x-jet of eta by Horner's
+        rule, so no x-jet is ever of order above `order`.
+        """
         eta = self._eta_jet(x, order)
-        pm1 = Jet.const(0.0, x, order)
-        p = Jet.const(1.0, x, order)
+        y = Jet.variable(eta.value, s + order)
+        pm1 = Jet.const(0.0, eta.value, s + order)
+        p = Jet.const(1.0, eta.value, s + order)
         for k in range(n):
             bk, ck = self._recurrence(k)
-            pm1, p = p, (eta - bk) * p - ck * pm1
-        return p
+            pm1, p = p, (y - bk) * p - ck * pm1
+        for _ in range(s):
+            p = p.derivative()
+        step = eta - eta.value
+        out = Jet.const(p.coeffs[order], x, order)
+        for c in reversed(p.coeffs[:order]):
+            out = out * step + c
+        return out
 
     def eta(self):
         fam = self

@@ -1,14 +1,17 @@
-"""Iterated factorization chains for the continuous (differential) families.
+"""Crum chains of the continuous (differential) families.
 
-Level 0 wraps a solvable family.  Each step removes the current ground state:
-the new eigenfunctions are A applied to the old ones, the new pre-potential
-derivative is the log-derivative of the new seed function, and the new
-potential follows from the factorization.  The seed is never materialized as
-a logarithm; operators use phi'/phi directly, which is smooth wherever the
-seed is node-free.
+Level s removes the ground states phi_0..phi_{s-1}.  By Crum's theorem its
+eigenfunctions are the Wronskian ratios W[phi_0..phi_{s-1}, phi_n] /
+W[phi_0..phi_{s-1}]; for phi_n = phi_0 P_n(eta) with P_n monic these collapse
+to phi_0 (eta')^s P_n^(s)(eta), which the family evaluates (`OqmFamily.phi`,
+`w_prime` and `potential` take the level index).  The operators A^[s], A^[s]dag
+and H^[s] act on any function with jets; the identities use them to relate a
+level to its parent and to the Wronskians of level 0.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,104 +22,75 @@ from .jets import Jet
 NODE_GRID = 2001
 
 
+@dataclass(frozen=True)
 class OqmChainLevel:
-    """One rung of the chain: operators and eigenfunctions for index s."""
+    """Level s of the chain over `family`: eigenfunctions phi^[s]_n for
+    s <= n <= nmax, level constant E_s (the family's energy E_s) and the level
+    it was stepped from."""
 
-    def __init__(self, family, s, e_s, phi_map, w_prime, parent=None):
-        self.family = family
-        self.s = s
-        self.E_s = e_s
-        self._phi = phi_map          # n -> AnalyticFn (jets available)
-        self.w_prime = w_prime       # AnalyticFn with jets
-        self.parent = parent
-        self._u = None
+    family: object
+    s: int
+    E_s: float
+    nmax: int
+    parent: object = None
 
     def phi(self, n):
         if n < self.s:
             raise DomainError(f"level {self.s} provides phi_n only for n >= {self.s}")
-        if n not in self._phi:
+        if n > self.nmax:
             raise DomainError(f"phi_{n} not built (nmax exceeded)")
-        return self._phi[n]
+        return self.family.phi(n, self.s)
+
+    def w_prime(self):
+        return self.family.w_prime(self.s)
 
     def potential(self):
-        """Deformed potential, in the log-free form phi_s''/phi_s."""
-        if self._u is not None:
-            return self._u
-        if self.s == 0:
-            self._u = self.family.potential()
-            return self._u
-        seed = self.phi(self.s)
-
-        def jet_fn(x, order):
-            j = seed.jet(x, order + 2)
-            return (j.derivative().derivative() / j.truncate(order)).truncate(order)
-
-        self._u = AnalyticFn(lambda x: jet_fn(x, 0).value,
-                             label=f"U[{self.s}]", is_real=True, jet_fn=jet_fn)
-        return self._u
+        """Deformed potential U^[s]; the level Hamiltonian is -d^2 + U^[s] + E_s."""
+        return self.family.potential(self.s)
 
     def interior(self, fraction=0.9):
         return self.family.interior(fraction)
 
 
-def _memoized_jet(jet_fn):
-    cache = {}
-
-    def wrapped(x, order):
-        if isinstance(x, np.ndarray):
-            return jet_fn(x, order)
-        key = complex(x)
-        hit = cache.get(key)
-        if hit is None or hit.order < order:
-            hit = jet_fn(x, max(order, 4))
-            cache[key] = hit
-        return hit.truncate(order)
-
-    return wrapped
-
-
 def apply_A(level, f):
     """Lowering factor of this level applied to f: f' - W_s' f."""
-    w = level.w_prime
-
-    def jet_fn(x, order):
-        jf = f.jet(x, order + 1)
-        jw = w.jet(x, order)
-        return jf.derivative() - jw * jf.truncate(order)
-
-    jet_fn = _memoized_jet(jet_fn)
-    return AnalyticFn(lambda x: jet_fn(x, 0).value,
-                      strip_halfwidth=f.strip_halfwidth,
-                      label=f"A[{level.s}]({f.label})", is_real=f.is_real and w.is_real,
-                      jet_fn=jet_fn)
+    return _first_order(level, f, 1.0, "A")
 
 
 def apply_Adag(level, f):
     """Raising factor of this level applied to f: -f' - W_s' f."""
-    w = level.w_prime
+    return _first_order(level, f, -1.0, "Adag")
+
+
+def _first_order(level, f, sign, name):
+    """sign f' - W_s' f: the lowering factor for sign 1, the raising one for -1."""
+    w = level.w_prime()
 
     def jet_fn(x, order):
         jf = f.jet(x, order + 1)
-        jw = w.jet(x, order)
-        return -jf.derivative() - jw * jf.truncate(order)
+        return sign * jf.derivative() - w.jet(x, order) * jf.truncate(order)
 
-    jet_fn = _memoized_jet(jet_fn)
-    return AnalyticFn(lambda x: jet_fn(x, 0).value,
-                      strip_halfwidth=f.strip_halfwidth,
-                      label=f"Adag[{level.s}]({f.label})", is_real=f.is_real and w.is_real,
-                      jet_fn=jet_fn)
+    return AnalyticFn(lambda x: jet_fn(x, 0).value, strip_halfwidth=f.strip_halfwidth,
+                      label=f"{name}[{level.s}]({f.label})", is_real=f.is_real, jet_fn=jet_fn)
 
 
-def hamiltonian_apply(level, f, x):
-    """(-d^2/dx^2 + U_s + E_s) f at x."""
-    jf = f.jet(x, 2)
-    u = level.potential()(x)
-    return -jf.deriv(2) + (u + level.E_s) * jf.value
+def hamiltonian_apply(level, f):
+    """The level Hamiltonian applied to f: (-d^2/dx^2 + U_s + E_s) f."""
+    u = level.potential()
+    e_s = level.E_s
+
+    def jet_fn(x, order):
+        jf = f.jet(x, order + 2)
+        return -jf.derivative().derivative() + (u.jet(x, order) + e_s) * jf.truncate(order)
+
+    return AnalyticFn(lambda x: jet_fn(x, 0).value, strip_halfwidth=f.strip_halfwidth,
+                      label=f"H[{level.s}]({f.label})", is_real=f.is_real, jet_fn=jet_fn)
 
 
 def level0(family, nmax=8):
-    phi_map = {n: family.phi(n) for n in range(nmax + 1)}
-    return OqmChainLevel(family, 0, family.energy(0), phi_map, family.w_prime())
+    if nmax > family.nmax:
+        raise DomainError(f"n={nmax} outside tabulated range 0..{family.nmax}")
+    return OqmChainLevel(family, 0, family.energy(0), nmax)
 
 
 def node_count(fn, interval, npoints=NODE_GRID):
@@ -132,28 +106,17 @@ def node_count(fn, interval, npoints=NODE_GRID):
 
 
 def step_chain(level):
-    """Build level s+1 from level s; refuses if the new seed has a node."""
+    """Level s+1 over level s; refuses if its seed phi^[s+1]_{s+1} has a node."""
     s_new = level.s + 1
-    ns = sorted(n for n in level._phi if n >= s_new)
-    if not ns:
+    if level.nmax < s_new:
         raise ChainBreakError(f"no eigenfunctions left to lift to level {s_new}")
-    phi_map = {n: apply_A(level, level.phi(n)) for n in ns}
-    seed = phi_map[s_new]
-    lo, hi = level.interior()
-    if node_count(seed, (lo, hi)) != 0:
+    new = OqmChainLevel(level.family, s_new, level.family.energy(s_new), level.nmax,
+                        parent=level)
+    if node_count(new.phi(s_new), level.interior()) != 0:
         raise ChainBreakError(
             f"phi[{s_new}]_{s_new} changes sign inside the domain; "
             "the chain assumption (node-free seed) is violated")
-
-    def w_prime_jet(x, order):
-        j = seed.jet(x, order + 1)
-        return (j.derivative() / j.truncate(order)).truncate(order)
-
-    w_prime_jet = _memoized_jet(w_prime_jet)
-    w_prime = AnalyticFn(lambda x: w_prime_jet(x, 0).value,
-                         label=f"W[{s_new}]'", is_real=True, jet_fn=w_prime_jet)
-    return OqmChainLevel(level.family, s_new, level.family.energy(s_new),
-                         phi_map, w_prime, parent=level)
+    return new
 
 
 DEPTH_CAP = 4
@@ -200,22 +163,6 @@ def phi_via_wronskian(levels, s, n, x):
     return num / den
 
 
-def _hamiltonian_fn(level):
-    u = level.potential()
-    e_s = level.E_s
-
-    def act(f):
-        def jet_fn(x, order):
-            jf = f.jet(x, order + 2)
-            ju = u.jet(x, order)
-            return (-jf.derivative().derivative() + (ju + e_s) * jf.truncate(order)).truncate(order)
-
-        return AnalyticFn(lambda x: jet_fn(x, 0).value, label=f"H[{level.s}]({f.label})",
-                          is_real=True, jet_fn=jet_fn)
-
-    return act
-
-
 def relation_residual(kind, levels, samples):
     """Worst normalized residual of identity `kind` (a key of IDENTITIES) at
     the deepest level of `levels`, a chain from level 0, over the samples; a
@@ -225,7 +172,7 @@ def relation_residual(kind, levels, samples):
 
 def _ns(level):
     """Indices n of the eigenfunctions built at this level, ascending."""
-    return sorted(n for n in level._phi if n >= level.s)
+    return list(range(level.s, level.nmax + 1))
 
 
 def _res_intertwine(levels, samples):
@@ -233,12 +180,10 @@ def _res_intertwine(levels, samples):
     eigenfunctions built at level s-1."""
     level = levels[-1]
     parent = level.parent
-    h_lo = _hamiltonian_fn(parent)
-    h_hi = _hamiltonian_fn(level)
     for n in _ns(parent)[-2:]:
         f = parent.phi(n)
-        lhs_fn = apply_A(parent, h_lo(f))
-        rhs_fn = h_hi(apply_A(parent, f))
+        lhs_fn = apply_A(parent, hamiltonian_apply(parent, f))
+        rhs_fn = hamiltonian_apply(level, apply_A(parent, f))
         for x in samples:
             yield rel_residual(lhs_fn(x), rhs_fn(x))
 
@@ -248,9 +193,10 @@ def _res_riccati(levels, samples):
     level = levels[-1]
     parent = level.parent
     gap = level.E_s - parent.E_s
+    w_new, w_old = level.w_prime(), parent.w_prime()
     for x in samples:
-        jn = level.w_prime.jet(x, 1)
-        jp = parent.w_prime.jet(x, 1)
+        jn = w_new.jet(x, 1)
+        jp = w_old.jet(x, 1)
         lhs = jn.value**2 + jn.deriv(1)
         rhs = jp.value**2 - jp.deriv(1) - gap
         yield rel_residual(lhs, rhs)
@@ -264,9 +210,10 @@ def _res_factorization(levels, samples):
         f = level.phi(n)
         down = apply_Adag(parent, f)
         lifted = apply_A(parent, down)
+        h_f = hamiltonian_apply(level, f)
         for x in samples:
             lhs = lifted(x) + parent.E_s * f(x)
-            rhs = hamiltonian_apply(level, f, x)
+            rhs = h_f(x)
             yield rel_residual(lhs, rhs)
 
 
@@ -361,8 +308,13 @@ def _res_downshift(levels, samples):
 
 
 def _res_zero_mode(levels, samples):
+    """A^[s] annihilates the ground state of level s, taken as the parent's
+    lift A^[s-1] phi^[s-1]_s (phi_0 at level 0): W'^[s] is the log-derivative
+    of the closed-form phi^[s]_s by construction, so that seed would check the
+    closed form against itself."""
     level = levels[-1]
-    seed = level.phi(level.s)
+    parent = level.parent
+    seed = level.phi(0) if parent is None else apply_A(parent, parent.phi(level.s))
     low = apply_A(level, seed)
     for x in samples:
         scale = 1.0 + abs(seed(x))
@@ -374,8 +326,9 @@ def _res_iso_spectral(levels, samples):
     for n in _ns(level)[-3:]:
         f = level.phi(n)
         e_n = level.family.energy(n)
+        h_f = hamiltonian_apply(level, f)
         for x in samples:
-            lhs = hamiltonian_apply(level, f, x)
+            lhs = h_f(x)
             rhs = e_n * f(x)
             yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(x))))
 

@@ -306,37 +306,42 @@ def _eta_level_sum(eta, x, s, g):
 
 
 def _res_eta_level(family, chain, samples):
-    """Ratio of the first two eigenfunctions of level s is affine in the
-    symmetrized eta sum."""
+    """Ratio of the first two eigenfunctions of the deepest level s >= 1 is
+    affine in the symmetrized eta sum; a level-0 chain checks nothing."""
     g = family.gamma
     eta = family.eta().fn
-    for s in range(1, len(chain)):
-        level = chain[s]
-        ratios, etas = [], []
-        for x in samples:
-            x = complex(x)
-            ratios.append(level._phi_fn(s + 1, x) / level._phi_fn(s, x))
-            etas.append(_eta_level_sum(eta, x, s, g))
-        a, b = _affine_fit(etas, ratios)
-        for r, e in zip(ratios, etas):
-            yield rel_residual(r, a + b * e)
+    s = len(chain) - 1
+    if s == 0:
+        return
+    level = chain[s]
+    ratios, etas = [], []
+    for x in samples:
+        x = complex(x)
+        ratios.append(level._phi_fn(s + 1, x) / level._phi_fn(s, x))
+        etas.append(_eta_level_sum(eta, x, s, g))
+    a, b = _affine_fit(etas, ratios)
+    for r, e in zip(ratios, etas):
+        yield rel_residual(r, a + b * e)
 
 
 def _res_vs_product(family, chain, samples):
-    """Depth-s potential from the base one through a telescoping eta product."""
+    """Potential of the deepest level s >= 1 from the base one through a
+    telescoping eta product; a level-0 chain checks nothing."""
     g = family.gamma
     eta = family.eta().fn
-    for s in range(1, len(chain)):
-        level = chain[s]
-        for x in samples:
-            x = complex(x)
-            lhs = level.v(x + 0.5j * s * g)
-            prod = chain[0].v(x)
-            for k in range(s):
-                num = eta(x - 1j * g) - eta(x + 1j * k * g)
-                den = eta(x) - eta(x + 1j * (k + 1) * g)
-                prod *= num / den
-            yield rel_residual(lhs, prod)
+    s = len(chain) - 1
+    if s == 0:
+        return
+    level = chain[s]
+    for x in samples:
+        x = complex(x)
+        lhs = level.v(x + 0.5j * s * g)
+        prod = chain[0].v(x)
+        for k in range(s):
+            num = eta(x - 1j * g) - eta(x + 1j * k * g)
+            den = eta(x) - eta(x + 1j * (k + 1) * g)
+            prod *= num / den
+        yield rel_residual(lhs, prod)
 
 
 _ETA_RESIDUALS = {

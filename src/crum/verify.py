@@ -9,11 +9,12 @@ reports (wall time aside).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -167,7 +168,12 @@ def grid_eigensolve(u_fn, domain, n_points, k):
 
 
 def gram_matrix(fns, quad: QuadratureSpec):
-    """Hermitian matrix of pairwise inner products."""
+    """Hermitian matrix of pairwise inner products.
+
+    Every entry integrates over the same nodes, so each function's values are
+    kept in a table that lives for this call only.
+    """
+    fns = [replace(f, fn=functools.cache(f.fn)) for f in fns]
     m = len(fns)
     g = np.zeros((m, m), dtype=complex)
     for i in range(m):

@@ -45,6 +45,68 @@ def factor_log_sum_oracle(q, groups, x):
     return s
 
 
+def _memoized(f, label):
+    """f with its jets kept per point, each computed to order 4 or more."""
+    cache = {}
+
+    def jet_fn(x, order):
+        key = complex(x)
+        hit = cache.get(key)
+        if hit is None or hit.order < order:
+            hit = cache[key] = f.jet_fn(x, max(order, 4))
+        return hit.truncate(order)
+
+    return AnalyticFn(lambda x: jet_fn(x, 0).value, label=label, is_real=True,
+                      jet_fn=jet_fn)
+
+
+class RecursiveLevel:
+    """Level s of the operator-built chain: phi^[s]_n = A^[s-1] phi^[s-1]_n,
+    W'^[s] the log-derivative of the seed phi^[s]_s and U^[s] = phi_s''/phi_s.
+    This is the route the closed form of `OqmFamily` replaced, kept as its
+    oracle; the nesting makes level s ask level 0 for jets of order s + 2."""
+
+    def __init__(self, family, s, phis, w_prime):
+        self.family = family
+        self.s = s
+        self._phis = phis
+        self._w_prime = w_prime
+
+    def phi(self, n):
+        return self._phis[n]
+
+    def w_prime(self):
+        return self._w_prime
+
+    def potential(self):
+        seed = self.phi(self.s)
+
+        def jet_fn(x, order):
+            j = seed.jet(x, order + 2)
+            return (j.derivative().derivative() / j.truncate(order)).truncate(order)
+
+        return AnalyticFn(lambda x: jet_fn(x, 0).value, is_real=True, jet_fn=jet_fn)
+
+
+def recursive_chain(family, depth, nmax):
+    """Levels 0..depth of the operator-built chain, eigenfunctions up to nmax."""
+    levels = [RecursiveLevel(family, 0, {n: family.phi(n) for n in range(nmax + 1)},
+                             family.w_prime())]
+    for s in range(1, depth + 1):
+        parent = levels[-1]
+        phis = {n: _memoized(oqm_mod.apply_A(parent, parent.phi(n)), f"phi[{s}]{n}")
+                for n in range(s, nmax + 1)}
+        seed = phis[s]
+
+        def w_prime_jet(x, order, seed=seed):
+            j = seed.jet(x, order + 1)
+            return (j.derivative() / j.truncate(order)).truncate(order)
+
+        w_prime = _memoized(AnalyticFn(None, jet_fn=w_prime_jet), f"W[{s}]'")
+        levels.append(RecursiveLevel(family, s, phis, w_prime))
+    return levels
+
+
 def worst_over_levels(chain_mod, kind, levels, samples, **options):
     """Worst residual of identity `kind` over every level of `levels` it applies
     to: relation_residual checks only the deepest level of the chain it is given."""

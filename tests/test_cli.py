@@ -89,8 +89,9 @@ def test_verify_subcommand_round_trip(tmp_path, capsys):
 
 def test_chain_with_a_skip_is_incomplete(tmp_path, capsys):
     out_file = tmp_path / "report.json"
-    code, _, err = run_cli(capsys, "chain", "--family", "laguerre", "--param", "g=3",
-                           "--depth", "2", "--seed", "1", "--out", str(out_file))
+    # with nmax=2 the level-2 Gram block has fewer than two states: a skip
+    code, _, err = run_cli(capsys, "chain", "--family", "hermite", "--depth", "2",
+                           "--nmax", "2", "--seed", "1", "--out", str(out_file))
     assert code == 1
     assert json.loads(out_file.read_text())["status"] == "incomplete"
     assert "incomplete" in err

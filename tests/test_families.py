@@ -108,7 +108,7 @@ def test_oqm_eigen_residual(name, request):
         f = fam.phi(n)
         e = fam.energy(n)
         for x in np.linspace(lo, hi, 20):
-            r = oqm_mod.hamiltonian_apply(level, f, complex(x)) - e * f(complex(x))
+            r = oqm_mod.hamiltonian_apply(level, f)(complex(x)) - e * f(complex(x))
             assert abs(r) <= 1e-8 * max(1.0, abs(e)) * (1.0 + abs(f(complex(x))))
 
 

@@ -1,15 +1,18 @@
+import gc
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from crum.analytic import AnalyticFn, inner_product
+from crum.analytic import AnalyticFn, inner_product, rel_residual, worst_residual
 from crum.errors import ChainBreakError, DomainError
 from crum.jets import Jet
 from crum import oqm
-from crum.verify import gram_matrix
+from crum.verify import gram_matrix, sample_points
 
-from conftest import worst_over_levels
+from conftest import recursive_chain, worst_over_levels
 
 
 def _pts(fam, count=12):
@@ -76,19 +79,19 @@ def test_adjointness_under_quadrature(hermite):
 
 def test_hamiltonian_apply_examples(hermite, laguerre):
     level_h = oqm.level0(hermite, nmax=2)
-    val = oqm.hamiltonian_apply(level_h, hermite.phi(1), 1.0)
+    val = oqm.hamiltonian_apply(level_h, hermite.phi(1))(1.0)
     assert abs(val - 1.2130613) < 1e-6          # E_1 phi_1(1) = 2 e^{-1/2}
     assert abs(val - 2 * hermite.phi(1)(1.0)) < 1e-12
     g2 = __import__("crum").make_family("laguerre", g=2.0)
     level_l = oqm.level0(g2, nmax=2)
-    assert abs(oqm.hamiltonian_apply(level_l, g2.phi(0), 1.0)) < 1e-12
+    assert abs(oqm.hamiltonian_apply(level_l, g2.phi(0))(1.0)) < 1e-12
 
 
 def test_ground_state_of_each_level(hermite_chain):
     for level in hermite_chain:
         seed = level.phi(level.s)
         for x in (-0.9, 0.4, 1.6):
-            val = oqm.hamiltonian_apply(level, seed, complex(x))
+            val = oqm.hamiltonian_apply(level, seed)(complex(x))
             assert abs(val - level.E_s * seed(complex(x))) < 1e-10 * (1 + abs(seed(complex(x))))
 
 
@@ -127,9 +130,9 @@ def test_node_counts_drop_with_level(chain_name, request):
 
 def test_chain_break_on_nodeful_seed(hermite):
     # feeding a seed with an interior node must refuse to build the level
-    level = oqm.level0(hermite, nmax=3)
-    bad = {n: hermite.phi(n + 1) for n in range(1, 3)}   # phi[1]_1 := phi_2 (has nodes)
-    fake = oqm.OqmChainLevel(hermite, 0, 0.0, bad, level.w_prime)
+    shifted = SimpleNamespace(phi=lambda n, s=0: hermite.phi(n + 1, s),  # phi[1]_1 := phi[1]_2
+                              energy=hermite.energy, interior=hermite.interior)
+    fake = oqm.OqmChainLevel(shifted, 0, 0.0, 3)
     with pytest.raises(ChainBreakError):
         oqm.step_chain(fake)
 
@@ -138,6 +141,42 @@ def test_depth_cap():
     fam = __import__("crum").make_family("hermite")
     with pytest.raises(Exception):
         oqm.build_chain(fam, 7, nmax=9)
+
+
+@pytest.mark.parametrize("chain_name", ["hermite_chain", "laguerre_chain", "jacobi_chain"])
+def test_closed_form_matches_recursion(chain_name, request):
+    # the operator-built chain loses digits with depth: at depth 3 it is off
+    # the closed form by up to 4e-12 on phi and 6e-10 on W' and U
+    levels = request.getfixturevalue(chain_name)
+    fam = levels[0].family
+    oracle = recursive_chain(fam, 3, 6)
+    for seed in (7, 2021):
+        pts = sample_points(fam, 20, seed)
+        for closed, rec in zip(levels, oracle):
+            pairs = [(rec.phi(n), closed.phi(n), 1e-10) for n in range(closed.s, 7)]
+            pairs += [(rec.w_prime(), closed.w_prime(), 1e-8),
+                      (rec.potential(), closed.potential(), 1e-8)]
+            for ref, fn, tol in pairs:
+                assert worst_residual(rel_residual(ref(x), fn(x)) for x in pts) <= tol, \
+                    (closed.s, fn.label)
+
+
+def test_level_evaluation_retains_no_memory(hermite):
+    level = oqm.build_chain(hermite, 3, nmax=5)[3]
+    phi, w_prime = level.phi(5), level.w_prime()
+    xs = [complex(t) for t in np.linspace(-3.0, 3.0, 5000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for x in xs:
+            phi(x)
+            w_prime(x)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 # -- downshift ---------------------------------------------------------------------

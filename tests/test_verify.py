@@ -103,6 +103,20 @@ def test_suite_hermite_passes(hermite_report):
                 assert entry["residual"] <= max(entry["tol"], 1e-7)
 
 
+# deep levels near the walls: every Gram node must be finite, and riccati,
+# intertwine and factorization must hold to tolerance at depth 4
+@pytest.mark.parametrize("family,params,depth,seed", [
+    ("laguerre", {"g": 3.0}, 2, 7), ("laguerre", {"g": 3.0}, 2, 2021),
+    ("laguerre", {"g": 3.0}, 3, 7), ("laguerre", {"g": 3.0}, 3, 2021),
+    ("jacobi", {"g": 2.0}, 3, 7), ("jacobi", {"g": 2.0}, 3, 2021),
+    ("hermite", {}, 4, 7), ("laguerre", {"g": 3.0}, 4, 7), ("jacobi", {"g": 2.0}, 4, 7),
+])
+def test_deep_oqm_chain_passes(family, params, depth, seed):
+    rep = run_suite(RunConfig(family=family, params=params, depth=depth, nmax=depth + 1,
+                              samples=6, seed=seed))
+    assert rep.status == "pass"
+
+
 def test_suite_identity_inventory(hermite_report):
     for blk in hermite_report.levels:
         expected = OQM_LEVEL_IDENTITIES | (OQM_STEP_IDENTITIES if blk["s"] >= 1 else set())
