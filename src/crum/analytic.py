@@ -1,5 +1,7 @@
 """Complex-analytic function values on a strip: star conjugation, derivative
-jets, Wronskian and Casoratian determinants, inner products.
+jets, Wronskian and Casoratian determinants, inner products, and the identity
+engine both chain kinds share (an `Identity` table per kind, read by
+`identity_residual` and reduced fail-closed by `worst_residual`).
 
 Everything here is immutable after construction and safe to evaluate
 concurrently; evaluation is pure.
@@ -30,13 +32,12 @@ class AnalyticFn:
     ``fn`` evaluates the function; ``jet_fn``, when given, produces exact
     truncated Taylor expansions (built-in families wire closed-form
     recurrences here).  Without it, derivatives fall back to Cauchy-circle
-    numerical differentiation.  ``is_real`` declares f* = f.
+    numerical differentiation.
     """
 
     fn: Callable[[complex], complex]
     strip_halfwidth: float = math.inf
     label: str = ""
-    is_real: bool = False
     jet_fn: Optional[Callable[[complex, int], Jet]] = None
 
     def check_strip(self, x):
@@ -73,29 +74,6 @@ class AnalyticFn:
         coeffs = np.fft.fft(vals) / m
         return Jet(x, [complex(coeffs[k]) / r**k for k in range(order + 1)])
 
-    def star(self):
-        """The star-conjugate function f*(x) = conj(f(conj x))."""
-        if self.is_real:
-            return self
-        base = self
-
-        def starred(x):
-            return complex(base.fn(complex(x).conjugate())).conjugate()
-
-        star_jet = None
-        if base.jet_fn is not None:
-
-            def star_jet(x, order):
-                j = base.jet_fn(complex(x).conjugate(), order)
-                return Jet(x, [complex(c).conjugate() for c in j.coeffs])
-
-        return AnalyticFn(
-            starred,
-            strip_halfwidth=base.strip_halfwidth,
-            label=f"{base.label}*" if base.label else "",
-            jet_fn=star_jet,
-        )
-
 
 def star_eval(f, x):
     """Value of the star-conjugate of f at x: conj(f(conj x))."""
@@ -127,12 +105,12 @@ def worst_residual(residuals):
 class Identity(NamedTuple):
     """One entry of a chain kind's identity table."""
 
-    residuals: Callable       # (levels, samples, *options) -> residuals at levels[-1]
+    residuals: Callable       # (levels, samples) -> residuals at levels[-1]
     first_level: int = 0      # 1 for a step identity, which relates a level to its parent
     sampled: bool = True      # False when checked on its own grid, not at the samples
 
 
-def identity_residual(table, name, levels, samples, *options):
+def identity_residual(table, name, levels, samples):
     """Worst residual of identity `name` of `table` at the deepest level of
     `levels`, a chain from level 0; a non-finite sample makes it inf.
 
@@ -145,7 +123,7 @@ def identity_residual(table, name, levels, samples, *options):
     s = len(levels) - 1
     if s < entry.first_level:
         raise DomainError(f"{name} applies from level {entry.first_level}, not at level {s}")
-    residuals = iter(entry.residuals(levels, samples, *options))
+    residuals = iter(entry.residuals(levels, samples))
     first = next(residuals, None)
     if first is None:
         raise DomainError(f"{name} evaluated nothing at level {s}")

@@ -13,6 +13,12 @@ square roots:
 With sqrtV_s := g_s(x) chi_s(x-ig)/chi_s(x) the level-s lowering factor
 annihilates the seed identically and (sqrtV_s)^2 reproduces the deformed
 potential, so no per-point phase guessing is ever needed.
+
+The chain has the contract of the differential one (`oqm`): build_chain(family,
+depth, nmax) gives levels 0..depth with eigenfunctions up to nmax; apply_A,
+apply_Adag and hamiltonian_apply(level, f) return functions; and the
+identities of IDENTITIES check the deepest level of a chain through
+analytic.identity_residual.
 """
 
 from __future__ import annotations
@@ -77,12 +83,15 @@ class BranchedSqrt:
 
 
 class DqmChainLevel:
-    """One rung of the difference chain."""
+    """Level s of the chain over `family`: eigenfunctions phi^[s]_n for
+    s <= n <= nmax, level constant E_s (the family's energy E_s), the anchored
+    square roots of its potential and the level it was stepped from."""
 
-    def __init__(self, family, s, e_s, sqrt_v, sqrt_v_star, phi_fn, parent=None):
+    def __init__(self, family, s, e_s, nmax, sqrt_v, sqrt_v_star, phi_fn, parent=None):
         self.family = family
         self.s = s
         self.E_s = e_s
+        self.nmax = nmax
         self.gamma = family.gamma
         self.sqrt_v = sqrt_v            # callable complex -> complex
         self.sqrt_v_star = sqrt_v_star
@@ -92,11 +101,13 @@ class DqmChainLevel:
     def phi(self, n, x=None):
         if n < self.s:
             raise DomainError(f"level {self.s} has phi_n only for n >= {self.s}")
+        if n > self.nmax:
+            raise DomainError(f"phi_{n} not built (nmax exceeded)")
         if x is None:
             lvl = self
             return AnalyticFn(lambda xx: lvl._phi_fn(n, complex(xx)),
                               strip_halfwidth=self.family.strip_halfwidth,
-                              label=f"phi[{self.s}]_{n}", is_real=True)
+                              label=f"phi[{self.s}]_{n}")
         return self._phi_fn(n, complex(x))
 
     def v(self, x):
@@ -114,60 +125,57 @@ class DqmChainLevel:
 # ---------------------------------------------------------------------------
 
 def apply_A(level, f):
-    """Annihilation-side factor: i (sqrtV*(x-ig/2) f(x-ig/2) - sqrtV(x+ig/2) f(x+ig/2))."""
-    g = level.gamma
-    fv = _as_callable(f)
-
-    def out(x):
-        x = complex(x)
-        return 1j * (level.sqrt_v_star(x - 0.5j * g) * fv(x - 0.5j * g)
-                     - level.sqrt_v(x + 0.5j * g) * fv(x + 0.5j * g))
-
-    return out
+    """Lowering factor: i (sqrtV*(x-ig/2) f(x-ig/2) - sqrtV(x+ig/2) f(x+ig/2))."""
+    return _first_order(level, f, 1j, level.sqrt_v_star, level.sqrt_v, 0.5j * level.gamma)
 
 
 def apply_Adag(level, f):
-    """Creation-side factor: -i (sqrtV(x) f(x-ig/2) - sqrtV*(x) f(x+ig/2))."""
-    g = level.gamma
-    fv = _as_callable(f)
+    """Raising factor: -i (sqrtV(x) f(x-ig/2) - sqrtV*(x) f(x+ig/2))."""
+    return _first_order(level, f, -1j, level.sqrt_v, level.sqrt_v_star, 0.0)
+
+
+def _first_order(level, f, factor, coef_dn, coef_up, at):
+    """factor (coef_dn(x - at) f(x - ig/2) - coef_up(x + at) f(x + ig/2)): the
+    lowering factor takes its coefficients at the shifted points (at = ig/2),
+    the raising one at x (at = 0)."""
+    half = 0.5j * level.gamma
+    fv = f.fn if isinstance(f, AnalyticFn) else f
 
     def out(x):
         x = complex(x)
-        return -1j * (level.sqrt_v(x) * fv(x - 0.5j * g)
-                      - level.sqrt_v_star(x) * fv(x + 0.5j * g))
+        return factor * (coef_dn(x - at) * fv(x - half) - coef_up(x + at) * fv(x + half))
 
     return out
 
 
-def _as_callable(f):
-    if isinstance(f, AnalyticFn):
-        return f.fn
-    return f
-
-
-def hamiltonian_apply(level, f, x):
-    """Difference-operator action plus the level constant.
+def hamiltonian_apply(level, f):
+    """The level Hamiltonian applied to f: the difference operator plus the
+    level constant.
 
     sqrt(V V*-shifted) coefficients are products of the level's anchored
     square roots, which keeps the factorized and expanded forms identical.
     """
     g = level.gamma
-    fv = _as_callable(f)
-    x = complex(x)
-    sv, svs = level.sqrt_v(x), level.sqrt_v_star(x)
-    term_down = sv * level.sqrt_v_star(x - 1j * g) * fv(x - 1j * g)
-    term_up = svs * level.sqrt_v(x + 1j * g) * fv(x + 1j * g)
-    diag = (sv ** 2 + svs ** 2) * fv(x)
-    return term_down + term_up - diag + level.E_s * fv(x)
+
+    def out(x):
+        x = complex(x)
+        sv, svs = level.sqrt_v(x), level.sqrt_v_star(x)
+        term_down = sv * level.sqrt_v_star(x - 1j * g) * f(x - 1j * g)
+        term_up = svs * level.sqrt_v(x + 1j * g) * f(x + 1j * g)
+        diag = (sv ** 2 + svs ** 2) * f(x)
+        return term_down + term_up - diag + level.E_s * f(x)
+
+    return out
 
 
 def energy_fit(level, n, xs):
     """Least-squares eigenvalue of phi_n from the difference equation at the points xs."""
     f = lambda x: level._phi_fn(n, x)
+    h_f = hamiltonian_apply(level, f)
     num = 0j
     den = 0.0
     for x in xs:
-        hval = hamiltonian_apply(level, f, x)
+        hval = h_f(x)
         pv = f(complex(x))
         num += hval * pv.conjugate()
         den += abs(pv) ** 2
@@ -178,7 +186,10 @@ def energy_fit(level, n, xs):
 # chain construction
 # ---------------------------------------------------------------------------
 
-def level0(family):
+def level0(family, nmax=None):
+    """Level 0: the family itself, eigenfunctions up to nmax (default the
+    family's own range)."""
+    nmax = family.nmax if nmax is None else nmax
     sqv = family.sqrt_v()
     sqv_fn = sqv.fn
 
@@ -191,7 +202,7 @@ def level0(family):
     def phi_fn(n, x):
         return phi_n(n)(x)
 
-    return DqmChainLevel(family, 0, family.energy(0), sqv_fn, sqv_star, phi_fn)
+    return DqmChainLevel(family, 0, family.energy(0), nmax, sqv_fn, sqv_star, phi_fn)
 
 
 def next_potential(level):
@@ -249,20 +260,20 @@ def step_chain(level):
     def phi_fn(n, x):
         return apply_A(level, lambda xx: level._phi_fn(n, xx))(x)
 
-    return DqmChainLevel(level.family, s_new, level.family.energy(s_new),
+    return DqmChainLevel(level.family, s_new, level.family.energy(s_new), level.nmax,
                          sqrt_v, sqrt_v_star, phi_fn, parent=level)
 
 
 DEPTH_CAP = 4
 
 
-def build_chain(family, depth):
+def build_chain(family, depth, nmax=None):
     if depth > DEPTH_CAP:
         from .errors import CapabilityError
         raise CapabilityError(
             f"chain depth {depth} exceeds the double-precision cap {DEPTH_CAP}; "
             "deeper chains need a wider-mantissa backend")
-    levels = [level0(family)]
+    levels = [level0(family, nmax=nmax)]
     for _ in range(depth):
         levels.append(step_chain(levels[-1]))
     return levels
@@ -321,21 +332,20 @@ def check_function(levels, s, n, x):
 # identity residuals
 # ---------------------------------------------------------------------------
 
-def relation_residual(kind, levels, samples, ns=None):
+def relation_residual(kind, levels, samples):
     """Worst normalized residual of identity `kind` (a key of IDENTITIES) at
     the deepest level of `levels`, a chain from level 0, over the samples; a
-    non-finite sample makes it inf (see analytic.identity_residual).  `ns`
-    picks the eigenfunction indices checked; those below the level drop out."""
-    return identity_residual(IDENTITIES, kind, levels, samples, ns)
+    non-finite sample makes it inf (see analytic.identity_residual)."""
+    return identity_residual(IDENTITIES, kind, levels, samples)
 
 
-def _level_ns(level, ns, count=2):
-    if ns is not None:
-        return [n for n in ns if n >= level.s]
-    return [level.s + 1, level.s + 2][:count]
+def _level_ns(level):
+    """Indices n of the excited states checked at this level: the first three
+    above its seed, as far as nmax."""
+    return list(range(level.s + 1, min(level.nmax, level.s + 3) + 1))
 
 
-def _res_zero_mode(levels, samples, ns=None):
+def _res_zero_mode(levels, samples):
     level = levels[-1]
     low = apply_A(level, lambda x: level._phi_fn(level.s, x))
     for x in samples:
@@ -343,7 +353,7 @@ def _res_zero_mode(levels, samples, ns=None):
         yield abs(low(x)) / scale
 
 
-def _res_quadratic(levels, samples, ns=None):
+def _res_quadratic(levels, samples):
     level = levels[-1]
     par = level.parent
     g = level.gamma
@@ -354,7 +364,7 @@ def _res_quadratic(levels, samples, ns=None):
         yield rel_residual(lhs, rhs)
 
 
-def _res_linear(levels, samples, ns=None):
+def _res_linear(levels, samples):
     level = levels[-1]
     par = level.parent
     g = level.gamma
@@ -366,41 +376,37 @@ def _res_linear(levels, samples, ns=None):
         yield rel_residual(lhs, rhs)
 
 
-def _res_intertwine(levels, samples, ns=None):
+def _res_intertwine(levels, samples):
     level = levels[-1]
     par = level.parent
-    for n in _level_ns(level, ns):
+    for n in _level_ns(level):
         f = lambda x, nn=n: par._phi_fn(nn, x)
-        hf = lambda x, ff=f: hamiltonian_apply(par, ff, x)
-        af = apply_A(par, f)
-        lhs_fn = apply_A(par, hf)
+        lhs_fn = apply_A(par, hamiltonian_apply(par, f))
+        rhs_fn = hamiltonian_apply(level, apply_A(par, f))
         for x in samples:
-            lhs = lhs_fn(x)
-            rhs = hamiltonian_apply(level, af, x)
-            yield rel_residual(lhs, rhs)
+            yield rel_residual(lhs_fn(x), rhs_fn(x))
 
 
-def _res_factorization(levels, samples, ns=None):
+def _res_factorization(levels, samples):
     """A^[s-1] A^[s-1]dag + E_{s-1} equals the level-s difference operator."""
     level = levels[-1]
     par = level.parent
-    for n in _level_ns(level, ns):
+    for n in _level_ns(level):
         f = lambda x, nn=n: level._phi_fn(nn, x)
-        lowered = apply_Adag(par, f)
-        lifted = apply_A(par, lowered)
+        lifted = apply_A(par, apply_Adag(par, f))
+        h_f = hamiltonian_apply(level, f)
         for x in samples:
             lhs = lifted(x) + par.E_s * f(complex(x))
-            rhs = hamiltonian_apply(level, f, x)
-            yield rel_residual(lhs, rhs)
+            yield rel_residual(lhs, h_f(x))
 
 
-def _res_step_determinant(levels, samples, ns=None):
+def _res_step_determinant(levels, samples):
     """One-step 2x2 determinant route to phi^[s]_n."""
     level = levels[-1]
     par = level.parent
     g = level.gamma
     s = level.s
-    for n in _level_ns(level, ns):
+    for n in _level_ns(level):
         for x in samples:
             x = complex(x)
             up, dn = x + 0.5j * g, x - 0.5j * g
@@ -411,12 +417,12 @@ def _res_step_determinant(levels, samples, ns=None):
             yield rel_residual(lhs, rhs)
 
 
-def _res_check_product(levels, samples, ns=None):
+def _res_check_product(levels, samples):
     """Plain determinant equals the shifted product of check functions."""
     fam = levels[0].family
     g = fam.gamma
     s = len(levels) - 1
-    for n in _level_ns(levels[s], ns):
+    for n in _level_ns(levels[s]):
         fs = [fam.phi(k) for k in range(s)] + [fam.phi(n)]
         for x in samples:
             x = complex(x)
@@ -427,22 +433,22 @@ def _res_check_product(levels, samples, ns=None):
             yield rel_residual(lhs, rhs)
 
 
-def _res_casoratian_ratio(levels, samples, ns=None):
+def _res_casoratian_ratio(levels, samples):
     s = len(levels) - 1
-    for n in _level_ns(levels[s], ns):
+    for n in _level_ns(levels[s]):
         for x in samples:
             lhs = phi_via_casoratian(levels, s, n, complex(x))
             rhs = levels[s]._phi_fn(n, complex(x))
             yield rel_residual(rhs, lhs)
 
 
-def _res_casoratian_jacobi(levels, samples, ns=None):
+def _res_casoratian_jacobi(levels, samples):
     """Two-determinant contraction identity, on the eigenfunction list of the
     deepest level and on generic analytic test functions."""
     fam = levels[0].family
     g = fam.gamma
     s = len(levels) - 1
-    n = _level_ns(levels[s], None, count=1)[0]
+    n = s + 1
     generic = _generic_fns()
     lists = [([fam.phi(k) for k in range(s)], fam.phi(s), fam.phi(n)),
              (generic[:-2], generic[-2], generic[-1])]
@@ -464,9 +470,9 @@ def _generic_fns():
             mk(lambda x: x * x, "x^2"), mk(lambda x: cmath.exp(1j * x), "e^{ix}")]
 
 
-def _res_downshift(levels, samples, ns=None):
+def _res_downshift(levels, samples):
     level = levels[-1]
-    for n in _level_ns(level, ns):
+    for n in _level_ns(level):
         rebuilt = downshift(level, n)
         for x in samples:
             lhs = rebuilt(x)
@@ -474,21 +480,22 @@ def _res_downshift(levels, samples, ns=None):
             yield rel_residual(rhs, lhs)
 
 
-def _res_iso_spectral(levels, samples, ns=None):
+def _res_iso_spectral(levels, samples):
     level = levels[-1]
-    for n in _level_ns(level, ns, count=3):
+    for n in _level_ns(level):
         f = lambda x, nn=n: level._phi_fn(nn, x)
         e_n = level.family.energy(n)
+        h_f = hamiltonian_apply(level, f)
         for x in samples:
-            lhs = hamiltonian_apply(level, f, x)
+            lhs = h_f(x)
             rhs = e_n * f(complex(x))
             yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(complex(x)))))
 
 
-def _res_realness(levels, samples, ns=None):
+def _res_realness(levels, samples):
     """phi^[s]_n star-equals itself at strip points."""
     level = levels[-1]
-    for n in _level_ns(level, ns):
+    for n in _level_ns(level):
         for x in samples:
             x = complex(x)
             direct = level._phi_fn(n, x)

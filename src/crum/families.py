@@ -85,7 +85,7 @@ class OqmFamily:
         """Pre-potential derivative W'^[s] of chain level s."""
         fam = self
         return AnalyticFn(lambda x: fam._w_prime_s_jet(s, x, 0).value,
-                          label=f"{self.label}.W[{s}]'", is_real=True,
+                          label=f"{self.label}.W[{s}]'",
                           jet_fn=lambda x, order: fam._w_prime_s_jet(s, x, order))
 
     def potential(self, s=0):
@@ -97,7 +97,7 @@ class OqmFamily:
             return (wp * wp).truncate(order) + wp.derivative()
 
         return AnalyticFn(lambda x: jet_fn(x, 0).value, label=f"{self.label}.U[{s}]",
-                          is_real=True, jet_fn=jet_fn)
+                          jet_fn=jet_fn)
 
     def phi(self, n, s=0):
         """Eigenfunction phi^[s]_n of chain level s, with exact jets; phi_n =
@@ -115,7 +115,7 @@ class OqmFamily:
             return out
 
         return AnalyticFn(lambda x: jet_fn(x, 0).value,
-                          label=f"{self.label}.phi[{s}]{n}", is_real=True, jet_fn=jet_fn)
+                          label=f"{self.label}.phi[{s}]{n}", jet_fn=jet_fn)
 
     def _w_prime_s_jet(self, s, x, order):
         """x-jet of W'^[s] = W' + s eta''/eta'."""
@@ -150,7 +150,7 @@ class OqmFamily:
     def eta(self):
         fam = self
         return AnalyticFn(lambda x: fam._eta_jet(x, 0).value, label=f"{self.label}.eta",
-                          is_real=True, jet_fn=fam._eta_jet)
+                          jet_fn=fam._eta_jet)
 
     def energy(self, n):
         if n < 0:
@@ -172,7 +172,7 @@ class OqmFamily:
         return mid - fraction * half, mid + fraction * half
 
     def virtual_prefactor(self):
-        return AnalyticFn(lambda x: 1.0 + 0j, label="1", is_real=True,
+        return AnalyticFn(lambda x: 1.0 + 0j, label="1",
                           jet_fn=lambda x, order: Jet.const(1.0, x, order))
 
     def descriptor(self):
@@ -400,7 +400,7 @@ class DqmFamily:
             return cmath.exp(0.5 * fam._logphi0sq(complex(x)))
 
         return AnalyticFn(fn, strip_halfwidth=self.strip_halfwidth,
-                          label=f"{self.label}.phi0", is_real=True)
+                          label=f"{self.label}.phi0")
 
     def poly_value(self, n, y):
         """Monic P_n(y) by the three-term recurrence."""
@@ -420,11 +420,10 @@ class DqmFamily:
             return cmath.exp(0.5 * fam._logphi0sq(x)) * fam.poly_value(n, cmath.cos(x))
 
         return AnalyticFn(fn, strip_halfwidth=self.strip_halfwidth,
-                          label=f"{self.label}.phi{n}", is_real=True)
+                          label=f"{self.label}.phi{n}")
 
     def eta(self):
         return AnalyticFn(lambda x: cmath.cos(complex(x)), label="cos",
-                          is_real=True,
                           jet_fn=lambda x, order: Jet.variable(x, order).cos())
 
     def energy(self, n):
@@ -445,7 +444,6 @@ class DqmFamily:
 
     def virtual_prefactor(self):
         return AnalyticFn(lambda x: cmath.sin(complex(x)), label="sin",
-                          is_real=True,
                           jet_fn=lambda x, order: Jet.variable(x, order).sin())
 
     def shifted(self):
@@ -596,7 +594,7 @@ def virtual_state(fam):
             return (-fam._w_log_jet(x, order)).exp()
 
         return AnalyticFn(lambda x: jet_fn(x, 0).value,
-                          label=f"{fam.label}.virtual", is_real=True, jet_fn=jet_fn)
+                          label=f"{fam.label}.virtual", jet_fn=jet_fn)
     shifted = fam.shifted()
     phi0s = shifted.phi0()
     pref = fam.virtual_prefactor()
@@ -610,7 +608,7 @@ def virtual_state(fam):
         return pref.fn(complex(x)) / phi0s.fn(complex(x))
 
     return AnalyticFn(fn, strip_halfwidth=min(fam.strip_halfwidth, shifted.strip_halfwidth),
-                      label=f"{fam.label}.virtual", is_real=True)
+                      label=f"{fam.label}.virtual")
 
 
 def _plain_params(params):
@@ -631,17 +629,17 @@ def _validate_family(fam):
 
 
 def _validate_oqm(fam):
+    """The hand-coded W' is the derivative of the log ground state W, and the
+    ground state e^W is positive, at sample points of the interior."""
     lo, hi = fam.interior()
     xs = np.linspace(lo, hi, _VALIDATE_POINTS)
-    u = fam.potential()
-    wp = fam.w_prime()
     for xr in xs:
-        j = wp.jet(complex(xr), 1)
-        lhs = j.value**2 + j.deriv(1)
-        rhs = u(complex(xr))
-        if abs(lhs - rhs) > 1e-10 * (1.0 + abs(rhs)):
-            raise ParameterError(f"{fam.label}: potential/pre-potential mismatch at x={xr:g}")
-        phi0 = cmath.exp(fam._w_log_jet(complex(xr), 0).value)
+        x = complex(xr)
+        w_log = fam._w_log_jet(x, 1)
+        wp = fam._w_prime_jet(x, 0).value
+        if abs(wp - w_log.deriv(1)) > 1e-10 * (1.0 + abs(wp)):
+            raise ParameterError(f"{fam.label}: W' is not the derivative of W at x={xr:g}")
+        phi0 = cmath.exp(w_log.value)
         if not phi0.real > 0:
             raise ParameterError(f"{fam.label}: ground state not positive at x={xr:g}")
     _oqm_energy_oracle(fam)

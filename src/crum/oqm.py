@@ -71,7 +71,7 @@ def _first_order(level, f, sign, name):
         return sign * jf.derivative() - w.jet(x, order) * jf.truncate(order)
 
     return AnalyticFn(lambda x: jet_fn(x, 0).value, strip_halfwidth=f.strip_halfwidth,
-                      label=f"{name}[{level.s}]({f.label})", is_real=f.is_real, jet_fn=jet_fn)
+                      label=f"{name}[{level.s}]({f.label})", jet_fn=jet_fn)
 
 
 def hamiltonian_apply(level, f):
@@ -84,7 +84,7 @@ def hamiltonian_apply(level, f):
         return -jf.derivative().derivative() + (u.jet(x, order) + e_s) * jf.truncate(order)
 
     return AnalyticFn(lambda x: jet_fn(x, 0).value, strip_halfwidth=f.strip_halfwidth,
-                      label=f"H[{level.s}]({f.label})", is_real=f.is_real, jet_fn=jet_fn)
+                      label=f"H[{level.s}]({f.label})", jet_fn=jet_fn)
 
 
 def level0(family, nmax=8):
@@ -148,7 +148,7 @@ def downshift(level, n):
 
     return AnalyticFn(lambda x: jet_fn(x, 0).value,
                       label=f"downshift[{level.s}->{level.s-1}]phi{n}",
-                      is_real=True, jet_fn=jet_fn)
+                      jet_fn=jet_fn)
 
 
 def phi_via_wronskian(levels, s, n, x):
@@ -333,16 +333,6 @@ def _res_iso_spectral(levels, samples):
             yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(x))))
 
 
-def _res_realness(levels, samples):
-    """phi^[s]_n star-equals itself, off the real axis at Im x = 0.15."""
-    level = levels[-1]
-    for n in _ns(level)[:3]:
-        f = level.phi(n)
-        for x in samples:
-            x = complex(x.real, 0.15)
-            yield rel_residual(f(x), complex(f(x.conjugate())).conjugate())
-
-
 def _res_node_count(levels, samples):
     """Sign changes of phi^[s]_n on the interior grid against n - s."""
     level = levels[-1]
@@ -354,7 +344,6 @@ def _res_node_count(levels, samples):
 IDENTITIES = {
     "zero_mode": Identity(_res_zero_mode),
     "iso_spectral": Identity(_res_iso_spectral),
-    "realness": Identity(_res_realness),
     "node_count": Identity(_res_node_count, sampled=False),
     "intertwine": Identity(_res_intertwine, first_level=1),
     "riccati": Identity(_res_riccati, first_level=1),

@@ -16,7 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .analytic import AnalyticFn, casoratian, rel_residual, worst_residual, wronskian
+from .analytic import (AnalyticFn, Identity, casoratian, identity_residual, rel_residual,
+                       worst_residual, wronskian)
 from .errors import DomainError
 from .families import make_family
 from . import dqm as dqm_mod
@@ -257,17 +258,10 @@ def si_spectrum(family, n):
 # ---------------------------------------------------------------------------
 
 def eta_relations_residual(kind, family, chain, samples):
-    """Residual of one of the coordinate identities.
-
-    kinds: eta_affine (first ratio is affine in eta), V1_from_eta,
-    eta_level (depth-s ratio affine in the shifted eta sum), Vs_product.
-    """
-    if family.kind != "dqm" and kind != "eta_affine":
-        raise DomainError("coordinate relations on potentials need a difference family")
-    residuals = _ETA_RESIDUALS.get(kind)
-    if residuals is None:
-        raise DomainError(f"unknown eta relation {kind!r}")
-    return worst_residual(residuals(family, chain, samples))
+    """Worst residual of coordinate identity `kind` (a key of
+    ETA_RELATIONS[family.kind]) at the deepest level of `chain`, a chain of
+    `family` from level 0; a non-finite sample makes it inf."""
+    return identity_residual(ETA_RELATIONS[family.kind], kind, chain, samples)
 
 
 def _affine_fit(xs, ys):
@@ -276,12 +270,11 @@ def _affine_fit(xs, ys):
     return coef  # (a, b)
 
 
-def _res_eta_affine(family, chain, samples):
+def _res_eta_affine(levels, samples):
+    """Ratio of the first two eigenfunctions of the family is affine in eta."""
+    family = levels[0].family
     eta = family.eta()
-    if family.kind == "dqm":
-        num, den = family.phi(1), family.phi0()
-    else:
-        num, den = family.phi(1), family.phi(0)
+    num, den = family.phi(1), family.phi(0)
     ratios = [num.fn(complex(x)) / den.fn(complex(x)) for x in samples]
     etas = [eta.fn(complex(x)) for x in samples]
     a, b = _affine_fit(etas, ratios)
@@ -289,31 +282,18 @@ def _res_eta_affine(family, chain, samples):
         yield rel_residual(r, a + b * e)
 
 
-def _res_v1_from_eta(family, chain, samples):
-    g = family.gamma
-    eta = family.eta().fn
-    v0 = chain[0]
-    v1 = chain[1]
-    for x in samples:
-        x = complex(x)
-        lhs = v1.v(x + 0.5j * g)
-        ratio = (eta(x - 1j * g) - eta(x)) / (eta(x) - eta(x + 1j * g))
-        yield rel_residual(lhs, v0.v(x) * ratio)
-
-
 def _eta_level_sum(eta, x, s, g):
     return sum(eta(x + 0.5j * (2 * k - s) * g) for k in range(s + 1))
 
 
-def _res_eta_level(family, chain, samples):
-    """Ratio of the first two eigenfunctions of the deepest level s >= 1 is
-    affine in the symmetrized eta sum; a level-0 chain checks nothing."""
+def _res_eta_level(levels, samples):
+    """Ratio of the first two eigenfunctions of the deepest level s is affine
+    in the symmetrized eta sum."""
+    family = levels[0].family
     g = family.gamma
     eta = family.eta().fn
-    s = len(chain) - 1
-    if s == 0:
-        return
-    level = chain[s]
+    s = len(levels) - 1
+    level = levels[s]
     ratios, etas = [], []
     for x in samples:
         x = complex(x)
@@ -324,19 +304,18 @@ def _res_eta_level(family, chain, samples):
         yield rel_residual(r, a + b * e)
 
 
-def _res_vs_product(family, chain, samples):
-    """Potential of the deepest level s >= 1 from the base one through a
-    telescoping eta product; a level-0 chain checks nothing."""
+def _res_vs_product(levels, samples):
+    """Potential of the deepest level s from the base one through a
+    telescoping eta product."""
+    family = levels[0].family
     g = family.gamma
     eta = family.eta().fn
-    s = len(chain) - 1
-    if s == 0:
-        return
-    level = chain[s]
+    s = len(levels) - 1
+    level = levels[s]
     for x in samples:
         x = complex(x)
         lhs = level.v(x + 0.5j * s * g)
-        prod = chain[0].v(x)
+        prod = levels[0].v(x)
         for k in range(s):
             num = eta(x - 1j * g) - eta(x + 1j * k * g)
             den = eta(x) - eta(x + 1j * (k + 1) * g)
@@ -344,11 +323,17 @@ def _res_vs_product(family, chain, samples):
         yield rel_residual(lhs, prod)
 
 
-_ETA_RESIDUALS = {
-    "eta_affine": _res_eta_affine,
-    "V1_from_eta": _res_v1_from_eta,
-    "eta_level": _res_eta_level,
-    "Vs_product": _res_vs_product,
+# the coordinate identities of each chain kind, in report order; V1_from_eta
+# is Vs_product at level 1
+ETA_RELATIONS = {
+    "oqm": {"eta_affine": Identity(_res_eta_affine)},
+    "dqm": {
+        "eta_affine": Identity(_res_eta_affine),
+        "V1_from_eta": Identity(lambda levels, samples: _res_vs_product(levels[:2], samples),
+                                first_level=1),
+        "eta_level": Identity(_res_eta_level, first_level=1),
+        "Vs_product": Identity(_res_vs_product, first_level=1),
+    },
 }
 
 
@@ -423,11 +408,11 @@ def _limit_c(config):
         for c in config.c_values:
             level = _limit_level(config.potential(c), g / c)
             low = dqm_mod.apply_A(level, f.fn)
+            h_f = dqm_mod.hamiltonian_apply(level, f.fn)
             worst_a = worst_residual(abs((c / (math.sqrt(a) * g)) * low(x) - la)
                                      for x, la in zip(xs, lim_a))
             worst_h = worst_residual(
-                abs((c**2 / (a * g * g)) * dqm_mod.hamiltonian_apply(level, f.fn, x) - lh)
-                for x, lh in zip(xs, lim_h))
+                abs((c**2 / (a * g * g)) * h_f(x) - lh) for x, lh in zip(xs, lim_h))
             errs_a.append(worst_a)
             errs_h.append(worst_h)
             table.rows.append(LimitRow("c_to_inf", f"A:{label}", float(c), float(worst_a)))

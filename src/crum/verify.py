@@ -71,7 +71,7 @@ class RunConfig:
     out: str = ""
 
     def __post_init__(self):
-        for name, low in (("depth", 0), ("nmax", 0), ("samples", 1), ("seed", None)):
+        for name, low in (("depth", 1), ("nmax", 0), ("samples", 1), ("seed", None)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
@@ -235,20 +235,17 @@ class _ChainKind:
     """
 
     chain: object               # the chain module: oqm or dqm
-    build: Callable             # (family, config) -> levels
-    residual_options: Callable  # (level, config) -> keywords for chain.relation_residual
     point_sets: Callable        # (family, config) -> sample sets to try in order; the last is the real axis
     growth_det: Callable        # (family, s) -> x -> (determinant, LU growth)
     oracle: Callable            # (family, levels, config) -> (block, ok)
-    eta_kinds: tuple
-    eta_tol: float
+    eta_tol: float              # tolerance of the coordinate relations
 
 
 def run_suite(config: RunConfig):
     t0 = time.perf_counter()
     family = make_family(config.family, **config.params)
     kind = _KINDS[family.kind]
-    levels = kind.build(family, config)
+    levels = kind.chain.build_chain(family, config.depth, nmax=config.nmax)
     point_sets = kind.point_sets(family, config)
     axis = point_sets[-1]
     verdicts = []
@@ -269,8 +266,7 @@ def run_suite(config: RunConfig):
     eta_rel, eta_verdict = _eta_block(family, levels, axis, kind)
     virt = _virtual_block(family, levels, config, axis, kind.chain)
     verdicts += [oracle_ok, shape["pass"], eta_verdict, virt["pass"]]
-    growth = (_growth_scan(kind.growth_det(family, config.depth), axis)
-              if config.depth >= 1 else 1.0)
+    growth = _growth_scan(kind.growth_det(family, config.depth), axis)
 
     desc = family.descriptor()
     return VerificationReport(
@@ -294,8 +290,7 @@ def _identity(kind, name, chain, sampled, point_sets, config):
     whose shifted points stay inside the strip; a chain error is a skip."""
     for pts in point_sets:
         try:
-            res = kind.chain.relation_residual(name, chain, pts,
-                                               **kind.residual_options(chain[-1], config))
+            res = kind.chain.relation_residual(name, chain, pts)
         except StripError:
             continue
         except CrumError as exc:
@@ -350,11 +345,6 @@ def _strip_points(family, config):
             sample_points(family, config.samples, config.seed)]
 
 
-def _ns_for(level, config):
-    lo = level.s + 1
-    return [n for n in range(lo, min(config.nmax, lo + 2) + 1)]
-
-
 def _gram_block(family, levels, s, config):
     ns = list(range(s, min(config.nmax, s + 3) + 1))
     if len(ns) < 2:
@@ -398,8 +388,6 @@ def _oracle_oqm(family, levels, config):
     ok = True
     tol = config.tolerance("oracle_spectrum")
     for s in (0, 1):
-        if s >= len(levels):
-            break
         u = levels[s].potential()
         lo, hi = _oracle_box(family)
         grid = grid_eigensolve(lambda t: u(complex(t)).real, (lo + (0.02 if s else 0.0), hi), 2000, 3)
@@ -462,15 +450,15 @@ def _shape_block(family, levels):
 
 def _eta_block(family, levels, pts, kind):
     """The coordinate relations; returns the block and its verdict (None when
-    a relation was skipped and none failed)."""
+    a relation was skipped and none failed).  A chain error is a skip."""
     block = {}
     ok = True
     skipped = False
-    for name in kind.eta_kinds:
+    for name in structure_mod.ETA_RELATIONS[family.kind]:
         try:
             res = structure_mod.eta_relations_residual(name, family, levels, pts)
-        except StripError as exc:
-            block[name] = f"skipped: {exc}"
+        except CrumError as exc:
+            block[name] = f"skipped: {type(exc).__name__}: {exc}"
             skipped = True
             continue
         block[name] = float(res)
@@ -501,22 +489,16 @@ def _virtual_block(family, levels, config, pts, chain):
 _KINDS = {
     "oqm": _ChainKind(
         chain=oqm_mod,
-        build=lambda family, config: oqm_mod.build_chain(family, config.depth, nmax=config.nmax),
-        residual_options=lambda level, config: {},
         point_sets=_axis_points,
         growth_det=_wronskian_det,
         oracle=_oracle_oqm,
-        eta_kinds=("eta_affine",),
         eta_tol=1e-8,
     ),
     "dqm": _ChainKind(
         chain=dqm_mod,
-        build=lambda family, config: dqm_mod.build_chain(family, config.depth),
-        residual_options=lambda level, config: {"ns": _ns_for(level, config)},
         point_sets=_strip_points,
         growth_det=_casoratian_det,
         oracle=_oracle_dqm,
-        eta_kinds=("eta_affine", "V1_from_eta", "eta_level", "Vs_product"),
         eta_tol=1e-7,
     ),
 }

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from crum import AnalyticFn, make_family
+from crum.analytic import star_eval
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
 from crum.jets import Jet
@@ -29,8 +30,12 @@ def from_poly(coeffs, label="", strip_halfwidth=math.inf):
             acc = acc * jx + c
         return acc
 
-    return AnalyticFn(fn, strip_halfwidth=strip_halfwidth, label=label,
-                      is_real=all(c.imag == 0 for c in cs), jet_fn=jet_fn)
+    return AnalyticFn(fn, strip_halfwidth=strip_halfwidth, label=label, jet_fn=jet_fn)
+
+
+def starred(f):
+    """The star conjugate of f as a function on f's strip: x -> conj(f(conj x))."""
+    return AnalyticFn(lambda x: star_eval(f, x), strip_halfwidth=f.strip_halfwidth)
 
 
 def factor_log_sum_oracle(q, groups, x):
@@ -56,8 +61,7 @@ def _memoized(f, label):
             hit = cache[key] = f.jet_fn(x, max(order, 4))
         return hit.truncate(order)
 
-    return AnalyticFn(lambda x: jet_fn(x, 0).value, label=label, is_real=True,
-                      jet_fn=jet_fn)
+    return AnalyticFn(lambda x: jet_fn(x, 0).value, label=label, jet_fn=jet_fn)
 
 
 class RecursiveLevel:
@@ -85,7 +89,7 @@ class RecursiveLevel:
             j = seed.jet(x, order + 2)
             return (j.derivative().derivative() / j.truncate(order)).truncate(order)
 
-        return AnalyticFn(lambda x: jet_fn(x, 0).value, is_real=True, jet_fn=jet_fn)
+        return AnalyticFn(lambda x: jet_fn(x, 0).value, jet_fn=jet_fn)
 
 
 def recursive_chain(family, depth, nmax):
@@ -107,11 +111,11 @@ def recursive_chain(family, depth, nmax):
     return levels
 
 
-def worst_over_levels(chain_mod, kind, levels, samples, **options):
+def worst_over_levels(chain_mod, kind, levels, samples):
     """Worst residual of identity `kind` over every level of `levels` it applies
     to: relation_residual checks only the deepest level of the chain it is given."""
     first = chain_mod.IDENTITIES[kind].first_level
-    return max(chain_mod.relation_residual(kind, levels[: s + 1], samples, **options)
+    return max(chain_mod.relation_residual(kind, levels[: s + 1], samples)
                for s in range(first, len(levels)))
 
 

@@ -141,7 +141,7 @@ def test_criterion_4_difference_suite(dqm_chains):
     for name, (fam, levels, build_t) in dqm_chains.items():
         t0 = time.perf_counter()
         pts = _strip_pts(fam, 12)
-        worst = {k: worst_over_levels(dqm, k, levels, pts, ns=[3, 4, 5]) for k in kinds}
+        worst = {k: worst_over_levels(dqm, k, levels, pts) for k in kinds}
         elapsed = build_t + (time.perf_counter() - t0)
         fam_ok = max(worst.values()) <= 1e-7 and elapsed < 60.0
         ok &= note(4, fam_ok,

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import from_poly
+from conftest import from_poly, starred
 from crum.analytic import (AnalyticFn, casoratian, inner_product, lu_det, star_eval,
                            worst_residual, wronskian)
 from crum.errors import AccuracyError, CapabilityError, StripError
 from crum.jets import Jet
 from crum.quadrature import QuadratureSpec
 
-GAUSS = AnalyticFn(lambda x: cmath.exp(-0.5 * x * x), label="gauss", is_real=True,
+GAUSS = AnalyticFn(lambda x: cmath.exp(-0.5 * x * x), label="gauss",
                    jet_fn=lambda x, o: (lambda j: (-0.5 * j * j).exp())(Jet.variable(x, o)))
-XGAUSS = AnalyticFn(lambda x: x * cmath.exp(-0.5 * x * x), label="x*gauss", is_real=True,
+XGAUSS = AnalyticFn(lambda x: x * cmath.exp(-0.5 * x * x), label="x*gauss",
                     jet_fn=lambda x, o: (lambda j: j * (-0.5 * j * j).exp())(Jet.variable(x, o)))
 
 
@@ -40,7 +40,7 @@ def test_star_eval_exponential():
 def test_double_star_is_identity():
     f = from_poly([0.3 + 0.1j, -1.0, 2.0 - 0.5j])
     for x in (0.5 + 0.2j, -1.0 - 0.7j):
-        assert abs(star_eval(f.star(), x) - f(x)) < 1e-14
+        assert abs(star_eval(starred(f), x) - f(x)) < 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -50,7 +50,7 @@ def test_double_star_is_identity():
 def test_double_star_property(coeffs, re, im):
     f = from_poly(coeffs)
     x = complex(re, im)
-    assert abs(star_eval(f.star(), x) - f(x)) <= 1e-12 * (1 + abs(f(x)))
+    assert abs(star_eval(starred(f), x) - f(x)) <= 1e-12 * (1 + abs(f(x)))
 
 
 def test_star_eval_outside_strip_raises():

@@ -122,11 +122,21 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
 def test_negative_depth_is_a_parameter_error(capsys):
     code, out, err = run_cli(capsys, "chain", "--family", "hermite", "--depth", "-1")
     assert code == 2
-    assert "depth must be >= 0" in err
+    assert "depth must be >= 1" in err
+
+
+def test_depth_zero_is_a_parameter_error(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "chain", "--family", "hermite", "--depth", "0",
+                             "--out", str(out_file))
+    assert code == 2
+    assert "depth must be >= 1" in err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("text", [
     "not json {", "[1, 2]", '{"family": "hermite", "depth": "two"}',
+    '{"family": "hermite", "depth": 0}',
     '{"family": "q_hermite", "params": [0.5]}',
     '{"family": "askey_wilson", "params": {"q": 0.6, "a1": [0.1, 0.2, 0.3]}}',
     '{"family": "hermite", "tolerances": [1e-9]}'])

@@ -67,14 +67,14 @@ def test_hamiltonian_zero_on_ground_state(askey_wilson):
     level = dqm.level0(askey_wilson)
     phi0 = askey_wilson.phi0().fn
     for x in _pts(askey_wilson, 8):
-        assert abs(dqm.hamiltonian_apply(level, phi0, x)) <= 1e-10 * (1 + abs(phi0(x)))
+        assert abs(dqm.hamiltonian_apply(level, phi0)(x)) <= 1e-10 * (1 + abs(phi0(x)))
 
 
 def test_hamiltonian_first_excited_q_hermite(q_hermite):
     level = dqm.level0(q_hermite)
     f = q_hermite.phi(1).fn
     for x in _pts(q_hermite, 10):
-        lhs = dqm.hamiltonian_apply(level, f, x)
+        lhs = dqm.hamiltonian_apply(level, f)(x)
         assert abs(lhs - 1.0 * f(x)) <= 1e-10 * (1 + abs(f(x)))   # E_1 = 1/q - 1 = 1
 
 
@@ -83,7 +83,7 @@ def test_hamiltonian_matches_factor_product(q_hermite):
     f = q_hermite.phi(3).fn
     lifted = dqm.apply_Adag(level, dqm.apply_A(level, f))
     for x in _pts(q_hermite, 10):
-        assert abs(dqm.hamiltonian_apply(level, f, x) - (lifted(x) + level.E_s * f(x))) \
+        assert abs(dqm.hamiltonian_apply(level, f)(x) - (lifted(x) + level.E_s * f(x))) \
             <= 1e-10 * (1 + abs(f(x)))
 
 
@@ -123,7 +123,7 @@ def test_iso_spectrality_level1(name, tol, request):
         f = lambda x, nn=n: lvl1._phi_fn(nn, x)
         e_n = fam.energy(n)
         for x in _pts(fam, 6):
-            lhs = dqm.hamiltonian_apply(lvl1, f, x)
+            lhs = dqm.hamiltonian_apply(lvl1, f)(x)
             assert abs(lhs - e_n * f(x)) <= tol * (1 + abs(e_n)) * (1 + abs(f(x)))
 
 
@@ -167,7 +167,8 @@ def test_chain_break_on_sign_changing_seed(q_hermite):
     level = dqm.level0(q_hermite)
     # pretend the next seed is the second excited state (which has nodes)
     fake_phi = lambda n, x: level._phi_fn(n + 1, x)
-    fake = dqm.DqmChainLevel(q_hermite, 0, 0.0, level.sqrt_v, level.sqrt_v_star, fake_phi)
+    fake = dqm.DqmChainLevel(q_hermite, 0, 0.0, level.nmax, level.sqrt_v, level.sqrt_v_star,
+                             fake_phi)
     with pytest.raises(ChainBreakError):
         dqm.step_chain(fake)
 
@@ -223,20 +224,32 @@ def test_casoratian_jacobi_residual(q_hermite_chain, q_hermite):
 
 
 def test_step_determinant_residual(q_hermite_chain, q_hermite):
-    res = dqm.relation_residual("step_determinant", q_hermite_chain[:2],
-                                _strip_pts(q_hermite), ns=[2])
+    # level 1 of a chain built to nmax=2 checks n = 2 only
+    chain = dqm.build_chain(q_hermite, 1, nmax=2)
+    res = dqm.relation_residual("step_determinant", chain, _strip_pts(q_hermite))
     assert res <= 1e-9
 
 
-def test_check_product_aw(askey_wilson_chain, askey_wilson):
-    res = worst_over_levels(dqm, "check_product", askey_wilson_chain,
-                            _pts(askey_wilson, 8), ns=[3])
+def test_check_product_aw(askey_wilson):
+    # built to nmax=3, level 1 checks n = 2, 3 and level 2 checks n = 3
+    chain = dqm.build_chain(askey_wilson, 2, nmax=3)
+    res = worst_over_levels(dqm, "check_product", chain, _pts(askey_wilson, 8))
     assert res <= 1e-7
 
 
-def test_identity_with_nothing_to_check_raises(q_hermite_chain, q_hermite):
+def test_levels_carry_nmax(q_hermite):
+    chain = dqm.build_chain(q_hermite, 2, nmax=4)
+    assert [lvl.nmax for lvl in chain] == [4, 4, 4]
+    assert dqm.build_chain(q_hermite, 1)[1].nmax == q_hermite.nmax
+    with pytest.raises(DomainError, match="nmax"):
+        chain[2].phi(5, 1.1)
+
+
+def test_identity_with_nothing_to_check_raises(q_hermite, q_hermite_chain):
+    # with nmax=2 no eigenfunction above the seed is left at level 2
+    chain = dqm.build_chain(q_hermite, 2, nmax=2)
     with pytest.raises(DomainError, match="evaluated nothing at level 2"):
-        dqm.relation_residual("intertwine", q_hermite_chain, _pts(q_hermite), ns=[])
+        dqm.relation_residual("intertwine", chain, _pts(q_hermite))
     with pytest.raises(DomainError, match="applies from level 1"):
         dqm.relation_residual("quadratic", q_hermite_chain[:1], _pts(q_hermite))
 

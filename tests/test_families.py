@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import AW_PARAMS, factor_log_sum_oracle
+from conftest import AW_PARAMS, factor_log_sum_oracle, starred
 from crum import make_family, virtual_state
+from crum.analytic import star_eval
 from crum.errors import DomainError, ParameterError
 from crum.quadrature import refinement_sequence
 from crum.special import qpochhammer_inf
@@ -21,6 +22,17 @@ def test_hermite_prepotential_and_potential(hermite):
     for x in (-1.5, 0.0, 2.0):
         assert abs(u(x) - (x * x - 1.0)) < 1e-12
         assert abs(wp(x) - (-x)) < 1e-13
+
+
+def test_validation_rejects_a_ground_state_off_the_prepotential():
+    from crum import families
+    from crum.jets import Jet
+
+    fam = families._hermite_family()
+    # e^{-x^2} is positive, but its log-derivative -2x is not the family's W' = -x
+    fam._w_log_jet = lambda x, order: -(Jet.variable(x, order) * Jet.variable(x, order))
+    with pytest.raises(ParameterError, match="derivative of W"):
+        families._validate_family(fam)
 
 
 def test_laguerre_constraint():
@@ -78,7 +90,7 @@ def test_phi_n_out_of_range(hermite):
 def test_aw_potential_star_pair(askey_wilson):
     for xr in (0.6, 1.2, 2.2):
         v = askey_wilson.v()(xr)
-        vs = askey_wilson.v().star()(xr)
+        vs = star_eval(askey_wilson.v(), xr)
         assert abs((v + vs).imag) < 1e-13 * (1 + abs(v))
 
 
@@ -236,7 +248,7 @@ def test_dqm_virtual_norm_is_finite(q_hermite):
 
 @pytest.mark.parametrize("name", ["hermite", "laguerre", "jacobi", "q_hermite", "askey_wilson"])
 def test_double_star_at_strip_points(name, request):
-    from crum.analytic import AnalyticFn, star_eval
+    from crum.analytic import AnalyticFn
     fam = request.getfixturevalue(name)
     rng = np.random.default_rng(17)
     lo, hi = fam.interior(0.8)
@@ -248,17 +260,19 @@ def test_double_star_at_strip_points(name, request):
                    strip_halfwidth=f.strip_halfwidth)
     for _ in range(10):
         x = complex(rng.uniform(lo, hi), rng.uniform(-h, h))
-        assert abs(star_eval(g.star(), x) - g.fn(x)) < 1e-12 * (1 + abs(g.fn(x)))
+        assert abs(star_eval(starred(g), x) - g.fn(x)) < 1e-12 * (1 + abs(g.fn(x)))
 
 
 @pytest.mark.parametrize("name", ["hermite", "laguerre", "jacobi", "q_hermite", "askey_wilson"])
 def test_real_flag_means_real_on_axis(name, request):
     fam = request.getfixturevalue(name)
     lo, hi = fam.interior(0.8)
+    h = 0.3 * min(fam.strip_halfwidth, 1.0)
     for n in (0, 2):
         f = fam.phi(n)
-        assert f.is_real
         for x in np.linspace(lo, hi, 9):
+            z = complex(x, h)                  # f* = f on the strip, not only on the axis
+            assert abs(star_eval(f, z) - f(z)) <= 1e-12 * (1 + abs(f(z)))
             v = f.fn(complex(x))
             assert abs(v.imag) <= 1e-12 * (1 + abs(v))
 

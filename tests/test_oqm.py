@@ -244,7 +244,6 @@ def test_phi_via_wronskian_matches_operators(hermite_chain):
     ("downshift_roundtrip", 1e-8),
     ("zero_mode", 1e-9),
     ("iso_spectral", 1e-8),
-    ("realness", 1e-9),
     ("node_count", 0.0),
 ])
 def test_hermite_relation_residuals(hermite_chain, hermite, kind, tol):

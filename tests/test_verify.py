@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from crum import dqm, oqm, virtual_state
-from crum.errors import ChainBreakError, ParameterError
+from crum import dqm, oqm, structure, virtual_state
+from crum.analytic import Identity
+from crum.errors import ChainBreakError, ParameterError, PoleError
 from crum.verify import (DEFAULT_TOLERANCES, RunConfig, grid_eigensolve, gram_matrix,
                          norm_divergence_flag, run_suite, sample_points)
 
-OQM_LEVEL_IDENTITIES = {"zero_mode", "iso_spectral", "realness", "node_count"}
+OQM_LEVEL_IDENTITIES = {"zero_mode", "iso_spectral", "node_count"}
 OQM_STEP_IDENTITIES = {"intertwine", "riccati", "factorization", "potential_wronskian",
                        "wronskian_product", "wronskian_ratio", "downshift_roundtrip"}
 DQM_LEVEL_IDENTITIES = {"zero_mode", "iso_spectral", "realness"}
@@ -149,6 +150,20 @@ def test_chain_error_in_an_identity_is_not_a_pass(monkeypatch):
     assert rep.status == "incomplete"
 
 
+def test_chain_error_in_a_coordinate_relation_is_a_skip(monkeypatch):
+    def pole(levels, samples):
+        raise PoleError("injected")
+        yield
+
+    monkeypatch.setitem(structure.ETA_RELATIONS["dqm"], "Vs_product",
+                        Identity(pole, first_level=1))
+    rep = run_suite(RunConfig(family="q_hermite", params={"q": 0.5}, depth=1, nmax=3,
+                              samples=4, seed=7))
+    assert rep.eta_relations["Vs_product"] == "skipped: PoleError: injected"
+    assert isinstance(rep.eta_relations["eta_level"], float)
+    assert rep.status == "incomplete"
+
+
 def test_identity_that_evaluates_nothing_is_a_skip():
     # with nmax=2 no eigenfunction above the seed is left at level 2
     rep = run_suite(RunConfig(family="q_hermite", params={"q": 0.5}, depth=2, nmax=2,
@@ -164,7 +179,7 @@ def test_identity_that_evaluates_nothing_is_a_skip():
     assert rep.status == "incomplete"
 
 
-@pytest.mark.parametrize("field,value", [("samples", 0), ("depth", -1), ("nmax", -1),
+@pytest.mark.parametrize("field,value", [("samples", 0), ("depth", -1), ("depth", 0), ("nmax", -1),
                                          ("depth", "two"), ("samples", 2.5), ("seed", None)])
 def test_run_config_rejects_what_cannot_run(field, value):
     with pytest.raises(ParameterError, match=field):
