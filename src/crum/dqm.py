@@ -190,6 +190,8 @@ def level0(family, nmax=None):
     """Level 0: the family itself, eigenfunctions up to nmax (default the
     family's own range)."""
     nmax = family.nmax if nmax is None else nmax
+    if nmax > family.nmax:
+        raise DomainError(f"n={nmax} outside tabulated range 0..{family.nmax}")
     sqv = family.sqrt_v()
     sqv_fn = sqv.fn
 

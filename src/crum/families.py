@@ -67,7 +67,7 @@ class OqmFamily:
         self._eta_jet = eta_jet
         self.shape = shape
         self.label = f"{name}({label_params})" if label_params else name
-        self._h_cache = {}
+        self._h0 = None
         a, b = domain
         if math.isinf(a):
             self.quad = QuadratureSpec(kind="full_line", tolerance=1e-12)
@@ -158,11 +158,7 @@ class OqmFamily:
         return float(self._energy(n, self.params))
 
     def hnorm(self, n):
-        """Squared norm of phi_n, cached quadrature."""
-        if n not in self._h_cache:
-            val = inner_product(self.phi(n), self.phi(n), self.quad)
-            self._h_cache[n] = float(val.real)
-        return self._h_cache[n]
+        return _hnorm(self, n)
 
     def interior(self, fraction=0.9):
         a, b = self.domain
@@ -254,6 +250,18 @@ def _jacobi_family(g):
                     lambda n, p: n * (n + 2.0 * g), recurrence, eta_jet, shape, f"g={g}")
     fam._w_log_jet = w_log_jet
     return fam
+
+
+def _hnorm(fam, n):
+    """Squared norm h_n of phi_n = phi_0 P_n: h_0 by quadrature (computed
+    once per family), times c_1 ... c_n of the monic recurrence of P_n, since
+    h_n = c_n h_{n-1} for monic orthogonal polynomials."""
+    if fam._h0 is None:
+        fam._h0 = float(inner_product(fam.phi(0), fam.phi(0), fam.quad).real)
+    h = fam._h0
+    for k in range(1, n + 1):
+        h *= fam._recurrence(k)[1]
+    return h
 
 
 # --------------------------------------------------------------------------
@@ -354,7 +362,7 @@ class DqmFamily:
         # only parameters with a genuine phase bound the strip height
         nonreal = [abs(a) for a in self.avals if abs(a) > 0 and abs(a.imag) > 1e-14]
         self.strip_halfwidth = min((-math.log(r) for r in nonreal), default=math.inf)
-        self._h_cache = {}
+        self._h0 = None
         self.quad = QuadratureSpec(kind="interval", a=0.0, b=math.pi, tolerance=1e-12)
 
         # potential: product of (1 - a_j e^{ix}) over ((1-e^{2ix})(1-q e^{2ix}))
@@ -410,6 +418,10 @@ class DqmFamily:
             pm1, p = p, (y - bs[k]) * p - cs[k] * pm1
         return p
 
+    def _recurrence(self, k):
+        """(b_k, c_k) of the monic recurrence P_{k+1} = (y - b_k) P_k - c_k P_{k-1}."""
+        return self._bc[0][k], self._bc[1][k]
+
     def phi(self, n):
         if n < 0 or n > self.nmax:
             raise DomainError(f"n={n} outside tabulated range 0..{self.nmax}")
@@ -433,10 +445,7 @@ class DqmFamily:
         return float(val.real)
 
     def hnorm(self, n):
-        if n not in self._h_cache:
-            val = inner_product(self.phi(n), self.phi(n), self.quad)
-            self._h_cache[n] = float(val.real)
-        return self._h_cache[n]
+        return _hnorm(self, n)
 
     def interior(self, fraction=0.9):
         half = 0.5 * math.pi
@@ -650,7 +659,7 @@ def _oqm_energy_oracle(fam, k=3):
 
     u = fam.potential()
     lo, hi = _oracle_box(fam)
-    levels = grid_eigensolve(lambda x: u(complex(x)).real, (lo, hi), 1400, k)
+    levels = grid_eigensolve(lambda x: u(x).real, (lo, hi), 1400, k)
     for n in range(k):
         if abs(levels[n] - fam.energy(n)) > _ENERGY_ORACLE_TOL * (1 + abs(fam.energy(n))):
             raise ParameterError(

@@ -99,8 +99,7 @@ def node_count(fn, interval, npoints=NODE_GRID):
     Grid points landing exactly on a zero are dropped before counting, so a
     node sitting on a sample still counts once.
     """
-    xs = np.linspace(interval[0], interval[1], npoints)
-    vals = np.real(fn.jet(xs, 0).value) if fn.jet_fn else np.real([fn(complex(x)) for x in xs])
+    vals = np.real(fn(np.linspace(interval[0], interval[1], npoints)))
     signs = [s for s in np.sign(vals) if s != 0]
     return sum(1 for a, b in zip(signs[:-1], signs[1:]) if a != b)
 

@@ -5,6 +5,12 @@ physical domains (finite interval, half line, full line); the adaptive
 driver halves the trapezoid step until two consecutive levels agree to the
 requested tolerance.  The same level sequence doubles as a divergence
 detector for non-normalizable functions.
+
+Integrands are array functions: each refinement level calls the integrand
+once, on the array of that level's new nodes, and it returns its values
+there with the node axis last, so one refinement can integrate a whole stack
+of integrands (a Gram matrix, say) on shared nodes.  A failure at a node
+shows as a non-finite value, never as an exception.
 """
 
 from __future__ import annotations
@@ -87,15 +93,18 @@ def _de_full_line(base_points, level):
     return x, h * w
 
 
-def _eval_node(fn, xi):
-    """Integrand value at one node; None signals arithmetic failure there."""
-    try:
-        v = complex(fn(float(xi)))
-    except (ZeroDivisionError, OverflowError, FloatingPointError):
-        return None
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        return None
-    return v
+def _level_sums(fn, spec, level):
+    """Nodes of one refinement level, the integrand at all of them (one call),
+    the weighted sums over the node axis and the mask of non-finite values.
+
+    fn takes the node array and returns values of shape (..., nodes); the
+    non-finite values are zeroed in the sums and flagged in the mask.
+    """
+    x, w = spec.nodes_weights(level)
+    fx = np.asarray(fn(x), dtype=complex)
+    bad = ~np.isfinite(fx)
+    wf = w * np.where(bad, 0j, fx)
+    return x, np.sum(wf, axis=-1), np.sum(np.abs(wf), axis=-1), bad
 
 
 def refinement_sequence(fn, spec, levels=None):
@@ -111,20 +120,13 @@ def refinement_sequence(fn, spec, levels=None):
     diverging = False
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(levels + 1):
-            x, w = spec.nodes_weights(level)
-            fx = []
-            for xi in x:
-                v = _eval_node(fn, xi)
-                if v is None:
-                    diverging = True
-                    v = 0j
-                fx.append(v)
-            contrib = np.sum(np.asarray(w) * np.asarray(fx))
+            _x, contrib, _abs, bad = _level_sums(fn, spec, level)
+            diverging |= bool(bad.any())
             # trapezoid halving: new total = old/2 + (new step) * sum(new points)
             total = contrib if level == 0 else total / 2.0 + contrib
             values.append(total)
     # growth detection on magnitudes
-    mags = [abs(v) for v in values]
+    mags = [float(np.max(np.abs(v))) for v in values]
     grow = sum(1 for i in range(1, len(mags)) if mags[i] > 1.6 * mags[i - 1] + 1e-12)
     if grow >= 2 or (mags and not math.isfinite(mags[-1])):
         diverging = True
@@ -134,8 +136,17 @@ def refinement_sequence(fn, spec, levels=None):
 def integrate(fn, spec):
     """Adaptive integral of fn over spec's domain.
 
-    Returns (value, error_estimate).  Raises AccuracyError (carrying the best
-    estimate) when consecutive refinements refuse to settle.
+    fn is called once per refinement level on the whole node array and
+    returns values of shape (..., nodes); the integral has that leading shape
+    and has converged when every entry changed by at most
+    tolerance * (1 + integral of |f|) from the previous level.  A non-finite
+    value beyond decay_radius on an infinite domain is read as underflow of a
+    decaying tail and counts as zero; anywhere else it raises AccuracyError
+    naming the node.
+
+    Returns (value, error_estimate), the estimate being the largest change
+    of an entry.  Raises AccuracyError (carrying the best estimate) when
+    consecutive refinements refuse to settle.
     """
     total = None
     abs_mass = 0.0   # integral of |f|; sets the resolvable scale for cancelling integrands
@@ -144,31 +155,21 @@ def integrate(fn, spec):
     unbounded = spec.kind in ("half_line", "full_line")
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(spec.max_level + 1):
-            x, w = spec.nodes_weights(level)
-            fx = []
-            for xi in x:
-                v = _eval_node(fn, xi)
-                if v is None:
-                    # past the decay horizon of an infinite domain this is
-                    # tail underflow; anywhere else it is a genuine failure
-                    if unbounded and abs(xi) > spec.decay_radius:
-                        v = 0j
-                    else:
-                        raise AccuracyError(
-                            f"integrand not finite at node x={float(xi):g}", best=total)
-                fx.append(v)
-            warr = np.asarray(w)
-            farr = np.asarray(fx)
-            contrib = np.sum(warr * farr)
-            abs_contrib = float(np.sum(np.abs(warr * farr)))
+            x, contrib, abs_contrib, bad = _level_sums(fn, spec, level)
+            failed = bad.reshape(-1, x.size).any(axis=0)
+            if unbounded:
+                failed &= np.abs(x) <= spec.decay_radius
+            if failed.any():
+                node = float(x[np.argmax(failed)])
+                raise AccuracyError(f"integrand not finite at node x={node:g}", best=total)
             total = contrib if level == 0 else total / 2.0 + contrib
             abs_mass = abs_contrib if level == 0 else abs_mass / 2.0 + abs_contrib
             if prev is not None:
-                err = abs(total - prev)
-                if err <= spec.tolerance * (1.0 + abs_mass):
+                change = np.abs(total - prev)
+                err = float(np.max(change))
+                if np.all(change <= spec.tolerance * (1.0 + abs_mass)):
                     return total, err
             prev = total
     raise AccuracyError(
         f"quadrature did not converge (last change {err:.3e})", best=total
     )
-

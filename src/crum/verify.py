@@ -9,12 +9,11 @@ reports (wall time aside).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -151,6 +150,8 @@ def grid_eigensolve(u_fn, domain, n_points, k):
 
     Three-point finite differences on n_points interior nodes, Richardson
     extrapolated against the doubled grid (the h^2 error term cancels).
+    u_fn maps the array of grid points to the real values of U there, one
+    call per grid; a non-finite value raises AccuracyError.
     """
     if n_points < 200:
         raise ValueError("grid too coarse for the oracle (need n_points >= 200)")
@@ -158,7 +159,11 @@ def grid_eigensolve(u_fn, domain, n_points, k):
     def eigs(npts):
         x = np.linspace(domain[0], domain[1], npts + 2)[1:-1]
         h = x[1] - x[0]
-        diag = 2.0 / h**2 + np.asarray([u_fn(float(t)) for t in x])
+        u = np.asarray(u_fn(x), dtype=float)
+        bad = ~np.isfinite(u)
+        if bad.any():
+            raise AccuracyError(f"potential not finite at grid point x={x[np.argmax(bad)]:g}")
+        diag = 2.0 / h**2 + u
         off = -np.ones(npts - 1) / h**2
         return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
 
@@ -168,28 +173,18 @@ def grid_eigensolve(u_fn, domain, n_points, k):
 
 
 def gram_matrix(fns, quad: QuadratureSpec):
-    """Hermitian matrix of pairwise inner products.
-
-    Every entry integrates over the same nodes, so each function's values are
-    kept in a table that lives for this call only.
-    """
-    fns = [replace(f, fn=functools.cache(f.fn)) for f in fns]
-    m = len(fns)
-    g = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            val = inner_product(fns[i], fns[j], quad)
-            g[i, j] = val
-            g[j, i] = val.conjugate()
-    return g
+    """Hermitian matrix of pairwise inner products, from one refinement on
+    shared nodes: each function is evaluated once per quadrature level."""
+    fns = list(fns)
+    return inner_product(fns, fns, quad)
 
 
 def norm_divergence_flag(fn, quad: QuadratureSpec, levels=6):
     """Refine the squared-norm integral; report whether it settles or grows."""
 
     def integrand(x):
-        v = fn.fn(complex(x))
-        return (v.conjugate() * v).real
+        v = fn(x)
+        return (v.conj() * v).real
 
     values, diverging = refinement_sequence(integrand, quad, levels=levels)
     finite = [v for v in values if math.isfinite(abs(v))]
@@ -244,6 +239,9 @@ class _ChainKind:
 def run_suite(config: RunConfig):
     t0 = time.perf_counter()
     family = make_family(config.family, **config.params)
+    if config.nmax > family.nmax:
+        raise ParameterError(f"nmax must be <= {family.nmax} for {family.name}, "
+                             f"got {config.nmax}")
     kind = _KINDS[family.kind]
     levels = kind.chain.build_chain(family, config.depth, nmax=config.nmax)
     point_sets = kind.point_sets(family, config)
@@ -390,7 +388,7 @@ def _oracle_oqm(family, levels, config):
     for s in (0, 1):
         u = levels[s].potential()
         lo, hi = _oracle_box(family)
-        grid = grid_eigensolve(lambda t: u(complex(t)).real, (lo + (0.02 if s else 0.0), hi), 2000, 3)
+        grid = grid_eigensolve(lambda t: u(t).real, (lo + (0.02 if s else 0.0), hi), 2000, 3)
         shifted = [float(e + levels[s].E_s) for e in grid]
         expected = [family.energy(n) for n in range(s, s + 3)]
         errs = [abs(a - b) / (1.0 + abs(b)) for a, b in zip(shifted, expected)]

@@ -1,12 +1,15 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from crum import AnalyticFn, make_family
 from crum.analytic import star_eval
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
+from crum.errors import AccuracyError
 from crum.jets import Jet
 from crum.special import QPOCH_TAIL
 
@@ -55,6 +58,8 @@ def _memoized(f, label):
     cache = {}
 
     def jet_fn(x, order):
+        if isinstance(x, np.ndarray):
+            return f.jet_fn(x, order)
         key = complex(x)
         hit = cache.get(key)
         if hit is None or hit.order < order:
@@ -109,6 +114,80 @@ def recursive_chain(family, depth, nmax):
         w_prime = _memoized(AnalyticFn(None, jet_fn=w_prime_jet), f"W[{s}]'")
         levels.append(RecursiveLevel(family, s, phis, w_prime))
     return levels
+
+
+def _eval_node(fn, xi):
+    """Integrand value at one node; None signals arithmetic failure there."""
+    try:
+        v = complex(fn(float(xi)))
+    except (ZeroDivisionError, OverflowError, FloatingPointError):
+        return None
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        return None
+    return v
+
+
+def scalar_integrate(fn, spec):
+    """Adaptive integral of a scalar integrand, called once per node: the
+    per-node route that `quadrature.integrate` replaced, kept as its oracle."""
+    total = None
+    abs_mass = 0.0
+    prev = None
+    err = math.inf
+    unbounded = spec.kind in ("half_line", "full_line")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(spec.max_level + 1):
+            x, w = spec.nodes_weights(level)
+            fx = []
+            for xi in x:
+                v = _eval_node(fn, xi)
+                if v is None:
+                    if unbounded and abs(xi) > spec.decay_radius:
+                        v = 0j
+                    else:
+                        raise AccuracyError(
+                            f"integrand not finite at node x={float(xi):g}", best=total)
+                fx.append(v)
+            warr = np.asarray(w)
+            farr = np.asarray(fx)
+            contrib = np.sum(warr * farr)
+            abs_contrib = float(np.sum(np.abs(warr * farr)))
+            total = contrib if level == 0 else total / 2.0 + contrib
+            abs_mass = abs_contrib if level == 0 else abs_mass / 2.0 + abs_contrib
+            if prev is not None:
+                err = abs(total - prev)
+                if err <= spec.tolerance * (1.0 + abs_mass):
+                    return total, err
+            prev = total
+    raise AccuracyError(f"quadrature did not converge (last change {err:.3e})", best=total)
+
+
+def scalar_gram(fns, quad):
+    """Gram matrix entry by entry, each a scalar integral over the nodes."""
+    m = len(fns)
+    g = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(i, m):
+            fi, fj = fns[i].fn, fns[j].fn
+            val, _err = scalar_integrate(
+                lambda x: complex(fi(complex(x))).conjugate() * fj(complex(x)), quad)
+            g[i, j] = val
+            g[j, i] = val.conjugate()
+    return g
+
+
+def scalar_grid_eigensolve(u_fn, domain, n_points, k):
+    """The grid oracle with U evaluated point by point (u_fn takes a float),
+    as `verify.grid_eigensolve` did before it took array functions."""
+
+    def eigs(npts):
+        x = np.linspace(domain[0], domain[1], npts + 2)[1:-1]
+        h = x[1] - x[0]
+        diag = 2.0 / h**2 + np.asarray([u_fn(float(t)) for t in x])
+        off = -np.ones(npts - 1) / h**2
+        return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+
+    return (4.0 * eigs(2 * n_points) - eigs(n_points)) / 3.0
 
 
 def worst_over_levels(chain_mod, kind, levels, samples):

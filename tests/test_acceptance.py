@@ -93,7 +93,7 @@ def test_criterion_2_isospectral_oracle(oqm_chains):
     for name, (fam, levels, _bt) in oqm_chains.items():
         u1 = levels[1].potential()
         lo, hi = _oracle_interval(fam)
-        grid = grid_eigensolve(lambda t: u1(complex(t)).real, (lo, hi), 2000, 3)
+        grid = grid_eigensolve(lambda t: u1(t).real, (lo, hi), 2000, 3)
         shifted = grid + levels[1].E_s
         expected = np.array([fam.energy(n) for n in (1, 2, 3)])
         err = float(np.max(np.abs(shifted - expected) / (1.0 + np.abs(expected))))
@@ -268,7 +268,7 @@ def test_criterion_10_divergence_flags_differential(oqm_chains):
     for name, (fam, _levels, _bt) in oqm_chains.items():
         phi_prime = virtual_state(fam)
         _vals, diverging = refinement_sequence(
-            lambda x: abs(phi_prime.fn(complex(x))) ** 2, fam.quad)
+            lambda x: np.abs(phi_prime(x)) ** 2, fam.quad)
         ok &= note(10, diverging, f"{name}: norm divergence flag {diverging}")
         assert diverging, name
     assert ok
@@ -284,7 +284,7 @@ def test_criterion_10_divergence_flags_difference(dqm_chains):
     for name, (fam, _levels, _bt) in dqm_chains.items():
         phi_prime = virtual_state(fam)
         _vals, diverging = refinement_sequence(
-            lambda x: abs(phi_prime.fn(complex(x))) ** 2, fam.quad)
+            lambda x: np.abs(phi_prime(x)) ** 2, fam.quad)
         ok &= note(10, diverging, f"{name}: norm divergence flag {diverging} "
                                   "(criterion expects True)")
         assert diverging, name

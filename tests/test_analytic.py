@@ -61,8 +61,8 @@ def test_star_eval_outside_strip_raises():
 
 def test_array_call_outside_strip_raises():
     f = AnalyticFn(lambda x: x, strip_halfwidth=0.5, label="ident")
-    with pytest.raises((StripError, TypeError)):
-        f(np.array([2j]))
+    with pytest.raises(StripError):
+        f(np.array([0.1, 2j, 0.3]))
 
 
 # -- jets ---------------------------------------------------------------------
@@ -237,3 +237,27 @@ def test_inner_product_divergent_raises_accuracy():
     blow = AnalyticFn(lambda x: cmath.exp(0.5 * x * x))
     with pytest.raises(AccuracyError):
         inner_product(blow, blow, FULL)
+
+
+def test_array_call_outside_strip_raises_with_jets():
+    f = from_poly([0.0, 1.0], strip_halfwidth=0.5)
+    with pytest.raises(StripError):
+        f(np.array([0.1, 0.2 + 0.6j]))
+
+
+def test_array_call_maps_arithmetic_failures_to_nan():
+    f = AnalyticFn(lambda x: 1.0 / x.real)
+    vals = f(np.array([2.0, 0.0, -4.0]))
+    assert vals.dtype == complex
+    assert vals[0] == 0.5 and vals[2] == -0.25
+    assert math.isnan(vals[1].real)
+
+
+def test_inner_product_of_lists_is_the_matrix():
+    fs = [GAUSS, XGAUSS]
+    gs = [XGAUSS, AnalyticFn(lambda x: (x + 1j) * cmath.exp(-0.5 * x * x))]
+    m = inner_product(fs, gs, FULL)
+    assert m.shape == (2, 2)
+    for i, f in enumerate(fs):
+        for j, g in enumerate(gs):
+            assert abs(m[i, j] - inner_product(f, g, FULL)) < 1e-13

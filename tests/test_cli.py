@@ -125,6 +125,16 @@ def test_negative_depth_is_a_parameter_error(capsys):
     assert "depth must be >= 1" in err
 
 
+@pytest.mark.parametrize("family", [["hermite"], ["q_hermite", "--param", "q=0.5"]])
+def test_nmax_beyond_the_family_range_exit_code(tmp_path, capsys, family):
+    out_file = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "chain", "--family", *family, "--depth", "1",
+                             "--nmax", "40", "--out", str(out_file))
+    assert code == 2
+    assert "nmax must be <= 32" in err
+    assert not out_file.exists()
+
+
 def test_depth_zero_is_a_parameter_error(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, err = run_cli(capsys, "chain", "--family", "hermite", "--depth", "0",

@@ -180,6 +180,14 @@ def test_level0_phi_out_of_range(q_hermite):
         level._phi_fn(q_hermite.nmax + 1, 1.1 + 0j)
 
 
+def test_level0_refuses_nmax_beyond_the_family_range(q_hermite):
+    with pytest.raises(DomainError, match="outside tabulated range"):
+        dqm.level0(q_hermite, nmax=q_hermite.nmax + 1)
+    with pytest.raises(DomainError, match="outside tabulated range"):
+        dqm.build_chain(q_hermite, 1, nmax=40)
+    assert dqm.level0(q_hermite, nmax=q_hermite.nmax).nmax == q_hermite.nmax
+
+
 # -- determinant formulas -------------------------------------------------------------
 
 def test_phi_via_casoratian_s0(q_hermite, q_hermite_chain):

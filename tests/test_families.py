@@ -6,7 +6,7 @@ import pytest
 
 from conftest import AW_PARAMS, factor_log_sum_oracle, starred
 from crum import make_family, virtual_state
-from crum.analytic import star_eval
+from crum.analytic import inner_product, star_eval
 from crum.errors import DomainError, ParameterError
 from crum.quadrature import refinement_sequence
 from crum.special import qpochhammer_inf
@@ -231,7 +231,7 @@ def test_aw_virtual_state_shape(askey_wilson):
 def test_oqm_virtual_norm_diverges(hermite):
     phi_prime = virtual_state(hermite)
     _vals, diverging = refinement_sequence(
-        lambda x: abs(phi_prime.fn(complex(x))) ** 2, hermite.quad)
+        lambda x: np.abs(phi_prime(x)) ** 2, hermite.quad)
     assert diverging
 
 
@@ -241,7 +241,7 @@ def test_dqm_virtual_norm_is_finite(q_hermite):
     # a norm divergence
     phi_prime = virtual_state(q_hermite)
     vals, diverging = refinement_sequence(
-        lambda x: abs(phi_prime.fn(complex(x))) ** 2, q_hermite.quad)
+        lambda x: np.abs(phi_prime(x)) ** 2, q_hermite.quad)
     assert not diverging
     assert abs(vals[-1]) < 50.0
 
@@ -292,3 +292,37 @@ def _params_from(plain):
     for k, v in plain.items():
         out[k] = complex(v[0], v[1]) if isinstance(v, list) else v
     return out
+
+
+# -- squared norms ---------------------------------------------------------------
+
+def _aw_h0(avals, q):
+    """Askey-Wilson integral of phi_0^2 over (0, pi)."""
+    num = 2.0 * math.pi * qpochhammer_inf(avals[0] * avals[1] * avals[2] * avals[3], q)
+    den = qpochhammer_inf(q, q)
+    for j in range(4):
+        for k in range(j + 1, 4):
+            den *= qpochhammer_inf(avals[j] * avals[k], q)
+    return (num / den).real
+
+
+@pytest.mark.parametrize("name,h0", [
+    ("hermite", lambda fam: math.sqrt(math.pi)),
+    ("laguerre", lambda fam: 0.5 * math.gamma(fam.params["g"] + 0.5)),
+    ("jacobi", lambda fam: math.sqrt(math.pi) * math.gamma(fam.params["g"] + 0.5)
+     / math.gamma(fam.params["g"] + 1.0)),
+    ("q_hermite", lambda fam: _aw_h0([0, 0, 0, 0], fam.q)),
+    ("askey_wilson", lambda fam: _aw_h0(fam.avals, fam.q)),
+])
+def test_ground_state_norm_closed_form(name, h0, request):
+    fam = request.getfixturevalue(name)
+    assert abs(fam.hnorm(0) - h0(fam)) <= 1e-13 * h0(fam)
+
+
+@pytest.mark.parametrize("name", ["hermite", "laguerre", "jacobi", "q_hermite", "askey_wilson"])
+def test_norms_follow_the_recurrence(name, request):
+    # h_n = h_0 c_1 ... c_n, checked against the quadrature of each phi_n
+    fam = request.getfixturevalue(name)
+    for n in range(6):
+        quad = inner_product(fam.phi(n), fam.phi(n), fam.quad).real
+        assert abs(fam.hnorm(n) - quad) <= 1e-13 * quad

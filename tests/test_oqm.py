@@ -9,7 +9,7 @@ import pytest
 from crum.analytic import AnalyticFn, inner_product, rel_residual, worst_residual
 from crum.errors import ChainBreakError, DomainError
 from crum.jets import Jet
-from crum import oqm
+from crum import oqm, virtual_state
 from crum.verify import gram_matrix, sample_points
 
 from conftest import recursive_chain, worst_over_levels
@@ -272,3 +272,43 @@ def test_energies_strictly_increasing(hermite, laguerre, jacobi):
         assert es[0] == 0.0
         assert all(b > a for a, b in zip(es, es[1:]))
         assert all(fam.hnorm(n) > 0 for n in range(4))
+
+
+def _jet_backed_functions(request):
+    """Every kind of jet-backed function the package and the tests build,
+    each with points of its domain (off the zeros of the odd hermite ones)."""
+    from conftest import from_poly
+    from test_analytic import GAUSS, XGAUSS
+
+    def points(lo, hi):
+        return np.linspace(lo, hi, 6) + 0.1j * np.linspace(-1.0, 1.0, 6)
+
+    out = [(f, points(-2.0, 2.0)) for f in
+           (GAUSS, XGAUSS, from_poly([1.0, -2.0 + 0.5j, 0.0, 3.0]))]
+    for name in ("hermite", "laguerre", "jacobi"):
+        fam = request.getfixturevalue(name)
+        chain = request.getfixturevalue(f"{name}_chain")
+        fs = [fam.eta(), fam.virtual_prefactor(), virtual_state(fam)]
+        for s in range(4):
+            fs += [fam.w_prime(s), fam.potential(s)]
+            fs += [fam.phi(n, s) for n in range(s, 6)]
+        for level in chain[1:]:
+            f = level.phi(level.nmax)
+            fs += [oqm.apply_A(level, f), oqm.apply_Adag(level, f),
+                   oqm.hamiltonian_apply(level, f), oqm.downshift(level, level.nmax)]
+        for level in recursive_chain(fam, 2, 4)[1:]:
+            fs += [level.phi(4), level.w_prime(), level.potential()]
+        out += [(f, points(*fam.interior(0.5))) for f in fs]
+    for name in ("q_hermite", "askey_wilson"):
+        fam = request.getfixturevalue(name)
+        out += [(f, points(*fam.interior(0.5))) for f in (fam.eta(), fam.virtual_prefactor())]
+    return out
+
+
+def test_array_call_matches_scalar_call(request):
+    for f, xs in _jet_backed_functions(request):
+        assert f.jet_fn is not None
+        values = f(xs)
+        for x, v in zip(xs, values):
+            ref = f(complex(x))
+            assert abs(v - ref) <= 1e-13 * abs(ref), (f.label, x, v, ref)

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from crum import dqm, oqm, structure, virtual_state
-from crum.analytic import Identity
-from crum.errors import ChainBreakError, ParameterError, PoleError
+from conftest import scalar_gram, scalar_grid_eigensolve
+from crum import dqm, oqm, structure, verify, virtual_state
+from crum.analytic import AnalyticFn, Identity
+from crum.errors import AccuracyError, ChainBreakError, ParameterError, PoleError
+from crum.families import _oracle_box
 from crum.verify import (DEFAULT_TOLERANCES, RunConfig, grid_eigensolve, gram_matrix,
                          norm_divergence_flag, run_suite, sample_points)
 
@@ -42,7 +44,7 @@ def test_grid_eigensolve_laguerre_ground_state():
 
 def test_grid_eigensolve_partner_drops_ground_state(hermite_chain):
     u1 = hermite_chain[1].potential()
-    levels = grid_eigensolve(lambda x: u1(complex(x)).real, (-10.0, 10.0), 2000, 3)
+    levels = grid_eigensolve(lambda x: u1(x).real, (-10.0, 10.0), 2000, 3)
     shifted = levels + hermite_chain[1].E_s
     assert np.max(np.abs(shifted - np.array([2.0, 4.0, 6.0]))) < 1e-5
 
@@ -236,3 +238,107 @@ def test_report_json_schema_fields(hermite_report):
         assert {"s", "E_s", "identities", "gram"} <= set(blk)
         for entry in blk["identities"].values():
             assert {"residual", "tol", "pass"} <= set(entry) or "skipped" in entry
+
+
+# -- array evaluation against the per-point oracles ----------------------------------
+
+@pytest.mark.parametrize("name", ["hermite", "laguerre", "jacobi", "q_hermite", "askey_wilson"])
+def test_gram_matches_per_entry_oracle(name, request):
+    fam = request.getfixturevalue(name)
+    chain = request.getfixturevalue(f"{name}_chain")
+    for level in chain[:3]:
+        fns = [level.phi(n) for n in range(level.s, level.s + 4)]
+        g = gram_matrix(fns, fam.quad)
+        ref = scalar_gram(fns, fam.quad)
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), (name, level.s)
+
+
+@pytest.mark.parametrize("name", ["hermite", "laguerre", "jacobi"])
+def test_grid_eigensolve_matches_per_point_oracle(name, request):
+    fam = request.getfixturevalue(name)
+    lo, hi = _oracle_box(fam)
+    for level in request.getfixturevalue(f"{name}_chain")[:3]:
+        u = level.potential()
+        box = (lo + (0.02 if level.s else 0.0), hi)
+        fast = grid_eigensolve(lambda t: u(t).real, box, 2000, 3)
+        slow = scalar_grid_eigensolve(lambda t: u(complex(t)).real, box, 2000, 3)
+        assert np.max(np.abs(fast - slow)) <= 1e-10, (name, level.s)
+
+
+def _holed(f, hole):
+    """f with nan in its array values where hole(x) holds; scalar calls unchanged."""
+
+    def jet_fn(x, order):
+        j = f.jet_fn(x, order)
+        if isinstance(x, np.ndarray):
+            j.coeffs[0] = np.where(hole(x), np.nan, j.coeffs[0])
+        return j
+
+    return AnalyticFn(f.fn, label=f.label, jet_fn=jet_fn)
+
+
+def test_non_finite_potential_on_the_oracle_grid_is_an_error(monkeypatch):
+    with pytest.raises(AccuracyError, match="potential not finite at grid point"):
+        grid_eigensolve(lambda x: np.where(x > 1.0, np.inf, x * x), (-5.0, 5.0), 400, 2)
+    real = oqm.OqmChainLevel.potential
+    # beyond the sample points, inside the oracle box: only the grid sees it
+    monkeypatch.setattr(oqm.OqmChainLevel, "potential",
+                        lambda level: _holed(real(level), lambda x: abs(x.real - 7.3) < 0.05))
+    with pytest.raises(AccuracyError, match="potential not finite at grid point"):
+        run_suite(RunConfig(family="hermite", depth=1, nmax=3, samples=4, seed=7))
+
+
+def test_non_finite_gram_node_is_a_skip(monkeypatch, hermite):
+    node = hermite.quad.nodes_weights(0)[0][21]
+    real = oqm.OqmChainLevel.phi
+    monkeypatch.setattr(oqm.OqmChainLevel, "phi", lambda level, n: (
+        _holed(real(level, n), lambda x: x == node) if level.s == 1 else real(level, n)))
+    rep = run_suite(RunConfig(family="hermite", depth=1, nmax=3, samples=4, seed=7))
+    assert rep.levels[1]["gram"] == {
+        "skipped": f"quadrature: integrand not finite at node x={node:g}"}
+    assert rep.levels[0]["gram"]["pass"]
+    assert rep.status == "incomplete"
+
+
+def test_evaluation_counts_are_one_call_per_grid_and_per_level(monkeypatch):
+    # exact counts for hermite depth 2 (nmax 5, seed 7): a return to
+    # per-point evaluation multiplies them by the number of points
+    real_grid, real_gram = verify.grid_eigensolve, verify.gram_matrix
+    grids, grams = [], []
+
+    def grid(u_fn, *args):
+        sizes = []
+        grids.append(sizes)
+
+        def counted(x):
+            sizes.append(x.size)
+            return u_fn(x)
+
+        return real_grid(counted, *args)
+
+    def gram(fns, quad):
+        calls = [0] * len(fns)
+        grams.append(calls)
+
+        def counted(i, f):
+            def g(x):
+                calls[i] += 1
+                return f(x)
+            return g
+
+        return real_gram([counted(i, f) for i, f in enumerate(fns)], quad)
+
+    monkeypatch.setattr(verify, "grid_eigensolve", grid)
+    monkeypatch.setattr(verify, "gram_matrix", gram)
+    rep = run_suite(RunConfig(family="hermite", depth=2, seed=7))
+    assert rep.status == "pass"
+    # one call per grid: the validation grids, then the oracle at levels 0 and 1
+    assert grids == [[1400, 2800], [2000, 4000], [2000, 4000]]
+    # each phi once per quadrature level (levels 0..3) at each Gram level
+    assert grams == [[4, 4, 4, 4]] * 3
+
+
+@pytest.mark.parametrize("family,params", [("hermite", {}), ("q_hermite", {"q": 0.5})])
+def test_nmax_beyond_the_family_range_is_a_parameter_error(family, params):
+    with pytest.raises(ParameterError, match="nmax must be <= 32"):
+        run_suite(RunConfig(family=family, params=params, depth=1, nmax=40))
