@@ -1,7 +1,9 @@
 """Complex-analytic function values on a strip: star conjugation, derivative
 jets, Wronskian and Casoratian determinants, inner products, and the identity
-engine both chain kinds share (an `Identity` table per kind, read by
-`identity_residual` and reduced fail-closed by `worst_residual`).
+engine both chain kinds share: an `Identity` table per kind, read by
+`identity_residual` and reduced fail-closed by `worst_residual`; the five
+operator identities both tables hold; and `grow_chain`, which builds a chain
+of either kind up to DEPTH_CAP.
 
 Everything here is immutable after construction and safe to evaluate
 concurrently; evaluation is pure.
@@ -22,6 +24,7 @@ from .jets import Jet
 from .quadrature import QuadratureSpec, integrate
 
 MAX_JET_ORDER = 24
+DEPTH_CAP = 4
 _CAUCHY_POINTS = 64
 # points per order-0 jet of an array call: a jet makes tens of temporaries per
 # block, and 4,000-point blocks (64 kB each) left the process about 0.3 MB
@@ -162,6 +165,94 @@ def identity_residual(table, name, levels, samples):
     if first is None:
         raise DomainError(f"{name} evaluated nothing at level {s}")
     return worst_residual(itertools.chain((first,), residuals))
+
+
+def grow_chain(level, step, depth):
+    """Levels 0..depth: `level` followed by `depth` applications of `step`."""
+    if depth > DEPTH_CAP:
+        raise CapabilityError(
+            f"chain depth {depth} exceeds the double-precision cap {DEPTH_CAP}; "
+            "deeper chains need a wider-mantissa backend")
+    levels = [level]
+    for _ in range(depth):
+        levels.append(step(levels[-1]))
+    return levels
+
+
+# ---------------------------------------------------------------------------
+# the operator identities of both chain kinds
+#
+# Written against the contract oqm and dqm share: apply_A, apply_Adag,
+# hamiltonian_apply and downshift of the chain module `chain`, looked up when
+# called, and a level's phi(n), parent, E_s and family.energy.  Each table
+# binds them to its module with functools.partial.
+# ---------------------------------------------------------------------------
+
+def checked_ns(level):
+    """Indices n of the states an identity checks at this level: the three
+    highest built, max(s, nmax - 2) .. nmax."""
+    return range(max(level.s, level.nmax - 2), level.nmax + 1)
+
+
+def zero_mode(chain, levels, samples):
+    """A^[s] annihilates the ground state of level s, taken as the parent's
+    lift A^[s-1] phi^[s-1]_s (phi_0 at level 0): the level's own seed is
+    built to be annihilated, so it would check A^[s] against itself."""
+    level = levels[-1]
+    parent = level.parent
+    seed = level.phi(0) if parent is None else chain.apply_A(parent, parent.phi(level.s))
+    low = chain.apply_A(level, seed)
+    for x in samples:
+        scale = 1.0 + abs(seed(x))
+        yield abs(low(x)) / scale
+
+
+def iso_spectral(chain, levels, samples):
+    """H^[s] phi^[s]_n = E_n phi^[s]_n."""
+    level = levels[-1]
+    for n in checked_ns(level):
+        f = level.phi(n)
+        e_n = level.family.energy(n)
+        h_f = chain.hamiltonian_apply(level, f)
+        for x in samples:
+            lhs = h_f(x)
+            rhs = e_n * f(x)
+            yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(x))))
+
+
+def intertwine(chain, levels, samples):
+    """A^[s-1] H^[s-1] = H^[s] A^[s-1], applied to the parent's phi_n."""
+    level = levels[-1]
+    parent = level.parent
+    for n in checked_ns(level):
+        f = parent.phi(n)
+        lhs_fn = chain.apply_A(parent, chain.hamiltonian_apply(parent, f))
+        rhs_fn = chain.hamiltonian_apply(level, chain.apply_A(parent, f))
+        for x in samples:
+            yield rel_residual(lhs_fn(x), rhs_fn(x))
+
+
+def factorization(chain, levels, samples):
+    """A^[s-1] A^[s-1]dag + E_{s-1} = H^[s], applied to phi^[s]_n."""
+    level = levels[-1]
+    parent = level.parent
+    for n in checked_ns(level):
+        f = level.phi(n)
+        lifted = chain.apply_A(parent, chain.apply_Adag(parent, f))
+        h_f = chain.hamiltonian_apply(level, f)
+        for x in samples:
+            lhs = lifted(x) + parent.E_s * f(x)
+            yield rel_residual(lhs, h_f(x))
+
+
+def downshift_roundtrip(chain, levels, samples):
+    """A^[s-1]dag phi^[s]_n / (E_n - E_{s-1}) gives back the parent's phi_n."""
+    level = levels[-1]
+    for n in checked_ns(level):
+        rebuilt = chain.downshift(level, n)
+        target = level.parent.phi(n)
+        for x in samples:
+            yield rel_residual(rebuilt(x), target(x))
 
 
 def lu_det(matrix):

@@ -16,9 +16,13 @@ potential, so no per-point phase guessing is ever needed.
 
 The chain has the contract of the differential one (`oqm`): build_chain(family,
 depth, nmax) gives levels 0..depth with eigenfunctions up to nmax; apply_A,
-apply_Adag and hamiltonian_apply(level, f) return functions; and the
-identities of IDENTITIES check the deepest level of a chain through
-analytic.identity_residual.
+apply_Adag, hamiltonian_apply(level, f) and downshift(level, n) return
+functions; and the identities of IDENTITIES check the deepest level of a
+chain through analytic.identity_residual.  Five of them (zero_mode,
+iso_spectral, intertwine, factorization, downshift_roundtrip) are the shared
+ones of `analytic`, bound to this module.  Every identity that checks
+eigenstates checks those analytic.checked_ns names, except casoratian_jacobi,
+which takes n = s+1.
 """
 
 from __future__ import annotations
@@ -26,10 +30,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 
 import numpy as np
 
-from .analytic import AnalyticFn, Identity, casoratian, identity_residual, rel_residual
+from .analytic import (AnalyticFn, Identity, casoratian, checked_ns, downshift_roundtrip,
+                       factorization, grow_chain, identity_residual, intertwine,
+                       iso_spectral, rel_residual, zero_mode)
 from .errors import BranchError, ChainBreakError, DomainError, PoleError
 
 NODE_SCAN_POINTS = 301
@@ -139,11 +146,10 @@ def _first_order(level, f, factor, coef_dn, coef_up, at):
     lowering factor takes its coefficients at the shifted points (at = ig/2),
     the raising one at x (at = 0)."""
     half = 0.5j * level.gamma
-    fv = f.fn if isinstance(f, AnalyticFn) else f
 
     def out(x):
         x = complex(x)
-        return factor * (coef_dn(x - at) * fv(x - half) - coef_up(x + at) * fv(x + half))
+        return factor * (coef_dn(x - at) * f(x - half) - coef_up(x + at) * f(x + half))
 
     return out
 
@@ -255,7 +261,11 @@ def next_potential(level):
 
 
 def step_chain(level):
+    """Level s+1 over level s; refuses when no eigenfunction is left to lift
+    or when its seed changes sign (see next_potential)."""
     s_new = level.s + 1
+    if level.nmax < s_new:
+        raise ChainBreakError(f"no eigenfunctions left to lift to level {s_new}")
     sqrt_v, sqrt_v_star = next_potential(level)
 
     @functools.cache
@@ -266,19 +276,8 @@ def step_chain(level):
                          sqrt_v, sqrt_v_star, phi_fn, parent=level)
 
 
-DEPTH_CAP = 4
-
-
 def build_chain(family, depth, nmax=None):
-    if depth > DEPTH_CAP:
-        from .errors import CapabilityError
-        raise CapabilityError(
-            f"chain depth {depth} exceeds the double-precision cap {DEPTH_CAP}; "
-            "deeper chains need a wider-mantissa backend")
-    levels = [level0(family, nmax=nmax)]
-    for _ in range(depth):
-        levels.append(step_chain(levels[-1]))
-    return levels
+    return grow_chain(level0(family, nmax), step_chain, depth)
 
 
 def downshift(level, n):
@@ -341,20 +340,6 @@ def relation_residual(kind, levels, samples):
     return identity_residual(IDENTITIES, kind, levels, samples)
 
 
-def _level_ns(level):
-    """Indices n of the excited states checked at this level: the first three
-    above its seed, as far as nmax."""
-    return list(range(level.s + 1, min(level.nmax, level.s + 3) + 1))
-
-
-def _res_zero_mode(levels, samples):
-    level = levels[-1]
-    low = apply_A(level, lambda x: level._phi_fn(level.s, x))
-    for x in samples:
-        scale = 1.0 + abs(level._phi_fn(level.s, complex(x)))
-        yield abs(low(x)) / scale
-
-
 def _res_quadratic(levels, samples):
     level = levels[-1]
     par = level.parent
@@ -378,37 +363,13 @@ def _res_linear(levels, samples):
         yield rel_residual(lhs, rhs)
 
 
-def _res_intertwine(levels, samples):
-    level = levels[-1]
-    par = level.parent
-    for n in _level_ns(level):
-        f = lambda x, nn=n: par._phi_fn(nn, x)
-        lhs_fn = apply_A(par, hamiltonian_apply(par, f))
-        rhs_fn = hamiltonian_apply(level, apply_A(par, f))
-        for x in samples:
-            yield rel_residual(lhs_fn(x), rhs_fn(x))
-
-
-def _res_factorization(levels, samples):
-    """A^[s-1] A^[s-1]dag + E_{s-1} equals the level-s difference operator."""
-    level = levels[-1]
-    par = level.parent
-    for n in _level_ns(level):
-        f = lambda x, nn=n: level._phi_fn(nn, x)
-        lifted = apply_A(par, apply_Adag(par, f))
-        h_f = hamiltonian_apply(level, f)
-        for x in samples:
-            lhs = lifted(x) + par.E_s * f(complex(x))
-            yield rel_residual(lhs, h_f(x))
-
-
 def _res_step_determinant(levels, samples):
     """One-step 2x2 determinant route to phi^[s]_n."""
     level = levels[-1]
     par = level.parent
     g = level.gamma
     s = level.s
-    for n in _level_ns(level):
+    for n in checked_ns(level):
         for x in samples:
             x = complex(x)
             up, dn = x + 0.5j * g, x - 0.5j * g
@@ -424,7 +385,7 @@ def _res_check_product(levels, samples):
     fam = levels[0].family
     g = fam.gamma
     s = len(levels) - 1
-    for n in _level_ns(levels[s]):
+    for n in checked_ns(levels[s]):
         fs = [fam.phi(k) for k in range(s)] + [fam.phi(n)]
         for x in samples:
             x = complex(x)
@@ -437,7 +398,7 @@ def _res_check_product(levels, samples):
 
 def _res_casoratian_ratio(levels, samples):
     s = len(levels) - 1
-    for n in _level_ns(levels[s]):
+    for n in checked_ns(levels[s]):
         for x in samples:
             lhs = phi_via_casoratian(levels, s, n, complex(x))
             rhs = levels[s]._phi_fn(n, complex(x))
@@ -472,32 +433,10 @@ def _generic_fns():
             mk(lambda x: x * x, "x^2"), mk(lambda x: cmath.exp(1j * x), "e^{ix}")]
 
 
-def _res_downshift(levels, samples):
-    level = levels[-1]
-    for n in _level_ns(level):
-        rebuilt = downshift(level, n)
-        for x in samples:
-            lhs = rebuilt(x)
-            rhs = level.parent._phi_fn(n, complex(x))
-            yield rel_residual(rhs, lhs)
-
-
-def _res_iso_spectral(levels, samples):
-    level = levels[-1]
-    for n in _level_ns(level):
-        f = lambda x, nn=n: level._phi_fn(nn, x)
-        e_n = level.family.energy(n)
-        h_f = hamiltonian_apply(level, f)
-        for x in samples:
-            lhs = h_f(x)
-            rhs = e_n * f(complex(x))
-            yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(complex(x)))))
-
-
 def _res_realness(levels, samples):
     """phi^[s]_n star-equals itself at strip points."""
     level = levels[-1]
-    for n in _level_ns(level):
+    for n in checked_ns(level):
         for x in samples:
             x = complex(x)
             direct = level._phi_fn(n, x)
@@ -505,18 +444,21 @@ def _res_realness(levels, samples):
             yield rel_residual(direct, starred)
 
 
-# the suite checks these at every level from first_level up, in this order
+# the suite checks these at every level from first_level up, in this order;
+# the operator identities are analytic's, bound to this module's operators
+_CHAIN = sys.modules[__name__]
 IDENTITIES = {
-    "zero_mode": Identity(_res_zero_mode),
-    "iso_spectral": Identity(_res_iso_spectral),
+    "zero_mode": Identity(functools.partial(zero_mode, _CHAIN)),
+    "iso_spectral": Identity(functools.partial(iso_spectral, _CHAIN)),
     "realness": Identity(_res_realness),
     "quadratic": Identity(_res_quadratic, first_level=1),
     "linear": Identity(_res_linear, first_level=1),
-    "intertwine": Identity(_res_intertwine, first_level=1),
-    "factorization": Identity(_res_factorization, first_level=1),
+    "intertwine": Identity(functools.partial(intertwine, _CHAIN), first_level=1),
+    "factorization": Identity(functools.partial(factorization, _CHAIN), first_level=1),
     "step_determinant": Identity(_res_step_determinant, first_level=1),
     "check_product": Identity(_res_check_product, first_level=1),
     "casoratian_ratio": Identity(_res_casoratian_ratio, first_level=1),
     "casoratian_jacobi": Identity(_res_casoratian_jacobi, first_level=1),
-    "downshift_roundtrip": Identity(_res_downshift, first_level=1),
+    "downshift_roundtrip": Identity(functools.partial(downshift_roundtrip, _CHAIN),
+                                    first_level=1),
 }

@@ -5,17 +5,27 @@ eigenfunctions are the Wronskian ratios W[phi_0..phi_{s-1}, phi_n] /
 W[phi_0..phi_{s-1}]; for phi_n = phi_0 P_n(eta) with P_n monic these collapse
 to phi_0 (eta')^s P_n^(s)(eta), which the family evaluates (`OqmFamily.phi`,
 `w_prime` and `potential` take the level index).  The operators A^[s], A^[s]dag
-and H^[s] act on any function with jets; the identities use them to relate a
-level to its parent and to the Wronskians of level 0.
+and H^[s] act on any function with jets.
+
+Levels and operators have the contract of the difference chains (`dqm`), so
+the five operator identities of IDENTITIES (zero_mode, iso_spectral,
+intertwine, factorization, downshift_roundtrip) are the shared ones of
+`analytic`, bound to this module, and check the states analytic.checked_ns
+names; the others (riccati, node_count and the Wronskian formulas) are the
+differential chain's own.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .analytic import AnalyticFn, Identity, identity_residual, rel_residual, wronskian
+from .analytic import (AnalyticFn, Identity, downshift_roundtrip, factorization, grow_chain,
+                       identity_residual, intertwine, iso_spectral, rel_residual, wronskian,
+                       zero_mode)
 from .errors import ChainBreakError, DomainError, PoleError
 from .jets import Jet
 
@@ -87,7 +97,10 @@ def hamiltonian_apply(level, f):
                       label=f"H[{level.s}]({f.label})", jet_fn=jet_fn)
 
 
-def level0(family, nmax=8):
+def level0(family, nmax=None):
+    """Level 0: the family itself, eigenfunctions up to nmax (default the
+    family's own range)."""
+    nmax = family.nmax if nmax is None else nmax
     if nmax > family.nmax:
         raise DomainError(f"n={nmax} outside tabulated range 0..{family.nmax}")
     return OqmChainLevel(family, 0, family.energy(0), nmax)
@@ -118,19 +131,8 @@ def step_chain(level):
     return new
 
 
-DEPTH_CAP = 4
-
-
-def build_chain(family, depth, nmax=8):
-    if depth > DEPTH_CAP:
-        from .errors import CapabilityError
-        raise CapabilityError(
-            f"chain depth {depth} exceeds the double-precision cap {DEPTH_CAP}; "
-            "deeper chains need a wider-mantissa backend")
-    levels = [level0(family, nmax=nmax)]
-    for _ in range(depth):
-        levels.append(step_chain(levels[-1]))
-    return levels
+def build_chain(family, depth, nmax=None):
+    return grow_chain(level0(family, nmax), step_chain, depth)
 
 
 def downshift(level, n):
@@ -174,19 +176,6 @@ def _ns(level):
     return list(range(level.s, level.nmax + 1))
 
 
-def _res_intertwine(levels, samples):
-    """A^[s-1] H^[s-1] = H^[s] A^[s-1] applied to the two highest
-    eigenfunctions built at level s-1."""
-    level = levels[-1]
-    parent = level.parent
-    for n in _ns(parent)[-2:]:
-        f = parent.phi(n)
-        lhs_fn = apply_A(parent, hamiltonian_apply(parent, f))
-        rhs_fn = hamiltonian_apply(level, apply_A(parent, f))
-        for x in samples:
-            yield rel_residual(lhs_fn(x), rhs_fn(x))
-
-
 def _res_riccati(levels, samples):
     """W_s'^2 + W_s'' = W_{s-1}'^2 - W_{s-1}'' - (E_s - E_{s-1})."""
     level = levels[-1]
@@ -199,21 +188,6 @@ def _res_riccati(levels, samples):
         lhs = jn.value**2 + jn.deriv(1)
         rhs = jp.value**2 - jp.deriv(1) - gap
         yield rel_residual(lhs, rhs)
-
-
-def _res_factorization(levels, samples):
-    """A^[s-1] A^[s-1]dag + E_{s-1} agrees with -d2 + U_s + E_s on tests."""
-    level = levels[-1]
-    parent = level.parent
-    for n in _ns(level)[-2:]:
-        f = level.phi(n)
-        down = apply_Adag(parent, f)
-        lifted = apply_A(parent, down)
-        h_f = hamiltonian_apply(level, f)
-        for x in samples:
-            lhs = lifted(x) + parent.E_s * f(x)
-            rhs = h_f(x)
-            yield rel_residual(lhs, rhs)
 
 
 def _res_potential_wronskian(levels, samples):
@@ -297,41 +271,6 @@ def _res_wronskian_ratio(levels, samples):
             yield rel_residual(phi_via_wronskian(levels, s, n, x), direct(x))
 
 
-def _res_downshift(levels, samples):
-    level = levels[-1]
-    for n in _ns(level)[-2:]:
-        rebuilt = downshift(level, n)
-        target = level.parent.phi(n)
-        for x in samples:
-            yield rel_residual(rebuilt(x), target(x))
-
-
-def _res_zero_mode(levels, samples):
-    """A^[s] annihilates the ground state of level s, taken as the parent's
-    lift A^[s-1] phi^[s-1]_s (phi_0 at level 0): W'^[s] is the log-derivative
-    of the closed-form phi^[s]_s by construction, so that seed would check the
-    closed form against itself."""
-    level = levels[-1]
-    parent = level.parent
-    seed = level.phi(0) if parent is None else apply_A(parent, parent.phi(level.s))
-    low = apply_A(level, seed)
-    for x in samples:
-        scale = 1.0 + abs(seed(x))
-        yield abs(low(x)) / scale
-
-
-def _res_iso_spectral(levels, samples):
-    level = levels[-1]
-    for n in _ns(level)[-3:]:
-        f = level.phi(n)
-        e_n = level.family.energy(n)
-        h_f = hamiltonian_apply(level, f)
-        for x in samples:
-            lhs = h_f(x)
-            rhs = e_n * f(x)
-            yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(x))))
-
-
 def _res_node_count(levels, samples):
     """Sign changes of phi^[s]_n on the interior grid against n - s."""
     level = levels[-1]
@@ -339,16 +278,18 @@ def _res_node_count(levels, samples):
         yield abs(node_count(level.phi(n), level.interior()) - (n - level.s))
 
 
-# the suite checks these at every level from first_level up, in this order
+# the suite checks these at every level from first_level up, in this order;
+# the operator identities are analytic's, bound to this module's operators
+_CHAIN = sys.modules[__name__]
 IDENTITIES = {
-    "zero_mode": Identity(_res_zero_mode),
-    "iso_spectral": Identity(_res_iso_spectral),
+    "zero_mode": Identity(partial(zero_mode, _CHAIN)),
+    "iso_spectral": Identity(partial(iso_spectral, _CHAIN)),
     "node_count": Identity(_res_node_count, sampled=False),
-    "intertwine": Identity(_res_intertwine, first_level=1),
+    "intertwine": Identity(partial(intertwine, _CHAIN), first_level=1),
     "riccati": Identity(_res_riccati, first_level=1),
-    "factorization": Identity(_res_factorization, first_level=1),
+    "factorization": Identity(partial(factorization, _CHAIN), first_level=1),
     "potential_wronskian": Identity(_res_potential_wronskian, first_level=1),
     "wronskian_product": Identity(_res_wronskian_product, first_level=1),
     "wronskian_ratio": Identity(_res_wronskian_ratio, first_level=1),
-    "downshift_roundtrip": Identity(_res_downshift, first_level=1),
+    "downshift_roundtrip": Identity(partial(downshift_roundtrip, _CHAIN), first_level=1),
 }

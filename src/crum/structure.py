@@ -45,12 +45,9 @@ class LimitScaling:
     gamma: float = 1.0
     c_values: tuple = (10.0, 100.0, 1000.0)
     w1: object = None          # callable x -> complex
-    v_of_c: object = None      # optional: c -> callable x -> complex (overrides w1 form)
     tail: float = 0.0          # quadratic-coefficient of the default V form
 
     def potential(self, c):
-        if self.v_of_c is not None:
-            return self.v_of_c(c)
         a, g, w1, tail = self.a, self.gamma, self.w1, self.tail
 
         def v(x):
@@ -79,10 +76,6 @@ class LimitTable:
     rows: list = field(default_factory=list)
     slopes: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
-
-    def overall_slope(self):
-        usable = [s for lbl, s in self.slopes.items() if self.flags.get(lbl) == "ok"]
-        return float(np.median(usable)) if usable else float("nan")
 
 
 # ---------------------------------------------------------------------------

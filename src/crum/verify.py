@@ -76,6 +76,9 @@ class RunConfig:
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
             if low is not None and value < low:
                 raise ParameterError(f"{name} must be >= {low}, got {value}")
+        if self.depth > self.nmax:
+            raise ParameterError(f"depth must be <= nmax (level s has phi_n for n >= s), "
+                                 f"got depth {self.depth} and nmax {self.nmax}")
         for name, kind in (("params", numbers.Number), ("tolerances", numbers.Real)):
             table = getattr(self, name)
             if not isinstance(table, dict):

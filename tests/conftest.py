@@ -190,6 +190,12 @@ def scalar_grid_eigensolve(u_fn, domain, n_points, k):
     return (4.0 * eigs(2 * n_points) - eigs(n_points)) / 3.0
 
 
+def overall_slope(table):
+    """Median fitted slope of the function sets a limit table flags "ok"."""
+    usable = [s for lbl, s in table.slopes.items() if table.flags.get(lbl) == "ok"]
+    return float(np.median(usable)) if usable else float("nan")
+
+
 def worst_over_levels(chain_mod, kind, levels, samples):
     """Worst residual of identity `kind` over every level of `levels` it applies
     to: relation_residual checks only the deepest level of the chain it is given."""

@@ -1,4 +1,5 @@
 import cmath
+import copy
 import math
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import from_poly, starred
+from crum import dqm, make_family, oqm
 from crum.analytic import (AnalyticFn, casoratian, inner_product, lu_det, star_eval,
                            worst_residual, wronskian)
 from crum.errors import AccuracyError, CapabilityError, StripError
 from crum.jets import Jet
 from crum.quadrature import QuadratureSpec
+from crum.verify import DEFAULT_TOLERANCES, sample_points
 
 GAUSS = AnalyticFn(lambda x: cmath.exp(-0.5 * x * x), label="gauss",
                    jet_fn=lambda x, o: (lambda j: (-0.5 * j * j).exp())(Jet.variable(x, o)))
@@ -261,3 +264,59 @@ def test_inner_product_of_lists_is_the_matrix():
     for i, f in enumerate(fs):
         for j, g in enumerate(gs):
             assert abs(m[i, j] - inner_product(f, g, FULL)) < 1e-13
+
+
+# -- the operator identities both chain kinds share ---------------------------------
+
+OPERATOR_IDENTITIES = ("iso_spectral", "intertwine", "factorization", "downshift_roundtrip")
+CHAIN_KINDS = [pytest.param(oqm, "hermite", {}, id="oqm"),
+               pytest.param(dqm, "q_hermite", {"q": 0.5}, id="dqm")]
+
+
+def _chain_and_points(chain, name, params, nmax):
+    fam = make_family(name, **params)
+    return chain.build_chain(fam, 2, nmax=nmax), sample_points(fam, 3, 7)
+
+
+def _with(level, **changes):
+    """A copy of a chain level with some attributes replaced (oqm levels are frozen)."""
+    out = copy.copy(level)
+    for key, value in changes.items():
+        object.__setattr__(out, key, value)
+    return out
+
+
+@pytest.mark.parametrize("chain,name,params", CHAIN_KINDS)
+@pytest.mark.parametrize("nmax", [3, 5])
+def test_operator_identities_check_the_three_highest_states(monkeypatch, chain, name, params,
+                                                            nmax):
+    levels, pts = _chain_and_points(chain, name, params, nmax)
+    level_cls = type(levels[0])
+    real_phi = level_cls.phi
+    requested = set()
+
+    def phi(self, n, *args):
+        requested.add(n)
+        return real_phi(self, n, *args)
+
+    monkeypatch.setattr(level_cls, "phi", phi)
+    for s in (1, 2):
+        for kind in OPERATOR_IDENTITIES:
+            requested.clear()
+            chain.relation_residual(kind, levels[: s + 1], pts)
+            assert requested == set(range(max(s, nmax - 2), nmax + 1)), (kind, s)
+
+
+@pytest.mark.parametrize("chain,name,params", CHAIN_KINDS)
+def test_operator_identities_catch_a_wrong_level_constant(chain, name, params):
+    levels, pts = _chain_and_points(chain, name, params, 3)
+    base, level = levels[:2]
+    tol = DEFAULT_TOLERANCES
+    for kind in OPERATOR_IDENTITIES:
+        assert chain.relation_residual(kind, [base, level], pts) <= tol[kind], kind
+    wrong = [base, _with(level, E_s=level.E_s + 1e-6)]
+    for kind in ("iso_spectral", "intertwine", "factorization"):
+        assert chain.relation_residual(kind, wrong, pts) > tol[kind], kind
+    wrong_parent = _with(base, E_s=base.E_s + 1e-6)
+    wrong = [wrong_parent, _with(level, parent=wrong_parent)]
+    assert chain.relation_residual("downshift_roundtrip", wrong, pts) > tol["downshift_roundtrip"]

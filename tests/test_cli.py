@@ -135,6 +135,16 @@ def test_nmax_beyond_the_family_range_exit_code(tmp_path, capsys, family):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("family", [["hermite"], ["q_hermite", "--param", "q=0.5"]])
+def test_depth_above_nmax_exit_code(tmp_path, capsys, family):
+    out_file = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "chain", "--family", *family, "--depth", "2",
+                             "--nmax", "1", "--out", str(out_file))
+    assert code == 2
+    assert "depth must be <= nmax" in err
+    assert not out_file.exists()
+
+
 def test_depth_zero_is_a_parameter_error(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, err = run_cli(capsys, "chain", "--family", "hermite", "--depth", "0",

@@ -13,7 +13,6 @@ SRC = pathlib.Path(crum.__file__).parent
 ALLOWED = {
     "pow": "part of the jet arithmetic that the benchmark tracer wraps by name",
     "qpochhammer_inf": "independent oracle for the ground-state log-sum in the tests",
-    "overall_slope": "summary slope of a limit table, read by the acceptance tests",
 }
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crum.analytic import AnalyticFn, inner_product
+from crum.analytic import AnalyticFn, Identity, identity_residual, inner_product
 from crum.errors import ChainBreakError, DomainError, StripError
 from crum import dqm
 from crum.verify import gram_matrix
@@ -245,6 +245,11 @@ def test_check_product_aw(askey_wilson):
     assert res <= 1e-7
 
 
+def test_no_level_without_an_eigenfunction_to_lift(q_hermite):
+    with pytest.raises(ChainBreakError, match="no eigenfunctions left to lift to level 2"):
+        dqm.build_chain(q_hermite, 2, nmax=1)
+
+
 def test_levels_carry_nmax(q_hermite):
     chain = dqm.build_chain(q_hermite, 2, nmax=4)
     assert [lvl.nmax for lvl in chain] == [4, 4, 4]
@@ -254,10 +259,9 @@ def test_levels_carry_nmax(q_hermite):
 
 
 def test_identity_with_nothing_to_check_raises(q_hermite, q_hermite_chain):
-    # with nmax=2 no eigenfunction above the seed is left at level 2
-    chain = dqm.build_chain(q_hermite, 2, nmax=2)
+    table = {"intertwine": Identity(lambda levels, samples: iter(()), first_level=1)}
     with pytest.raises(DomainError, match="evaluated nothing at level 2"):
-        dqm.relation_residual("intertwine", chain, _pts(q_hermite))
+        identity_residual(table, "intertwine", q_hermite_chain, _pts(q_hermite))
     with pytest.raises(DomainError, match="applies from level 1"):
         dqm.relation_residual("quadratic", q_hermite_chain[:1], _pts(q_hermite))
 
@@ -299,4 +303,13 @@ def test_strip_guard_on_family_functions(askey_wilson):
     f = askey_wilson.phi(1)
     with pytest.raises(StripError):
         f(complex(1.3, 5.0))
+
+
+@pytest.mark.parametrize("op", [dqm.apply_A, dqm.apply_Adag, dqm.hamiltonian_apply])
+def test_operators_check_shifted_points_against_the_strip(askey_wilson, op):
+    # x + i gamma / 2 lies outside the strip (|Im x| <= 1.498, gamma = -0.511)
+    x = complex(1.2, 1.4)
+    assert abs(x.imag - 0.5 * askey_wilson.gamma) > askey_wilson.strip_halfwidth
+    with pytest.raises(StripError):
+        op(dqm.level0(askey_wilson), askey_wilson.phi(1))(x)
 

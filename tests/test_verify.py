@@ -166,23 +166,27 @@ def test_chain_error_in_a_coordinate_relation_is_a_skip(monkeypatch):
     assert rep.status == "incomplete"
 
 
-def test_identity_that_evaluates_nothing_is_a_skip():
-    # with nmax=2 no eigenfunction above the seed is left at level 2
+def test_identity_that_evaluates_nothing_is_a_skip(monkeypatch):
+    names = {"iso_spectral", "realness", "intertwine", "factorization",
+             "step_determinant", "check_product", "casoratian_ratio", "downshift_roundtrip"}
+    for name in names:
+        monkeypatch.setitem(dqm.IDENTITIES, name, dqm.IDENTITIES[name]._replace(
+            residuals=lambda levels, samples: iter(())))
     rep = run_suite(RunConfig(family="q_hermite", params={"q": 0.5}, depth=2, nmax=2,
                               samples=4, seed=7))
     skipped = {name for name, entry in rep.levels[2]["identities"].items()
                if entry["pass"] is None}
-    assert skipped == {"iso_spectral", "realness", "intertwine", "factorization",
-                       "step_determinant", "check_product", "casoratian_ratio",
-                       "downshift_roundtrip"}
+    assert skipped == names
     for name in skipped:
         assert rep.levels[2]["identities"][name]["skipped"] == (
             f"DomainError: {name} evaluated nothing at level 2")
     assert rep.status == "incomplete"
 
 
+# depth and nmax default to 2 and 5; a level above nmax has no eigenfunction
 @pytest.mark.parametrize("field,value", [("samples", 0), ("depth", -1), ("depth", 0), ("nmax", -1),
-                                         ("depth", "two"), ("samples", 2.5), ("seed", None)])
+                                         ("depth", "two"), ("samples", 2.5), ("seed", None),
+                                         ("depth", 6), ("nmax", 1)])
 def test_run_config_rejects_what_cannot_run(field, value):
     with pytest.raises(ParameterError, match=field):
         RunConfig(family="hermite", **{field: value})
