@@ -1,9 +1,10 @@
 """Complex-analytic function values on a strip: star conjugation, derivative
 jets, Wronskian and Casoratian determinants, inner products, and the identity
 engine both chain kinds share: an `Identity` table per kind, read by
-`identity_residual` and reduced fail-closed by `worst_residual`; the five
-operator identities both tables hold; and `grow_chain`, which builds a chain
-of either kind up to DEPTH_CAP.
+`identity_residual` and reduced fail-closed by `worst_residual`; `values_at`,
+which evaluates a function on a whole sample array for the identities; the
+five operator identities both tables hold; and `grow_chain`, which builds a
+chain of either kind up to DEPTH_CAP.
 
 Everything here is immutable after construction and safe to evaluate
 concurrently; evaluation is pure.
@@ -12,7 +13,6 @@ concurrently; evaluation is pure.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -26,7 +26,7 @@ from .quadrature import QuadratureSpec, integrate
 MAX_JET_ORDER = 24
 DEPTH_CAP = 4
 _CAUCHY_POINTS = 64
-# points per order-0 jet of an array call: a jet makes tens of temporaries per
+# points per jet of an array: a jet makes tens of temporaries per
 # block, and 4,000-point blocks (64 kB each) left the process about 0.3 MB
 # larger after the oracle grids, where 1,024-point blocks leave it unchanged
 _ARRAY_BLOCK = 1024
@@ -64,20 +64,18 @@ class AnalyticFn:
     def __call__(self, x):
         """Value at x, or the array of values at an array of points.
 
-        An array goes through order-0 jets, one per block of _ARRAY_BLOCK
-        points, when the function has exact jets; otherwise through fn point
-        by point, an ArithmeticError at a point giving nan there.  Either way
-        a failure shows as a non-finite value, which callers mask or reject.
+        An array goes through order-0 jets (see `jet`) when the function has
+        exact jets; otherwise through fn point by point, an ArithmeticError
+        at a point giving nan there.  Either way a failure shows as a
+        non-finite value, which callers mask or reject.
         """
         x = self.check_strip(x)
         if not isinstance(x, np.ndarray):
             return self.fn(x)
         if self.jet_fn is not None:
-            flat = x.ravel()
-            blocks = [flat[i:i + _ARRAY_BLOCK] for i in range(0, flat.size, _ARRAY_BLOCK)]
             with np.errstate(all="ignore"):
-                values = [np.broadcast_to(self.jet_fn(b, 0).value, b.shape) for b in blocks]
-            return np.concatenate(values, dtype=complex).reshape(x.shape)
+                value = np.asarray(self._blocked_jet(x, 0).value, dtype=complex)
+            return value if value.shape == x.shape else np.full(x.shape, value)
         return np.array([self._value_or_nan(t) for t in x.ravel().tolist()],
                         dtype=complex).reshape(x.shape)
 
@@ -88,15 +86,28 @@ class AnalyticFn:
             return math.nan
 
     def jet(self, x, order):
-        """Taylor jet of this function at x, coefficients c_k = f^(k)(x)/k!."""
+        """Taylor jet of this function at x, coefficients c_k = f^(k)(x)/k!;
+        at an array of points, a jet whose coefficients are arrays."""
         if order < 0:
             raise CapabilityError("jet order must be >= 0")
         if order > MAX_JET_ORDER:
             raise CapabilityError(f"jet order {order} beyond cap {MAX_JET_ORDER}")
         x = self.check_strip(x)
         if self.jet_fn is not None:
-            return self.jet_fn(x, order)
+            return self._blocked_jet(x, order)
         return self._cauchy_jet(x, order)
+
+    def _blocked_jet(self, x, order):
+        """jet_fn at x; an array of more than _ARRAY_BLOCK points goes in
+        blocks of that many, whose coefficients are joined."""
+        if not isinstance(x, np.ndarray) or x.size <= _ARRAY_BLOCK:
+            return self.jet_fn(x, order)
+        flat = x.ravel()
+        blocks = [flat[i:i + _ARRAY_BLOCK] for i in range(0, flat.size, _ARRAY_BLOCK)]
+        jets = [self.jet_fn(b, order) for b in blocks]
+        return Jet(x, [np.concatenate([np.broadcast_to(j.coeffs[k], b.shape)
+                                       for j, b in zip(jets, blocks)]).reshape(x.shape)
+                       for k in range(order + 1)])
 
     def _cauchy_jet(self, x, order):
         if order == 0:
@@ -125,24 +136,40 @@ def rel_residual(ref, other):
 
 
 def worst_residual(residuals):
-    """Largest of the per-sample residuals, 0 when there are none.
+    """Largest of the residuals, 0 when there are none; each item is a
+    number or an array of them.
 
-    Fails closed: a NaN or infinite sample makes the result inf, so that
+    Fails closed: a NaN or infinite entry makes the result inf, so that
     sample can never pass a tolerance (a plain max would drop a NaN).
     """
     worst = 0.0
     for r in residuals:
-        if not math.isfinite(r):
+        r = np.asarray(r, dtype=float).ravel()
+        if not np.isfinite(r).all():
             return math.inf
-        if r > worst:
-            worst = r
+        if r.size:
+            worst = max(worst, float(r.max()))
     return worst
+
+
+def values_at(f, xs):
+    """Values of f at the sample array xs, as every identity evaluates a
+    function: one array call for an AnalyticFn with exact jets, otherwise one
+    call per point (the difference chains, whose functions are scalar).
+
+    An exception at a point propagates, so a chain error there is a skip and
+    a StripError moves on to the next sample set; AnalyticFn's own point loop
+    would turn an ArithmeticError (a PoleError among them) into nan.
+    """
+    if isinstance(f, AnalyticFn) and f.jet_fn is not None:
+        return f(xs)
+    return np.array([f(x) for x in xs.ravel().tolist()], dtype=complex).reshape(xs.shape)
 
 
 class Identity(NamedTuple):
     """One entry of a chain kind's identity table."""
 
-    residuals: Callable       # (levels, samples) -> residuals at levels[-1]
+    residuals: Callable       # (levels, sample array) -> residuals at levels[-1]
     first_level: int = 0      # 1 for a step identity, which relates a level to its parent
     sampled: bool = True      # False when checked on its own grid, not at the samples
 
@@ -150,6 +177,9 @@ class Identity(NamedTuple):
 def identity_residual(table, name, levels, samples):
     """Worst residual of identity `name` of `table` at the deepest level of
     `levels`, a chain from level 0; a non-finite sample makes it inf.
+
+    The identity gets the samples as one complex array and yields residuals
+    as numbers or arrays; arithmetic failures show as non-finite residuals.
 
     Fails closed: an unknown name, a level below the identity's first level
     and an identity that evaluates nothing there raise DomainError.
@@ -160,11 +190,12 @@ def identity_residual(table, name, levels, samples):
     s = len(levels) - 1
     if s < entry.first_level:
         raise DomainError(f"{name} applies from level {entry.first_level}, not at level {s}")
-    residuals = iter(entry.residuals(levels, samples))
-    first = next(residuals, None)
-    if first is None:
+    xs = np.asarray(samples, dtype=complex)
+    with np.errstate(all="ignore"):
+        residuals = [np.ravel(r) for r in entry.residuals(levels, xs)]
+    if not any(r.size for r in residuals):
         raise DomainError(f"{name} evaluated nothing at level {s}")
-    return worst_residual(itertools.chain((first,), residuals))
+    return worst_residual(residuals)
 
 
 def grow_chain(level, step, depth):
@@ -201,10 +232,8 @@ def zero_mode(chain, levels, samples):
     level = levels[-1]
     parent = level.parent
     seed = level.phi(0) if parent is None else chain.apply_A(parent, parent.phi(level.s))
-    low = chain.apply_A(level, seed)
-    for x in samples:
-        scale = 1.0 + abs(seed(x))
-        yield abs(low(x)) / scale
+    scale = 1.0 + np.abs(values_at(seed, samples))
+    yield np.abs(values_at(chain.apply_A(level, seed), samples)) / scale
 
 
 def iso_spectral(chain, levels, samples):
@@ -213,11 +242,9 @@ def iso_spectral(chain, levels, samples):
     for n in checked_ns(level):
         f = level.phi(n)
         e_n = level.family.energy(n)
-        h_f = chain.hamiltonian_apply(level, f)
-        for x in samples:
-            lhs = h_f(x)
-            rhs = e_n * f(x)
-            yield abs(lhs - rhs) / ((1.0 + abs(e_n)) * (1.0 + abs(f(x))))
+        lhs = values_at(chain.hamiltonian_apply(level, f), samples)
+        f_x = values_at(f, samples)
+        yield np.abs(lhs - e_n * f_x) / ((1.0 + abs(e_n)) * (1.0 + np.abs(f_x)))
 
 
 def intertwine(chain, levels, samples):
@@ -226,10 +253,9 @@ def intertwine(chain, levels, samples):
     parent = level.parent
     for n in checked_ns(level):
         f = parent.phi(n)
-        lhs_fn = chain.apply_A(parent, chain.hamiltonian_apply(parent, f))
-        rhs_fn = chain.hamiltonian_apply(level, chain.apply_A(parent, f))
-        for x in samples:
-            yield rel_residual(lhs_fn(x), rhs_fn(x))
+        lhs = values_at(chain.apply_A(parent, chain.hamiltonian_apply(parent, f)), samples)
+        rhs = values_at(chain.hamiltonian_apply(level, chain.apply_A(parent, f)), samples)
+        yield rel_residual(lhs, rhs)
 
 
 def factorization(chain, levels, samples):
@@ -238,86 +264,93 @@ def factorization(chain, levels, samples):
     parent = level.parent
     for n in checked_ns(level):
         f = level.phi(n)
-        lifted = chain.apply_A(parent, chain.apply_Adag(parent, f))
-        h_f = chain.hamiltonian_apply(level, f)
-        for x in samples:
-            lhs = lifted(x) + parent.E_s * f(x)
-            yield rel_residual(lhs, h_f(x))
+        lifted = values_at(chain.apply_A(parent, chain.apply_Adag(parent, f)), samples)
+        lhs = lifted + parent.E_s * values_at(f, samples)
+        yield rel_residual(lhs, values_at(chain.hamiltonian_apply(level, f), samples))
 
 
 def downshift_roundtrip(chain, levels, samples):
     """A^[s-1]dag phi^[s]_n / (E_n - E_{s-1}) gives back the parent's phi_n."""
     level = levels[-1]
     for n in checked_ns(level):
-        rebuilt = chain.downshift(level, n)
-        target = level.parent.phi(n)
-        for x in samples:
-            yield rel_residual(rebuilt(x), target(x))
+        rebuilt = values_at(chain.downshift(level, n), samples)
+        yield rel_residual(rebuilt, values_at(level.parent.phi(n), samples))
 
 
 def lu_det(matrix):
-    """Determinant by partially pivoted LU on a complex matrix.
+    """Determinant by partially pivoted LU of a complex matrix, or of each
+    matrix of a stack of shape (..., n, n), each pivoted on its own.
 
-    Returns (det, growth) where growth is the element growth factor
-    max|U| / max|A|; chains are shallow so conditioning is tracked,
-    not mitigated.
+    Returns (det, growth): det has the shape of the stack, and growth is the
+    largest element growth factor max|U| / max|A| over the stack, a float.
+    A matrix with a zero pivot has det 0 and the growth reached before that
+    pivot.  Chains are shallow, so conditioning is tracked, not mitigated.
     """
     a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
+    shape, n = a.shape[:-2], a.shape[-1]
     if n == 0:
-        return 1.0 + 0j, 1.0
-    scale0 = np.max(np.abs(a))
-    if scale0 == 0.0:
-        return 0j, 1.0
-    det = 1.0 + 0j
-    growth = scale0
+        return np.ones(shape, dtype=complex)[()], 1.0
+    a = a.reshape((math.prod(shape), n, n))
+    scale0 = np.abs(a).max(axis=(1, 2))
+    growth = scale0.copy()
+    alive = scale0 != 0.0
+    det = np.ones(len(a), dtype=complex)
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) == 0.0:
-            return 0j, growth / scale0
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            det = -det
-        det *= a[col, col]
+        # row of each pivot as a float, so that comparing it with a row index
+        # takes numpy's float kernels, which a suite already has resident;
+        # the int64 ones would add about 0.13 MB of library code to the process
+        piv = np.abs(a[:, col:, col]).argmax(axis=1) + float(col)
+        for row in range(col + 1, n):
+            swap = piv == row
+            if swap.any():
+                top, low = a[:, col], a[:, row]
+                a[:, col], a[:, row] = (np.where(swap[:, None], low, top),
+                                        np.where(swap[:, None], top, low))
+                det = np.where(swap, -det, det)
+        pivot = a[:, col, col]
+        alive &= pivot != 0.0
+        det *= pivot
         if col + 1 < n:
-            factors = a[col + 1 :, col] / a[col, col]
-            a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-            growth = max(growth, np.max(np.abs(a[col + 1 :, col:])))
-    return det, growth / scale0
+            # a matrix already done divides by 1, so its arithmetic stays finite
+            factors = a[:, col + 1:, col] / np.where(alive, pivot, 1.0)[:, None]
+            a[:, col + 1:, col:] -= factors[:, :, None] * a[:, col:col + 1, col:]
+            step = np.abs(a[:, col + 1:, col:]).max(axis=(1, 2))
+            growth = np.where(alive, np.fmax(growth, step), growth)
+    det = np.where(alive, det, 0j)
+    ratio = np.divide(growth, scale0, out=np.ones_like(growth), where=scale0 != 0.0)
+    return det.reshape(shape)[()], float(ratio.max(initial=1.0))
 
 
 def wronskian(fs, x, info=False):
-    """Determinant of the derivative tower (row j holds the (j-1)-th
-    derivatives); an empty list gives 1."""
+    """Determinant of the derivative tower (row j holds the j-th derivatives,
+    from j = 0), one per point of an array x; an empty list gives 1."""
     n = len(fs)
-    if n == 0:
-        return (1.0 + 0j, 1.0) if info else 1.0 + 0j
-    jets = [f.jet(x, n - 1) for f in fs]
-    m = [[jets[k].deriv(j) for k in range(n)] for j in range(n)]
+    m = np.empty(np.shape(x) + (n, n), dtype=complex)
+    for k, f in enumerate(fs):
+        jet = f.jet(x, n - 1)
+        for j in range(n):
+            m[..., j, k] = jet.deriv(j)
     det, growth = lu_det(m)
     return (det, growth) if info else det
 
 
 def casoratian(fs, x, gamma, info=False):
-    """Shifted-argument determinant i^{n(n-1)/2} det f_k(x + i(n+1-2j) gamma/2).
+    """Shifted-argument determinant i^{n(n-1)/2} det f_k(x + i(n+1-2j) gamma/2),
+    one per point of an array x; each function is evaluated as `values_at`
+    evaluates it, one call per row.
 
     Degenerates to 1 for an empty list and to f(x) for a single function;
     raises StripError naming the first shifted point that leaves a strip.
     """
     n = len(fs)
-    if n == 0:
-        return (1.0 + 0j, 1.0) if info else 1.0 + 0j
-    x = complex(x)
-    rows = []
+    x = np.asarray(x, dtype=complex)
+    m = np.empty(x.shape + (n, n), dtype=complex)
     for j in range(1, n + 1):
-        pt = x + 0.5j * (n + 1 - 2 * j) * gamma
-        row = []
-        for f in fs:
-            f.check_strip(pt)
-            row.append(f(pt))
-        rows.append(row)
-    det, growth = lu_det(rows)
-    det *= 1j ** ((n * (n - 1) // 2) % 4)
+        pts = x + 0.5j * (n + 1 - 2 * j) * gamma
+        for k, f in enumerate(fs):
+            m[..., j - 1, k] = values_at(f, pts)
+    det, growth = lu_det(m)
+    det = det * 1j ** ((n * (n - 1) // 2) % 4)
     return (det, growth) if info else det
 
 

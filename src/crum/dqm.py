@@ -36,7 +36,7 @@ import numpy as np
 
 from .analytic import (AnalyticFn, Identity, casoratian, checked_ns, downshift_roundtrip,
                        factorization, grow_chain, identity_residual, intertwine,
-                       iso_spectral, rel_residual, zero_mode)
+                       iso_spectral, rel_residual, values_at, zero_mode)
 from .errors import BranchError, ChainBreakError, DomainError, PoleError
 
 NODE_SCAN_POINTS = 301
@@ -300,33 +300,36 @@ def downshift(level, n):
 # ---------------------------------------------------------------------------
 
 def _sqrt_v_prefactor(levels, s, x, gamma):
-    """Product of sqrt V^[l] (x + i (s-l) gamma / 2) over levels l < s."""
+    """Product of sqrt V^[l] (x + i (s-l) gamma / 2) over levels l < s, at
+    each point of the array x."""
     pref = 1.0 + 0j
     for lvl in range(s):
-        pref *= levels[lvl].sqrt_v(x + 0.5j * (s - lvl) * gamma)
+        pref = pref * values_at(levels[lvl].sqrt_v, x + 0.5j * (s - lvl) * gamma)
     return pref
 
 
 def phi_via_casoratian(levels, s, n, x):
-    """Determinant route to phi^[s]_n: prefactor times a ratio of shifted
-    determinants of level-0 eigenfunctions."""
+    """Determinant route to phi^[s]_n at x or at each point of an array x:
+    prefactor times a ratio of shifted determinants of level-0 eigenfunctions."""
     base = levels[0]
     fam = base.family
     g = fam.gamma
-    x = complex(x)
+    x = np.asarray(x, dtype=complex)
     fs = [fam.phi(k) for k in range(s)]
     den = casoratian(fs, x - 0.5j * g, g)
-    if abs(den) < 1e-280:
-        raise PoleError(f"denominator determinant vanishes at x={x}")
+    pole = np.abs(den) < 1e-280
+    if pole.any():
+        raise PoleError(f"denominator determinant vanishes at x={x.ravel()[pole.argmax()]}")
     num = casoratian(fs + [fam.phi(n)], x, g)
     return _sqrt_v_prefactor(levels, s, x, g) * num / den
 
 
 def check_function(levels, s, n, x):
     """Eigenfunction normalized by the square-root prefactor (the form whose
-    shifted products build the plain determinants)."""
-    x = complex(x)
-    return levels[s]._phi_fn(n, x) / _sqrt_v_prefactor(levels, s, x, levels[0].gamma)
+    shifted products build the plain determinants), at each point of the
+    array x."""
+    phi = values_at(functools.partial(levels[s]._phi_fn, n), x)
+    return phi / _sqrt_v_prefactor(levels, s, x, levels[0].gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +347,10 @@ def _res_quadratic(levels, samples):
     level = levels[-1]
     par = level.parent
     g = level.gamma
-    for x in samples:
-        x = complex(x)
-        lhs = par.v(x - 0.5j * g) * par.v_star(x - 0.5j * g)
-        rhs = level.v(x) * level.v_star(x - 1j * g)
-        yield rel_residual(lhs, rhs)
+    low = samples - 0.5j * g
+    lhs = values_at(par.v, low) * values_at(par.v_star, low)
+    rhs = values_at(level.v, samples) * values_at(level.v_star, samples - 1j * g)
+    yield rel_residual(lhs, rhs)
 
 
 def _res_linear(levels, samples):
@@ -356,11 +358,9 @@ def _res_linear(levels, samples):
     par = level.parent
     g = level.gamma
     gap = level.E_s - par.E_s
-    for x in samples:
-        x = complex(x)
-        lhs = par.v(x + 0.5j * g) + par.v_star(x - 0.5j * g)
-        rhs = level.v(x) + level.v_star(x) - gap
-        yield rel_residual(lhs, rhs)
+    lhs = values_at(par.v, samples + 0.5j * g) + values_at(par.v_star, samples - 0.5j * g)
+    rhs = values_at(level.v, samples) + values_at(level.v_star, samples) - gap
+    yield rel_residual(lhs, rhs)
 
 
 def _res_step_determinant(levels, samples):
@@ -369,15 +369,15 @@ def _res_step_determinant(levels, samples):
     par = level.parent
     g = level.gamma
     s = level.s
+    up, dn = samples + 0.5j * g, samples - 0.5j * g
+    seed = functools.partial(par._phi_fn, s - 1)
+    seed_up, seed_dn = values_at(seed, up), values_at(seed, dn)
+    sqrt_v_up = values_at(par.sqrt_v, up)
     for n in checked_ns(level):
-        for x in samples:
-            x = complex(x)
-            up, dn = x + 0.5j * g, x - 0.5j * g
-            det = (par._phi_fn(s - 1, up) * par._phi_fn(n, dn)
-                   - par._phi_fn(n, up) * par._phi_fn(s - 1, dn))
-            lhs = 1j * par.sqrt_v(up) / par._phi_fn(s - 1, dn) * det
-            rhs = level._phi_fn(n, x)
-            yield rel_residual(lhs, rhs)
+        phi_n = functools.partial(par._phi_fn, n)
+        det = seed_up * values_at(phi_n, dn) - values_at(phi_n, up) * seed_dn
+        lhs = 1j * sqrt_v_up / seed_dn * det
+        yield rel_residual(lhs, values_at(functools.partial(level._phi_fn, n), samples))
 
 
 def _res_check_product(levels, samples):
@@ -386,23 +386,19 @@ def _res_check_product(levels, samples):
     g = fam.gamma
     s = len(levels) - 1
     for n in checked_ns(levels[s]):
-        fs = [fam.phi(k) for k in range(s)] + [fam.phi(n)]
-        for x in samples:
-            x = complex(x)
-            lhs = casoratian(fs, x, g)
-            rhs = check_function(levels, s, n, x)
-            for k in range(s):
-                rhs *= check_function(levels, k, k, x + 0.5j * (k - s) * g)
-            yield rel_residual(lhs, rhs)
+        lhs = casoratian([fam.phi(k) for k in range(s)] + [fam.phi(n)], samples, g)
+        rhs = check_function(levels, s, n, samples)
+        for k in range(s):
+            rhs = rhs * check_function(levels, k, k, samples + 0.5j * (k - s) * g)
+        yield rel_residual(lhs, rhs)
 
 
 def _res_casoratian_ratio(levels, samples):
     s = len(levels) - 1
     for n in checked_ns(levels[s]):
-        for x in samples:
-            lhs = phi_via_casoratian(levels, s, n, complex(x))
-            rhs = levels[s]._phi_fn(n, complex(x))
-            yield rel_residual(rhs, lhs)
+        lhs = phi_via_casoratian(levels, s, n, samples)
+        rhs = values_at(functools.partial(levels[s]._phi_fn, n), samples)
+        yield rel_residual(rhs, lhs)
 
 
 def _res_casoratian_jacobi(levels, samples):
@@ -415,16 +411,12 @@ def _res_casoratian_jacobi(levels, samples):
     generic = _generic_fns()
     lists = [([fam.phi(k) for k in range(s)], fam.phi(s), fam.phi(n)),
              (generic[:-2], generic[-2], generic[-1])]
+    up, dn = samples + 0.5j * g, samples - 0.5j * g
     for head, f_s, f_n in lists:
-        for x in samples:
-            x = complex(x)
-            m11 = casoratian(head + [f_s], x + 0.5j * g, g)
-            m12 = casoratian(head + [f_n], x + 0.5j * g, g)
-            m21 = casoratian(head + [f_s], x - 0.5j * g, g)
-            m22 = casoratian(head + [f_n], x - 0.5j * g, g)
-            lhs = m11 * m22 - m12 * m21
-            rhs = -1j * casoratian(head, x, g) * casoratian(head + [f_s, f_n], x, g)
-            yield rel_residual(lhs, rhs)
+        m11, m12 = casoratian(head + [f_s], up, g), casoratian(head + [f_n], up, g)
+        m21, m22 = casoratian(head + [f_s], dn, g), casoratian(head + [f_n], dn, g)
+        rhs = -1j * casoratian(head, samples, g) * casoratian(head + [f_s, f_n], samples, g)
+        yield rel_residual(m11 * m22 - m12 * m21, rhs)
 
 
 def _generic_fns():
@@ -437,11 +429,9 @@ def _res_realness(levels, samples):
     """phi^[s]_n star-equals itself at strip points."""
     level = levels[-1]
     for n in checked_ns(level):
-        for x in samples:
-            x = complex(x)
-            direct = level._phi_fn(n, x)
-            starred = complex(level._phi_fn(n, x.conjugate())).conjugate()
-            yield rel_residual(direct, starred)
+        phi_n = functools.partial(level._phi_fn, n)
+        direct = values_at(phi_n, samples)
+        yield rel_residual(direct, values_at(phi_n, samples.conj()).conj())
 
 
 # the suite checks these at every level from first_level up, in this order;

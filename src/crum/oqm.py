@@ -24,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from .analytic import (AnalyticFn, Identity, downshift_roundtrip, factorization, grow_chain,
-                       identity_residual, intertwine, iso_spectral, rel_residual, wronskian,
-                       zero_mode)
+                       identity_residual, intertwine, iso_spectral, rel_residual, values_at,
+                       wronskian, zero_mode)
 from .errors import ChainBreakError, DomainError, PoleError
 from .jets import Jet
 
@@ -112,9 +112,9 @@ def node_count(fn, interval, npoints=NODE_GRID):
     Grid points landing exactly on a zero are dropped before counting, so a
     node sitting on a sample still counts once.
     """
-    vals = np.real(fn(np.linspace(interval[0], interval[1], npoints)))
-    signs = [s for s in np.sign(vals) if s != 0]
-    return sum(1 for a, b in zip(signs[:-1], signs[1:]) if a != b)
+    signs = np.sign(np.real(fn(np.linspace(interval[0], interval[1], npoints))))
+    signs = signs[signs != 0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def step_chain(level):
@@ -153,13 +153,14 @@ def downshift(level, n):
 
 
 def phi_via_wronskian(levels, s, n, x):
-    """Determinant route to phi^[s]_n: ratio of two Wronskians of level-0
-    eigenfunctions."""
+    """Determinant route to phi^[s]_n at x or at each point of an array x:
+    ratio of two Wronskians of level-0 eigenfunctions."""
     base = levels[0]
     fs = [base.phi(k) for k in range(s)]
     den = wronskian(fs, x)
-    if abs(den) < 1e-280:
-        raise PoleError(f"denominator Wronskian vanishes at x={x}")
+    pole = np.abs(den) < 1e-280
+    if pole.any():
+        raise PoleError(f"denominator Wronskian vanishes at x={np.ravel(x)[pole.argmax()]}")
     num = wronskian(fs + [base.phi(n)], x)
     return num / den
 
@@ -181,13 +182,9 @@ def _res_riccati(levels, samples):
     level = levels[-1]
     parent = level.parent
     gap = level.E_s - parent.E_s
-    w_new, w_old = level.w_prime(), parent.w_prime()
-    for x in samples:
-        jn = w_new.jet(x, 1)
-        jp = w_old.jet(x, 1)
-        lhs = jn.value**2 + jn.deriv(1)
-        rhs = jp.value**2 - jp.deriv(1) - gap
-        yield rel_residual(lhs, rhs)
+    jn = level.w_prime().jet(samples, 1)
+    jp = parent.w_prime().jet(samples, 1)
+    yield rel_residual(jn.value**2 + jn.deriv(1), jp.value**2 - jp.deriv(1) - gap)
 
 
 def _res_potential_wronskian(levels, samples):
@@ -197,23 +194,14 @@ def _res_potential_wronskian(levels, samples):
     the potential with the level constant E_s split off, hence the shift.
     """
     base = levels[0]
-    u0 = base.family.potential()
     level = levels[-1]
     s = level.s
-    fs = [base.phi(k) for k in range(s)]
-    u_s = level.potential()
-
-    def wr_jet(x, order):
-        jets = [f.jet(x, s - 1 + order) for f in fs]
-        m = [[_jet_nth(jets[k], j, order) for k in range(s)] for j in range(s)]
-        return _jet_det(m, x, order)
-
-    for x in samples:
-        j = wr_jet(x, 2)
-        w, w1, w2 = j.coeffs[0], j.deriv(1), j.deriv(2)
-        lhs = u_s(x) + level.E_s
-        rhs = u0(x) - 2.0 * (w2 * w - w1 * w1) / (w * w)
-        yield rel_residual(lhs, rhs)
+    jets = [base.phi(k).jet(samples, s + 1) for k in range(s)]
+    j = _jet_det([[_jet_nth(jets[k], r, 2) for k in range(s)] for r in range(s)], samples, 2)
+    w, w1, w2 = j.coeffs[0], j.deriv(1), j.deriv(2)
+    lhs = values_at(level.potential(), samples) + level.E_s
+    rhs = values_at(base.family.potential(), samples) - 2.0 * (w2 * w - w1 * w1) / (w * w)
+    yield rel_residual(lhs, rhs)
 
 
 def _jet_nth(jet, j, order):
@@ -225,25 +213,34 @@ def _jet_nth(jet, j, order):
 
 
 def _jet_det(matrix, x, order):
-    """Determinant over the jet ring via fraction-free-ish elimination with
-    value-magnitude pivoting; matrices here are tiny (<= 5x5)."""
+    """Determinant over the jet ring at each point of the array x, by
+    elimination pivoted per point on the value magnitude; the matrices here
+    are tiny (<= 5x5).  A point with a zero pivot gets the zero jet."""
     n = len(matrix)
     m = [row[:] for row in matrix]
     det = Jet.const(1.0, x, order)
-    sign = 1.0
+    dead = np.zeros(x.shape, dtype=bool)
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col].value))
-        if abs(m[piv][col].value) == 0.0:
-            return Jet.const(0.0, x, order)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
+        mags = np.abs([np.broadcast_to(m[r][col].value, x.shape) for r in range(col, n)])
+        piv = mags.argmax(axis=0) + float(col)     # a float, as in analytic.lu_det
+        for r in range(col + 1, n):
+            swap = piv == r
+            if swap.any():
+                m[col], m[r] = ([_where(swap, b, a) for a, b in zip(m[col], m[r])],
+                                [_where(swap, a, b) for a, b in zip(m[col], m[r])])
+                det = _where(swap, -det, det)
+        dead |= mags.max(axis=0) == 0.0
         det = det * m[col][col]
         for r in range(col + 1, n):
             factor = m[r][col] / m[col][col]
             for c in range(col, n):
                 m[r][c] = m[r][c] - factor * m[col][c]
-    return det * sign
+    return _where(dead, Jet.const(0.0, x, order), det)
+
+
+def _where(mask, a, b):
+    """The jet equal to a where mask holds and to b elsewhere."""
+    return Jet(a.anchor, [np.where(mask, ca, cb) for ca, cb in zip(a.coeffs, b.coeffs)])
 
 
 def _res_wronskian_product(levels, samples):
@@ -252,23 +249,20 @@ def _res_wronskian_product(levels, samples):
     base = levels[0]
     s = len(levels) - 1
     fs = [base.phi(k) for k in range(s)]
-    for x in samples:
-        w = wronskian(fs, x)
-        prod = 1.0 + 0j
-        for k in range(s):
-            prod *= levels[k].phi(k)(x)
-        yield rel_residual(w, prod)
-        for n in _ns(levels[s])[-1:]:
-            wn = wronskian(fs + [base.phi(n)], x)
-            yield rel_residual(wn, prod * levels[s].phi(n)(x))
+    prod = 1.0 + 0j
+    for k in range(s):
+        prod = prod * values_at(levels[k].phi(k), samples)
+    yield rel_residual(wronskian(fs, samples), prod)
+    for n in _ns(levels[s])[-1:]:
+        wn = wronskian(fs + [base.phi(n)], samples)
+        yield rel_residual(wn, prod * values_at(levels[s].phi(n), samples))
 
 
 def _res_wronskian_ratio(levels, samples):
     s = len(levels) - 1
     for n in _ns(levels[s])[-2:]:
-        direct = levels[s].phi(n)
-        for x in samples:
-            yield rel_residual(phi_via_wronskian(levels, s, n, x), direct(x))
+        yield rel_residual(phi_via_wronskian(levels, s, n, samples),
+                           values_at(levels[s].phi(n), samples))
 
 
 def _res_node_count(levels, samples):

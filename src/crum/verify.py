@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .analytic import casoratian, inner_product, worst_residual, wronskian
+from .analytic import casoratian, inner_product, values_at, worst_residual, wronskian
 from .errors import AccuracyError, CrumError, ParameterError, StripError
 from .families import _oracle_box, _plain_params, make_family, virtual_state
 from .quadrature import QuadratureSpec, refinement_sequence
@@ -474,7 +474,8 @@ def _virtual_block(family, levels, config, pts, chain):
     of the Hilbert space by the norm-refinement scan."""
     phi_prime = virtual_state(family)
     up = chain.apply_Adag(levels[0], phi_prime)
-    res = worst_residual(abs(up(x)) / (1.0 + abs(phi_prime(x))) for x in pts)
+    xs = np.asarray(pts, dtype=complex)
+    res = worst_residual([np.abs(values_at(up, xs)) / (1.0 + np.abs(values_at(phi_prime, xs)))])
     flag = norm_divergence_flag(phi_prime, family.quad)
     tol = config.tolerance("virtual_zero_mode")
     ok = res <= tol

@@ -1,15 +1,16 @@
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from crum import AnalyticFn, make_family
-from crum.analytic import star_eval
+from crum.analytic import checked_ns, rel_residual, star_eval, worst_residual
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
-from crum.errors import AccuracyError
+from crum.errors import AccuracyError, PoleError
 from crum.jets import Jet
 from crum.special import QPOCH_TAIL
 
@@ -188,6 +189,206 @@ def scalar_grid_eigensolve(u_fn, domain, n_points, k):
         return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
 
     return (4.0 * eigs(2 * n_points) - eigs(n_points)) / 3.0
+
+
+def scalar_lu_det(matrix):
+    """Determinant and LU growth of one matrix, pivoted row by row: the
+    per-matrix route the stacked `analytic.lu_det` replaced, kept as its oracle."""
+    a = np.array(matrix, dtype=complex)
+    n = a.shape[0]
+    if n == 0:
+        return 1.0 + 0j, 1.0
+    scale0 = np.max(np.abs(a))
+    if scale0 == 0.0:
+        return 0j, 1.0
+    det = 1.0 + 0j
+    growth = scale0
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if abs(a[piv, col]) == 0.0:
+            return 0j, growth / scale0
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            det = -det
+        det *= a[col, col]
+        if col + 1 < n:
+            factors = a[col + 1 :, col] / a[col, col]
+            a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
+            growth = max(growth, np.max(np.abs(a[col + 1 :, col:])))
+    return det, growth / scale0
+
+
+def scalar_wronskian(fs, x):
+    """Wronskian at one point through scalar jets and `scalar_lu_det`."""
+    n = len(fs)
+    if n == 0:
+        return 1.0 + 0j
+    jets = [f.jet(x, n - 1) for f in fs]
+    return scalar_lu_det([[jets[k].deriv(j) for k in range(n)] for j in range(n)])[0]
+
+
+def list_node_count(fn, interval, npoints=oqm_mod.NODE_GRID):
+    """Sign changes of fn on the grid, counted over a Python list: the route
+    the numpy count of `oqm.node_count` replaced, kept as its oracle."""
+    vals = np.real(fn(np.linspace(interval[0], interval[1], npoints)))
+    signs = [s for s in np.sign(vals) if s != 0]
+    return sum(1 for a, b in zip(signs[:-1], signs[1:]) if a != b)
+
+
+# -- the sampled identities one scalar jet per point ----------------------------------
+# The generators the identities of `analytic` and `oqm` replaced when they took
+# the whole sample array at once, kept as their oracle: each yields one
+# residual per point of a list of samples.
+
+def _zero_mode(chain, levels, samples):
+    level = levels[-1]
+    parent = level.parent
+    seed = level.phi(0) if parent is None else chain.apply_A(parent, parent.phi(level.s))
+    low = chain.apply_A(level, seed)
+    for x in samples:
+        yield abs(low(x)) / (1.0 + abs(seed(x)))
+
+
+def _iso_spectral(chain, levels, samples):
+    level = levels[-1]
+    for n in checked_ns(level):
+        f = level.phi(n)
+        e_n = level.family.energy(n)
+        h_f = chain.hamiltonian_apply(level, f)
+        for x in samples:
+            yield abs(h_f(x) - e_n * f(x)) / ((1.0 + abs(e_n)) * (1.0 + abs(f(x))))
+
+
+def _intertwine(chain, levels, samples):
+    level = levels[-1]
+    parent = level.parent
+    for n in checked_ns(level):
+        f = parent.phi(n)
+        lhs_fn = chain.apply_A(parent, chain.hamiltonian_apply(parent, f))
+        rhs_fn = chain.hamiltonian_apply(level, chain.apply_A(parent, f))
+        for x in samples:
+            yield rel_residual(lhs_fn(x), rhs_fn(x))
+
+
+def _factorization(chain, levels, samples):
+    level = levels[-1]
+    parent = level.parent
+    for n in checked_ns(level):
+        f = level.phi(n)
+        lifted = chain.apply_A(parent, chain.apply_Adag(parent, f))
+        h_f = chain.hamiltonian_apply(level, f)
+        for x in samples:
+            yield rel_residual(lifted(x) + parent.E_s * f(x), h_f(x))
+
+
+def _downshift_roundtrip(chain, levels, samples):
+    level = levels[-1]
+    for n in checked_ns(level):
+        rebuilt = chain.downshift(level, n)
+        target = level.parent.phi(n)
+        for x in samples:
+            yield rel_residual(rebuilt(x), target(x))
+
+
+def _riccati(levels, samples):
+    level = levels[-1]
+    parent = level.parent
+    gap = level.E_s - parent.E_s
+    w_new, w_old = level.w_prime(), parent.w_prime()
+    for x in samples:
+        jn = w_new.jet(x, 1)
+        jp = w_old.jet(x, 1)
+        yield rel_residual(jn.value**2 + jn.deriv(1), jp.value**2 - jp.deriv(1) - gap)
+
+
+def _jet_det(matrix, x, order):
+    """Determinant over the jet ring at one point, pivoted on the value."""
+    n = len(matrix)
+    m = [row[:] for row in matrix]
+    det = Jet.const(1.0, x, order)
+    sign = 1.0
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(m[r][col].value))
+        if abs(m[piv][col].value) == 0.0:
+            return Jet.const(0.0, x, order)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        det = det * m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] = m[r][c] - factor * m[col][c]
+    return det * sign
+
+
+def _potential_wronskian(levels, samples):
+    base = levels[0]
+    u0 = base.family.potential()
+    level = levels[-1]
+    s = level.s
+    fs = [base.phi(k) for k in range(s)]
+    u_s = level.potential()
+    for x in samples:
+        jets = [f.jet(x, s + 1) for f in fs]
+        j = _jet_det([[_nth(jets[k], r) for k in range(s)] for r in range(s)], x, 2)
+        w, w1, w2 = j.coeffs[0], j.deriv(1), j.deriv(2)
+        yield rel_residual(u_s(x) + level.E_s, u0(x) - 2.0 * (w2 * w - w1 * w1) / (w * w))
+
+
+def _nth(jet, j):
+    """Order-2 jet of the j-th derivative of the function behind jet."""
+    for _ in range(j):
+        jet = jet.derivative()
+    return jet.truncate(2)
+
+
+def _phi_via_wronskian(levels, s, n, x):
+    fs = [levels[0].phi(k) for k in range(s)]
+    den = scalar_wronskian(fs, x)
+    if abs(den) < 1e-280:
+        raise PoleError(f"denominator Wronskian vanishes at x={x}")
+    return scalar_wronskian(fs + [levels[0].phi(n)], x) / den
+
+
+def _wronskian_product(levels, samples):
+    base = levels[0]
+    s = len(levels) - 1
+    fs = [base.phi(k) for k in range(s)]
+    for x in samples:
+        prod = 1.0 + 0j
+        for k in range(s):
+            prod *= levels[k].phi(k)(x)
+        yield rel_residual(scalar_wronskian(fs, x), prod)
+        n = levels[s].nmax
+        yield rel_residual(scalar_wronskian(fs + [base.phi(n)], x), prod * levels[s].phi(n)(x))
+
+
+def _wronskian_ratio(levels, samples):
+    s = len(levels) - 1
+    for n in range(max(s, levels[s].nmax - 1), levels[s].nmax + 1):
+        direct = levels[s].phi(n)
+        for x in samples:
+            yield rel_residual(_phi_via_wronskian(levels, s, n, x), direct(x))
+
+
+SCALAR_OQM_IDENTITIES = {
+    "zero_mode": partial(_zero_mode, oqm_mod),
+    "iso_spectral": partial(_iso_spectral, oqm_mod),
+    "intertwine": partial(_intertwine, oqm_mod),
+    "riccati": _riccati,
+    "factorization": partial(_factorization, oqm_mod),
+    "potential_wronskian": _potential_wronskian,
+    "wronskian_product": _wronskian_product,
+    "wronskian_ratio": _wronskian_ratio,
+    "downshift_roundtrip": partial(_downshift_roundtrip, oqm_mod),
+}
+
+
+def scalar_identity_residual(name, levels, samples):
+    """Worst residual of sampled oQM identity `name` at the deepest level of
+    `levels`, one scalar evaluation per sample point."""
+    return worst_residual(SCALAR_OQM_IDENTITIES[name](levels, list(samples)))
 
 
 def overall_slope(table):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import from_poly, starred
+from conftest import from_poly, scalar_lu_det, scalar_wronskian, starred
 from crum import dqm, make_family, oqm
 from crum.analytic import (AnalyticFn, casoratian, inner_product, lu_det, star_eval,
                            worst_residual, wronskian)
@@ -195,11 +195,63 @@ def test_lu_det_growth():
     assert growth >= 0.5
 
 
+def test_stacked_lu_det_matches_the_per_matrix_one():
+    mats = np.array([
+        [[1, 2, 3], [4, 5, 6], [7, 8, 10]],      # row swaps
+        [[1, 1, 1], [-1, -1, 1], [1, 1, -1]],    # growth 2, then a zero pivot
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],       # zero matrix
+        [[1, 0, 1], [-1, 1, 1], [-1, -1, 1]],    # growth 4, the largest of the stack
+        [[2j, 1, 0], [1, 1j, 3], [0, 1, 1]],
+        [[1e-300, 1, 2], [1, 3, 1], [2, 1, 1]],
+    ], dtype=complex)
+    dets, growth = lu_det(mats.reshape(2, 3, 3, 3))
+    assert dets.shape == (2, 3)
+    singles = [scalar_lu_det(m) for m in mats]
+    assert list(dets.ravel()) == [d for d, _ in singles]
+    assert growth == max(g for _, g in singles) == 4.0
+    assert dets.ravel()[1] == 0 and singles[1][1] == 2.0
+    for m, (d, g) in zip(mats, singles):
+        assert lu_det(m) == (d, g)
+
+
+def test_determinants_of_an_array_are_one_per_point():
+    xs = np.array([-1.5, 0.0, 0.4 + 0.2j, 2.0])
+    fs = [GAUSS, XGAUSS, from_poly([1.0, 0.0, 1.0])]
+    dets, growth = wronskian(fs, xs, info=True)
+    assert dets.shape == xs.shape
+    for x, d in zip(xs, dets):
+        assert abs(d - scalar_wronskian(fs, complex(x))) <= 1e-15 * (1 + abs(d))
+    assert growth == max(wronskian(fs, complex(x), info=True)[1] for x in xs)
+    assert np.all(wronskian([], xs) == 1.0)
+    gam = 0.3
+    dets = casoratian(fs, xs, gam)
+    assert dets.shape == xs.shape
+    for x, d in zip(xs, dets):
+        rows = [[f.fn(x + 0.5j * (4 - 2 * j) * gam) for f in fs] for j in range(1, 4)]
+        ref = -1j * scalar_lu_det(rows)[0]
+        assert abs(d - ref) <= 1e-15 * (1 + abs(ref))
+
+
+def test_jet_of_a_long_array_goes_in_blocks():
+    xs = np.linspace(-3.0, 3.0, 2500) + 0.1j
+    calls = []
+    f = AnalyticFn(GAUSS.fn, jet_fn=lambda x, o: calls.append(x.size) or GAUSS.jet_fn(x, o))
+    jet = f.jet(xs, 2)
+    assert calls == [1024, 1024, 452]
+    for i in range(0, xs.size, 97):
+        ref = GAUSS.jet(complex(xs[i]), 2)
+        for k in range(3):
+            assert abs(jet.coeffs[k][i] - ref.coeffs[k]) <= 1e-15
+    assert np.array_equal(f(xs), jet.value)
+
+
 def test_worst_residual_fails_closed():
     assert worst_residual([]) == 0.0
     assert worst_residual(iter([1e-12, 3e-12, 2e-12])) == 3e-12
     for bad in (math.nan, math.inf, -math.inf):
         assert worst_residual([1e-12, bad, 2e-12]) == math.inf
+        assert worst_residual([np.array([1e-12, 2e-12]), np.array([bad, 0.0])]) == math.inf
+    assert worst_residual([np.array([1e-12, 4e-12]), np.array([]), 3e-12]) == 4e-12
 
 
 # -- inner products -----------------------------------------------------------

@@ -9,10 +9,11 @@ import pytest
 from crum.analytic import AnalyticFn, inner_product, rel_residual, worst_residual
 from crum.errors import ChainBreakError, DomainError
 from crum.jets import Jet
-from crum import oqm, virtual_state
+from crum import make_family, oqm, virtual_state
 from crum.verify import gram_matrix, sample_points
 
-from conftest import recursive_chain, worst_over_levels
+from conftest import (list_node_count, recursive_chain, scalar_identity_residual,
+                      worst_over_levels)
 
 
 def _pts(fam, count=12):
@@ -128,6 +129,37 @@ def test_node_counts_drop_with_level(chain_name, request):
             assert oqm.node_count(level.phi(n), (lo, hi)) == n - s
 
 
+def test_node_count_matches_the_list_count(hermite_chain):
+    for s, level in enumerate(hermite_chain):
+        for n in range(s, 7):
+            f = level.phi(n)
+            assert oqm.node_count(f, (-4.0, 4.0)) == list_node_count(f, (-4.0, 4.0))
+    # exact zeros on grid points, plateaus and a nan (a failed point)
+    def fn(x):
+        if abs(x.real - 0.5) < 1e-3:
+            raise ZeroDivisionError
+        return complex(round(math.sin(3.0 * x.real), 1))
+
+    f = AnalyticFn(fn)
+    assert oqm.node_count(f, (-3.0, 3.0)) == list_node_count(f, (-3.0, 3.0)) > 0
+
+
+@pytest.mark.parametrize("name,params", [("hermite", {}), ("laguerre", {"g": 3.0}),
+                                         ("jacobi", {"g": 2.0})])
+def test_array_identities_match_the_scalar_oracle(name, params):
+    fam = make_family(name, **params)
+    levels = oqm.build_chain(fam, 3, nmax=5)
+    for seed in (7, 2021):
+        pts = sample_points(fam, 20, seed)
+        for s in range(4):
+            for kind, entry in oqm.IDENTITIES.items():
+                if not entry.sampled or s < entry.first_level:
+                    continue
+                array = oqm.relation_residual(kind, levels[: s + 1], pts)
+                scalar = scalar_identity_residual(kind, levels[: s + 1], pts)
+                assert abs(array - scalar) <= 1e-12, (kind, s, seed, array, scalar)
+
+
 def test_chain_break_on_nodeful_seed(hermite):
     # feeding a seed with an interior node must refuse to build the level
     shifted = SimpleNamespace(phi=lambda n, s=0: hermite.phi(n + 1, s),  # phi[1]_1 := phi[1]_2
@@ -162,9 +194,11 @@ def test_closed_form_matches_recursion(chain_name, request):
 
 
 def test_level_evaluation_retains_no_memory(hermite):
+    # scalar calls, then one array call of each, as the identities make it
     level = oqm.build_chain(hermite, 3, nmax=5)[3]
     phi, w_prime = level.phi(5), level.w_prime()
-    xs = [complex(t) for t in np.linspace(-3.0, 3.0, 5000)]
+    grid = np.linspace(-3.0, 3.0, 5000).astype(complex)
+    xs = grid[::5].tolist()
     gc.collect()
     tracemalloc.start()
     try:
@@ -172,6 +206,8 @@ def test_level_evaluation_retains_no_memory(hermite):
         for x in xs:
             phi(x)
             w_prime(x)
+        phi(grid)
+        w_prime(grid)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:

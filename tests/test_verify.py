@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import scalar_gram, scalar_grid_eigensolve
-from crum import dqm, oqm, structure, verify, virtual_state
+from crum import dqm, make_family, oqm, structure, verify, virtual_state
 from crum.analytic import AnalyticFn, Identity
 from crum.errors import AccuracyError, ChainBreakError, ParameterError, PoleError
 from crum.families import _oracle_box
+from crum.jets import Jet
 from crum.verify import (DEFAULT_TOLERANCES, RunConfig, grid_eigensolve, gram_matrix,
                          norm_divergence_flag, run_suite, sample_points)
 
@@ -92,9 +93,10 @@ def hermite_report(hermite_run):
 
 
 def test_suite_checks_each_level_once(hermite_run):
-    # 3 levels x 20 samples x (2 wronskian_product + 4 wronskian_ratio calls);
-    # re-checking every lower level at each level made 720
-    assert hermite_run[1] == 360
+    # 3 levels x (2 wronskian_product + 4 wronskian_ratio calls), each call on
+    # the whole sample array; re-checking every lower level at each level
+    # would make 36, and one call per sample point 360
+    assert hermite_run[1] == 18
 
 
 def test_suite_hermite_passes(hermite_report):
@@ -340,6 +342,60 @@ def test_evaluation_counts_are_one_call_per_grid_and_per_level(monkeypatch):
     assert grids == [[1400, 2800], [2000, 4000], [2000, 4000]]
     # each phi once per quadrature level (levels 0..3) at each Gram level
     assert grams == [[4, 4, 4, 4]] * 3
+
+
+def test_identities_make_no_scalar_jet_call(monkeypatch):
+    # hermite depth 2: every identity evaluates each function on the whole
+    # sample array, so no jet anchored at a single point is built inside one
+    inside, anchors = [False], []
+    real_residual, real_init = oqm.relation_residual, Jet.__init__
+
+    def relation_residual(*args):
+        inside[0] = True
+        try:
+            return real_residual(*args)
+        finally:
+            inside[0] = False
+
+    def init(self, anchor, coeffs):
+        if inside[0]:
+            anchors.append(isinstance(anchor, np.ndarray))
+        real_init(self, anchor, coeffs)
+
+    monkeypatch.setattr(oqm, "relation_residual", relation_residual)
+    monkeypatch.setattr(Jet, "__init__", init)
+    rep = run_suite(RunConfig(family="hermite", depth=2, seed=7))
+    assert rep.status == "pass"
+    assert anchors and all(anchors)
+
+
+def test_pole_at_one_sample_of_a_difference_chain_is_a_skip(monkeypatch):
+    # the difference chains evaluate point by point with exceptions
+    # propagating: a PoleError at one sample is a skip, not a nan that fails
+    fam = make_family("q_hermite", q=0.5)
+    bad = sample_points(fam, 4, 7)[1]
+    real_phi = dqm.DqmChainLevel.phi
+
+    def phi(self, n, x=None):
+        if x is not None:
+            return real_phi(self, n, x)
+        f = real_phi(self, n)
+
+        def fn(t):
+            if t == bad:
+                raise PoleError(f"injected at x={t}")
+            return f.fn(t)
+
+        return AnalyticFn(fn, strip_halfwidth=f.strip_halfwidth, label=f.label)
+
+    monkeypatch.setattr(dqm.DqmChainLevel, "phi", phi)
+    rep = run_suite(RunConfig(family="q_hermite", params={"q": 0.5}, depth=1, nmax=3,
+                              samples=4, seed=7))
+    for blk in rep.levels:
+        entry = blk["identities"]["iso_spectral"]
+        assert entry["pass"] is None
+        assert entry["skipped"] == f"PoleError: injected at x={bad}"
+    assert rep.status == "incomplete"
 
 
 @pytest.mark.parametrize("family,params", [("hermite", {}), ("q_hermite", {"q": 0.5})])
