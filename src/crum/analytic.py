@@ -2,7 +2,8 @@
 jets, Wronskian and Casoratian determinants, inner products, and the identity
 engine both chain kinds share: an `Identity` table per kind, read by
 `identity_residual` and reduced fail-closed by `worst_residual`; `values_at`,
-which evaluates a function on a whole sample array for the identities; the
+which evaluates a function on a whole sample array for the identities (every
+function of either chain kind takes arrays); the
 five operator identities both tables hold; and `grow_chain`, which builds a
 chain of either kind up to DEPTH_CAP.
 
@@ -62,28 +63,20 @@ class AnalyticFn:
         return x
 
     def __call__(self, x):
-        """Value at x, or the array of values at an array of points.
-
-        An array goes through order-0 jets (see `jet`) when the function has
-        exact jets; otherwise through fn point by point, an ArithmeticError
-        at a point giving nan there.  Either way a failure shows as a
-        non-finite value, which callers mask or reject.
+        """Value at x, or the array of values at an array of points: one
+        call of jet_fn (order-0 jets, see `jet`) when the function has exact
+        jets, otherwise one call of fn on the whole array.  An arithmetic
+        failure shows as a non-finite value, which callers mask or reject.
         """
         x = self.check_strip(x)
         if not isinstance(x, np.ndarray):
             return self.fn(x)
-        if self.jet_fn is not None:
-            with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
+            if self.jet_fn is not None:
                 value = np.asarray(self._blocked_jet(x, 0).value, dtype=complex)
-            return value if value.shape == x.shape else np.full(x.shape, value)
-        return np.array([self._value_or_nan(t) for t in x.ravel().tolist()],
-                        dtype=complex).reshape(x.shape)
-
-    def _value_or_nan(self, x):
-        try:
-            return self.fn(x)
-        except ArithmeticError:
-            return math.nan
+            else:
+                value = np.asarray(self.fn(x), dtype=complex)
+        return value if value.shape == x.shape else np.full(x.shape, value)
 
     def jet(self, x, order):
         """Taylor jet of this function at x, coefficients c_k = f^(k)(x)/k!;
@@ -154,16 +147,14 @@ def worst_residual(residuals):
 
 def values_at(f, xs):
     """Values of f at the sample array xs, as every identity evaluates a
-    function: one array call for an AnalyticFn with exact jets, otherwise one
-    call per point (the difference chains, whose functions are scalar).
+    function: one call on the whole array (an AnalyticFn checks it against
+    the strip first), a constant result filled out to the shape of xs.
 
-    An exception at a point propagates, so a chain error there is a skip and
-    a StripError moves on to the next sample set; AnalyticFn's own point loop
-    would turn an ArithmeticError (a PoleError among them) into nan.
+    An exception propagates, so a chain error there is a skip and a
+    StripError moves on to the next sample set.
     """
-    if isinstance(f, AnalyticFn) and f.jet_fn is not None:
-        return f(xs)
-    return np.array([f(x) for x in xs.ravel().tolist()], dtype=complex).reshape(xs.shape)
+    value = np.asarray(f(xs), dtype=complex)
+    return value if value.shape == xs.shape else np.full(xs.shape, value)
 
 
 class Identity(NamedTuple):

@@ -1,18 +1,39 @@
 """Iterated factorization chains for the difference (imaginary-shift) families.
 
-The deformed potential of each level is assembled from three branch-anchored
-square roots:
+Every level is evaluated in closed form from level 0, by Crum's theorem in
+its Casoratian form.  With eta = cos x, phi_n = phi_0 P_n(eta) (P_n monic),
+g = gamma = log q and L(w) = Log(1 - e^{2iw}):
 
-  * g_s, the square root of V^[s-1](x-ig/2) V^[s-1]*(x-ig/2), anchored
-    positive on the line Im x = gamma/2 (where the radicand is |V|^2 of a
-    real point) and continued vertically;
-  * chi_s, the square root of the (sign-fixed) seed function phi^[s]_s,
-    anchored positive on the real axis;
-  * their star conjugates, defined by coefficient conjugation.
+  * the potential is the telescoped eta product of the Vs_product identity,
+    whose eta-difference ratios are sine ratios,
 
-With sqrtV_s := g_s(x) chi_s(x-ig)/chi_s(x) the level-s lowering factor
-annihilates the seed identically and (sqrtV_s)^2 reproduces the deformed
-potential, so no per-point phase guessing is ever needed.
+        V^[s](x) = V(x - isg/2) sin(x - i(s+1)g/2) sin(x - isg/2)
+                   / (sin(x - ig/2) sin x),
+
+    and its square root is exp(1/2 [log V(x - isg/2) - sg + L(x - i(s+1)g/2)
+    + L(x - isg/2) - L(x - ig/2) - L(x)]).  L is analytic on 0 < Re w < pi,
+    since e^{2iw} lies on [1, inf) only when Re w is a multiple of pi, so the
+    branch is fixed by analyticity, as the ground-state log-sum's is: nothing
+    is continued and no BranchError can arise;
+  * the eigenfunctions are
+
+        phi^[s]_n(x) = prod_{l<s} sqrtV^[l](x + i(s-l)g/2)
+                       C[phi_0..phi_{s-1}, phi_n](x) / C[phi_0..phi_{s-1}](x - ig/2)
+
+    with C the Casoratian (analytic.casoratian).  Row j of the numerator
+    evaluates every function at x_j = x + i(s+2-2j)g/2, and the rows of the
+    denominator are x_2 .. x_{s+1}.  phi_0(x_j) factors out of each row and
+    what is left is a Vandermonde in eta_j = eta(x_j) times the divided
+    difference P_n[eta_1, ..., eta_{s+1}], so that
+
+        phi^[s]_n(x) = i^s prod_{l<s} sqrtV^[l](x + i(s-l)g/2) phi_0(x_1)
+                       prod_{m=1}^{s} 2i sinh(mg/2) sin(x + i(s-m)g/2)
+                       P_n[eta_1, ..., eta_{s+1}],
+
+    the divided difference run through P_n's three-term recurrence.
+
+A level evaluates each point with one ground-state log-sum and O(s) potential
+logs, keeps nothing between calls, and takes a point or an array of points.
 
 The chain has the contract of the differential one (`oqm`): build_chain(family,
 depth, nmax) gives levels 0..depth with eigenfunctions up to nmax; apply_A,
@@ -36,7 +57,7 @@ import numpy as np
 
 from .analytic import (AnalyticFn, Identity, casoratian, checked_ns, downshift_roundtrip,
                        factorization, grow_chain, identity_residual, intertwine,
-                       iso_spectral, rel_residual, values_at, zero_mode)
+                       iso_spectral, rel_residual, zero_mode)
 from .errors import BranchError, ChainBreakError, DomainError, PoleError
 
 NODE_SCAN_POINTS = 301
@@ -51,6 +72,10 @@ class BranchedSqrt:
     anchor_im and extended by stepwise continuation along the vertical
     segment to the target; a step whose phase jump cannot be brought under
     pi/2 by refinement raises BranchError.
+
+    The chain no longer uses it: this is the reference route of the level-on-
+    level construction that the closed form replaced, which the tests rebuild
+    as their oracle.
     """
 
     def __init__(self, radicand, anchor_im=0.0, label=""):
@@ -89,39 +114,100 @@ class BranchedSqrt:
             f"square-root branch of {self.label or 'sqrt'} could not be tracked to {x}")
 
 
+def _on_points(fn, x):
+    """fn, written for a 1-d complex array, at the point x or at each point
+    of the array x; a single point goes through the same array kernels."""
+    xs = np.asarray(x, dtype=complex)
+    out = fn(xs.reshape(-1)).reshape(xs.shape)
+    return out if out.ndim else out[()]
+
+
+def _log_sin_factor(w):
+    """L(w) = Log(1 - e^{2iw}): log sin w up to the linear term log(i/2) - iw."""
+    return np.log(1.0 - np.exp(2j * w))
+
+
+def _log_v(family, s, x):
+    """log V^[s] at each point of the array x (module docstring)."""
+    h = 0.5j * family.gamma
+    out = family.log_v(x - s * h)
+    if s:
+        out = (out - s * family.gamma + _log_sin_factor(x - (s + 1) * h)
+               + _log_sin_factor(x - s * h) - _log_sin_factor(x - h) - _log_sin_factor(x))
+    return out
+
+
+def _divided_difference(family, n, eta):
+    """P_n[eta_0, ..., eta_s] at each column of eta, an (s+1, points) array.
+
+    Row i of the carried arrays holds P_k[eta_i, ..., eta_s]; the recurrence
+    P_{k+1} = (y - b_k) P_k - c_k P_{k-1} steps them by the product rule
+    ((y - b) f)[eta_i..eta_s] = (eta_i - b) f[eta_i..eta_s] + f[eta_{i+1}..eta_s],
+    so no difference quotient is ever formed.
+    """
+    prev = np.zeros_like(eta)
+    cur = np.zeros_like(eta)
+    cur[-1] = 1.0
+    for k in range(n):
+        b_k, c_k = family._recurrence(k)
+        nxt = (eta - b_k) * cur - c_k * prev
+        nxt[:-1] += cur[1:]
+        prev, cur = cur, nxt
+    return cur[0]
+
+
 class DqmChainLevel:
     """Level s of the chain over `family`: eigenfunctions phi^[s]_n for
-    s <= n <= nmax, level constant E_s (the family's energy E_s), the anchored
-    square roots of its potential and the level it was stepped from."""
+    s <= n <= nmax, level constant E_s (the family's energy E_s), the
+    potential and the level it was stepped from.  Every evaluator is closed
+    form (module docstring) and takes a point or an array of points."""
 
-    def __init__(self, family, s, e_s, nmax, sqrt_v, sqrt_v_star, phi_fn, parent=None):
+    def __init__(self, family, s, e_s, nmax, parent=None):
         self.family = family
         self.s = s
         self.E_s = e_s
         self.nmax = nmax
         self.gamma = family.gamma
-        self.sqrt_v = sqrt_v            # callable complex -> complex
-        self.sqrt_v_star = sqrt_v_star
-        self._phi_fn = phi_fn           # (n, x) -> complex, memoized
         self.parent = parent
 
     def phi(self, n, x=None):
+        """phi^[s]_n as an AnalyticFn, or its value at x (a point or an
+        array), unchecked against the strip; level 0 is the family's."""
         if n < self.s:
             raise DomainError(f"level {self.s} has phi_n only for n >= {self.s}")
         if n > self.nmax:
             raise DomainError(f"phi_{n} not built (nmax exceeded)")
-        if x is None:
-            lvl = self
-            return AnalyticFn(lambda xx: lvl._phi_fn(n, complex(xx)),
-                              strip_halfwidth=self.family.strip_halfwidth,
-                              label=f"phi[{self.s}]_{n}")
-        return self._phi_fn(n, complex(x))
+        if self.s == 0:
+            f = self.family.phi(n)
+        else:
+            f = AnalyticFn(functools.partial(_on_points, functools.partial(self._phi_at, n)),
+                           strip_halfwidth=self.family.strip_halfwidth,
+                           label=f"phi[{self.s}]_{n}")
+        return f if x is None else f.fn(x)
+
+    def _phi_at(self, n, x):
+        fam, s, g = self.family, self.s, self.gamma
+        h = 0.5j * g
+        log_pref = fam.log_phi0sq(x + s * h)
+        for lvl in range(s):
+            log_pref = log_pref + _log_v(fam, lvl, x + (s - lvl) * h)
+        vand = 1j ** s
+        for m in range(1, s + 1):
+            vand = vand * (2j * math.sinh(0.5 * m * g)) * np.sin(x + (s - m) * h)
+        eta = np.cos(x + np.arange(s, -s - 1, -2)[:, None] * h)
+        return np.exp(0.5 * log_pref) * vand * _divided_difference(fam, n, eta)
+
+    def sqrt_v(self, x):
+        return _on_points(lambda xs: np.exp(0.5 * _log_v(self.family, self.s, xs)), x)
+
+    def sqrt_v_star(self, x):
+        return np.conj(self.sqrt_v(np.conj(x)))
 
     def v(self, x):
-        return self.sqrt_v(complex(x)) ** 2
+        return _on_points(lambda xs: np.exp(_log_v(self.family, self.s, xs)), x)
 
     def v_star(self, x):
-        return self.sqrt_v_star(complex(x)) ** 2
+        return np.conj(self.v(np.conj(x)))
 
     def interior(self, fraction=0.9):
         return self.family.interior(fraction)
@@ -144,11 +230,10 @@ def apply_Adag(level, f):
 def _first_order(level, f, factor, coef_dn, coef_up, at):
     """factor (coef_dn(x - at) f(x - ig/2) - coef_up(x + at) f(x + ig/2)): the
     lowering factor takes its coefficients at the shifted points (at = ig/2),
-    the raising one at x (at = 0)."""
+    the raising one at x (at = 0).  x is a point or an array of points."""
     half = 0.5j * level.gamma
 
     def out(x):
-        x = complex(x)
         return factor * (coef_dn(x - at) * f(x - half) - coef_up(x + at) * f(x + half))
 
     return out
@@ -158,34 +243,37 @@ def hamiltonian_apply(level, f):
     """The level Hamiltonian applied to f: the difference operator plus the
     level constant.
 
-    sqrt(V V*-shifted) coefficients are products of the level's anchored
-    square roots, which keeps the factorized and expanded forms identical.
+    sqrt(V V*-shifted) coefficients are products of the level's square
+    roots, which keeps the factorized and expanded forms identical.
     """
     g = level.gamma
 
     def out(x):
-        x = complex(x)
         sv, svs = level.sqrt_v(x), level.sqrt_v_star(x)
+        f_x = f(x)
         term_down = sv * level.sqrt_v_star(x - 1j * g) * f(x - 1j * g)
         term_up = svs * level.sqrt_v(x + 1j * g) * f(x + 1j * g)
-        diag = (sv ** 2 + svs ** 2) * f(x)
-        return term_down + term_up - diag + level.E_s * f(x)
+        diag = (sv ** 2 + svs ** 2) * f_x
+        return term_down + term_up - diag + level.E_s * f_x
 
     return out
 
 
-def energy_fit(level, n, xs):
-    """Least-squares eigenvalue of phi_n from the difference equation at the points xs."""
-    f = lambda x: level._phi_fn(n, x)
-    h_f = hamiltonian_apply(level, f)
-    num = 0j
-    den = 0.0
-    for x in xs:
-        hval = h_f(x)
-        pv = f(complex(x))
-        num += hval * pv.conjugate()
-        den += abs(pv) ** 2
-    return float((num / den).real)
+def energy_fit(family, ns, xs):
+    """Least-squares eigenvalues of the family's phi_n, n in ns, from the
+    level-0 difference equation at the points xs.  The states phi_0 P_n(eta)
+    go through the Hamiltonian as one stack, so each shifted point array
+    costs one ground-state log-sum."""
+    xs = np.asarray(xs, dtype=complex)
+    phi0 = family.phi0().fn
+
+    def states(x):
+        eta = np.cos(x)
+        return phi0(x) * np.stack(np.broadcast_arrays(*[family.poly_value(n, eta) for n in ns]))
+
+    pv = states(xs)
+    num = np.sum(hamiltonian_apply(level0(family), states)(xs) * pv.conj(), axis=1)
+    return (num / np.sum(np.abs(pv) ** 2, axis=1)).real.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -198,82 +286,26 @@ def level0(family, nmax=None):
     nmax = family.nmax if nmax is None else nmax
     if nmax > family.nmax:
         raise DomainError(f"n={nmax} outside tabulated range 0..{family.nmax}")
-    sqv = family.sqrt_v()
-    sqv_fn = sqv.fn
-
-    def sqv_star(x):
-        return complex(sqv_fn(complex(x).conjugate())).conjugate()
-
-    phi_n = functools.cache(lambda n: family.phi(n).fn)
-
-    @functools.cache
-    def phi_fn(n, x):
-        return phi_n(n)(x)
-
-    return DqmChainLevel(family, 0, family.energy(0), nmax, sqv_fn, sqv_star, phi_fn)
+    return DqmChainLevel(family, 0, family.energy(0), nmax)
 
 
-def next_potential(level):
-    """Anchored square root of the next deformed potential.
-
-    Returns (sqrt_v, sqrt_v_star); refuses when the new seed changes sign on
-    the sampled physical region.
-    """
+def step_chain(level):
+    """Level s+1 over level s.  Nothing is built, since every level is closed
+    form; refuses when no eigenfunction is left to lift, or when the new seed
+    phi^[s+1]_{s+1} changes sign on the physical region, where the deformed
+    potential would develop singularities."""
     s_new = level.s + 1
-    g = level.gamma
+    if level.nmax < s_new:
+        raise ChainBreakError(f"no eigenfunctions left to lift to level {s_new}")
     fam = level.family
-    lift = apply_A(level, lambda x: level._phi_fn(s_new, x))
-
-    memo = {}
-
-    def psi(x):
-        x = complex(x)
-        hit = memo.get(x)
-        if hit is None:
-            hit = lift(x)
-            memo[x] = hit
-        return hit
-
+    new = DqmChainLevel(fam, s_new, fam.energy(s_new), level.nmax, parent=level)
     lo, hi = fam.interior()
-    xs = np.linspace(lo, hi, NODE_SCAN_POINTS)
-    vals = np.asarray([psi(complex(t)).real for t in xs])
+    vals = new.phi(s_new, np.linspace(lo, hi, NODE_SCAN_POINTS)).real
     if np.any(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
         raise ChainBreakError(
             f"phi[{s_new}]_{s_new} changes sign on the physical region; the deformed "
             "potential would develop singularities")
-    sigma = 1.0 if vals[len(vals) // 2] > 0 else -1.0
-
-    chi = BranchedSqrt(lambda x: sigma * psi(x), anchor_im=0.0, label=f"chi[{s_new}]")
-
-    def radicand(x):
-        return level.sqrt_v(x - 0.5j * g) * level.sqrt_v_star(x - 0.5j * g)
-
-    g_anchor = BranchedSqrt(radicand, anchor_im=0.5 * g, label=f"g[{s_new}]")
-
-    def sqrt_v(x):
-        x = complex(x)
-        return g_anchor(x) * chi(x - 1j * g) / chi(x)
-
-    def sqrt_v_star(x):
-        return complex(sqrt_v(complex(x).conjugate())).conjugate()
-
-    return sqrt_v, sqrt_v_star
-
-
-def step_chain(level):
-    """Level s+1 over level s; refuses when no eigenfunction is left to lift
-    or when its seed changes sign (see next_potential)."""
-    s_new = level.s + 1
-    if level.nmax < s_new:
-        raise ChainBreakError(f"no eigenfunctions left to lift to level {s_new}")
-    sqrt_v, sqrt_v_star = next_potential(level)
-
-    @functools.cache
-    def phi_fn(n, x):
-        return apply_A(level, lambda xx: level._phi_fn(n, xx))(x)
-
-    return DqmChainLevel(level.family, s_new, level.family.energy(s_new), level.nmax,
-                         sqrt_v, sqrt_v_star, phi_fn, parent=level)
+    return new
 
 
 def build_chain(family, depth, nmax=None):
@@ -287,7 +319,7 @@ def downshift(level, n):
     if n < level.s:
         raise DomainError(f"downshift needs n >= s = {level.s}")
     gap = level.family.energy(n) - level.parent.E_s
-    raise_fn = apply_Adag(level.parent, lambda x: level._phi_fn(n, x))
+    raise_fn = apply_Adag(level.parent, functools.partial(level.phi, n))
 
     def out(x):
         return raise_fn(x) / gap
@@ -304,7 +336,7 @@ def _sqrt_v_prefactor(levels, s, x, gamma):
     each point of the array x."""
     pref = 1.0 + 0j
     for lvl in range(s):
-        pref = pref * values_at(levels[lvl].sqrt_v, x + 0.5j * (s - lvl) * gamma)
+        pref = pref * levels[lvl].sqrt_v(x + 0.5j * (s - lvl) * gamma)
     return pref
 
 
@@ -328,8 +360,7 @@ def check_function(levels, s, n, x):
     """Eigenfunction normalized by the square-root prefactor (the form whose
     shifted products build the plain determinants), at each point of the
     array x."""
-    phi = values_at(functools.partial(levels[s]._phi_fn, n), x)
-    return phi / _sqrt_v_prefactor(levels, s, x, levels[0].gamma)
+    return levels[s].phi(n, x) / _sqrt_v_prefactor(levels, s, x, levels[0].gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +379,8 @@ def _res_quadratic(levels, samples):
     par = level.parent
     g = level.gamma
     low = samples - 0.5j * g
-    lhs = values_at(par.v, low) * values_at(par.v_star, low)
-    rhs = values_at(level.v, samples) * values_at(level.v_star, samples - 1j * g)
+    lhs = par.v(low) * par.v_star(low)
+    rhs = level.v(samples) * level.v_star(samples - 1j * g)
     yield rel_residual(lhs, rhs)
 
 
@@ -358,8 +389,8 @@ def _res_linear(levels, samples):
     par = level.parent
     g = level.gamma
     gap = level.E_s - par.E_s
-    lhs = values_at(par.v, samples + 0.5j * g) + values_at(par.v_star, samples - 0.5j * g)
-    rhs = values_at(level.v, samples) + values_at(level.v_star, samples) - gap
+    lhs = par.v(samples + 0.5j * g) + par.v_star(samples - 0.5j * g)
+    rhs = level.v(samples) + level.v_star(samples) - gap
     yield rel_residual(lhs, rhs)
 
 
@@ -370,14 +401,12 @@ def _res_step_determinant(levels, samples):
     g = level.gamma
     s = level.s
     up, dn = samples + 0.5j * g, samples - 0.5j * g
-    seed = functools.partial(par._phi_fn, s - 1)
-    seed_up, seed_dn = values_at(seed, up), values_at(seed, dn)
-    sqrt_v_up = values_at(par.sqrt_v, up)
+    seed_up, seed_dn = par.phi(s - 1, up), par.phi(s - 1, dn)
+    sqrt_v_up = par.sqrt_v(up)
     for n in checked_ns(level):
-        phi_n = functools.partial(par._phi_fn, n)
-        det = seed_up * values_at(phi_n, dn) - values_at(phi_n, up) * seed_dn
+        det = seed_up * par.phi(n, dn) - par.phi(n, up) * seed_dn
         lhs = 1j * sqrt_v_up / seed_dn * det
-        yield rel_residual(lhs, values_at(functools.partial(level._phi_fn, n), samples))
+        yield rel_residual(lhs, level.phi(n, samples))
 
 
 def _res_check_product(levels, samples):
@@ -397,8 +426,7 @@ def _res_casoratian_ratio(levels, samples):
     s = len(levels) - 1
     for n in checked_ns(levels[s]):
         lhs = phi_via_casoratian(levels, s, n, samples)
-        rhs = values_at(functools.partial(levels[s]._phi_fn, n), samples)
-        yield rel_residual(rhs, lhs)
+        yield rel_residual(levels[s].phi(n, samples), lhs)
 
 
 def _res_casoratian_jacobi(levels, samples):
@@ -422,16 +450,14 @@ def _res_casoratian_jacobi(levels, samples):
 def _generic_fns():
     mk = lambda fn, lbl: AnalyticFn(fn, label=lbl)
     return [mk(lambda x: 1.0 + 0j, "1"), mk(lambda x: x, "x"),
-            mk(lambda x: x * x, "x^2"), mk(lambda x: cmath.exp(1j * x), "e^{ix}")]
+            mk(lambda x: x * x, "x^2"), mk(lambda x: np.exp(1j * x), "e^{ix}")]
 
 
 def _res_realness(levels, samples):
     """phi^[s]_n star-equals itself at strip points."""
     level = levels[-1]
     for n in checked_ns(level):
-        phi_n = functools.partial(level._phi_fn, n)
-        direct = values_at(phi_n, samples)
-        yield rel_residual(direct, values_at(phi_n, samples.conj()).conj())
+        yield rel_residual(level.phi(n, samples), level.phi(n, samples.conj()).conj())
 
 
 # the suite checks these at every level from first_level up, in this order;

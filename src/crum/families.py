@@ -342,6 +342,31 @@ class _FactorLogSum:
             s -= tail
         return s
 
+    def at(self, x):
+        """The sum at each point of the complex array x, by the same rule
+        with one direct-factor count K per direction for the whole array (the
+        largest any point needs; the extra direct logs of the other points
+        are the same principal logs the series would sum).  A non-finite
+        point gives a non-finite value and does not set K."""
+        z = np.exp(1j * x)
+        zi = 1.0 / z
+        powers = {1: z, -1: zi, 2: z * z, -2: zi * zi}
+        s = np.zeros(x.shape, dtype=complex)
+        for m, groups, cmax, series in self.directions:
+            u = powers[m]
+            mags = np.abs(u)
+            r = cmax * mags[np.isfinite(mags)].max(initial=0.0)
+            while r > 0.25:
+                for c, sign in groups:
+                    s += sign * np.log(1.0 - c * u)
+                u = u * self.q
+                r *= self.q
+            tail = np.zeros(x.shape, dtype=complex)
+            for b in series:
+                tail = (tail + b) * u
+            s -= tail
+        return s
+
 
 class DqmFamily:
     """Solvable difference-Schrodinger family on (0, pi) with shift i*gamma."""
@@ -365,8 +390,8 @@ class DqmFamily:
         self._h0 = None
         self.quad = QuadratureSpec(kind="interval", a=0.0, b=math.pi, tolerance=1e-12)
 
-        # potential: product of (1 - a_j e^{ix}) over ((1-e^{2ix})(1-q e^{2ix}))
-        self._logV = _VLogSum(self.q, self.avals)
+        # log V: V is the product of (1 - a_j e^{ix}) over ((1-e^{2ix})(1-q e^{2ix}))
+        self.log_v = _VLogSum(self.q, self.avals)
         # ground state: balanced q-factorial product, as half-log sum
         gterms = [(1.0, 2, +1), (1.0, -2, +1)]
         gterms += [(a, 1, -1) for a in self.avals if a != 0]
@@ -385,30 +410,29 @@ class DqmFamily:
         )
 
     # -- potential side ---------------------------------------------------
+    # every function below, like log_v, takes a point or an array of points
+    def log_phi0sq(self, x):
+        """log phi_0^2 at x: the ground-state log-sum, on arrays through its
+        array rule (one direct-factor count per array)."""
+        if isinstance(x, np.ndarray):
+            return self._logphi0sq.at(x)
+        return self._logphi0sq(complex(x))
+
     def sqrt_v(self):
         fam = self
-
-        def fn(x):
-            return cmath.exp(0.5 * fam._logV(complex(x)))
-
-        return AnalyticFn(fn, strip_halfwidth=self.strip_halfwidth,
-                          label=f"{self.label}.sqrtV")
+        return AnalyticFn(lambda x: np.exp(0.5 * fam.log_v(x)),
+                          strip_halfwidth=self.strip_halfwidth, label=f"{self.label}.sqrtV")
 
     def v(self):
         fam = self
-        return AnalyticFn(lambda x: cmath.exp(fam._logV(complex(x))),
-                          strip_halfwidth=self.strip_halfwidth,
-                          label=f"{self.label}.V")
+        return AnalyticFn(lambda x: np.exp(fam.log_v(x)),
+                          strip_halfwidth=self.strip_halfwidth, label=f"{self.label}.V")
 
     # -- wavefunction side --------------------------------------------------
     def phi0(self):
         fam = self
-
-        def fn(x):
-            return cmath.exp(0.5 * fam._logphi0sq(complex(x)))
-
-        return AnalyticFn(fn, strip_halfwidth=self.strip_halfwidth,
-                          label=f"{self.label}.phi0")
+        return AnalyticFn(lambda x: np.exp(0.5 * fam.log_phi0sq(x)),
+                          strip_halfwidth=self.strip_halfwidth, label=f"{self.label}.phi0")
 
     def poly_value(self, n, y):
         """Monic P_n(y) by the three-term recurrence."""
@@ -426,16 +450,12 @@ class DqmFamily:
         if n < 0 or n > self.nmax:
             raise DomainError(f"n={n} outside tabulated range 0..{self.nmax}")
         fam = self
-
-        def fn(x):
-            x = complex(x)
-            return cmath.exp(0.5 * fam._logphi0sq(x)) * fam.poly_value(n, cmath.cos(x))
-
-        return AnalyticFn(fn, strip_halfwidth=self.strip_halfwidth,
-                          label=f"{self.label}.phi{n}")
+        return AnalyticFn(
+            lambda x: np.exp(0.5 * fam.log_phi0sq(x)) * fam.poly_value(n, np.cos(x)),
+            strip_halfwidth=self.strip_halfwidth, label=f"{self.label}.phi{n}")
 
     def eta(self):
-        return AnalyticFn(lambda x: cmath.cos(complex(x)), label="cos",
+        return AnalyticFn(np.cos, label="cos",
                           jet_fn=lambda x, order: Jet.variable(x, order).cos())
 
     def energy(self, n):
@@ -452,7 +472,7 @@ class DqmFamily:
         return half - fraction * half, half + fraction * half
 
     def virtual_prefactor(self):
-        return AnalyticFn(lambda x: cmath.sin(complex(x)), label="sin",
+        return AnalyticFn(np.sin, label="sin",
                           jet_fn=lambda x, order: Jet.variable(x, order).sin())
 
     def shifted(self):
@@ -465,20 +485,20 @@ class DqmFamily:
 
 
 class _VLogSum:
-    """Principal-log representation of the difference potential."""
+    """Principal-log representation of the difference potential, at a point
+    or at each point of an array."""
 
     def __init__(self, q, avals):
         self.q = float(q)
         self.avals = [complex(a) for a in avals]
 
     def __call__(self, x):
-        z = cmath.exp(1j * x)
+        z = np.exp(1j * x)
         s = 0j
         for a in self.avals:
             if a != 0:
-                s += cmath.log(1.0 - a * z)
-        s -= cmath.log(1.0 - z * z) + cmath.log(1.0 - self.q * z * z)
-        return s
+                s = s + np.log(1.0 - a * z)
+        return s - (np.log(1.0 - z * z) + np.log(1.0 - self.q * z * z))
 
 
 def _shift_avals(params, factor):
@@ -607,16 +627,13 @@ def virtual_state(fam):
     shifted = fam.shifted()
     phi0s = shifted.phi0()
     pref = fam.virtual_prefactor()
-    xs = np.linspace(0.05 * math.pi, 0.95 * math.pi, 11)
-    for xr in xs:
-        if abs(phi0s.fn(complex(xr))) < 1e-13:
-            raise PoleError(f"shifted ground state vanishes at x={xr:g}; "
-                            "virtual state would be singular")
-
-    def fn(x):
-        return pref.fn(complex(x)) / phi0s.fn(complex(x))
-
-    return AnalyticFn(fn, strip_halfwidth=min(fam.strip_halfwidth, shifted.strip_halfwidth),
+    xs = np.linspace(0.05 * math.pi, 0.95 * math.pi, 11).astype(complex)
+    small = ~(np.abs(phi0s.fn(xs)) >= 1e-13)
+    if small.any():
+        raise PoleError(f"shifted ground state vanishes at x={xs[small.argmax()].real:g}; "
+                        "virtual state would be singular")
+    return AnalyticFn(lambda x: pref.fn(x) / phi0s.fn(x),
+                      strip_halfwidth=min(fam.strip_halfwidth, shifted.strip_halfwidth),
                       label=f"{fam.label}.virtual")
 
 
@@ -680,26 +697,26 @@ def _oracle_box(fam):
 
 
 def _validate_dqm(fam):
-    xs = np.linspace(0.08 * math.pi, 0.92 * math.pi, _VALIDATE_POINTS)
-    sqv = fam.sqrt_v()
-    phi0 = fam.phi0()
-    g = fam.gamma
-    for xr in xs:
-        x = complex(xr)
-        # star of sqrtV evaluated at the shifted point x - ig/2
-        lhs = complex(sqv.fn((x - 0.5j * g).conjugate())).conjugate() * phi0.fn(x - 0.5j * g)
-        rhs = sqv.fn(x + 0.5j * g) * phi0.fn(x + 0.5j * g)
-        if abs(lhs - rhs) > _ZERO_MODE_TOL * (1.0 + abs(rhs)):
-            raise ParameterError(f"{fam.label}: ground-state zero mode fails at x={xr:g}")
+    """The ground state is a zero mode of the lowering factor,
+    sqrtV*(x - ig/2) phi_0(x - ig/2) = sqrtV(x + ig/2) phi_0(x + ig/2), at
+    sample points of the interior; then the energy oracle."""
+    xs = np.linspace(0.08 * math.pi, 0.92 * math.pi, _VALIDATE_POINTS).astype(complex)
+    sqv = fam.sqrt_v().fn
+    phi0 = fam.phi0().fn
+    dn, up = xs - 0.5j * fam.gamma, xs + 0.5j * fam.gamma
+    lhs = np.conj(sqv(np.conj(dn))) * phi0(dn)
+    rhs = sqv(up) * phi0(up)
+    bad = ~(np.abs(lhs - rhs) <= _ZERO_MODE_TOL * (1.0 + np.abs(rhs)))
+    if bad.any():
+        raise ParameterError(f"{fam.label}: ground-state zero mode fails at "
+                             f"x={xs[bad.argmax()].real:g}")
     _dqm_energy_oracle(fam)
 
 
 def _dqm_energy_oracle(fam, nmax=4):
     """Least-squares eigenvalue extraction from the difference equation."""
-    level = dqm_mod.level0(fam)
-    xs = [complex(t) for t in np.linspace(0.15 * math.pi, 0.85 * math.pi, 10)]
-    for n in range(nmax + 1):
-        e_fit = dqm_mod.energy_fit(level, n, xs)
+    xs = np.linspace(0.15 * math.pi, 0.85 * math.pi, 10).astype(complex)
+    for n, e_fit in enumerate(dqm_mod.energy_fit(fam, range(nmax + 1), xs)):
         if abs(e_fit - fam.energy(n)) > 1e-8 * (1.0 + abs(fam.energy(n))):
             raise ParameterError(
                 f"{fam.label}: closed-form energy E_{n}={fam.energy(n):.8f} disagrees "

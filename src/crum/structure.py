@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .analytic import (AnalyticFn, Identity, casoratian, identity_residual, rel_residual,
-                       worst_residual, wronskian)
+                       values_at, worst_residual, wronskian)
 from .errors import DomainError
 from .families import make_family
 from . import dqm as dqm_mod
@@ -95,7 +95,7 @@ def shape_invariance_residual(family, chain, npoints=30):
 
 def _anchor_points(family, count):
     lo, hi = family.interior(0.8)
-    return [complex(t) for t in np.linspace(lo, hi, count)]
+    return np.linspace(lo, hi, count).astype(complex)
 
 
 def _shape_fit_dqm(family, chain, npoints):
@@ -108,7 +108,7 @@ def _shape_fit_dqm(family, chain, npoints):
     free_keys = [k for k in ("a1", "a2", "a3", "a4") if k in family.params]
     n_unknowns = 1 + 2 * len(free_keys)
     anchors = _anchor_points(family, max(2 + len(free_keys), (n_unknowns + 1) // 2 + 1))
-    target = np.asarray([level1.v(x) for x in anchors])
+    target = level1.v(anchors)
 
     def v_of(u):
         avals = [complex(u[1 + 2 * j], u[2 + 2 * j]) for j in range(len(free_keys))]
@@ -116,7 +116,7 @@ def _shape_fit_dqm(family, chain, npoints):
 
     def model(u):
         logv = v_of(u)
-        return u[0] * np.asarray([cmath.exp(logv(x)) for x in anchors]), logv
+        return u[0] * np.exp(logv(anchors)), logv
 
     best = None
     for scale in (math.sqrt(family.q), family.q, 1.0):
@@ -143,9 +143,9 @@ def _shape_fit_dqm(family, chain, npoints):
 
 def _global_shape_residual_dqm(family, level1, kappa, logv, npoints):
     lo, hi = family.interior(0.9)
-    xs = [complex(t) for t in np.linspace(lo, hi, npoints // 2)]
-    xs += [x + 0.25j * abs(family.gamma) for x in xs[: npoints - npoints // 2]]
-    return worst_residual(rel_residual(level1.v(x), kappa * cmath.exp(logv(x))) for x in xs)
+    line = np.linspace(lo, hi, npoints // 2).astype(complex)
+    xs = np.concatenate([line, line[: npoints - npoints // 2] + 0.25j * abs(family.gamma)])
+    return worst_residual([rel_residual(level1.v(xs), kappa * np.exp(logv(xs)))])
 
 
 def _shape_fit_oqm(family, chain, npoints):
@@ -266,17 +266,10 @@ def _affine_fit(xs, ys):
 def _res_eta_affine(levels, samples):
     """Ratio of the first two eigenfunctions of the family is affine in eta."""
     family = levels[0].family
-    eta = family.eta()
-    num, den = family.phi(1), family.phi(0)
-    ratios = [num.fn(complex(x)) / den.fn(complex(x)) for x in samples]
-    etas = [eta.fn(complex(x)) for x in samples]
+    ratios = values_at(family.phi(1), samples) / values_at(family.phi(0), samples)
+    etas = values_at(family.eta(), samples)
     a, b = _affine_fit(etas, ratios)
-    for r, e in zip(ratios, etas):
-        yield rel_residual(r, a + b * e)
-
-
-def _eta_level_sum(eta, x, s, g):
-    return sum(eta(x + 0.5j * (2 * k - s) * g) for k in range(s + 1))
+    yield rel_residual(ratios, a + b * etas)
 
 
 def _res_eta_level(levels, samples):
@@ -284,17 +277,13 @@ def _res_eta_level(levels, samples):
     in the symmetrized eta sum."""
     family = levels[0].family
     g = family.gamma
-    eta = family.eta().fn
+    eta = family.eta()
     s = len(levels) - 1
     level = levels[s]
-    ratios, etas = [], []
-    for x in samples:
-        x = complex(x)
-        ratios.append(level._phi_fn(s + 1, x) / level._phi_fn(s, x))
-        etas.append(_eta_level_sum(eta, x, s, g))
+    ratios = level.phi(s + 1, samples) / level.phi(s, samples)
+    etas = sum(values_at(eta, samples + 0.5j * (2 * k - s) * g) for k in range(s + 1))
     a, b = _affine_fit(etas, ratios)
-    for r, e in zip(ratios, etas):
-        yield rel_residual(r, a + b * e)
+    yield rel_residual(ratios, a + b * etas)
 
 
 def _res_vs_product(levels, samples):
@@ -302,18 +291,16 @@ def _res_vs_product(levels, samples):
     telescoping eta product."""
     family = levels[0].family
     g = family.gamma
-    eta = family.eta().fn
+    eta = family.eta()
     s = len(levels) - 1
-    level = levels[s]
-    for x in samples:
-        x = complex(x)
-        lhs = level.v(x + 0.5j * s * g)
-        prod = levels[0].v(x)
-        for k in range(s):
-            num = eta(x - 1j * g) - eta(x + 1j * k * g)
-            den = eta(x) - eta(x + 1j * (k + 1) * g)
-            prod *= num / den
-        yield rel_residual(lhs, prod)
+    lhs = levels[s].v(samples + 0.5j * s * g)
+    prod = levels[0].v(samples)
+    eta_x, eta_dn = values_at(eta, samples), values_at(eta, samples - 1j * g)
+    for k in range(s):
+        num = eta_dn - values_at(eta, samples + 1j * k * g)
+        den = eta_x - values_at(eta, samples + 1j * (k + 1) * g)
+        prod = prod * (num / den)
+    yield rel_residual(lhs, prod)
 
 
 # the coordinate identities of each chain kind, in report order; V1_from_eta

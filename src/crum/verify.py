@@ -415,8 +415,8 @@ def _oracle_dqm(family, levels, config):
     xs = sample_points(family, 10, config.seed)
     block = {"levels": {}}
     ok = True
-    for n in range(0, min(config.nmax, 4) + 1):
-        e_fit = dqm_mod.energy_fit(levels[0], n, xs)
+    ns = range(0, min(config.nmax, 4) + 1)
+    for n, e_fit in zip(ns, dqm_mod.energy_fit(family, ns, xs)):
         e_closed = family.energy(n)
         err = abs(e_fit - e_closed) / (1.0 + abs(e_closed))
         this_ok = err <= config.tolerance("oracle_spectrum")

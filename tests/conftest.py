@@ -10,7 +10,7 @@ from crum import AnalyticFn, make_family
 from crum.analytic import checked_ns, rel_residual, star_eval, worst_residual
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
-from crum.errors import AccuracyError, PoleError
+from crum.errors import AccuracyError, ChainBreakError, PoleError
 from crum.jets import Jet
 from crum.special import QPOCH_TAIL
 
@@ -115,6 +115,151 @@ def recursive_chain(family, depth, nmax):
         w_prime = _memoized(AnalyticFn(None, jet_fn=w_prime_jet), f"W[{s}]'")
         levels.append(RecursiveLevel(family, s, phis, w_prime))
     return levels
+
+
+# -- the level-on-level difference chain ------------------------------------------
+# The route the closed form of `dqm.DqmChainLevel` replaced, kept as its
+# oracle: level s+1 lifts level s's eigenfunctions with the lowering factor,
+# and its potential's square root is g_s(x) chi_s(x-ig)/chi_s(x), where
+# chi_s = sqrt(phi^[s]_s) is anchored positive on the real axis, g_s =
+# sqrt(V^[s-1](x-ig/2) V^[s-1]*(x-ig/2)) positive on Im x = gamma/2, and both
+# are continued vertically by `dqm.BranchedSqrt`.  Every function is scalar
+# and memoized per point; an array is evaluated point by point.
+
+def _per_point(fn, x):
+    """fn at the point x, or at each point of the array x."""
+    if isinstance(x, np.ndarray):
+        return np.array([fn(complex(t)) for t in x.ravel()], dtype=complex).reshape(x.shape)
+    return fn(complex(x))
+
+
+class RecursiveDqmLevel:
+    """Level s of the level-on-level difference chain, with the interface of
+    `dqm.DqmChainLevel` (phi, sqrt_v, sqrt_v_star, v, v_star, parent)."""
+
+    def __init__(self, family, s, nmax, sqrt_v, phi_fn, parent=None):
+        self.family = family
+        self.s = s
+        self.E_s = family.energy(s)
+        self.nmax = nmax
+        self.gamma = family.gamma
+        self.parent = parent
+        self._sqrt_v = sqrt_v            # complex -> complex
+        self._phi_fn = phi_fn            # (n, complex) -> complex, memoized
+
+    def phi(self, n, x=None):
+        assert self.s <= n <= self.nmax
+        f = partial(_per_point, partial(self._phi_fn, n))
+        if x is None:
+            return AnalyticFn(f, strip_halfwidth=self.family.strip_halfwidth)
+        return f(x)
+
+    def sqrt_v(self, x):
+        return _per_point(self._sqrt_v, x)
+
+    def sqrt_v_star(self, x):
+        return np.conj(self.sqrt_v(np.conj(x)))
+
+    def v(self, x):
+        return self.sqrt_v(x) ** 2
+
+    def v_star(self, x):
+        return self.sqrt_v_star(x) ** 2
+
+
+def _memo(fn):
+    cache = {}
+
+    def out(*args):
+        hit = cache.get(args)
+        if hit is None:
+            hit = cache[args] = fn(*args)
+        return hit
+
+    return out
+
+
+def _recursive_dqm_step(level):
+    s_new = level.s + 1
+    g = level.gamma
+    lift = _memo(dqm_mod.apply_A(level, lambda x: level._phi_fn(s_new, x)))
+    lo, hi = level.family.interior()
+    vals = np.asarray([lift(complex(t)).real for t in np.linspace(lo, hi, dqm_mod.NODE_SCAN_POINTS)])
+    if np.any(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
+        raise ChainBreakError(f"phi[{s_new}]_{s_new} changes sign on the physical region")
+    sigma = 1.0 if vals[len(vals) // 2] > 0 else -1.0
+    chi = dqm_mod.BranchedSqrt(lambda x: sigma * lift(x), anchor_im=0.0)
+    g_anchor = dqm_mod.BranchedSqrt(
+        lambda x: level.sqrt_v(x - 0.5j * g) * level.sqrt_v_star(x - 0.5j * g), anchor_im=0.5 * g)
+
+    def sqrt_v(x):
+        return g_anchor(x) * chi(x - 1j * g) / chi(x)
+
+    def phi_fn(n, x):
+        return dqm_mod.apply_A(level, lambda xx: level._phi_fn(n, xx))(x)
+
+    return RecursiveDqmLevel(level.family, s_new, level.nmax, sqrt_v, _memo(phi_fn), parent=level)
+
+
+def recursive_dqm_chain(family, depth, nmax):
+    """Levels 0..depth of the level-on-level difference chain, eigenfunctions
+    up to nmax."""
+    sqrt_v0 = family.sqrt_v().fn
+    phi0 = {n: family.phi(n).fn for n in range(nmax + 1)}
+    levels = [RecursiveDqmLevel(family, 0, nmax, lambda x: complex(sqrt_v0(x)),
+                                _memo(lambda n, x: complex(phi0[n](x))))]
+    for _ in range(depth):
+        levels.append(_recursive_dqm_step(levels[-1]))
+    return levels
+
+
+# -- the coordinate relations one point at a time ---------------------------------
+# The per-point generators that structure's array relations replaced, kept as
+# their oracle; each yields one residual per point of a list of samples.
+
+def _affine_residuals(ratios, etas):
+    m = np.stack([np.ones(len(etas)), np.asarray(etas)], axis=1)
+    (a, b), *_ = np.linalg.lstsq(m, np.asarray(ratios), rcond=None)
+    for r, e in zip(ratios, etas):
+        yield rel_residual(r, a + b * e)
+
+
+def _eta_affine_points(levels, samples):
+    family = levels[0].family
+    eta = family.eta().fn
+    num, den = family.phi(1).fn, family.phi(0).fn
+    yield from _affine_residuals([num(x) / den(x) for x in samples], [eta(x) for x in samples])
+
+
+def _eta_level_points(levels, samples):
+    family = levels[0].family
+    g = family.gamma
+    eta = family.eta().fn
+    s = len(levels) - 1
+    level = levels[s]
+    ratios = [level.phi(s + 1, x) / level.phi(s, x) for x in samples]
+    etas = [sum(eta(x + 0.5j * (2 * k - s) * g) for k in range(s + 1)) for x in samples]
+    yield from _affine_residuals(ratios, etas)
+
+
+def _vs_product_points(levels, samples):
+    family = levels[0].family
+    g = family.gamma
+    eta = family.eta().fn
+    s = len(levels) - 1
+    for x in samples:
+        prod = levels[0].v(x)
+        for k in range(s):
+            prod *= (eta(x - 1j * g) - eta(x + 1j * k * g)) / (eta(x) - eta(x + 1j * (k + 1) * g))
+        yield rel_residual(levels[s].v(x + 0.5j * s * g), prod)
+
+
+SCALAR_ETA_RELATIONS = {
+    "eta_affine": _eta_affine_points,
+    "V1_from_eta": lambda levels, samples: _vs_product_points(levels[:2], samples),
+    "eta_level": _eta_level_points,
+    "Vs_product": _vs_product_points,
+}
 
 
 def _eval_node(fn, xi):
@@ -453,3 +598,13 @@ def q_hermite_chain(q_hermite):
 @pytest.fixture(scope="session")
 def askey_wilson_chain(askey_wilson):
     return dqm_mod.build_chain(askey_wilson, 2)
+
+
+@pytest.fixture(scope="session")
+def q_hermite_recursive(q_hermite):
+    return recursive_dqm_chain(q_hermite, 3, 5)
+
+
+@pytest.fixture(scope="session")
+def askey_wilson_recursive(askey_wilson):
+    return recursive_dqm_chain(askey_wilson, 3, 5)

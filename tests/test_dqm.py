@@ -1,11 +1,14 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crum.analytic import AnalyticFn, Identity, identity_residual, inner_product
+from crum.analytic import (AnalyticFn, Identity, checked_ns, identity_residual, inner_product,
+                           rel_residual, worst_residual)
 from crum.errors import ChainBreakError, DomainError, StripError
-from crum import dqm
+from crum import dqm, structure, verify
 from crum.verify import gram_matrix
 
 from conftest import worst_over_levels
@@ -120,7 +123,7 @@ def test_iso_spectrality_level1(name, tol, request):
     levels = request.getfixturevalue(name + "_chain")
     lvl1 = levels[1]
     for n in range(1, 5):
-        f = lambda x, nn=n: lvl1._phi_fn(nn, x)
+        f = lambda x, nn=n: lvl1.phi(nn, x)
         e_n = fam.energy(n)
         for x in _pts(fam, 6):
             lhs = dqm.hamiltonian_apply(lvl1, f)(x)
@@ -163,21 +166,22 @@ def test_branch_anchor_positive(askey_wilson, askey_wilson_chain):
             assert abs(rad.imag) <= 1e-12 * rad.real
 
 
-def test_chain_break_on_sign_changing_seed(q_hermite):
+def test_chain_break_on_sign_changing_seed(q_hermite, monkeypatch):
     level = dqm.level0(q_hermite)
-    # pretend the next seed is the second excited state (which has nodes)
-    fake_phi = lambda n, x: level._phi_fn(n + 1, x)
-    fake = dqm.DqmChainLevel(q_hermite, 0, 0.0, level.nmax, level.sqrt_v, level.sqrt_v_star,
-                             fake_phi)
-    with pytest.raises(ChainBreakError):
-        dqm.step_chain(fake)
+    # shift every level's phi_n to phi_{n+1}: the seed of level 1 is then
+    # phi[1]_2, which has a node on the physical region
+    real_phi = dqm.DqmChainLevel.phi
+    monkeypatch.setattr(dqm.DqmChainLevel, "phi",
+                        lambda self, n, x=None: real_phi(self, n + 1, x))
+    with pytest.raises(ChainBreakError, match="changes sign"):
+        dqm.step_chain(level)
 
 
 def test_level0_phi_out_of_range(q_hermite):
     level = dqm.level0(q_hermite)
-    assert level._phi_fn(2, 1.1 + 0j) == q_hermite.phi(2).fn(1.1 + 0j)
+    assert level.phi(2, 1.1 + 0j) == q_hermite.phi(2).fn(1.1 + 0j)
     with pytest.raises(DomainError):
-        level._phi_fn(q_hermite.nmax + 1, 1.1 + 0j)
+        level.phi(q_hermite.nmax + 1, 1.1 + 0j)
 
 
 def test_level0_refuses_nmax_beyond_the_family_range(q_hermite):
@@ -200,14 +204,14 @@ def test_phi_via_casoratian_s0(q_hermite, q_hermite_chain):
 def test_phi_via_casoratian_depth1(q_hermite, q_hermite_chain):
     for x in _strip_pts(q_hermite, 10):
         lhs = dqm.phi_via_casoratian(q_hermite_chain, 1, 2, x)
-        rhs = q_hermite_chain[1]._phi_fn(2, x)
+        rhs = q_hermite_chain[1].phi(2, x)
         assert abs(lhs - rhs) <= 1e-8 * (1 + abs(rhs))
 
 
 def test_phi_via_casoratian_depth2_aw(askey_wilson, askey_wilson_chain):
     for x in _pts(askey_wilson, 8):
         lhs = dqm.phi_via_casoratian(askey_wilson_chain, 2, 3, x)
-        rhs = askey_wilson_chain[2]._phi_fn(3, x)
+        rhs = askey_wilson_chain[2].phi(3, x)
         assert abs(lhs - rhs) <= 1e-7 * (1 + abs(rhs))
 
 
@@ -270,21 +274,21 @@ def test_identity_with_nothing_to_check_raises(q_hermite, q_hermite_chain):
 
 def test_downshift_roundtrip_q_hermite(q_hermite_chain):
     rebuilt = dqm.downshift(q_hermite_chain[1], 2)
-    target = q_hermite_chain[0]._phi_fn
+    target = q_hermite_chain[0].phi
     for x in _pts(q_hermite_chain[0].family, 10):
         assert abs(rebuilt(x) - target(2, x)) <= 1e-9 * (1 + abs(target(2, x)))
 
 
 def test_downshift_roundtrip_aw_deep(askey_wilson_chain):
     rebuilt = dqm.downshift(askey_wilson_chain[2], 3)
-    target = askey_wilson_chain[1]._phi_fn
+    target = askey_wilson_chain[1].phi
     for x in _pts(askey_wilson_chain[0].family, 8):
         assert abs(rebuilt(x) - target(3, x)) <= 1e-7 * (1 + abs(target(3, x)))
 
 
 def test_downshift_gap_is_energy_for_s1(q_hermite_chain, q_hermite):
     lvl1 = q_hermite_chain[1]
-    up = dqm.apply_Adag(q_hermite_chain[0], lambda x: lvl1._phi_fn(2, x))
+    up = dqm.apply_Adag(q_hermite_chain[0], lvl1.phi(2).fn)
     rebuilt = dqm.downshift(lvl1, 2)
     x = 1.1 + 0j
     assert abs(rebuilt(x) * q_hermite.energy(2) - up(x)) < 1e-12 * (1 + abs(up(x)))
@@ -313,3 +317,112 @@ def test_operators_check_shifted_points_against_the_strip(askey_wilson, op):
     with pytest.raises(StripError):
         op(dqm.level0(askey_wilson), askey_wilson.phi(1))(x)
 
+
+
+# -- the closed form against the level-on-level recursion ---------------------------
+# Several report checks now compare the closed form with a route that shares
+# part of its formula: casoratian_ratio and check_product share the square-root
+# prefactor, Vs_product and V1_from_eta are the telescoped eta product that V^[s]
+# is written as, and the benchmark's chain-eval check compares phi[3]_4 and V[3]
+# with those same routes.  These tests hold each shared side to the recursive
+# oracle of conftest instead, at depths 1-3 on the suite's five strip lines.
+
+def _strip_lines(fam):
+    """The suite's strip points: six per line on Im x = 0, +-gamma/2, +-gamma."""
+    return np.asarray(verify._strip_points(fam, verify.RunConfig(samples=30, seed=7))[0])
+
+
+def _worst(ref, values):
+    return worst_residual([rel_residual(ref, values)])
+
+
+@pytest.fixture(scope="module")
+def closed_chains(q_hermite, askey_wilson):
+    return {"q_hermite": dqm.build_chain(q_hermite, 3, nmax=5),
+            "askey_wilson": dqm.build_chain(askey_wilson, 3, nmax=5)}
+
+
+@pytest.mark.parametrize("name", ["q_hermite", "askey_wilson"])
+def test_closed_form_levels_match_the_recursion(name, request, closed_chains):
+    fam = request.getfixturevalue(name)
+    recursive = request.getfixturevalue(name + "_recursive")
+    pts = _strip_lines(fam)
+    for s in range(1, 4):
+        closed, rec = closed_chains[name][s], recursive[s]
+        assert _worst(rec.sqrt_v(pts), closed.sqrt_v(pts)) <= 1e-11, s
+        assert _worst(rec.v(pts), closed.v(pts)) <= 1e-11, s
+        for n in range(s, 6):
+            assert _worst(rec.phi(n, pts), closed.phi(n, pts)) <= 1e-11, (s, n)
+
+
+@pytest.mark.parametrize("name", ["q_hermite", "askey_wilson"])
+def test_casoratian_ratio_route_matches_the_recursion(name, request, closed_chains):
+    fam = request.getfixturevalue(name)
+    recursive = request.getfixturevalue(name + "_recursive")
+    levels, pts = closed_chains[name], _strip_lines(fam)
+    for s in range(1, 4):
+        for n in checked_ns(levels[s]):
+            route = dqm.phi_via_casoratian(levels, s, n, pts)
+            assert _worst(recursive[s].phi(n, pts), route) <= 1e-11, (s, n)
+
+
+@pytest.mark.parametrize("name", ["q_hermite", "askey_wilson"])
+def test_check_functions_match_the_recursion(name, request, closed_chains):
+    fam = request.getfixturevalue(name)
+    recursive = request.getfixturevalue(name + "_recursive")
+    levels, pts = closed_chains[name], _strip_lines(fam)
+    for s in range(1, 4):
+        for n in [s, *checked_ns(levels[s])]:
+            ref = dqm.check_function(recursive, s, n, pts)
+            assert _worst(ref, dqm.check_function(levels, s, n, pts)) <= 1e-11, (s, n)
+
+
+@pytest.mark.parametrize("name", ["q_hermite", "askey_wilson"])
+def test_vs_product_matches_the_recursion(name, request, closed_chains):
+    # the eta product on the recursive chain, and the closed form at the
+    # shifted points the relation evaluates
+    fam = request.getfixturevalue(name)
+    recursive = request.getfixturevalue(name + "_recursive")
+    levels, pts = closed_chains[name], _strip_lines(fam)
+    for s in range(1, 4):
+        assert structure.eta_relations_residual("Vs_product", fam, recursive[: s + 1], pts) <= 1e-11
+        shifted = pts + 0.5j * s * fam.gamma
+        assert _worst(recursive[s].v(shifted), levels[s].v(shifted)) <= 1e-11, s
+
+
+@pytest.mark.parametrize("name", ["q_hermite", "askey_wilson"])
+def test_chain_eval_answers_match_the_recursion(name, request, closed_chains):
+    # what a chain-eval request serves (phi[3]_4 and V[3] at single points)
+    # and the determinant route its output check compares phi with
+    fam = request.getfixturevalue(name)
+    top, rec = closed_chains[name][3], request.getfixturevalue(name + "_recursive")[3]
+    for x in _strip_lines(fam)[::3].tolist():
+        assert _worst(rec.phi(4, x), top.phi(4, x)) <= 1e-11, x
+        assert _worst(rec.v(x), top.v(x)) <= 1e-11, x
+        route = dqm.phi_via_casoratian(closed_chains[name], 3, 4, x)
+        assert _worst(rec.phi(4, x), route) <= 1e-11, x
+
+
+def test_level_evaluation_retains_no_memory(q_hermite):
+    # one array call at 2,000 fresh points, then 200 scalar calls at fresh
+    # points, of the two things a chain-eval request asks for; a per-point
+    # memo of the scalar phi calls alone would retain about 28 kB
+    level = dqm.build_chain(q_hermite, 3)[3]
+    lo, hi = level.interior()
+    grid = np.linspace(lo, hi, 2000) + 0.3j * q_hermite.gamma
+    xs = (np.linspace(lo, hi, 200) - 0.2j * q_hermite.gamma).tolist()
+    level.phi(4, grid[:7] + 1e-3), level.v(grid[:7] + 1e-3), level.phi(4, 1.0), level.v(1.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        level.phi(4, grid)
+        level.v(grid)
+        for x in xs:
+            level.phi(4, x)
+            level.v(x)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024

@@ -198,6 +198,27 @@ def test_ground_state_log_sum_matches_term_by_term_sum(q):
         assert abs(cmath.exp(0.5 * logsum(x)) - expected) <= 1e-12 * abs(expected)
 
 
+@pytest.mark.parametrize("q", [0.1, 0.6, 0.95])
+def test_ground_state_log_sum_on_arrays_matches_the_point_rule(q):
+    # one direct-factor count per direction for the whole array: points far
+    # apart in Im x share it, and a nan point neither sets it nor spreads
+    fam = make_family("askey_wilson", validate=False, **{**AW_PARAMS, "q": q})
+    h = 0.95 * fam.strip_halfwidth
+    xs = np.array([complex(re, im) for re in np.linspace(0.05, math.pi - 0.05, 13)
+                   for im in (0.0, h, -h, 0.5 * h, -0.5 * h)])
+    values = fam._logphi0sq.at(xs)
+    groups = [(1.0, 2, 1), (1.0, -2, 1)] + [(a, m, -1) for a in fam.avals for m in (1, -1)]
+    for x, v in zip(xs.tolist(), values):
+        assert abs(np.exp(0.5 * v) - cmath.exp(0.5 * fam._logphi0sq(x))) \
+            <= 1e-12 * abs(cmath.exp(0.5 * fam._logphi0sq(x)))
+        expected = cmath.exp(0.5 * factor_log_sum_oracle(q, groups, x))
+        assert abs(np.exp(0.5 * v) - expected) <= 1e-12 * abs(expected)
+    with np.errstate(invalid="ignore"):
+        with_nan = fam._logphi0sq.at(np.append(xs[:3], complex(math.nan, 0.0)))
+    assert np.array_equal(with_nan[:3], fam._logphi0sq.at(xs[:3]))
+    assert not np.isfinite(with_nan[3])
+
+
 # -- virtual states --------------------------------------------------------------
 
 def test_hermite_virtual_state(hermite):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from crum import structure
+from crum import structure, verify
+from crum.analytic import worst_residual
 from crum.structure import LimitScaling
 
-from conftest import overall_slope
+from conftest import SCALAR_ETA_RELATIONS, overall_slope
 
 
 def _pts(fam, count=20):
@@ -117,6 +118,18 @@ def test_vs_product(name, tol, request):
     for s in range(1, len(chain)):
         assert structure.eta_relations_residual("Vs_product", fam, chain[: s + 1],
                                                 _pts(fam, 12)) <= tol
+
+
+@pytest.mark.parametrize("name", ["hermite", "laguerre", "q_hermite", "askey_wilson"])
+def test_eta_relations_on_arrays_match_the_point_rule(name, request):
+    fam = request.getfixturevalue(name)
+    chain = request.getfixturevalue(name + "_chain")
+    pts = verify.sample_points(fam, 20, 7)
+    for kind, entry in structure.ETA_RELATIONS[fam.kind].items():
+        for s in range(entry.first_level, 3):
+            array = structure.eta_relations_residual(kind, fam, chain[: s + 1], pts)
+            scalar = worst_residual(SCALAR_ETA_RELATIONS[kind](chain[: s + 1], pts))
+            assert abs(array - scalar) <= 1e-12, (kind, s, array, scalar)
 
 
 def test_eta_undeclared_capability():
