@@ -1,16 +1,19 @@
 """Catalog of exactly solvable models.
 
-Continuous families (hermite, laguerre, jacobi) carry a pre-potential W with
-ground state e^W and classical-orthogonal-polynomial excited states.
+Continuous families (hermite, laguerre, jacobi) are defined by a pre-potential
+W alone: the ground state is e^W, the factor A = d/dx - W' and the potential
+are built from W', which is taken as the derivative of W's jet, and the
+excited states are e^W times classical orthogonal polynomials.
 Difference families (q_hermite, askey_wilson) carry an analytic potential
 function V on the interval (0, pi) whose ground state is a balanced product
 of q-shifted factorials; excited states are the ground state times a monic
 polynomial in cos x generated by a three-term recurrence.
 
-Every family validates its closed-form energy rule against an independent
-oracle at construction time: a finite-difference eigensolver for the
-continuous families, least-squares eigenvalue extraction from the difference
-equation for the q-families.
+Every family validates itself at construction time.  A continuous family
+checks that e^W is positive and its closed-form energy rule against a
+finite-difference eigensolver; a q-family checks that its ground state is a
+zero mode of the lowering factor and its energy rule against least-squares
+eigenvalue extraction from the difference equation.
 """
 
 from __future__ import annotations
@@ -54,14 +57,14 @@ class OqmFamily:
 
     kind = "oqm"
 
-    def __init__(self, name, params, domain, w_prime_jet, energy_rule,
+    def __init__(self, name, params, domain, w_log_jet, energy_rule,
                  poly_recurrence, eta_jet, shape, label_params):
         self.name = name
         self.params = dict(params)
         self.domain = domain
         self.strip_halfwidth = math.inf
         self.nmax = DEFAULT_NMAX
-        self._w_prime_jet = w_prime_jet
+        self._w_log_jet = w_log_jet   # (x, order) -> x-jet of W, ground state e^W
         self._energy = energy_rule
         self._recurrence = poly_recurrence  # n -> (b_n, c_n) for monic P in eta
         self._eta_jet = eta_jet
@@ -118,8 +121,8 @@ class OqmFamily:
                           label=f"{self.label}.phi[{s}]{n}", jet_fn=jet_fn)
 
     def _w_prime_s_jet(self, s, x, order):
-        """x-jet of W'^[s] = W' + s eta''/eta'."""
-        wp = self._w_prime_jet(x, order)
+        """x-jet of W'^[s] = W' + s eta''/eta', with W' the derivative of W."""
+        wp = self._w_log_jet(x, order + 1).derivative()
         if s:
             d_eta = self._eta_jet(x, order + 2).derivative()
             wp = wp + s * (d_eta.derivative() / d_eta)
@@ -177,9 +180,6 @@ class OqmFamily:
 
 
 def _hermite_family():
-    def w_prime_jet(x, order):
-        return -Jet.variable(x, order)
-
     def w_log_jet(x, order):
         jx = Jet.variable(x, order)
         return -0.5 * jx * jx
@@ -191,20 +191,14 @@ def _hermite_family():
         return 0.0, 0.5 * k
 
     shape = ShapeData(si=lambda p: dict(p), kappa=1.0, e1=lambda p: 2.0)
-    fam = OqmFamily("hermite", {}, (-math.inf, math.inf), w_prime_jet,
-                    lambda n, p: 2.0 * n, recurrence, eta_jet, shape, "")
-    fam._w_log_jet = w_log_jet
-    return fam
+    return OqmFamily("hermite", {}, (-math.inf, math.inf), w_log_jet,
+                     lambda n, p: 2.0 * n, recurrence, eta_jet, shape, "")
 
 
 def _laguerre_family(g):
     if not g > 1:
         raise ParameterError(f"laguerre requires g > 1, got g = {g} (violates g > 1)")
     alpha = g - 0.5
-
-    def w_prime_jet(x, order):
-        jx = Jet.variable(x, order)
-        return -jx + g / jx
 
     def w_log_jet(x, order):
         jx = Jet.variable(x, order)
@@ -218,19 +212,13 @@ def _laguerre_family(g):
         return 2.0 * k + alpha + 1.0, k * (k + alpha)
 
     shape = ShapeData(si=lambda p: {"g": p["g"] + 1.0}, kappa=1.0, e1=lambda p: 4.0)
-    fam = OqmFamily("laguerre", {"g": float(g)}, (0.0, math.inf), w_prime_jet,
-                    lambda n, p: 4.0 * n, recurrence, eta_jet, shape, f"g={g}")
-    fam._w_log_jet = w_log_jet
-    return fam
+    return OqmFamily("laguerre", {"g": float(g)}, (0.0, math.inf), w_log_jet,
+                     lambda n, p: 4.0 * n, recurrence, eta_jet, shape, f"g={g}")
 
 
 def _jacobi_family(g):
     if not g > 1:
         raise ParameterError(f"jacobi requires g > 1, got g = {g} (violates g > 1)")
-
-    def w_prime_jet(x, order):
-        s, c = Jet.variable(x, order + 1).sincos()
-        return (g * c / s).truncate(order)
 
     def w_log_jet(x, order):
         return g * Jet.variable(x, order).sin().log()
@@ -246,10 +234,8 @@ def _jacobi_family(g):
 
     shape = ShapeData(si=lambda p: {"g": p["g"] + 1.0}, kappa=1.0,
                       e1=lambda p: 1.0 + 2.0 * p["g"])
-    fam = OqmFamily("jacobi", {"g": float(g)}, (0.0, math.pi), w_prime_jet,
-                    lambda n, p: n * (n + 2.0 * g), recurrence, eta_jet, shape, f"g={g}")
-    fam._w_log_jet = w_log_jet
-    return fam
+    return OqmFamily("jacobi", {"g": float(g)}, (0.0, math.pi), w_log_jet,
+                     lambda n, p: n * (n + 2.0 * g), recurrence, eta_jet, shape, f"g={g}")
 
 
 def _hnorm(fam, n):
@@ -565,8 +551,9 @@ def make_family(name, validate=True, **params):
     """Build a named family after checking its parameter constraints.
 
     Raises ParameterError quoting the violated inequality; runs the family's
-    self-consistency suite (potential identity or zero mode, energy oracle)
-    unless validate=False.
+    self-consistency suite unless validate=False: ground-state positivity
+    (continuous families, whose W' is derived from W) or the ground-state
+    zero mode (q-families), then the energy oracle.
     """
     if name == "hermite":
         fam = _hermite_family()
@@ -655,19 +642,14 @@ def _validate_family(fam):
 
 
 def _validate_oqm(fam):
-    """The hand-coded W' is the derivative of the log ground state W, and the
-    ground state e^W is positive, at sample points of the interior."""
+    """The ground state e^W is positive at sample points of the interior;
+    then the energy oracle."""
     lo, hi = fam.interior()
-    xs = np.linspace(lo, hi, _VALIDATE_POINTS)
-    for xr in xs:
-        x = complex(xr)
-        w_log = fam._w_log_jet(x, 1)
-        wp = fam._w_prime_jet(x, 0).value
-        if abs(wp - w_log.deriv(1)) > 1e-10 * (1.0 + abs(wp)):
-            raise ParameterError(f"{fam.label}: W' is not the derivative of W at x={xr:g}")
-        phi0 = cmath.exp(w_log.value)
-        if not phi0.real > 0:
-            raise ParameterError(f"{fam.label}: ground state not positive at x={xr:g}")
+    xs = np.linspace(lo, hi, _VALIDATE_POINTS).astype(complex)
+    bad = ~(fam.phi(0)(xs).real > 0)
+    if bad.any():
+        raise ParameterError(f"{fam.label}: ground state not positive at "
+                             f"x={xs[bad.argmax()].real:g}")
     _oqm_energy_oracle(fam)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analytic import (AnalyticFn, Identity, casoratian, identity_residual, rel_residual,
                        values_at, worst_residual, wronskian)
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 from .families import make_family
 from . import dqm as dqm_mod
 
@@ -29,7 +29,6 @@ class ShapeFit:
     kappa: float
     params: dict
     max_residual: float
-    message: str = ""
 
 
 @dataclass(frozen=True)
@@ -104,36 +103,28 @@ def _shape_fit_dqm(family, chain, npoints):
     # would (rightly) reject
     from .families import _VLogSum
 
-    level1 = chain[1]
     free_keys = [k for k in ("a1", "a2", "a3", "a4") if k in family.params]
     n_unknowns = 1 + 2 * len(free_keys)
     anchors = _anchor_points(family, max(2 + len(free_keys), (n_unknowns + 1) // 2 + 1))
-    target = level1.v(anchors)
+    lo, hi = family.interior(0.9)
+    line = np.linspace(lo, hi, npoints // 2).astype(complex)
+    xs = np.concatenate([line, line[: npoints - npoints // 2] + 0.25j * abs(family.gamma)])
 
-    def v_of(u):
+    def model(u, pts):
         avals = [complex(u[1 + 2 * j], u[2 + 2 * j]) for j in range(len(free_keys))]
-        return _VLogSum(family.q, avals)
+        return u[0] * np.exp(_VLogSum(family.q, avals)(pts))
 
-    def model(u):
-        logv = v_of(u)
-        return u[0] * np.exp(logv(anchors)), logv
-
-    best = None
+    starts = []
     for scale in (math.sqrt(family.q), family.q, 1.0):
         u = np.zeros(n_unknowns)
         u[0] = 1.0 / family.q
         for j, k in enumerate(free_keys):
             guess = complex(family.params[k]) * scale
             u[1 + 2 * j], u[2 + 2 * j] = guess.real, guess.imag
-        u, ok = _gauss_newton(u, target, model)
-        if not ok:
-            continue
-        res = _global_shape_residual_dqm(family, level1, u[0], v_of(u), npoints)
-        if best is None or res < best[0]:
-            best = (res, u)
+        starts.append(u)
+    best = _best_fit(starts, chain[1].v, model, anchors, xs)
     if best is None:
-        return ShapeFit(False, float("nan"), {}, float("inf"),
-                        "fit did not converge: not shape invariant at this depth")
+        return ShapeFit(False, float("nan"), {}, float("inf"))
     res, u = best
     fitted = dict(family.params)
     for j, k in enumerate(free_keys):
@@ -141,57 +132,57 @@ def _shape_fit_dqm(family, chain, npoints):
     return ShapeFit(True, float(u[0]), fitted, res)
 
 
-def _global_shape_residual_dqm(family, level1, kappa, logv, npoints):
-    lo, hi = family.interior(0.9)
-    line = np.linspace(lo, hi, npoints // 2).astype(complex)
-    xs = np.concatenate([line, line[: npoints - npoints // 2] + 0.25j * abs(family.gamma)])
-    return worst_residual([rel_residual(level1.v(xs), kappa * np.exp(logv(xs)))])
-
-
 def _shape_fit_oqm(family, chain, npoints):
     """Derivative-side analog: the full level-1 potential (level constant
     included) equals U(x; p') + shift with shift = the first gap."""
     level1 = chain[1]
-    raw_u1 = level1.potential()
-    u1 = lambda x: raw_u1(x) + level1.E_s
+    u1 = level1.potential()
     free_keys = sorted(family.params)
     anchors = _anchor_points(family, 3 + len(free_keys))
-    target = np.asarray([u1(x) for x in anchors])
+    lo, hi = family.interior(0.9)
+    xs = np.linspace(lo, hi, npoints).astype(complex)
 
-    def model(u):
-        shift = u[0]
+    def model(u, pts):
         params = {k: u[1 + j] for j, k in enumerate(free_keys)}
         try:
             fam2 = make_family(family.name, validate=False, **params)
-        except Exception:
-            return None, None
-        pot = fam2.potential()
-        return np.asarray([pot(x) for x in anchors]) + shift, fam2
+        except ParameterError:
+            return None
+        return fam2.potential()(pts) + u[0]
 
-    best = None
+    starts = []
     for delta in (1.0, 0.0, 2.0):
         u = np.zeros(1 + len(free_keys))
         u[0] = family.energy(1)
         for j, k in enumerate(free_keys):
             u[1 + j] = family.params[k] + delta
-        u, ok = _gauss_newton(u, target, model)
-        if not ok:
-            continue
-        vals, fam2 = model(u)
-        if vals is None:
-            continue
-        lo, hi = family.interior(0.9)
-        xs = [complex(t) for t in np.linspace(lo, hi, npoints)]
-        pot2 = fam2.potential()
-        res = worst_residual(abs(u1(x) - pot2(x) - u[0]) / (1.0 + abs(u1(x))) for x in xs)
-        if best is None or res < best[0]:
-            best = (res, u, fam2)
+        starts.append(u)
+    best = _best_fit(starts, lambda pts: u1(pts) + level1.E_s, model, anchors, xs)
     if best is None:
-        return ShapeFit(False, float("nan"), {}, float("inf"), "no convergent fit")
-    res, u, fam2 = best
+        return ShapeFit(False, float("nan"), {}, float("inf"))
+    res, u = best
     fitted = {k: float(u[1 + j]) for j, k in enumerate(free_keys)}
     fitted["shift"] = float(u[0])
     return ShapeFit(True, 1.0, fitted, res)
+
+
+def _best_fit(starts, target, model, anchors, xs):
+    """Shape fit of model(u, points) to target(points), both arrays of
+    values at an array of points: Gauss-Newton on the anchors from each
+    start, then the global residual, the worst rel_residual of the fitted
+    model against the target on xs.  The converged fit with the least
+    global residual as (residual, u), or None when no start converges; the
+    model returns None at parameters a family refuses."""
+    t_anchors, t_xs = target(anchors), target(xs)
+    best = None
+    for u0 in starts:
+        u, ok = _gauss_newton(u0, t_anchors, lambda uv: model(uv, anchors))
+        if not ok:
+            continue
+        res = worst_residual([rel_residual(t_xs, model(u, xs))])
+        if best is None or res < best[0]:
+            best = (res, u)
+    return best
 
 
 def _gauss_newton(u0, target, model, iters=40, tol=1e-13):
@@ -199,7 +190,7 @@ def _gauss_newton(u0, target, model, iters=40, tol=1e-13):
     t = np.concatenate([target.real, target.imag])
 
     def resid(uv):
-        vals, _ = model(uv)
+        vals = model(uv)
         if vals is None:
             return None
         return np.concatenate([vals.real, vals.imag]) - t
@@ -348,6 +339,8 @@ def _std_fn(name):
         "x^2": (lambda x: x * x, lambda x, o: (lambda j: j * j)(Jet.variable(x, o))),
         "gauss": (lambda x: cmath.exp(-0.5 * x * x),
                   lambda x, o: (lambda j: (-0.5 * j * j).exp())(Jet.variable(x, o))),
+        "x*gauss": (lambda x: x * cmath.exp(-0.5 * x * x),
+                    lambda x, o: (lambda j: j * (-0.5 * j * j).exp())(Jet.variable(x, o))),
     }
     fn, jet = table[name]
     return AnalyticFn(fn, label=name, jet_fn=jet)
@@ -375,7 +368,7 @@ def _limit_gamma(function_sets, gammas, x0):
 
 def _limit_c(config):
     table = LimitTable(mode="c_to_inf")
-    tests = [("gauss", _std_fn("gauss")), ("x*gauss", _xgauss())]
+    tests = [(name, _std_fn(name)) for name in ("gauss", "x*gauss")]
     g = config.gamma
     a = config.a
     xs = [complex(t) for t in np.linspace(-1.2, 1.2, 10)]
@@ -413,16 +406,6 @@ def _limit_level(v, gamma):
         return complex(sqrt_v(complex(x).conjugate())).conjugate()
 
     return SimpleNamespace(gamma=gamma, E_s=0.0, sqrt_v=sqrt_v, sqrt_v_star=sqrt_v_star)
-
-
-def _xgauss():
-    from .jets import Jet
-
-    def jet(x, o):
-        j = Jet.variable(x, o)
-        return j * (-0.5 * j * j).exp()
-
-    return AnalyticFn(lambda x: x * cmath.exp(-0.5 * x * x), label="x*gauss", jet_fn=jet)
 
 
 def _wpp(config, x, h=1e-6):

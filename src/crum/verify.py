@@ -311,16 +311,14 @@ def _skip(reason):
 
 def _growth_scan(det, pts):
     """Largest LU element-growth factor of the deepest determinant over the
-    first five sample points; points whose shifts leave the strip are passed over."""
-
-    def growths():
-        for x in pts[:5]:
-            try:
-                yield det(x)[1]
-            except StripError:
-                continue
-
-    return max(1.0, worst_residual(growths()))
+    first five sample points, from one stacked determinant; inf when it is
+    not finite.  The points share Im x = 0, so their shifts leave the strip
+    for all of them or for none; then there is no growth to report, and 1."""
+    try:
+        growth = det(np.asarray(pts[:5], dtype=complex))[1]
+    except StripError:
+        return 1.0
+    return max(1.0, worst_residual([growth]))
 
 
 def _wronskian_det(family, s):

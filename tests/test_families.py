@@ -18,21 +18,40 @@ from crum import oqm as oqm_mod
 
 def test_hermite_prepotential_and_potential(hermite):
     u = hermite.potential()
-    wp = hermite.w_prime()
     for x in (-1.5, 0.0, 2.0):
         assert abs(u(x) - (x * x - 1.0)) < 1e-12
-        assert abs(wp(x) - (-x)) < 1e-13
 
 
-def test_validation_rejects_a_ground_state_off_the_prepotential():
+# W' is derived from the jet of W; the closed forms are the oracle
+@pytest.mark.parametrize("name,params,w_prime", [
+    ("hermite", {}, lambda x: -x),
+    ("laguerre", {"g": 3.0}, lambda x: -x + 3.0 / x),
+    ("jacobi", {"g": 2.0}, lambda x: 2.0 / cmath.tan(x)),
+])
+def test_w_prime_is_the_derivative_of_the_prepotential(name, params, w_prime):
+    fam = make_family(name, **params)
+    lo, hi = fam.interior()
+    for x in np.linspace(lo, hi, 5):
+        ref = w_prime(complex(x))
+        assert abs(fam.w_prime()(x) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_validation_rejects_a_ground_state_off_the_prepotential(monkeypatch):
     from crum import families
     from crum.jets import Jet
 
-    fam = families._hermite_family()
-    # e^{-x^2} is positive, but its log-derivative -2x is not the family's W' = -x
-    fam._w_log_jet = lambda x, order: -(Jet.variable(x, order) * Jet.variable(x, order))
-    with pytest.raises(ParameterError, match="derivative of W"):
-        families._validate_family(fam)
+    h = families._hermite_family()
+    # e^{-x^2} is positive, but with W' = -2x its potential 4x^2 - 2 has the
+    # spectrum 4n, not hermite's 2n
+    def w_log_jet(x, order):
+        jx = Jet.variable(x, order)
+        return -(jx * jx)
+
+    bad = families.OqmFamily("hermite", {}, h.domain, w_log_jet, h._energy, h._recurrence,
+                             h._eta_jet, h.shape, "")
+    monkeypatch.setattr(families, "_hermite_family", lambda: bad)
+    with pytest.raises(ParameterError, match="disagrees with grid oracle"):
+        make_family("hermite")
 
 
 def test_laguerre_constraint():

@@ -5,6 +5,7 @@ import pytest
 
 from crum import structure, verify
 from crum.analytic import worst_residual
+from crum.errors import ParameterError
 from crum.structure import LimitScaling
 
 from conftest import SCALAR_ETA_RELATIONS, overall_slope
@@ -40,6 +41,29 @@ def test_aw_shape_fit(askey_wilson, askey_wilson_chain):
     root_q = math.sqrt(0.6)
     for key in ("a1", "a2", "a3", "a4"):
         assert abs(complex(fit.params[key]) - complex(askey_wilson.params[key]) * root_q) < 1e-7
+
+
+def test_shape_fit_that_does_not_converge_fails_the_suite(monkeypatch, hermite, hermite_chain):
+    # every trial family refused: no start converges, which is a failed
+    # verdict; any other error from the model is a defect and propagates
+    def refuse(*args, **kwargs):
+        raise ParameterError("injected")
+
+    monkeypatch.setattr(structure, "make_family", refuse)
+    fit = structure.shape_invariance_residual(hermite, hermite_chain)
+    assert not fit.converged
+    assert fit.max_residual == math.inf
+    rep = verify.run_suite(verify.RunConfig(family="hermite", depth=1, nmax=3, samples=4,
+                                            seed=7))
+    assert rep.shape_invariance["pass"] is False
+    assert rep.status == "fail"
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(structure, "make_family", broken)
+    with pytest.raises(TypeError, match="injected"):
+        structure.shape_invariance_residual(hermite, hermite_chain)
 
 
 def test_operator_level_shape_invariance(q_hermite, q_hermite_chain):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,8 +7,9 @@ import pytest
 
 from conftest import scalar_gram, scalar_grid_eigensolve
 from crum import dqm, make_family, oqm, structure, verify, virtual_state
-from crum.analytic import AnalyticFn, Identity
-from crum.errors import AccuracyError, ChainBreakError, ParameterError, PoleError
+from crum.analytic import AnalyticFn, Identity, casoratian, wronskian
+from crum.errors import (AccuracyError, ChainBreakError, ParameterError, PoleError,
+                         StripError)
 from crum.families import _oracle_box
 from crum.jets import Jet
 from crum.verify import (DEFAULT_TOLERANCES, RunConfig, grid_eigensolve, gram_matrix,
@@ -396,6 +398,39 @@ def test_pole_at_one_sample_of_a_difference_chain_is_a_skip(monkeypatch):
         assert entry["pass"] is None
         assert entry["skipped"] == f"PoleError: injected at x={bad}"
     assert rep.status == "incomplete"
+
+
+# lu_growth: the largest LU growth of the deepest determinant over the first
+# five axis samples, against a loop of single-point determinants
+@pytest.mark.parametrize("family,params,depth", [("hermite", {}, 3), ("q_hermite", {"q": 0.5}, 2)])
+def test_lu_growth_is_the_worst_single_point_growth(family, params, depth):
+    rep = run_suite(RunConfig(family=family, params=params, depth=depth, nmax=4, samples=5,
+                              seed=7))
+    fam = make_family(family, **params)
+    if fam.kind == "oqm":
+        fs = [fam.phi(k) for k in range(depth)]
+        det = lambda x: wronskian(fs, x, info=True)
+    else:
+        fs = [fam.phi(k) for k in range(depth + 1)]
+        det = lambda x: casoratian(fs, x, fam.gamma, info=True)
+    growths = [det(x)[1] for x in sample_points(fam, 5, 7)]
+    assert max(growths) > 1.0
+    assert rep.lu_growth == pytest.approx(max(growths), rel=1e-12)
+
+
+def _outside_the_strip(x):
+    raise StripError(x[0], 0.0, "injected")
+
+
+@pytest.mark.parametrize("det,growth", [(lambda x: (x, math.nan), math.inf),
+                                        (_outside_the_strip, 1.0)])
+def test_lu_growth_fails_closed(monkeypatch, det, growth):
+    # a non-finite growth can never read as a small one; points whose
+    # shifts leave the strip have no determinant and no growth
+    monkeypatch.setitem(verify._KINDS, "oqm",
+                        dataclasses.replace(verify._KINDS["oqm"], growth_det=lambda f, s: det))
+    rep = run_suite(RunConfig(family="hermite", depth=1, nmax=3, samples=4, seed=7))
+    assert rep.lu_growth == growth
 
 
 @pytest.mark.parametrize("family,params", [("hermite", {}), ("q_hermite", {"q": 0.5})])
