@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 
 import numpy as np
 
-from .analytic import AnalyticFn, inner_product
+from .analytic import _ARRAY_BLOCK, AnalyticFn, inner_product
 from .errors import DomainError, ParameterError, PoleError
 from .jets import Jet
 from .quadrature import QuadratureSpec
@@ -37,6 +38,11 @@ DEFAULT_NMAX = 32
 _VALIDATE_POINTS = 20
 _ZERO_MODE_TOL = 1e-10
 _ENERGY_ORACLE_TOL = 1e-3
+# results a dQM family keeps of its ground-state array log-sum, each of at
+# most _ARRAY_BLOCK points: the checks evaluate phi_0 over and over on the
+# same few shifted sample rows (an Askey-Wilson depth-2 suite asks 521 times
+# for 55 distinct arrays)
+_LOGSUM_MEMO_ENTRIES = 16
 
 
 class ShapeData:
@@ -383,6 +389,7 @@ class DqmFamily:
         gterms += [(a, 1, -1) for a in self.avals if a != 0]
         gterms += [(a, -1, -1) for a in self.avals if a != 0]
         self._logphi0sq = _FactorLogSum(self.q, gterms)
+        self._logphi0sq_memo = OrderedDict()
 
         b4 = complex(np.prod(self.avals)) if self.avals else 0j
         self._b4 = b4
@@ -399,10 +406,26 @@ class DqmFamily:
     # every function below, like log_v, takes a point or an array of points
     def log_phi0sq(self, x):
         """log phi_0^2 at x: the ground-state log-sum, on arrays through its
-        array rule (one direct-factor count per array)."""
-        if isinstance(x, np.ndarray):
+        array rule (one direct-factor count per array).  The last
+        _LOGSUM_MEMO_ENTRIES array results of at most _ARRAY_BLOCK points are
+        kept, keyed by the array's dtype, shape and exact bytes, and returned
+        read-only: a hit is the very array the rule gave."""
+        if not isinstance(x, np.ndarray):
+            return self._logphi0sq(complex(x))
+        if x.size > _ARRAY_BLOCK:
             return self._logphi0sq.at(x)
-        return self._logphi0sq(complex(x))
+        memo = self._logphi0sq_memo
+        key = (x.dtype, x.shape, x.tobytes())
+        value = memo.get(key)
+        if value is None:
+            value = self._logphi0sq.at(x)
+            value.setflags(write=False)
+            memo[key] = value
+            if len(memo) > _LOGSUM_MEMO_ENTRIES:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+        return value
 
     def sqrt_v(self):
         fam = self

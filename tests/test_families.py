@@ -238,6 +238,52 @@ def test_ground_state_log_sum_on_arrays_matches_the_point_rule(q):
     assert not np.isfinite(with_nan[3])
 
 
+def _counted_log_sum(monkeypatch, fam):
+    calls = []
+    real_at = fam._logphi0sq.at
+
+    def at(x):
+        calls.append(x.size)
+        return real_at(x)
+
+    monkeypatch.setattr(fam._logphi0sq, "at", at)
+    return calls
+
+
+def test_ground_state_log_sum_memo_hits_only_the_exact_array(monkeypatch):
+    fam = make_family("q_hermite", q=0.5, validate=False)
+    xs = np.linspace(0.2, 2.9, 40) + 0.1j
+    calls = _counted_log_sum(monkeypatch, fam)
+    first = fam.log_phi0sq(xs)
+    hit = fam.log_phi0sq(xs.copy())
+    assert calls == [40] and hit is first
+    assert np.array_equal(hit, fam._logphi0sq.at(xs)) and calls == [40, 40]
+    with pytest.raises(ValueError):
+        hit += 1.0
+    one_ulp = xs.copy()
+    one_ulp[17] = complex(np.nextafter(one_ulp[17].real, 4.0), one_ulp[17].imag)
+    moved = fam.log_phi0sq(one_ulp)
+    assert calls == [40, 40, 40] and np.array_equal(moved, fam._logphi0sq.at(one_ulp))
+    reshaped = fam.log_phi0sq(xs.reshape(4, 10))
+    assert len(calls) == 5 and reshaped.shape == (4, 10)
+    assert np.array_equal(reshaped.ravel(), first)
+
+
+def test_ground_state_log_sum_memo_is_bounded(monkeypatch):
+    fam = make_family("q_hermite", q=0.5, validate=False)
+    calls = _counted_log_sum(monkeypatch, fam)
+    big = np.linspace(0.1, 3.0, 2000) + 0.05j
+    kept = len(fam._logphi0sq_memo)
+    fam.log_phi0sq(big)
+    fam.log_phi0sq(big)
+    assert calls == [2000, 2000] and len(fam._logphi0sq_memo) == kept
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        fam.log_phi0sq(rng.uniform(0.1, 3.0, rng.integers(20, 1001)) + 0j)
+    assert len(fam._logphi0sq_memo) <= 16
+    assert all(v.size <= 1024 for v in fam._logphi0sq_memo.values())
+
+
 # -- virtual states --------------------------------------------------------------
 
 def test_hermite_virtual_state(hermite):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scalar_gram, scalar_grid_eigensolve
-from crum import dqm, make_family, oqm, structure, verify, virtual_state
+from conftest import AW_PARAMS, scalar_gram, scalar_grid_eigensolve
+from crum import dqm, families, make_family, oqm, structure, verify, virtual_state
 from crum.analytic import AnalyticFn, Identity, casoratian, wronskian
 from crum.errors import (AccuracyError, ChainBreakError, ParameterError, PoleError,
                          StripError)
@@ -369,6 +369,44 @@ def test_identities_make_no_scalar_jet_call(monkeypatch):
     rep = run_suite(RunConfig(family="hermite", depth=2, seed=7))
     assert rep.status == "pass"
     assert anchors and all(anchors)
+
+
+def test_ground_state_log_sum_is_computed_once_per_distinct_array(monkeypatch):
+    # Askey-Wilson depth 2 (nmax 5, seed 7): the checks evaluate phi_0 on the
+    # same shifted sample rows again and again; without the family's memo the
+    # array log-sum runs 521 times
+    keys = []
+    real_at = families._FactorLogSum.at
+
+    def at(self, x):
+        keys.append((self, x.dtype.str, x.shape, x.tobytes()))
+        return real_at(self, x)
+
+    monkeypatch.setattr(families._FactorLogSum, "at", at)
+    rep = run_suite(RunConfig(family="askey_wilson", params=dict(AW_PARAMS), depth=2,
+                              nmax=5, seed=7))
+    assert rep.status == "pass"
+    assert len(keys) <= 56
+    assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("family,params", [("askey_wilson", AW_PARAMS),
+                                           ("q_hermite", {"q": 0.5})])
+def test_memoized_log_sum_reports_match_the_plain_rule(monkeypatch, family, params):
+    # the memo is a fast path: with every array log-sum computed afresh the
+    # reports are the same
+    cfg = RunConfig(family=family, params=dict(params), depth=2, nmax=5, seed=7)
+    fast = run_suite(cfg).to_dict()
+    plain = families.DqmFamily.log_phi0sq
+
+    def log_phi0sq(self, x):
+        return self._logphi0sq.at(x) if isinstance(x, np.ndarray) else plain(self, x)
+
+    monkeypatch.setattr(families.DqmFamily, "log_phi0sq", log_phi0sq)
+    slow = run_suite(cfg).to_dict()
+    fast.pop("wall_time_s")
+    slow.pop("wall_time_s")
+    assert fast["status"] == "pass" and fast == slow
 
 
 def test_pole_at_one_sample_of_a_difference_chain_is_a_skip(monkeypatch):
