@@ -4,8 +4,11 @@ engine both chain kinds share: an `Identity` table per kind, read by
 `identity_residual` and reduced fail-closed by `worst_residual`; `values_at`,
 which evaluates a function on a whole sample array for the identities (every
 function of either chain kind takes arrays); the
-five operator identities both tables hold; and `grow_chain`, which builds a
-chain of either kind up to DEPTH_CAP.
+five operator identities both tables hold; and the chain scaffold: `ChainLevel`,
+the level record both kinds subclass, which holds the n-range, level-0,
+step and downshift guards, with `sign_changes`, the one rule by which a
+step refuses a seed, and `grow_chain`, which builds a chain of either kind
+up to DEPTH_CAP.
 
 Everything here is immutable after construction and safe to evaluate
 concurrently; evaluation is pure.
@@ -20,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, StripError
+from .errors import CapabilityError, ChainBreakError, DomainError, StripError
 from .jets import Jet
 from .quadrature import QuadratureSpec, integrate
 
@@ -37,13 +40,14 @@ _ARRAY_BLOCK = 1024
 class AnalyticFn:
     """A complex-analytic function on |Im x| <= strip_halfwidth.
 
-    ``fn`` evaluates the function; ``jet_fn``, when given, produces exact
-    truncated Taylor expansions (built-in families wire closed-form
-    recurrences here).  Without it, derivatives fall back to Cauchy-circle
-    numerical differentiation.
+    ``fn`` evaluates the function at a point or at each point of an array
+    (a function that takes points only serves the single-point calls);
+    ``jet_fn``, when given, produces exact truncated Taylor expansions
+    (built-in families wire closed-form recurrences here).  Without it,
+    derivatives fall back to Cauchy-circle numerical differentiation.
     """
 
-    fn: Callable[[complex], complex]
+    fn: Callable[[complex | np.ndarray], complex | np.ndarray]
     strip_halfwidth: float = math.inf
     label: str = ""
     jet_fn: Optional[Callable[[complex, int], Jet]] = None
@@ -103,17 +107,30 @@ class AnalyticFn:
                        for k in range(order + 1)])
 
     def _cauchy_jet(self, x, order):
+        """Jet from the FFT of fn on a circle of _CAUCHY_POINTS points around
+        x, of radius 0.1 or less, inside the strip.  At a single point fn is
+        called once per circle point, so it may take points only; at an
+        array of points it is called once, on the (..., _CAUCHY_POINTS)
+        array of every point's circle, each circle with its own radius."""
         if order == 0:
             return Jet(x, [self(x)])
-        r = 0.1
-        if math.isfinite(self.strip_halfwidth):
-            r = min(r, self.strip_halfwidth / 2.0, self.strip_halfwidth - abs(complex(x).imag))
-        if r <= 0:
-            raise StripError(x, self.strip_halfwidth, self.label)
         m = _CAUCHY_POINTS
-        vals = np.asarray([self.fn(x + r * cmath.exp(2j * math.pi * k / m)) for k in range(m)])
+        roots = [cmath.exp(2j * math.pi * k / m) for k in range(m)]
+        h = self.strip_halfwidth
+        if not isinstance(x, np.ndarray):
+            r = min(0.1, h / 2.0, h - abs(x.imag))
+            if r <= 0:
+                raise StripError(x, h, self.label)
+            coeffs = np.fft.fft([self.fn(x + r * root) for root in roots]) / m
+            return Jet(x, [complex(coeffs[k]) / r**k for k in range(order + 1)])
+        r = np.minimum(min(0.1, h / 2.0), h - np.abs(x.imag))
+        outside = r <= 0
+        if outside.any():
+            raise StripError(x.flat[np.argmax(outside)], h, self.label)
+        circles = x[..., None] + r[..., None] * np.array(roots)
+        vals = np.broadcast_to(np.asarray(self.fn(circles), dtype=complex), circles.shape)
         coeffs = np.fft.fft(vals) / m
-        return Jet(x, [complex(coeffs[k]) / r**k for k in range(order + 1)])
+        return Jet(x, [coeffs[..., k] / r**k for k in range(order + 1)])
 
 
 def star_eval(f, x):
@@ -187,6 +204,72 @@ def identity_residual(table, name, levels, samples):
     if not any(r.size for r in residuals):
         raise DomainError(f"{name} evaluated nothing at level {s}")
     return worst_residual(residuals)
+
+
+def sign_changes(values):
+    """Sign changes along the real parts of a 1-d array of values.  Exact
+    zeros are dropped first, so a node that falls on a scan point still
+    counts once."""
+    signs = np.sign(np.real(values))
+    signs = signs[signs != 0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+@dataclass(frozen=True)
+class ChainLevel:
+    """Level s of a Crum chain over `family`: eigenfunctions phi^[s]_n for
+    s <= n <= nmax, level constant E_s (the family's energy E_s) and the level
+    it was stepped from.  Both chain kinds subclass it with their evaluators;
+    the guards and the step are written here once."""
+
+    family: object
+    s: int
+    E_s: float
+    nmax: int
+    parent: object = None
+
+    @classmethod
+    def level0(cls, family, nmax=None):
+        """Level 0: the family itself, eigenfunctions up to nmax (default the
+        family's own range)."""
+        nmax = family.nmax if nmax is None else nmax
+        if nmax > family.nmax:
+            raise DomainError(f"n={nmax} outside tabulated range 0..{family.nmax}")
+        return cls(family, 0, family.energy(0), nmax)
+
+    def check_n(self, n):
+        """Refuses an n this level has no eigenfunction for."""
+        if n < self.s:
+            raise DomainError(f"level {self.s} has phi_n only for n >= {self.s}")
+        if n > self.nmax:
+            raise DomainError(f"phi_{n} not built (nmax exceeded)")
+
+    def interior(self, fraction=0.9):
+        return self.family.interior(fraction)
+
+    def step(self, seed_sign_changes):
+        """Level s+1 over this one.  Refuses when no eigenfunction is left to
+        lift, and when seed_sign_changes(new level), the sign changes of its
+        seed phi^[s+1]_{s+1} on the kind's scan grid (`sign_changes`), is not
+        0: a node there makes the deformed potential singular."""
+        s_new = self.s + 1
+        if self.nmax < s_new:
+            raise ChainBreakError(f"no eigenfunctions left to lift to level {s_new}")
+        new = type(self)(self.family, s_new, self.family.energy(s_new), self.nmax, parent=self)
+        if seed_sign_changes(new) != 0:
+            raise ChainBreakError(
+                f"phi[{s_new}]_{s_new} changes sign on the physical region; the chain "
+                "assumption (node-free seed) is violated")
+        return new
+
+    def downshift_gap(self, n):
+        """E_n - E_{s-1}, the divisor that takes this level's phi_n back to
+        the parent's; refuses level 0 and n < s."""
+        if self.parent is None:
+            raise DomainError("level 0 has no parent to downshift into")
+        if n < self.s:
+            raise DomainError(f"downshift needs n >= s = {self.s}")
+        return self.family.energy(n) - self.parent.E_s
 
 
 def grow_chain(level, step, depth):

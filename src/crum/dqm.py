@@ -35,8 +35,10 @@ g = gamma = log q and L(w) = Log(1 - e^{2iw}):
 A level evaluates each point with one ground-state log-sum and O(s) potential
 logs, keeps nothing between calls, and takes a point or an array of points.
 
-The chain has the contract of the differential one (`oqm`): build_chain(family,
-depth, nmax) gives levels 0..depth with eigenfunctions up to nmax; apply_A,
+The chain has the contract of the differential one (`oqm`): its levels are
+analytic.ChainLevel records, whose guards and step both kinds share;
+build_chain(family, depth, nmax) gives levels 0..depth with eigenfunctions
+up to nmax; apply_A,
 apply_Adag, hamiltonian_apply(level, f) and downshift(level, n) return
 functions; and the identities of IDENTITIES check the deepest level of a
 chain through analytic.identity_residual.  Five of them (zero_mode,
@@ -55,10 +57,10 @@ import sys
 
 import numpy as np
 
-from .analytic import (AnalyticFn, Identity, casoratian, checked_ns, downshift_roundtrip,
-                       factorization, grow_chain, identity_residual, intertwine,
-                       iso_spectral, rel_residual, zero_mode)
-from .errors import BranchError, ChainBreakError, DomainError, PoleError
+from .analytic import (AnalyticFn, ChainLevel, Identity, casoratian, checked_ns,
+                       downshift_roundtrip, factorization, grow_chain, identity_residual,
+                       intertwine, iso_spectral, rel_residual, sign_changes, zero_mode)
+from .errors import BranchError, PoleError
 
 NODE_SCAN_POINTS = 301
 _BRANCH_MAX_SEGMENTS = 512
@@ -156,27 +158,15 @@ def _divided_difference(family, n, eta):
     return cur[0]
 
 
-class DqmChainLevel:
-    """Level s of the chain over `family`: eigenfunctions phi^[s]_n for
-    s <= n <= nmax, level constant E_s (the family's energy E_s), the
-    potential and the level it was stepped from.  Every evaluator is closed
-    form (module docstring) and takes a point or an array of points."""
-
-    def __init__(self, family, s, e_s, nmax, parent=None):
-        self.family = family
-        self.s = s
-        self.E_s = e_s
-        self.nmax = nmax
-        self.gamma = family.gamma
-        self.parent = parent
+class DqmChainLevel(ChainLevel):
+    """Level s of the difference chain (analytic.ChainLevel).  Every
+    evaluator is closed form (module docstring) and takes a point or an
+    array of points."""
 
     def phi(self, n, x=None):
         """phi^[s]_n as an AnalyticFn, or its value at x (a point or an
         array), unchecked against the strip; level 0 is the family's."""
-        if n < self.s:
-            raise DomainError(f"level {self.s} has phi_n only for n >= {self.s}")
-        if n > self.nmax:
-            raise DomainError(f"phi_{n} not built (nmax exceeded)")
+        self.check_n(n)
         if self.s == 0:
             f = self.family.phi(n)
         else:
@@ -186,7 +176,8 @@ class DqmChainLevel:
         return f if x is None else f.fn(x)
 
     def _phi_at(self, n, x):
-        fam, s, g = self.family, self.s, self.gamma
+        fam, s = self.family, self.s
+        g = fam.gamma
         h = 0.5j * g
         log_pref = fam.log_phi0sq(x + s * h)
         for lvl in range(s):
@@ -209,9 +200,6 @@ class DqmChainLevel:
     def v_star(self, x):
         return np.conj(self.v(np.conj(x)))
 
-    def interior(self, fraction=0.9):
-        return self.family.interior(fraction)
-
 
 # ---------------------------------------------------------------------------
 # operators
@@ -219,7 +207,8 @@ class DqmChainLevel:
 
 def apply_A(level, f):
     """Lowering factor: i (sqrtV*(x-ig/2) f(x-ig/2) - sqrtV(x+ig/2) f(x+ig/2))."""
-    return _first_order(level, f, 1j, level.sqrt_v_star, level.sqrt_v, 0.5j * level.gamma)
+    return _first_order(level, f, 1j, level.sqrt_v_star, level.sqrt_v,
+                        0.5j * level.family.gamma)
 
 
 def apply_Adag(level, f):
@@ -231,7 +220,7 @@ def _first_order(level, f, factor, coef_dn, coef_up, at):
     """factor (coef_dn(x - at) f(x - ig/2) - coef_up(x + at) f(x + ig/2)): the
     lowering factor takes its coefficients at the shifted points (at = ig/2),
     the raising one at x (at = 0).  x is a point or an array of points."""
-    half = 0.5j * level.gamma
+    half = 0.5j * level.family.gamma
 
     def out(x):
         return factor * (coef_dn(x - at) * f(x - half) - coef_up(x + at) * f(x + half))
@@ -246,7 +235,7 @@ def hamiltonian_apply(level, f):
     sqrt(V V*-shifted) coefficients are products of the level's square
     roots, which keeps the factorized and expanded forms identical.
     """
-    g = level.gamma
+    g = level.family.gamma
 
     def out(x):
         sv, svs = level.sqrt_v(x), level.sqrt_v_star(x)
@@ -281,31 +270,15 @@ def energy_fit(family, ns, xs):
 # ---------------------------------------------------------------------------
 
 def level0(family, nmax=None):
-    """Level 0: the family itself, eigenfunctions up to nmax (default the
-    family's own range)."""
-    nmax = family.nmax if nmax is None else nmax
-    if nmax > family.nmax:
-        raise DomainError(f"n={nmax} outside tabulated range 0..{family.nmax}")
-    return DqmChainLevel(family, 0, family.energy(0), nmax)
+    return DqmChainLevel.level0(family, nmax)
 
 
 def step_chain(level):
     """Level s+1 over level s.  Nothing is built, since every level is closed
-    form; refuses when no eigenfunction is left to lift, or when the new seed
-    phi^[s+1]_{s+1} changes sign on the physical region, where the deformed
-    potential would develop singularities."""
-    s_new = level.s + 1
-    if level.nmax < s_new:
-        raise ChainBreakError(f"no eigenfunctions left to lift to level {s_new}")
-    fam = level.family
-    new = DqmChainLevel(fam, s_new, fam.energy(s_new), level.nmax, parent=level)
-    lo, hi = fam.interior()
-    vals = new.phi(s_new, np.linspace(lo, hi, NODE_SCAN_POINTS)).real
-    if np.any(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-        raise ChainBreakError(
-            f"phi[{s_new}]_{s_new} changes sign on the physical region; the deformed "
-            "potential would develop singularities")
-    return new
+    form; the new seed phi^[s+1]_{s+1} is scanned at NODE_SCAN_POINTS points
+    of the physical region."""
+    return level.step(lambda new: sign_changes(
+        new.phi(new.s, np.linspace(*new.interior(), NODE_SCAN_POINTS))))
 
 
 def build_chain(family, depth, nmax=None):
@@ -314,11 +287,7 @@ def build_chain(family, depth, nmax=None):
 
 def downshift(level, n):
     """Parent eigenfunction reconstructed as Adag phi / (E_n - E_{s-1})."""
-    if level.parent is None:
-        raise DomainError("level 0 has no parent")
-    if n < level.s:
-        raise DomainError(f"downshift needs n >= s = {level.s}")
-    gap = level.family.energy(n) - level.parent.E_s
+    gap = level.downshift_gap(n)
     raise_fn = apply_Adag(level.parent, functools.partial(level.phi, n))
 
     def out(x):
@@ -360,7 +329,7 @@ def check_function(levels, s, n, x):
     """Eigenfunction normalized by the square-root prefactor (the form whose
     shifted products build the plain determinants), at each point of the
     array x."""
-    return levels[s].phi(n, x) / _sqrt_v_prefactor(levels, s, x, levels[0].gamma)
+    return levels[s].phi(n, x) / _sqrt_v_prefactor(levels, s, x, levels[0].family.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +346,7 @@ def relation_residual(kind, levels, samples):
 def _res_quadratic(levels, samples):
     level = levels[-1]
     par = level.parent
-    g = level.gamma
+    g = level.family.gamma
     low = samples - 0.5j * g
     lhs = par.v(low) * par.v_star(low)
     rhs = level.v(samples) * level.v_star(samples - 1j * g)
@@ -387,7 +356,7 @@ def _res_quadratic(levels, samples):
 def _res_linear(levels, samples):
     level = levels[-1]
     par = level.parent
-    g = level.gamma
+    g = level.family.gamma
     gap = level.E_s - par.E_s
     lhs = par.v(samples + 0.5j * g) + par.v_star(samples - 0.5j * g)
     rhs = level.v(samples) + level.v_star(samples) - gap
@@ -398,7 +367,7 @@ def _res_step_determinant(levels, samples):
     """One-step 2x2 determinant route to phi^[s]_n."""
     level = levels[-1]
     par = level.parent
-    g = level.gamma
+    g = level.family.gamma
     s = level.s
     up, dn = samples + 0.5j * g, samples - 0.5j * g
     seed_up, seed_dn = par.phi(s - 1, up), par.phi(s - 1, dn)

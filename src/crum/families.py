@@ -28,7 +28,6 @@ from .analytic import _ARRAY_BLOCK, AnalyticFn, inner_product
 from .errors import DomainError, ParameterError, PoleError
 from .jets import Jet
 from .quadrature import QuadratureSpec
-from .special import QPOCH_TAIL
 from . import dqm as dqm_mod
 
 OQM_NAMES = ("hermite", "laguerre", "jacobi")
@@ -176,10 +175,6 @@ class OqmFamily:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         return mid - fraction * half, mid + fraction * half
 
-    def virtual_prefactor(self):
-        return AnalyticFn(lambda x: 1.0 + 0j, label="1",
-                          jet_fn=lambda x, order: Jet.const(1.0, x, order))
-
     def descriptor(self):
         return {"name": self.name, "params": _plain_params(self.params),
                 "gamma": None, "domain": list(self.domain), "nmax": self.nmax}
@@ -273,6 +268,11 @@ def _conjugation_closed(avals, tol=1e-12):
             return False
         pool.pop(hit)
     return True
+
+
+# a q-series stops once its terms fall below this: the neglected tail then
+# changes a log-sum by less than double precision resolves
+QPOCH_TAIL = 1e-17
 
 
 class _FactorLogSum:
@@ -426,16 +426,6 @@ class DqmFamily:
         else:
             memo.move_to_end(key)
         return value
-
-    def sqrt_v(self):
-        fam = self
-        return AnalyticFn(lambda x: np.exp(0.5 * fam.log_v(x)),
-                          strip_halfwidth=self.strip_halfwidth, label=f"{self.label}.sqrtV")
-
-    def v(self):
-        fam = self
-        return AnalyticFn(lambda x: np.exp(fam.log_v(x)),
-                          strip_halfwidth=self.strip_halfwidth, label=f"{self.label}.V")
 
     # -- wavefunction side --------------------------------------------------
     def phi0(self):
@@ -706,11 +696,11 @@ def _validate_dqm(fam):
     sqrtV*(x - ig/2) phi_0(x - ig/2) = sqrtV(x + ig/2) phi_0(x + ig/2), at
     sample points of the interior; then the energy oracle."""
     xs = np.linspace(0.08 * math.pi, 0.92 * math.pi, _VALIDATE_POINTS).astype(complex)
-    sqv = fam.sqrt_v().fn
+    level = dqm_mod.level0(fam)
     phi0 = fam.phi0().fn
     dn, up = xs - 0.5j * fam.gamma, xs + 0.5j * fam.gamma
-    lhs = np.conj(sqv(np.conj(dn))) * phi0(dn)
-    rhs = sqv(up) * phi0(up)
+    lhs = level.sqrt_v_star(dn) * phi0(dn)
+    rhs = level.sqrt_v(up) * phi0(up)
     bad = ~(np.abs(lhs - rhs) <= _ZERO_MODE_TOL * (1.0 + np.abs(rhs)))
     if bad.any():
         raise ParameterError(f"{fam.label}: ground-state zero mode fails at "

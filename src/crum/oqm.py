@@ -7,8 +7,9 @@ to phi_0 (eta')^s P_n^(s)(eta), which the family evaluates (`OqmFamily.phi`,
 `w_prime` and `potential` take the level index).  The operators A^[s], A^[s]dag
 and H^[s] act on any function with jets.
 
-Levels and operators have the contract of the difference chains (`dqm`), so
-the five operator identities of IDENTITIES (zero_mode, iso_spectral,
+Levels and operators have the contract of the difference chains (`dqm`):
+levels are analytic.ChainLevel records, whose guards and step both kinds
+share, and the five operator identities of IDENTITIES (zero_mode, iso_spectral,
 intertwine, factorization, downshift_roundtrip) are the shared ones of
 `analytic`, bound to this module, and check the states analytic.checked_ns
 names; the others (riccati, node_count and the Wronskian formulas) are the
@@ -18,37 +19,25 @@ differential chain's own.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .analytic import (AnalyticFn, Identity, downshift_roundtrip, factorization, grow_chain,
-                       identity_residual, intertwine, iso_spectral, rel_residual, values_at,
-                       wronskian, zero_mode)
-from .errors import ChainBreakError, DomainError, PoleError
+from .analytic import (AnalyticFn, ChainLevel, Identity, downshift_roundtrip, factorization,
+                       grow_chain, identity_residual, intertwine, iso_spectral, rel_residual,
+                       sign_changes, values_at, wronskian, zero_mode)
+from .errors import PoleError
 from .jets import Jet
 
 NODE_GRID = 2001
 
 
-@dataclass(frozen=True)
-class OqmChainLevel:
-    """Level s of the chain over `family`: eigenfunctions phi^[s]_n for
-    s <= n <= nmax, level constant E_s (the family's energy E_s) and the level
-    it was stepped from."""
-
-    family: object
-    s: int
-    E_s: float
-    nmax: int
-    parent: object = None
+class OqmChainLevel(ChainLevel):
+    """Level s of the differential chain (analytic.ChainLevel); its
+    evaluators take the level index into the family's closed forms."""
 
     def phi(self, n):
-        if n < self.s:
-            raise DomainError(f"level {self.s} provides phi_n only for n >= {self.s}")
-        if n > self.nmax:
-            raise DomainError(f"phi_{n} not built (nmax exceeded)")
+        self.check_n(n)
         return self.family.phi(n, self.s)
 
     def w_prime(self):
@@ -57,9 +46,6 @@ class OqmChainLevel:
     def potential(self):
         """Deformed potential U^[s]; the level Hamiltonian is -d^2 + U^[s] + E_s."""
         return self.family.potential(self.s)
-
-    def interior(self, fraction=0.9):
-        return self.family.interior(fraction)
 
 
 def apply_A(level, f):
@@ -98,37 +84,17 @@ def hamiltonian_apply(level, f):
 
 
 def level0(family, nmax=None):
-    """Level 0: the family itself, eigenfunctions up to nmax (default the
-    family's own range)."""
-    nmax = family.nmax if nmax is None else nmax
-    if nmax > family.nmax:
-        raise DomainError(f"n={nmax} outside tabulated range 0..{family.nmax}")
-    return OqmChainLevel(family, 0, family.energy(0), nmax)
+    return OqmChainLevel.level0(family, nmax)
 
 
 def node_count(fn, interval, npoints=NODE_GRID):
-    """Sign changes of a real function on a uniform grid.
-
-    Grid points landing exactly on a zero are dropped before counting, so a
-    node sitting on a sample still counts once.
-    """
-    signs = np.sign(np.real(fn(np.linspace(interval[0], interval[1], npoints))))
-    signs = signs[signs != 0]
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    """Sign changes of a real function on a uniform grid (analytic.sign_changes)."""
+    return sign_changes(fn(np.linspace(interval[0], interval[1], npoints)))
 
 
 def step_chain(level):
     """Level s+1 over level s; refuses if its seed phi^[s+1]_{s+1} has a node."""
-    s_new = level.s + 1
-    if level.nmax < s_new:
-        raise ChainBreakError(f"no eigenfunctions left to lift to level {s_new}")
-    new = OqmChainLevel(level.family, s_new, level.family.energy(s_new), level.nmax,
-                        parent=level)
-    if node_count(new.phi(s_new), level.interior()) != 0:
-        raise ChainBreakError(
-            f"phi[{s_new}]_{s_new} changes sign inside the domain; "
-            "the chain assumption (node-free seed) is violated")
-    return new
+    return level.step(lambda new: node_count(new.phi(new.s), new.interior()))
 
 
 def build_chain(family, depth, nmax=None):
@@ -137,11 +103,7 @@ def build_chain(family, depth, nmax=None):
 
 def downshift(level, n):
     """Reconstruct the parent's phi_n from this level's: Adag/(E_n - E_{s-1})."""
-    if level.parent is None:
-        raise DomainError("level 0 has no parent to downshift into")
-    if n < level.s:
-        raise DomainError(f"downshift needs n >= s = {level.s}")
-    gap = level.family.energy(n) - level.parent.E_s
+    gap = level.downshift_gap(n)
     g = apply_Adag(level.parent, level.phi(n))
 
     def jet_fn(x, order):

@@ -396,8 +396,9 @@ def _limit_c(config):
 
 
 def _limit_level(v, gamma):
-    """Stand-in for a chain level with potential v: shift gamma, level constant
-    0 and the principal square root of v, so the chain operators apply."""
+    """Stand-in for a chain level with potential v: a family of shift gamma,
+    level constant 0 and the principal square root of v, so the chain
+    operators apply."""
 
     def sqrt_v(x):
         return cmath.sqrt(v(x))
@@ -405,7 +406,8 @@ def _limit_level(v, gamma):
     def sqrt_v_star(x):
         return complex(sqrt_v(complex(x).conjugate())).conjugate()
 
-    return SimpleNamespace(gamma=gamma, E_s=0.0, sqrt_v=sqrt_v, sqrt_v_star=sqrt_v_star)
+    return SimpleNamespace(family=SimpleNamespace(gamma=gamma), E_s=0.0, sqrt_v=sqrt_v,
+                           sqrt_v_star=sqrt_v_star)
 
 
 def _wpp(config, x, h=1e-6):

@@ -7,12 +7,12 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from crum import AnalyticFn, make_family
-from crum.analytic import checked_ns, rel_residual, star_eval, worst_residual
+from crum.analytic import checked_ns, rel_residual, sign_changes, star_eval, worst_residual
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
-from crum.errors import AccuracyError, ChainBreakError, PoleError
+from crum.errors import AccuracyError, ChainBreakError, DomainError, PoleError
 from crum.jets import Jet
-from crum.special import QPOCH_TAIL
+from crum.families import QPOCH_TAIL
 
 AW_PARAMS = {"a1": 0.3, "a2": -0.2, "a3": 0.1 + 0.2j, "a4": 0.1 - 0.2j, "q": 0.6}
 
@@ -52,6 +52,23 @@ def factor_log_sum_oracle(q, groups, x):
             s += sign * cmath.log(1.0 - ck * cmath.exp(1j * m * x))
             ck *= q
     return s
+
+
+def qpochhammer_inf(a, q):
+    """(a;q)_inf as a truncated product, the ground-state log-sum's
+    independent oracle; terms stop once |a q^N| < QPOCH_TAIL."""
+    q = complex(q)
+    if abs(q) >= 1:
+        raise DomainError(f"q-Pochhammer (a;q)_inf requires |q| < 1, got |q|={abs(q):g}")
+    a = complex(a)
+    result = 1.0 + 0j
+    term = a
+    # geometric decay: the neglected tail multiplies the result by
+    # 1 + O(|a q^N|/(1-|q|)), below double precision at the stop threshold
+    while abs(term) >= QPOCH_TAIL:
+        result *= 1.0 - term
+        term *= q
+    return result
 
 
 def _memoized(f, label):
@@ -142,7 +159,6 @@ class RecursiveDqmLevel:
         self.s = s
         self.E_s = family.energy(s)
         self.nmax = nmax
-        self.gamma = family.gamma
         self.parent = parent
         self._sqrt_v = sqrt_v            # complex -> complex
         self._phi_fn = phi_fn            # (n, complex) -> complex, memoized
@@ -181,11 +197,11 @@ def _memo(fn):
 
 def _recursive_dqm_step(level):
     s_new = level.s + 1
-    g = level.gamma
+    g = level.family.gamma
     lift = _memo(dqm_mod.apply_A(level, lambda x: level._phi_fn(s_new, x)))
     lo, hi = level.family.interior()
     vals = np.asarray([lift(complex(t)).real for t in np.linspace(lo, hi, dqm_mod.NODE_SCAN_POINTS)])
-    if np.any(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
+    if sign_changes(vals):
         raise ChainBreakError(f"phi[{s_new}]_{s_new} changes sign on the physical region")
     sigma = 1.0 if vals[len(vals) // 2] > 0 else -1.0
     chi = dqm_mod.BranchedSqrt(lambda x: sigma * lift(x), anchor_im=0.0)
@@ -204,9 +220,9 @@ def _recursive_dqm_step(level):
 def recursive_dqm_chain(family, depth, nmax):
     """Levels 0..depth of the level-on-level difference chain, eigenfunctions
     up to nmax."""
-    sqrt_v0 = family.sqrt_v().fn
     phi0 = {n: family.phi(n).fn for n in range(nmax + 1)}
-    levels = [RecursiveDqmLevel(family, 0, nmax, lambda x: complex(sqrt_v0(x)),
+    sqrt_v0 = lambda x: complex(np.exp(0.5 * family.log_v(x)))
+    levels = [RecursiveDqmLevel(family, 0, nmax, sqrt_v0,
                                 _memo(lambda n, x: complex(phi0[n](x))))]
     for _ in range(depth):
         levels.append(_recursive_dqm_step(levels[-1]))

@@ -10,7 +10,8 @@ from conftest import from_poly, scalar_lu_det, scalar_wronskian, starred
 from crum import dqm, make_family, oqm
 from crum.analytic import (AnalyticFn, casoratian, inner_product, lu_det, star_eval,
                            worst_residual, wronskian)
-from crum.errors import AccuracyError, CapabilityError, StripError
+from crum.errors import (AccuracyError, CapabilityError, ChainBreakError, DomainError,
+                         StripError)
 from crum.jets import Jet
 from crum.quadrature import QuadratureSpec
 from crum.verify import DEFAULT_TOLERANCES, sample_points
@@ -102,6 +103,23 @@ def test_cauchy_fallback_jet_accuracy():
     for k in range(9):
         tol = 1e-9 if k <= 4 else 1e-4
         assert abs(j.coeffs[k] - exact.coeffs[k]) <= tol * (1 + abs(exact.coeffs[k]))
+
+
+def test_cauchy_fallback_jet_on_an_array_matches_per_point_jets():
+    # without jet_fn, an array of points is one call of fn on every point's
+    # circle; each radius is capped by the strip at its own point (0.05 at
+    # Im x = 0.45 below), as a single-point jet caps it
+    fns = [AnalyticFn(np.exp), AnalyticFn(np.sin, strip_halfwidth=0.5)]
+    xs = np.array([[0.3, -1.2 + 0.1j], [2.0 - 0.35j, 0.7 + 0.45j]])
+    for f in fns:
+        jet = f.jet(xs, 5)
+        for idx in np.ndindex(xs.shape):
+            ref = f.jet(complex(xs[idx]), 5)
+            for k in range(6):
+                assert abs(jet.coeffs[k][idx] - ref.coeffs[k]) <= 1e-12 * (1 + abs(ref.coeffs[k]))
+    # the public Wronskian of such functions on an array: W[exp, sin] = e^x (cos x - sin x)
+    w = wronskian(fns, xs)
+    assert np.abs(w - np.exp(xs) * (np.cos(xs) - np.sin(xs))).max() <= 1e-12
 
 
 def test_jet_order_cap():
@@ -335,7 +353,7 @@ def _chain_and_points(chain, name, params, nmax):
 
 
 def _with(level, **changes):
-    """A copy of a chain level with some attributes replaced (oqm levels are frozen)."""
+    """A copy of a chain level with some attributes replaced (levels are frozen)."""
     out = copy.copy(level)
     for key, value in changes.items():
         object.__setattr__(out, key, value)
@@ -376,3 +394,42 @@ def test_operator_identities_catch_a_wrong_level_constant(chain, name, params):
     wrong_parent = _with(base, E_s=base.E_s + 1e-6)
     wrong = [wrong_parent, _with(level, parent=wrong_parent)]
     assert chain.relation_residual("downshift_roundtrip", wrong, pts) > tol["downshift_roundtrip"]
+
+
+# -- the chain scaffold both kinds share ----------------------------------------------
+
+@pytest.mark.parametrize("chain,name,params", CHAIN_KINDS)
+def test_chain_guards_refuse_alike_on_both_kinds(chain, name, params):
+    fam = make_family(name, **params)
+    with pytest.raises(DomainError, match="outside tabulated range"):
+        chain.level0(fam, nmax=fam.nmax + 1)
+    levels = chain.build_chain(fam, 1, nmax=2)
+    with pytest.raises(DomainError, match="has phi_n only for n >= 1"):
+        levels[1].phi(0)
+    with pytest.raises(DomainError, match="nmax"):
+        levels[1].phi(3)
+    with pytest.raises(ChainBreakError, match="no eigenfunctions left to lift to level 3"):
+        chain.step_chain(chain.step_chain(levels[1]))
+    with pytest.raises(DomainError, match="level 0 has no parent"):
+        chain.downshift(levels[0], 0)
+    with pytest.raises(DomainError, match="downshift needs n >= s = 1"):
+        chain.downshift(levels[1], 0)
+
+
+@pytest.mark.parametrize("chain,name,params", CHAIN_KINDS)
+@pytest.mark.parametrize("crosses", [True, False], ids=["crossing", "touching"])
+def test_step_drops_exact_zeros_of_the_seed_on_its_scan_grid(monkeypatch, chain, name, params,
+                                                             crosses):
+    # a seed whose zero falls exactly on the middle scan point: through it
+    # the sign changes (refused, as any node is), or it only touches 0 (kept)
+    fam = make_family(name, **params)
+    level = chain.level0(fam)
+    npoints = oqm.NODE_GRID if chain is oqm else dqm.NODE_SCAN_POINTS
+    mid = np.linspace(*level.interior(), npoints)[npoints // 2]
+    seed = AnalyticFn((lambda x: x - mid) if crosses else (lambda x: np.abs(x - mid)))
+    monkeypatch.setattr(type(level), "phi", lambda self, n, *x: seed.fn(*x) if x else seed)
+    if crosses:
+        with pytest.raises(ChainBreakError, match="changes sign"):
+            chain.step_chain(level)
+    else:
+        assert chain.step_chain(level).s == 1

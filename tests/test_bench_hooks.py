@@ -5,8 +5,10 @@ which rebind crum functions and wrap methods by name (`perfbench/tracing.py`),
 so a change that renames or reshapes one of them makes the traced pass exit
 non-zero while every other test passes.  This runs one tiny traced pass of
 each workload, as the benchmark's own self-tests do, and reads nothing else
-of perfbench; the two that reach the difference chain must also have timed
-its first level.
+of perfbench.  The tracer times each chain kind's functions under that
+kind's name, so each workload must time the layers of the kind it runs and
+read 0 on those of the other kind: a function object shared by both chain
+modules would be timed under both names.
 """
 
 import json
@@ -33,5 +35,12 @@ def test_traced_worker_exits_clean(workload, tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["attempted"] > 0
     assert result["failures"] == []
-    if workload != "suite-oqm":
-        assert result["layers"]["dqm.step_chain.s.l1"] > 0
+    layers = result["layers"]
+    if workload == "suite-oqm":
+        assert layers["oqm.build_chain.s"] > 0
+        assert layers["dqm.step_chain.s.l1"] == 0
+        assert layers["dqm.relation_residual.s"] == 0
+    else:
+        assert layers["dqm.step_chain.s.l1"] > 0
+        assert layers["oqm.build_chain.s"] == 0
+        assert layers["oqm.node_count.s"] == 0

@@ -14,7 +14,6 @@ ALLOWED = {
     "pow": "part of the jet arithmetic that the benchmark tracer wraps by name",
     "BranchedSqrt": "the continuation route of the tests' level-on-level difference-chain "
                     "oracle, which the benchmark tracer wraps by name",
-    "qpochhammer_inf": "independent oracle for the ground-state log-sum in the tests",
 }
 
 

@@ -109,11 +109,11 @@ def test_aw_shape_invariant_next_potential(askey_wilson, askey_wilson_chain):
     shifted = make_family("askey_wilson", validate=False,
                           **askey_wilson.shape.si(askey_wilson.params))
     v1 = askey_wilson_chain[1].v
-    v_sh = shifted.v()
+    v_sh = dqm.level0(shifted).v
     kappa = 1.0 / askey_wilson.q
     for x in _strip_pts(askey_wilson, 12):
         lhs = v1(x)
-        rhs = kappa * v_sh.fn(x)
+        rhs = kappa * v_sh(x)
         assert abs(lhs - rhs) <= 1e-8 * (1 + abs(rhs))
 
 

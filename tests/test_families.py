@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import AW_PARAMS, factor_log_sum_oracle, starred
+from conftest import AW_PARAMS, factor_log_sum_oracle, qpochhammer_inf, starred
 from crum import make_family, virtual_state
 from crum.analytic import inner_product, star_eval
 from crum.errors import DomainError, ParameterError
 from crum.quadrature import refinement_sequence
-from crum.special import qpochhammer_inf
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
 
@@ -66,7 +65,7 @@ def test_jacobi_constraint():
 
 def test_askey_wilson_zero_parameters_potential():
     fam = make_family("askey_wilson", a1=0, a2=0, a3=0, a4=0, q=0.5)
-    v = fam.v()
+    v = dqm_mod.level0(fam).v
     for xr in (0.5, 1.3, 2.4):
         z2 = cmath.exp(2j * xr)
         expected = 1.0 / ((1 - z2) * (1 - 0.5 * z2))
@@ -108,8 +107,8 @@ def test_phi_n_out_of_range(hermite):
 
 def test_aw_potential_star_pair(askey_wilson):
     for xr in (0.6, 1.2, 2.2):
-        v = askey_wilson.v()(xr)
-        vs = star_eval(askey_wilson.v(), xr)
+        v = dqm_mod.level0(askey_wilson).v(xr)
+        vs = dqm_mod.level0(askey_wilson).v_star(xr)
         assert abs((v + vs).imag) < 1e-13 * (1 + abs(v))
 
 

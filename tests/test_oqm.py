@@ -323,7 +323,7 @@ def _jet_backed_functions(request):
     for name in ("hermite", "laguerre", "jacobi"):
         fam = request.getfixturevalue(name)
         chain = request.getfixturevalue(f"{name}_chain")
-        fs = [fam.eta(), fam.virtual_prefactor(), virtual_state(fam)]
+        fs = [fam.eta(), virtual_state(fam)]
         for s in range(4):
             fs += [fam.w_prime(s), fam.potential(s)]
             fs += [fam.phi(n, s) for n in range(s, 6)]

@@ -1,7 +1,7 @@
 import pytest
 
 from crum.errors import DomainError
-from crum.special import qpochhammer_inf
+from conftest import qpochhammer_inf
 
 
 def brute_qpoch_inf(a, q, nterms=4000):
