@@ -7,8 +7,9 @@ function of either chain kind takes arrays); the
 five operator identities both tables hold; and the chain scaffold: `ChainLevel`,
 the level record both kinds subclass, which holds the n-range, level-0,
 step and downshift guards, with `sign_changes`, the one rule by which a
-step refuses a seed, and `grow_chain`, which builds a chain of either kind
-up to DEPTH_CAP.
+step refuses a seed, `divided_difference`, the one three-term recurrence by
+which both kinds evaluate their polynomials P_n, and `grow_chain`, which
+builds a chain of either kind up to DEPTH_CAP.
 
 Everything here is immutable after construction and safe to evaluate
 concurrently; evaluation is pure.
@@ -213,6 +214,26 @@ def sign_changes(values):
     signs = np.sign(np.real(values))
     signs = signs[signs != 0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+def divided_difference(recurrence, n, nodes):
+    """Row i is P_n[e_i, ..., e_m], for the monic P_{k+1} = (y - b_k) P_k -
+    c_k P_{k-1}, (b_k, c_k) = recurrence(k), and nodes e_0..e_m along the
+    first axis of `nodes`.  The rows step by the product rule ((y - b) f)[e_i..e_m]
+    = (e_i - b) f[e_i..e_m] + f[e_{i+1}..e_m], with no quotient, so nodes may
+    coincide: at m + 1 copies of eta, row m - k is P_n^(k)(eta) / k!."""
+    nodes = np.asarray(nodes, dtype=complex)
+    prev = np.zeros(nodes.shape, dtype=complex)
+    cur = np.zeros(nodes.shape, dtype=complex)
+    cur[-1] = 1.0
+    for k in range(n):
+        b_k, c_k = recurrence(k)
+        nxt = (nodes - b_k) * cur
+        if len(nodes) > 1:    # one node has no shifted row; an empty update costs ~1 us
+            nxt[:-1] += cur[1:]
+        nxt -= c_k * prev
+        prev, cur = cur, nxt
+    return cur
 
 
 @dataclass(frozen=True)

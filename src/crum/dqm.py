@@ -30,7 +30,8 @@ g = gamma = log q and L(w) = Log(1 - e^{2iw}):
                        prod_{m=1}^{s} 2i sinh(mg/2) sin(x + i(s-m)g/2)
                        P_n[eta_1, ..., eta_{s+1}],
 
-    the divided difference run through P_n's three-term recurrence.
+    the divided difference from analytic.divided_difference on the rows
+    eta_j; at s = 0 it is phi_0 P_n(cos x), the family's phi_n.
 
 A level evaluates each point with one ground-state log-sum and O(s) potential
 logs, keeps nothing between calls, and takes a point or an array of points.
@@ -58,8 +59,9 @@ import sys
 import numpy as np
 
 from .analytic import (AnalyticFn, ChainLevel, Identity, casoratian, checked_ns,
-                       downshift_roundtrip, factorization, grow_chain, identity_residual,
-                       intertwine, iso_spectral, rel_residual, sign_changes, zero_mode)
+                       divided_difference, downshift_roundtrip, factorization, grow_chain,
+                       identity_residual, intertwine, iso_spectral, rel_residual,
+                       sign_changes, zero_mode)
 from .errors import BranchError, PoleError
 
 NODE_SCAN_POINTS = 301
@@ -139,25 +141,6 @@ def _log_v(family, s, x):
     return out
 
 
-def _divided_difference(family, n, eta):
-    """P_n[eta_0, ..., eta_s] at each column of eta, an (s+1, points) array.
-
-    Row i of the carried arrays holds P_k[eta_i, ..., eta_s]; the recurrence
-    P_{k+1} = (y - b_k) P_k - c_k P_{k-1} steps them by the product rule
-    ((y - b) f)[eta_i..eta_s] = (eta_i - b) f[eta_i..eta_s] + f[eta_{i+1}..eta_s],
-    so no difference quotient is ever formed.
-    """
-    prev = np.zeros_like(eta)
-    cur = np.zeros_like(eta)
-    cur[-1] = 1.0
-    for k in range(n):
-        b_k, c_k = family._recurrence(k)
-        nxt = (eta - b_k) * cur - c_k * prev
-        nxt[:-1] += cur[1:]
-        prev, cur = cur, nxt
-    return cur[0]
-
-
 class DqmChainLevel(ChainLevel):
     """Level s of the difference chain (analytic.ChainLevel).  Every
     evaluator is closed form (module docstring) and takes a point or an
@@ -165,14 +148,11 @@ class DqmChainLevel(ChainLevel):
 
     def phi(self, n, x=None):
         """phi^[s]_n as an AnalyticFn, or its value at x (a point or an
-        array), unchecked against the strip; level 0 is the family's."""
+        array), unchecked against the strip; at level 0 the closed form is
+        the family's phi_0 P_n(cos x)."""
         self.check_n(n)
-        if self.s == 0:
-            f = self.family.phi(n)
-        else:
-            f = AnalyticFn(functools.partial(_on_points, functools.partial(self._phi_at, n)),
-                           strip_halfwidth=self.family.strip_halfwidth,
-                           label=f"phi[{self.s}]_{n}")
+        f = AnalyticFn(functools.partial(_on_points, functools.partial(self._phi_at, n)),
+                       strip_halfwidth=self.family.strip_halfwidth, label=f"phi[{self.s}]_{n}")
         return f if x is None else f.fn(x)
 
     def _phi_at(self, n, x):
@@ -186,7 +166,8 @@ class DqmChainLevel(ChainLevel):
         for m in range(1, s + 1):
             vand = vand * (2j * math.sinh(0.5 * m * g)) * np.sin(x + (s - m) * h)
         eta = np.cos(x + np.arange(s, -s - 1, -2)[:, None] * h)
-        return np.exp(0.5 * log_pref) * vand * _divided_difference(fam, n, eta)
+        return (np.exp(0.5 * log_pref) * vand
+                * divided_difference(fam._recurrence, n, eta)[0])
 
     def sqrt_v(self, x):
         return _on_points(lambda xs: np.exp(0.5 * _log_v(self.family, self.s, xs)), x)

@@ -6,8 +6,9 @@ are built from W', which is taken as the derivative of W's jet, and the
 excited states are e^W times classical orthogonal polynomials.
 Difference families (q_hermite, askey_wilson) carry an analytic potential
 function V on the interval (0, pi) whose ground state is a balanced product
-of q-shifted factorials; excited states are the ground state times a monic
-polynomial in cos x generated by a three-term recurrence.
+of q-shifted factorials (one q-series, on arrays); excited states are the
+ground state times a monic polynomial in cos x generated by a three-term
+recurrence, which both kinds run through analytic.divided_difference.
 
 Every family validates itself at construction time.  A continuous family
 checks that e^W is positive and its closed-form energy rule against a
@@ -18,13 +19,12 @@ eigenvalue extraction from the difference equation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import OrderedDict
 
 import numpy as np
 
-from .analytic import _ARRAY_BLOCK, AnalyticFn, inner_product
+from .analytic import _ARRAY_BLOCK, AnalyticFn, divided_difference, inner_product
 from .errors import DomainError, ParameterError, PoleError
 from .jets import Jet
 from .quadrature import QuadratureSpec
@@ -136,17 +136,14 @@ class OqmFamily:
     def _poly_jet(self, n, x, order, s):
         """x-jet of P_n^(s)(eta(x)), the s-th eta-derivative of monic P_n.
 
-        The recurrence runs on a jet in eta of order s + order, which is
+        The eta-jet of P_n of order s + order is the divided difference at
+        s + order + 1 copies of eta (analytic.divided_difference); it is
         differentiated s times and composed with the x-jet of eta by Horner's
         rule, so no x-jet is ever of order above `order`.
         """
         eta = self._eta_jet(x, order)
-        y = Jet.variable(eta.value, s + order)
-        pm1 = Jet.const(0.0, eta.value, s + order)
-        p = Jet.const(1.0, eta.value, s + order)
-        for k in range(n):
-            bk, ck = self._recurrence(k)
-            pm1, p = p, (y - bk) * p - ck * pm1
+        nodes = np.broadcast_to(eta.value, (s + order + 1,) + np.shape(eta.value))
+        p = Jet(eta.value, list(divided_difference(self._recurrence, n, nodes)[::-1]))
         for _ in range(s):
             p = p.derivative()
         step = eta - eta.value
@@ -315,31 +312,15 @@ class _FactorLogSum:
             self.directions.append((m, groups, max(abs(c) for c, _ in groups), series))
 
     def __call__(self, x):
-        q = self.q
-        z = cmath.exp(1j * x)
-        zi = 1.0 / z
-        powers = {1: z, -1: zi, 2: z * z, -2: zi * zi}
-        s = 0j
-        for m, groups, cmax, series in self.directions:
-            u = powers[m]
-            r = cmax * abs(u)
-            while r > 0.25:
-                for c, sign in groups:
-                    s += sign * cmath.log(1.0 - c * u)
-                u *= q
-                r *= q
-            tail = 0j
-            for b in series:
-                tail = (tail + b) * u
-            s -= tail
-        return s
+        """The sum at the point x: `at` on a one-point array."""
+        return complex(self.at(np.array([complex(x)]))[0])
 
     def at(self, x):
-        """The sum at each point of the complex array x, by the same rule
-        with one direct-factor count K per direction for the whole array (the
-        largest any point needs; the extra direct logs of the other points
-        are the same principal logs the series would sum).  A non-finite
-        point gives a non-finite value and does not set K."""
+        """The sum at each point of the complex array x, with one
+        direct-factor count K per direction for the whole array (the largest
+        any point needs; the extra direct logs of the other points are the
+        same principal logs the series would sum).  A non-finite point gives
+        a non-finite value and does not set K."""
         z = np.exp(1j * x)
         zi = 1.0 / z
         powers = {1: z, -1: zi, 2: z * z, -2: zi * zi}
@@ -434,12 +415,9 @@ class DqmFamily:
                           strip_halfwidth=self.strip_halfwidth, label=f"{self.label}.phi0")
 
     def poly_value(self, n, y):
-        """Monic P_n(y) by the three-term recurrence."""
-        bs, cs = self._bc
-        pm1, p = 0j, 1.0 + 0j
-        for k in range(n):
-            pm1, p = p, (y - bs[k]) * p - cs[k] * pm1
-        return p
+        """Monic P_n(y), at a point or at each point of an array: the divided
+        difference at the one node y (analytic.divided_difference)."""
+        return divided_difference(self._recurrence, n, np.asarray(y)[None])[0]
 
     def _recurrence(self, k):
         """(b_k, c_k) of the monic recurrence P_{k+1} = (y - b_k) P_k - c_k P_{k-1}."""

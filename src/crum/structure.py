@@ -320,14 +320,25 @@ def limit_check(mode, config=None, x0=0.55, function_sets=None, gammas=(1e-1, 1e
     against derivative-operator actions on Gaussian test functions (config is
     a LimitScaling).  Rows carry (parameter, max_error); each labelled series
     gets a fitted log-log slope and a flag ('ok', 'exact', 'inconclusive').
+    Scanned values outside the domain raise ParameterError (_scan_values).
     """
     if mode == "gamma_to_0":
-        return _limit_gamma(function_sets, gammas, x0)
+        return _limit_gamma(function_sets, _scan_values("gamma", gammas), x0)
     if mode == "c_to_inf":
         if config is None:
             config = LimitScaling(w1=lambda x: x + 0.3j * x * x)
+        _scan_values("c", config.c_values)
         return _limit_c(config)
     raise DomainError(f"unknown limit mode {mode!r}")
+
+
+def _scan_values(name, values):
+    """The values of a limit scan: two or more (a slope needs two), each finite and > 0."""
+    values = tuple(values)
+    if len(values) < 2 or not all(math.isfinite(v) and v > 0 for v in values):
+        raise ParameterError(f"a limit scan takes two or more {name} values, each finite "
+                             f"and > 0, got {', '.join(map(str, values)) or 'none'}")
+    return values
 
 
 def _std_fn(name):

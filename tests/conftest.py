@@ -54,6 +54,31 @@ def factor_log_sum_oracle(q, groups, x):
     return s
 
 
+def point_log_sum(logsum, x):
+    """A `families._FactorLogSum` at the point x in Python complex arithmetic,
+    with the direct-factor count K set by x alone: the scalar rule its array
+    rule `at` replaced at single points, kept as its oracle and as the fast
+    per-point ground state of the level-on-level difference chain below."""
+    q = logsum.q
+    z = cmath.exp(1j * x)
+    zi = 1.0 / z
+    powers = {1: z, -1: zi, 2: z * z, -2: zi * zi}
+    s = 0j
+    for m, groups, cmax, series in logsum.directions:
+        u = powers[m]
+        r = cmax * abs(u)
+        while r > 0.25:
+            for c, sign in groups:
+                s += sign * cmath.log(1.0 - c * u)
+            u *= q
+            r *= q
+        tail = 0j
+        for b in series:
+            tail = (tail + b) * u
+        s -= tail
+    return s
+
+
 def qpochhammer_inf(a, q):
     """(a;q)_inf as a truncated product, the ground-state log-sum's
     independent oracle; terms stop once |a q^N| < QPOCH_TAIL."""
@@ -134,6 +159,27 @@ def recursive_chain(family, depth, nmax):
     return levels
 
 
+def jet_ring_poly_jet(family, n, x, order, s):
+    """x-jet of P_n^(s)(eta(x)) with P_n's recurrence run in the jet ring, on
+    a jet in eta of order s + order: the route `OqmFamily._poly_jet` replaced
+    with analytic.divided_difference, kept as its oracle.  Both step
+    (eta - b_k) P_k, then the shifted term, then - c_k P_{k-1}."""
+    eta = family._eta_jet(x, order)
+    y = Jet.variable(eta.value, s + order)
+    pm1 = Jet.const(0.0, eta.value, s + order)
+    p = Jet.const(1.0, eta.value, s + order)
+    for k in range(n):
+        bk, ck = family._recurrence(k)
+        pm1, p = p, (y - bk) * p - ck * pm1
+    for _ in range(s):
+        p = p.derivative()
+    step = eta - eta.value
+    out = Jet.const(p.coeffs[order], x, order)
+    for c in reversed(p.coeffs[:order]):
+        out = out * step + c
+    return out
+
+
 # -- the level-on-level difference chain ------------------------------------------
 # The route the closed form of `dqm.DqmChainLevel` replaced, kept as its
 # oracle: level s+1 lifts level s's eigenfunctions with the lowering factor,
@@ -141,7 +187,8 @@ def recursive_chain(family, depth, nmax):
 # chi_s = sqrt(phi^[s]_s) is anchored positive on the real axis, g_s =
 # sqrt(V^[s-1](x-ig/2) V^[s-1]*(x-ig/2)) positive on Im x = gamma/2, and both
 # are continued vertically by `dqm.BranchedSqrt`.  Every function is scalar
-# and memoized per point; an array is evaluated point by point.
+# and memoized per point, level 0's ground state through `point_log_sum`; an
+# array is evaluated point by point.
 
 def _per_point(fn, x):
     """fn at the point x, or at each point of the array x."""
@@ -220,10 +267,13 @@ def _recursive_dqm_step(level):
 def recursive_dqm_chain(family, depth, nmax):
     """Levels 0..depth of the level-on-level difference chain, eigenfunctions
     up to nmax."""
-    phi0 = {n: family.phi(n).fn for n in range(nmax + 1)}
+    log_phi0sq = _memo(lambda x: point_log_sum(family._logphi0sq, x))
     sqrt_v0 = lambda x: complex(np.exp(0.5 * family.log_v(x)))
-    levels = [RecursiveDqmLevel(family, 0, nmax, sqrt_v0,
-                                _memo(lambda n, x: complex(phi0[n](x))))]
+
+    def phi0(n, x):
+        return cmath.exp(0.5 * log_phi0sq(x)) * complex(family.poly_value(n, cmath.cos(x)))
+
+    levels = [RecursiveDqmLevel(family, 0, nmax, sqrt_v0, _memo(phi0))]
     for _ in range(depth):
         levels.append(_recursive_dqm_step(levels[-1]))
     return levels

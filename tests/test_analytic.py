@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import from_poly, scalar_lu_det, scalar_wronskian, starred
+from conftest import AW_PARAMS, from_poly, scalar_lu_det, scalar_wronskian, starred
 from crum import dqm, make_family, oqm
-from crum.analytic import (AnalyticFn, casoratian, inner_product, lu_det, star_eval,
-                           worst_residual, wronskian)
+from crum.analytic import (AnalyticFn, casoratian, divided_difference, inner_product, lu_det,
+                           star_eval, worst_residual, wronskian)
 from crum.errors import (AccuracyError, CapabilityError, ChainBreakError, DomainError,
                          StripError)
 from crum.jets import Jet
@@ -125,6 +125,80 @@ def test_cauchy_fallback_jet_on_an_array_matches_per_point_jets():
 def test_jet_order_cap():
     with pytest.raises(CapabilityError):
         GAUSS.jet(0.0, 100)
+    with pytest.raises(CapabilityError, match=">= 0"):
+        GAUSS.jet(0.0, -1)
+
+
+def test_cauchy_fallback_jet_refuses_a_point_on_the_strip_edge():
+    # on |Im x| = strip_halfwidth no circle fits inside the strip: the point
+    # passes the strip check, but its circle radius is 0
+    f = AnalyticFn(np.exp, strip_halfwidth=0.5, label="exp")
+    with pytest.raises(StripError) as point:
+        f.jet(0.3 + 0.5j, 2)
+    assert point.value.point == 0.3 + 0.5j
+    with pytest.raises(StripError) as array:
+        f.jet(np.array([0.1, 0.2 - 0.1j, 0.7 - 0.5j]), 2)
+    assert array.value.point == 0.7 - 0.5j
+
+
+# -- the divided-difference recurrence ----------------------------------------
+
+# monic recurrences k -> (b_k, c_k): one with complex coefficients, and two families'
+DD_RECURRENCES = {
+    "complex": lambda k: (0.3 - 0.2j * k, 0.5 + 0.25j * k),
+    "laguerre": make_family("laguerre", validate=False, g=3.0)._recurrence,
+    "askey_wilson": make_family("askey_wilson", validate=False, **AW_PARAMS)._recurrence,
+}
+
+
+def _monic_coefficients(recurrence, n):
+    """numpy coefficients (highest power first) of the monic P_n."""
+    prev, cur = np.zeros(1, dtype=complex), np.ones(1, dtype=complex)
+    for k in range(n):
+        b, c = recurrence(k)
+        prev, cur = cur, np.polysub(np.polymul([1.0, -b], cur), c * prev)
+    return cur
+
+
+@pytest.mark.parametrize("name", sorted(DD_RECURRENCES))
+def test_divided_difference_matches_the_quotient_table(name):
+    # distinct nodes: row i is P_n[e_i..e_m] of the quotient table
+    # f[e_i..e_j] = (f[e_{i+1}..e_j] - f[e_i..e_{j-1}]) / (e_j - e_i)
+    rec = DD_RECURRENCES[name]
+    nodes = np.array([[0.9, -0.4 + 0.2j], [0.1 - 0.3j, 0.7], [-0.6, 0.2 + 0.5j],
+                      [0.5 + 0.4j, -0.8 - 0.1j]])
+    m = len(nodes) - 1
+    for n in range(7):
+        poly = _monic_coefficients(rec, n)
+        table = [np.polyval(poly, e) for e in nodes]      # table[i] = f[e_i..e_{i+j}]
+        rows = {m: table[m]}
+        for j in range(1, m + 1):
+            table = [(table[i + 1] - table[i]) / (nodes[i + j] - nodes[i])
+                     for i in range(m + 1 - j)]
+            rows[m - j] = table[m - j]
+        got = divided_difference(rec, n, nodes)
+        assert got.shape == nodes.shape
+        for i, ref in rows.items():
+            assert np.abs(got[i] - ref).max() <= 1e-12 * (1 + np.abs(ref).max()), (n, i)
+        if n < m:
+            assert np.all(got[0] == 0)       # an order-m difference of degree n < m
+
+
+@pytest.mark.parametrize("name", sorted(DD_RECURRENCES))
+def test_divided_difference_at_coincident_nodes_is_the_taylor_jet(name):
+    # m + 1 copies of eta: row m - k is P_n^(k)(eta) / k!
+    rec = DD_RECURRENCES[name]
+    eta = np.array([0.35 - 0.1j, -0.8, 1.4 + 0.6j])
+    m = 5
+    for n in range(8):
+        poly = _monic_coefficients(rec, n)
+        got = divided_difference(rec, n, np.broadcast_to(eta, (m + 1, eta.size)))
+        for k in range(m + 1):
+            ref = np.polyval(np.polyder(poly, k), eta) / math.factorial(k) if k <= n else 0 * eta
+            assert np.abs(got[m - k] - ref).max() <= 1e-12 * (1 + np.abs(ref).max()), (n, k)
+    # one node is the value, at a point as at an array
+    assert divided_difference(rec, 3, [0.2 + 0.1j])[0] \
+        == pytest.approx(np.polyval(_monic_coefficients(rec, 3), 0.2 + 0.1j), rel=1e-14)
 
 
 # -- determinants -------------------------------------------------------------

@@ -190,6 +190,22 @@ def test_limit_malformed_list_exit_code(capsys):
     assert "comma list" in err
 
 
+@pytest.mark.parametrize("argv", [["--mode", "c-to-inf", "--c", "0,10,100"],
+                                  ["--mode", "gamma-to-0", "--gammas", "0,0.1,0.01"],
+                                  ["--mode", "c-to-inf", "--c", "10"],
+                                  ["--mode", "gamma-to-0", "--gammas", "0.1"],
+                                  ["--mode", "c-to-inf", "--c", "10,nan"],
+                                  ["--mode", "gamma-to-0", "--gammas", "inf,0.1"],
+                                  ["--mode", "gamma-to-0", "--gammas=-0.1,0.01"]])
+def test_limit_scan_values_outside_the_domain_exit_code(capsys, argv):
+    # none of these can be scanned: a zero divides by zero, one value has no
+    # slope, and nan / inf give NaN rows
+    code, out, err = run_cli(capsys, "limit", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error:") and "Traceback" not in err
+
+
 def test_non_integer_seed_env_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("CRUM_SEED", "abc")
     code, out, err = run_cli(capsys, "chain", "--family", "hermite", "--depth", "1")

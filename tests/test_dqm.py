@@ -7,7 +7,7 @@ import pytest
 
 from crum.analytic import (AnalyticFn, Identity, checked_ns, identity_residual, inner_product,
                            rel_residual, worst_residual)
-from crum.errors import ChainBreakError, DomainError, StripError
+from crum.errors import ChainBreakError, DomainError, PoleError, StripError
 from crum import dqm, structure, verify
 from crum.verify import gram_matrix
 
@@ -268,6 +268,15 @@ def test_identity_with_nothing_to_check_raises(q_hermite, q_hermite_chain):
         identity_residual(table, "intertwine", q_hermite_chain, _pts(q_hermite))
     with pytest.raises(DomainError, match="applies from level 1"):
         dqm.relation_residual("quadratic", q_hermite_chain[:1], _pts(q_hermite))
+
+
+def test_phi_via_casoratian_refuses_a_vanishing_denominator(q_hermite, q_hermite_chain):
+    # the denominator phi_0(x - ig/2) underflows where x - ig/2 = 1e-300, next
+    # to the zero of phi_0 at x = 0; the refusal names the point, in an array too
+    x = complex(1e-300, 0.5 * q_hermite.gamma)
+    for pts in (x, np.array([1.0, x])):
+        with pytest.raises(PoleError, match="denominator determinant vanishes"):
+            dqm.phi_via_casoratian(q_hermite_chain, 1, 2, pts)
 
 
 # -- downshift -------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import AW_PARAMS, factor_log_sum_oracle, qpochhammer_inf, starred
+from conftest import (AW_PARAMS, factor_log_sum_oracle, jet_ring_poly_jet, point_log_sum,
+                      qpochhammer_inf, starred)
 from crum import make_family, virtual_state
 from crum.analytic import inner_product, star_eval
 from crum.errors import DomainError, ParameterError
@@ -165,6 +166,33 @@ def test_dqm_realness(name, request):
         assert abs(eta(x) - complex(eta(x.conjugate())).conjugate()) < 1e-14
 
 
+@pytest.mark.parametrize("name,points", [
+    ("hermite", [-1.7 + 0.2j, 0.0, 0.9 - 0.3j]),
+    ("laguerre", [0.4 + 0.1j, 1.3, 2.6 - 0.2j]),
+    ("jacobi", [0.3 - 0.1j, 1.2, 2.8 + 0.2j]),
+])
+def test_poly_jet_is_bit_identical_to_the_jet_ring_recurrence(name, points, request):
+    # the divided difference at s + order + 1 copies of eta steps in the jet
+    # ring's order, so on an array every coefficient matches it bit for bit.
+    # At a single point the jet ring ran on Python complex numbers and the
+    # divided difference runs on a numpy array, whose complex product may
+    # round differently (fused multiply-add), so there they agree to roundoff
+    fam = request.getfixturevalue(name)
+    xs = np.array(points, dtype=complex)
+    for s in range(4):
+        for order in range(5):
+            for n in range(7):
+                for x in (xs, xs.reshape(3, 1)):
+                    new = fam._poly_jet(n, x, order, s).coeffs
+                    old = jet_ring_poly_jet(fam, n, x, order, s).coeffs
+                    assert len(new) == len(old) == order + 1
+                    assert all(np.array_equal(a, b) for a, b in zip(new, old)), (s, order, n)
+                for x in points:
+                    new = fam._poly_jet(n, x, order, s).coeffs
+                    old = jet_ring_poly_jet(fam, n, x, order, s).coeffs
+                    assert all(abs(a - b) <= 1e-14 * (1 + abs(b)) for a, b in zip(new, old))
+
+
 def test_dqm_polynomial_degree(q_hermite):
     # P_n has degree exactly n: n-th divided structure via leading growth
     ys = np.linspace(-0.9, 0.9, 12)
@@ -214,6 +242,7 @@ def test_ground_state_log_sum_matches_term_by_term_sum(q):
     for x in xs:
         expected = cmath.exp(0.5 * factor_log_sum_oracle(q, groups, x))
         assert abs(cmath.exp(0.5 * logsum(x)) - expected) <= 1e-12 * abs(expected)
+        assert abs(cmath.exp(0.5 * point_log_sum(logsum, x)) - expected) <= 1e-12 * abs(expected)
 
 
 @pytest.mark.parametrize("q", [0.1, 0.6, 0.95])
@@ -227,8 +256,8 @@ def test_ground_state_log_sum_on_arrays_matches_the_point_rule(q):
     values = fam._logphi0sq.at(xs)
     groups = [(1.0, 2, 1), (1.0, -2, 1)] + [(a, m, -1) for a in fam.avals for m in (1, -1)]
     for x, v in zip(xs.tolist(), values):
-        assert abs(np.exp(0.5 * v) - cmath.exp(0.5 * fam._logphi0sq(x))) \
-            <= 1e-12 * abs(cmath.exp(0.5 * fam._logphi0sq(x)))
+        point = cmath.exp(0.5 * point_log_sum(fam._logphi0sq, x))
+        assert abs(np.exp(0.5 * v) - point) <= 1e-12 * abs(point)
         expected = cmath.exp(0.5 * factor_log_sum_oracle(q, groups, x))
         assert abs(np.exp(0.5 * v) - expected) <= 1e-12 * abs(expected)
     with np.errstate(invalid="ignore"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crum.analytic import AnalyticFn, inner_product, rel_residual, worst_residual
-from crum.errors import ChainBreakError, DomainError
+from crum.errors import ChainBreakError, DomainError, PoleError
 from crum.jets import Jet
 from crum import make_family, oqm, virtual_state
 from crum.verify import gram_matrix, sample_points
@@ -266,6 +266,12 @@ def test_phi_via_wronskian_matches_operators(hermite_chain):
             lhs = oqm.phi_via_wronskian(hermite_chain, s, n, x)
             rhs = direct(x)
             assert abs(lhs - rhs) <= tol * (1 + abs(rhs))
+
+
+def test_phi_via_wronskian_refuses_a_vanishing_denominator(jacobi_chain):
+    # the denominator Wronskian at s = 1 is phi_0 = sin^g x, 0 at x = 0
+    with np.errstate(all="ignore"), pytest.raises(PoleError, match="x=0.0"):
+        oqm.phi_via_wronskian(jacobi_chain, 1, 2, np.array([0.5, 0.0]))
 
 
 # -- identity residuals ----------------------------------------------------------------

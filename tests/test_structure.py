@@ -220,6 +220,15 @@ def test_c_scan_nan_at_some_samples_fails_closed():
     _assert_scan_fails_closed(structure.limit_check("c_to_inf", LimitScaling(w1=w1)))
 
 
+@pytest.mark.parametrize("values", [(), (0.1,), (0.0, 0.1), (-0.1, 0.01),
+                                    (math.nan, 0.1), (0.1, math.inf)])
+def test_limit_scan_refuses_values_outside_the_domain(values):
+    with pytest.raises(ParameterError):
+        structure.limit_check("gamma_to_0", gammas=values)
+    with pytest.raises(ParameterError):
+        structure.limit_check("c_to_inf", LimitScaling(w1=lambda x: x, c_values=values))
+
+
 def test_limit_scaling_expansion_invariant():
     # V(x;c) = a (1 + i gamma w1(x)/c + O(1/c^2)) verified by fit over c
     config = LimitScaling(w1=lambda x: x + 0.3j * x * x, tail=0.5)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,6 +186,40 @@ def test_identity_that_evaluates_nothing_is_a_skip(monkeypatch):
         assert rep.levels[2]["identities"][name]["skipped"] == (
             f"DomainError: {name} evaluated nothing at level 2")
     assert rep.status == "incomplete"
+
+
+def _stub_kind(strip_free_sizes):
+    """A chain kind whose relation_residual leaves the strip on every sample
+    set except those of the given sizes, where it returns 0.25; it records
+    the size of each set it is asked about."""
+    asked = []
+
+    def relation_residual(name, chain, pts):
+        asked.append(len(pts))
+        if len(pts) not in strip_free_sizes:
+            raise StripError(pts[0], 0.1, "stub")
+        return 0.25
+
+    return SimpleNamespace(chain=SimpleNamespace(relation_residual=relation_residual)), asked
+
+
+@pytest.mark.parametrize("sampled,samples", [(True, 5), (False, 1)])
+def test_identity_moves_on_from_a_sample_set_that_leaves_the_strip(sampled, samples):
+    kind, asked = _stub_kind({5})
+    config = RunConfig(tolerances={"zero_mode": 0.5})
+    point_sets = [np.zeros(3), np.zeros(5), np.zeros(7)]
+    entry = verify._identity(kind, "zero_mode", [], sampled, point_sets, config)
+    assert asked == [3, 5]
+    assert entry == {"residual": 0.25, "tol": 0.5, "pass": True, "samples": samples}
+
+
+def test_identity_without_a_strip_feasible_sample_set_is_a_skip():
+    kind, asked = _stub_kind(set())
+    entry = verify._identity(kind, "zero_mode", [], True, [np.zeros(3), np.zeros(5)],
+                             RunConfig())
+    assert asked == [3, 5]
+    assert entry == {"residual": None, "tol": None, "pass": None,
+                     "skipped": "no strip-feasible sample points at this depth"}
 
 
 # depth and nmax default to 2 and 5; a level above nmax has no eigenfunction
