@@ -1,15 +1,14 @@
 """Complex-analytic function values on a strip: star conjugation, derivative
-jets, Wronskian and Casoratian determinants, inner products, and the identity
-engine both chain kinds share: an `Identity` table per kind, read by
-`identity_residual` and reduced fail-closed by `worst_residual`; `values_at`,
-which evaluates a function on a whole sample array for the identities (every
-function of either chain kind takes arrays); the
-five operator identities both tables hold; and the chain scaffold: `ChainLevel`,
-the level record both kinds subclass, which holds the n-range, level-0,
-step and downshift guards, with `sign_changes`, the one rule by which a
-step refuses a seed, `divided_difference`, the one three-term recurrence by
-which both kinds evaluate their polynomials P_n, and `grow_chain`, which
-builds a chain of either kind up to DEPTH_CAP.
+jets, Wronskian and Casoratian determinants, inner products; stacked
+functions, whose values and jets lead with one row per n of a range
+(`AnalyticFn.rows`, `row_range`); the identity engine both chain kinds share:
+an `Identity` table per kind, read by `identity_residual` and reduced
+fail-closed by `worst_residual`, `values_at`, which evaluates a function on a
+whole sample array, and the five operator identities both tables hold; and
+the chain scaffold: `ChainLevel`, the level record both kinds subclass, with
+its n-range, level-0, step and downshift guards, `sign_changes`, the one rule
+by which a step refuses a seed, `divided_difference`, the one three-term
+recurrence of the polynomials P_n, and `grow_chain`, up to DEPTH_CAP.
 
 Everything here is immutable after construction and safe to evaluate
 concurrently; evaluation is pure.
@@ -52,36 +51,36 @@ class AnalyticFn:
     strip_halfwidth: float = math.inf
     label: str = ""
     jet_fn: Optional[Callable[[complex, int], Jet]] = None
+    rows: int = 0     # of a stacked function, whose values and jets lead with a row axis
+
+    def __len__(self):    # rows of a stacked function, 1 for a plain one
+        return self.rows or 1
 
     def check_strip(self, x):
         """x as complex (a complex array for an array), after checking that
         every point lies in the strip."""
-        if isinstance(x, np.ndarray):
-            x = x.astype(complex)
-            outside = np.abs(x.imag) > self.strip_halfwidth * (1 + 1e-12) + 1e-15
-            if outside.any():
-                raise StripError(x.flat[np.argmax(outside)], self.strip_halfwidth, self.label)
-            return x
-        x = complex(x)
-        if abs(x.imag) > self.strip_halfwidth * (1 + 1e-12) + 1e-15:
-            raise StripError(x, self.strip_halfwidth, self.label)
-        return x
+        xs = np.array(x, dtype=complex)
+        outside = np.abs(xs.imag) > self.strip_halfwidth * (1 + 1e-12) + 1e-15
+        if outside.any():
+            raise StripError(complex(xs.flat[np.argmax(outside)]), self.strip_halfwidth, self.label)
+        return xs if isinstance(x, np.ndarray) else complex(x)
 
     def __call__(self, x):
-        """Value at x, or the array of values at an array of points: one
-        call of jet_fn (order-0 jets, see `jet`) when the function has exact
-        jets, otherwise one call of fn on the whole array.  An arithmetic
-        failure shows as a non-finite value, which callers mask or reject.
+        """Value at x, or the array of values at an array of points (a
+        stacked function's with its rows leading): order-0 jets (see `jet`)
+        when the function has exact jets, otherwise fn, on blocks of the
+        array.  An arithmetic failure shows as a non-finite value, which
+        callers mask or reject.
         """
         x = self.check_strip(x)
         if not isinstance(x, np.ndarray):
             return self.fn(x)
         with np.errstate(all="ignore"):
             if self.jet_fn is not None:
-                value = np.asarray(self._blocked_jet(x, 0).value, dtype=complex)
+                value = self._blocked(self.jet_fn, x, 0).value
             else:
-                value = np.asarray(self.fn(x), dtype=complex)
-        return value if value.shape == x.shape else np.full(x.shape, value)
+                value = self._blocked(self.fn, x)
+        return _filled(np.asarray(value, dtype=complex), x.shape)
 
     def jet(self, x, order):
         """Taylor jet of this function at x, coefficients c_k = f^(k)(x)/k!;
@@ -92,20 +91,27 @@ class AnalyticFn:
             raise CapabilityError(f"jet order {order} beyond cap {MAX_JET_ORDER}")
         x = self.check_strip(x)
         if self.jet_fn is not None:
-            return self._blocked_jet(x, order)
+            return self._blocked(self.jet_fn, x, order)
         return self._cauchy_jet(x, order)
 
-    def _blocked_jet(self, x, order):
-        """jet_fn at x; an array of more than _ARRAY_BLOCK points goes in
-        blocks of that many, whose coefficients are joined."""
-        if not isinstance(x, np.ndarray) or x.size <= _ARRAY_BLOCK:
-            return self.jet_fn(x, order)
+    def _blocked(self, fn, x, *order):
+        """fn(x, *order), a jet or values; an array goes in blocks of at most
+        _ARRAY_BLOCK / len(self) points, rows times points, joined again."""
+        size = max(1, _ARRAY_BLOCK // len(self))
+        if not isinstance(x, np.ndarray) or x.size <= size:
+            return fn(x, *order)
         flat = x.ravel()
-        blocks = [flat[i:i + _ARRAY_BLOCK] for i in range(0, flat.size, _ARRAY_BLOCK)]
-        jets = [self.jet_fn(b, order) for b in blocks]
-        return Jet(x, [np.concatenate([np.broadcast_to(j.coeffs[k], b.shape)
-                                       for j, b in zip(jets, blocks)]).reshape(x.shape)
-                       for k in range(order + 1)])
+        blocks = [flat[i:i + size] for i in range(0, flat.size, size)]
+        parts = [fn(b, *order) for b in blocks]
+        lead = (self.rows,) if self.rows else ()
+
+        def join(values):
+            return np.concatenate([np.broadcast_to(v, lead + b.shape)
+                                   for v, b in zip(values, blocks)], axis=-1).reshape(lead + x.shape)
+
+        if not order:
+            return join(parts)
+        return Jet(x, [join([j.coeffs[k] for j in parts]) for k in range(order[0] + 1)])
 
     def _cauchy_jet(self, x, order):
         """Jet from the FFT of fn on a circle of _CAUCHY_POINTS points around
@@ -166,13 +172,30 @@ def worst_residual(residuals):
 def values_at(f, xs):
     """Values of f at the sample array xs, as every identity evaluates a
     function: one call on the whole array (an AnalyticFn checks it against
-    the strip first), a constant result filled out to the shape of xs.
+    the strip first), a constant filled out to the shape of xs (_filled).
 
     An exception propagates, so a chain error there is a skip and a
     StripError moves on to the next sample set.
     """
-    value = np.asarray(f(xs), dtype=complex)
-    return value if value.shape == xs.shape else np.full(xs.shape, value)
+    return _filled(np.asarray(f(xs), dtype=complex), xs.shape)
+
+
+def _filled(value, shape):
+    """value kept when it ends in the shape (a stacked one's rows lead), else filled out."""
+    return value if value.shape[value.ndim - len(shape):] == shape else np.full(shape, value)
+
+
+def row_range(n):
+    """One n, or a nonempty contiguous range of them (a stacked function's rows), as a range."""
+    rows = n if isinstance(n, range) else range(n, n + 1)
+    if not rows or rows.step != 1:
+        raise DomainError(f"expected one n or a nonempty contiguous range of n, got {n!r}")
+    return rows
+
+
+def per_row(values, x):
+    """A number, or one per row, shaped to scale a stacked function's values at x."""
+    return np.reshape(values, (-1,) + (1,) * np.ndim(x)) if np.ndim(values) else values
 
 
 class Identity(NamedTuple):
@@ -208,10 +231,12 @@ def identity_residual(table, name, levels, samples):
 
 
 def sign_changes(values):
-    """Sign changes along the real parts of a 1-d array of values.  Exact
-    zeros are dropped first, so a node that falls on a scan point still
-    counts once."""
+    """Sign changes along the real parts of a 1-d array of values, or the
+    list of them along each row of a 2-d one.  Exact zeros are dropped
+    first, so a node that falls on a scan point still counts once."""
     signs = np.sign(np.real(values))
+    if signs.ndim > 1:
+        return [sign_changes(row) for row in signs]
     signs = signs[signs != 0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
@@ -221,19 +246,23 @@ def divided_difference(recurrence, n, nodes):
     c_k P_{k-1}, (b_k, c_k) = recurrence(k), and nodes e_0..e_m along the
     first axis of `nodes`.  The rows step by the product rule ((y - b) f)[e_i..e_m]
     = (e_i - b) f[e_i..e_m] + f[e_{i+1}..e_m], with no quotient, so nodes may
-    coincide: at m + 1 copies of eta, row m - k is P_n^(k)(eta) / k!."""
+    coincide: at m + 1 copies of eta, row m - k is P_n^(k)(eta) / k!.  A
+    range of n stacks its n along a second axis, from one recurrence pass."""
+    rows = row_range(n)
     nodes = np.asarray(nodes, dtype=complex)
     prev = np.zeros(nodes.shape, dtype=complex)
     cur = np.zeros(nodes.shape, dtype=complex)
     cur[-1] = 1.0
-    for k in range(n):
+    out = [cur]
+    for k in range(rows[-1]):
         b_k, c_k = recurrence(k)
         nxt = (nodes - b_k) * cur
         if len(nodes) > 1:    # one node has no shifted row; an empty update costs ~1 us
             nxt[:-1] += cur[1:]
         nxt -= c_k * prev
         prev, cur = cur, nxt
-    return cur
+        out.append(cur)
+    return np.stack(out[rows[0]:], axis=1) if isinstance(n, range) else cur
 
 
 @dataclass(frozen=True)
@@ -259,11 +288,12 @@ class ChainLevel:
         return cls(family, 0, family.energy(0), nmax)
 
     def check_n(self, n):
-        """Refuses an n this level has no eigenfunction for."""
-        if n < self.s:
+        """Refuses an n, or a range of n, this level has no eigenfunction for."""
+        ns = row_range(n)
+        if ns[0] < self.s:
             raise DomainError(f"level {self.s} has phi_n only for n >= {self.s}")
-        if n > self.nmax:
-            raise DomainError(f"phi_{n} not built (nmax exceeded)")
+        if ns[-1] > self.nmax:
+            raise DomainError(f"phi_{ns[-1]} not built (nmax exceeded)")
 
     def interior(self, fraction=0.9):
         return self.family.interior(fraction)
@@ -285,12 +315,13 @@ class ChainLevel:
 
     def downshift_gap(self, n):
         """E_n - E_{s-1}, the divisor that takes this level's phi_n back to
-        the parent's; refuses level 0 and n < s."""
+        the parent's (an array for a range of n); refuses level 0 and n < s."""
         if self.parent is None:
             raise DomainError("level 0 has no parent to downshift into")
-        if n < self.s:
+        if row_range(n)[0] < self.s:
             raise DomainError(f"downshift needs n >= s = {self.s}")
-        return self.family.energy(n) - self.parent.E_s
+        gaps = [self.family.energy(k) - self.parent.E_s for k in row_range(n)]
+        return np.array(gaps) if isinstance(n, range) else gaps[0]
 
 
 def grow_chain(level, step, depth):
@@ -311,7 +342,8 @@ def grow_chain(level, step, depth):
 # Written against the contract oqm and dqm share: apply_A, apply_Adag,
 # hamiltonian_apply and downshift of the chain module `chain`, looked up when
 # called, and a level's phi(n), parent, E_s and family.energy.  Each table
-# binds them to its module with functools.partial.
+# binds them to its module with functools.partial.  The states they check
+# are the rows of one stacked function, phi(checked_ns(level)).
 # ---------------------------------------------------------------------------
 
 def checked_ns(level):
@@ -334,42 +366,40 @@ def zero_mode(chain, levels, samples):
 def iso_spectral(chain, levels, samples):
     """H^[s] phi^[s]_n = E_n phi^[s]_n."""
     level = levels[-1]
-    for n in checked_ns(level):
-        f = level.phi(n)
-        e_n = level.family.energy(n)
-        lhs = values_at(chain.hamiltonian_apply(level, f), samples)
-        f_x = values_at(f, samples)
-        yield np.abs(lhs - e_n * f_x) / ((1.0 + abs(e_n)) * (1.0 + np.abs(f_x)))
+    ns = checked_ns(level)
+    f = level.phi(ns)
+    e_n = per_row([level.family.energy(n) for n in ns], samples)
+    lhs = values_at(chain.hamiltonian_apply(level, f), samples)
+    f_x = values_at(f, samples)
+    yield np.abs(lhs - e_n * f_x) / ((1.0 + np.abs(e_n)) * (1.0 + np.abs(f_x)))
 
 
 def intertwine(chain, levels, samples):
     """A^[s-1] H^[s-1] = H^[s] A^[s-1], applied to the parent's phi_n."""
     level = levels[-1]
     parent = level.parent
-    for n in checked_ns(level):
-        f = parent.phi(n)
-        lhs = values_at(chain.apply_A(parent, chain.hamiltonian_apply(parent, f)), samples)
-        rhs = values_at(chain.hamiltonian_apply(level, chain.apply_A(parent, f)), samples)
-        yield rel_residual(lhs, rhs)
+    f = parent.phi(checked_ns(level))
+    lhs = values_at(chain.apply_A(parent, chain.hamiltonian_apply(parent, f)), samples)
+    rhs = values_at(chain.hamiltonian_apply(level, chain.apply_A(parent, f)), samples)
+    yield rel_residual(lhs, rhs)
 
 
 def factorization(chain, levels, samples):
     """A^[s-1] A^[s-1]dag + E_{s-1} = H^[s], applied to phi^[s]_n."""
     level = levels[-1]
     parent = level.parent
-    for n in checked_ns(level):
-        f = level.phi(n)
-        lifted = values_at(chain.apply_A(parent, chain.apply_Adag(parent, f)), samples)
-        lhs = lifted + parent.E_s * values_at(f, samples)
-        yield rel_residual(lhs, values_at(chain.hamiltonian_apply(level, f), samples))
+    f = level.phi(checked_ns(level))
+    lifted = values_at(chain.apply_A(parent, chain.apply_Adag(parent, f)), samples)
+    lhs = lifted + parent.E_s * values_at(f, samples)
+    yield rel_residual(lhs, values_at(chain.hamiltonian_apply(level, f), samples))
 
 
 def downshift_roundtrip(chain, levels, samples):
     """A^[s-1]dag phi^[s]_n / (E_n - E_{s-1}) gives back the parent's phi_n."""
     level = levels[-1]
-    for n in checked_ns(level):
-        rebuilt = values_at(chain.downshift(level, n), samples)
-        yield rel_residual(rebuilt, values_at(level.parent.phi(n), samples))
+    ns = checked_ns(level)
+    rebuilt = values_at(chain.downshift(level, ns), samples)
+    yield rel_residual(rebuilt, values_at(level.parent.phi(ns), samples))
 
 
 def lu_det(matrix):
@@ -416,53 +446,62 @@ def lu_det(matrix):
     return det.reshape(shape)[()], float(ratio.max(initial=1.0))
 
 
-def wronskian(fs, x, info=False):
+def wronskian(fs, x, info=False, last=None):
     """Determinant of the derivative tower (row j holds the j-th derivatives,
-    from j = 0), one per point of an array x; an empty list gives 1."""
-    n = len(fs)
-    m = np.empty(np.shape(x) + (n, n), dtype=complex)
-    for k, f in enumerate(fs):
-        jet = f.jet(x, n - 1)
-        for j in range(n):
-            m[..., j, k] = jet.deriv(j)
-    det, growth = lu_det(m)
-    return (det, growth) if info else det
+    from j = 0), one per point of an array x; an empty list gives 1.  Columns
+    and `last` as in _det, one jet per function."""
+    cols = fs + ([] if last is None else [last])
+    n = sum(len(f) for f in fs) + (last is not None)
+    jets = [f.jet(x, n - 1) for f in cols]
+    return _det([[jet.deriv(j) for jet in jets] for j in range(n)], cols, np.shape(x), last, info)
 
 
-def casoratian(fs, x, gamma, info=False):
+def casoratian(fs, x, gamma, info=False, last=None):
     """Shifted-argument determinant i^{n(n-1)/2} det f_k(x + i(n+1-2j) gamma/2),
     one per point of an array x; each function is evaluated as `values_at`
-    evaluates it, one call per row.
+    evaluates it, one call per row, and makes its columns as in `wronskian`.
 
     Degenerates to 1 for an empty list and to f(x) for a single function;
     raises StripError naming the first shifted point that leaves a strip.
     """
-    n = len(fs)
+    cols = fs + ([] if last is None else [last])
+    n = sum(len(f) for f in fs) + (last is not None)
     x = np.asarray(x, dtype=complex)
-    m = np.empty(x.shape + (n, n), dtype=complex)
-    for j in range(1, n + 1):
-        pts = x + 0.5j * (n + 1 - 2 * j) * gamma
-        for k, f in enumerate(fs):
-            m[..., j - 1, k] = values_at(f, pts)
-    det, growth = lu_det(m)
+    rows = [[values_at(f, x + 0.5j * (n + 1 - 2 * j) * gamma) for f in cols]
+            for j in range(1, n + 1)]
+    det, growth = _det(rows, cols, x.shape, last, True)
     det = det * 1j ** ((n * (n - 1) // 2) % 4)
+    return (det, growth) if info else det
+
+
+def _det(rows, fs, shape, last, info):
+    """lu_det of the matrices whose row j holds rows[j], the values of fs at
+    points of this shape: a column per function or per row of a stacked one,
+    but a stacked `last` (fs[-1]) gives a matrix and determinant per row."""
+    m = np.empty(shape + (0, 0), dtype=complex)
+    if rows:
+        m = np.stack([np.concatenate([np.moveaxis(np.broadcast_to(v, (len(f),) + shape), 0, -1)
+                                      for v, f in zip(row, fs)], axis=-1) for row in rows], -2)
+    if last is not None and last.rows:
+        n = len(rows)
+        picks = [list(range(n - 1)) + [k] for k in range(n - 1, m.shape[-1])]
+        m = np.moveaxis(m[..., picks], -2, 0)
+    det, growth = lu_det(m)
     return (det, growth) if info else det
 
 
 def inner_product(f, g, quad: QuadratureSpec):
     """Integral of conj(f(x)) g(x) over the physical domain.
 
-    For lists of functions f and g it is the matrix of <f_i, g_j>, from one
-    refinement on shared nodes; each function is evaluated once per node
-    array, and only once when g is f.
+    For stacked functions f and g (AnalyticFn.rows) it is the matrix of
+    <f_i, g_j> over their rows, from one refinement on shared nodes; each
+    function is evaluated once per node array, and only once when g is f.
     """
-    vector = isinstance(f, list)
-    fs, gs = (f, g) if vector else ([f], [g])
 
     def integrand(x):
-        fx = np.stack([fi(x) for fi in fs])
-        gx = fx if g is f else np.stack([gj(x) for gj in gs])
+        fx = np.atleast_2d(f(x))
+        gx = fx if g is f else np.atleast_2d(g(x))
         return fx.conj()[:, None, :] * gx[None, :, :]
 
     value, _err = integrate(integrand, quad)
-    return value if vector else value[0, 0]
+    return value if f.rows else value[0, 0]

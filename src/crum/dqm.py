@@ -60,7 +60,7 @@ import numpy as np
 
 from .analytic import (AnalyticFn, ChainLevel, Identity, casoratian, checked_ns,
                        divided_difference, downshift_roundtrip, factorization, grow_chain,
-                       identity_residual, intertwine, iso_spectral, rel_residual,
+                       identity_residual, intertwine, iso_spectral, per_row, rel_residual,
                        sign_changes, zero_mode)
 from .errors import BranchError, PoleError
 
@@ -119,10 +119,11 @@ class BranchedSqrt:
 
 
 def _on_points(fn, x):
-    """fn, written for a 1-d complex array, at the point x or at each point
-    of the array x; a single point goes through the same array kernels."""
+    """fn, written for a 1-d complex array (rows lead), at the point x or at
+    each point of the array x; a single point takes the same array kernels."""
     xs = np.asarray(x, dtype=complex)
-    out = fn(xs.reshape(-1)).reshape(xs.shape)
+    out = fn(xs.reshape(-1))
+    out = out.reshape(out.shape[:-1] + xs.shape)
     return out if out.ndim else out[()]
 
 
@@ -148,12 +149,18 @@ class DqmChainLevel(ChainLevel):
 
     def phi(self, n, x=None):
         """phi^[s]_n as an AnalyticFn, or its value at x (a point or an
-        array), unchecked against the strip; at level 0 the closed form is
-        the family's phi_0 P_n(cos x)."""
+        array), unchecked against the strip; for a range of n, the stacked
+        function of them (AnalyticFn.rows)."""
         self.check_n(n)
-        f = AnalyticFn(functools.partial(_on_points, functools.partial(self._phi_at, n)),
-                       strip_halfwidth=self.family.strip_halfwidth, label=f"phi[{self.s}]_{n}")
+        f = self.closed_form(n)
         return f if x is None else f.fn(x)
+
+    def closed_form(self, n):
+        """phi^[s]_n, n unchecked: the prefactor and eta rows are computed once
+        for all rows of a range of n.  At level 0 it is the family's phi_n."""
+        return AnalyticFn(functools.partial(_on_points, functools.partial(self._phi_at, n)),
+                          strip_halfwidth=self.family.strip_halfwidth,
+                          label=f"phi[{self.s}]_{n}", rows=len(n) if isinstance(n, range) else 0)
 
     def _phi_at(self, n, x):
         fam, s = self.family, self.s
@@ -230,17 +237,12 @@ def hamiltonian_apply(level, f):
 
 
 def energy_fit(family, ns, xs):
-    """Least-squares eigenvalues of the family's phi_n, n in ns, from the
-    level-0 difference equation at the points xs.  The states phi_0 P_n(eta)
-    go through the Hamiltonian as one stack, so each shifted point array
-    costs one ground-state log-sum."""
+    """Least-squares eigenvalues of the family's phi_n, n in the range ns,
+    from the level-0 difference equation at the points xs.  The states go
+    through the Hamiltonian as one stacked function, so each shifted point
+    array costs one ground-state log-sum."""
     xs = np.asarray(xs, dtype=complex)
-    phi0 = family.phi0().fn
-
-    def states(x):
-        eta = np.cos(x)
-        return phi0(x) * np.stack(np.broadcast_arrays(*[family.poly_value(n, eta) for n in ns]))
-
+    states = family.phi(ns).fn
     pv = states(xs)
     num = np.sum(hamiltonian_apply(level0(family), states)(xs) * pv.conj(), axis=1)
     return (num / np.sum(np.abs(pv) ** 2, axis=1)).real.tolist()
@@ -267,12 +269,12 @@ def build_chain(family, depth, nmax=None):
 
 
 def downshift(level, n):
-    """Parent eigenfunction reconstructed as Adag phi / (E_n - E_{s-1})."""
+    """Parent eigenfunction reconstructed as Adag phi / (E_n - E_{s-1}), rows for a range of n."""
     gap = level.downshift_gap(n)
     raise_fn = apply_Adag(level.parent, functools.partial(level.phi, n))
 
     def out(x):
-        return raise_fn(x) / gap
+        return raise_fn(x) / per_row(gap, x)
 
     return out
 
@@ -292,24 +294,24 @@ def _sqrt_v_prefactor(levels, s, x, gamma):
 
 def phi_via_casoratian(levels, s, n, x):
     """Determinant route to phi^[s]_n at x or at each point of an array x:
-    prefactor times a ratio of shifted determinants of level-0 eigenfunctions."""
-    base = levels[0]
-    fam = base.family
+    prefactor times a ratio of shifted determinants of level-0 eigenfunctions
+    (one stacked column function); for a range of n, the rows of phi^[s]_n."""
+    fam = levels[0].family
     g = fam.gamma
     x = np.asarray(x, dtype=complex)
-    fs = [fam.phi(k) for k in range(s)]
+    fs = [fam.phi(range(s))] if s else []
     den = casoratian(fs, x - 0.5j * g, g)
     pole = np.abs(den) < 1e-280
     if pole.any():
         raise PoleError(f"denominator determinant vanishes at x={x.ravel()[pole.argmax()]}")
-    num = casoratian(fs + [fam.phi(n)], x, g)
+    num = casoratian(fs, x, g, last=fam.phi(n))
     return _sqrt_v_prefactor(levels, s, x, g) * num / den
 
 
 def check_function(levels, s, n, x):
     """Eigenfunction normalized by the square-root prefactor (the form whose
     shifted products build the plain determinants), at each point of the
-    array x."""
+    array x; the rows of them for a range of n."""
     return levels[s].phi(n, x) / _sqrt_v_prefactor(levels, s, x, levels[0].family.gamma)
 
 
@@ -350,13 +352,12 @@ def _res_step_determinant(levels, samples):
     par = level.parent
     g = level.family.gamma
     s = level.s
+    ns = checked_ns(level)
     up, dn = samples + 0.5j * g, samples - 0.5j * g
     seed_up, seed_dn = par.phi(s - 1, up), par.phi(s - 1, dn)
-    sqrt_v_up = par.sqrt_v(up)
-    for n in checked_ns(level):
-        det = seed_up * par.phi(n, dn) - par.phi(n, up) * seed_dn
-        lhs = 1j * sqrt_v_up / seed_dn * det
-        yield rel_residual(lhs, level.phi(n, samples))
+    det = seed_up * par.phi(ns, dn) - par.phi(ns, up) * seed_dn
+    lhs = 1j * par.sqrt_v(up) / seed_dn * det
+    yield rel_residual(lhs, level.phi(ns, samples))
 
 
 def _res_check_product(levels, samples):
@@ -364,19 +365,18 @@ def _res_check_product(levels, samples):
     fam = levels[0].family
     g = fam.gamma
     s = len(levels) - 1
-    for n in checked_ns(levels[s]):
-        lhs = casoratian([fam.phi(k) for k in range(s)] + [fam.phi(n)], samples, g)
-        rhs = check_function(levels, s, n, samples)
-        for k in range(s):
-            rhs = rhs * check_function(levels, k, k, samples + 0.5j * (k - s) * g)
-        yield rel_residual(lhs, rhs)
+    ns = checked_ns(levels[s])
+    lhs = casoratian([fam.phi(range(s))], samples, g, last=fam.phi(ns))
+    rhs = check_function(levels, s, ns, samples)
+    for k in range(s):
+        rhs = rhs * check_function(levels, k, k, samples + 0.5j * (k - s) * g)
+    yield rel_residual(lhs, rhs)
 
 
 def _res_casoratian_ratio(levels, samples):
     s = len(levels) - 1
-    for n in checked_ns(levels[s]):
-        lhs = phi_via_casoratian(levels, s, n, samples)
-        yield rel_residual(levels[s].phi(n, samples), lhs)
+    ns = checked_ns(levels[s])
+    yield rel_residual(levels[s].phi(ns, samples), phi_via_casoratian(levels, s, ns, samples))
 
 
 def _res_casoratian_jacobi(levels, samples):
@@ -387,7 +387,7 @@ def _res_casoratian_jacobi(levels, samples):
     s = len(levels) - 1
     n = s + 1
     generic = _generic_fns()
-    lists = [([fam.phi(k) for k in range(s)], fam.phi(s), fam.phi(n)),
+    lists = [([fam.phi(range(s))], fam.phi(s), fam.phi(n)),
              (generic[:-2], generic[-2], generic[-1])]
     up, dn = samples + 0.5j * g, samples - 0.5j * g
     for head, f_s, f_n in lists:
@@ -405,9 +405,8 @@ def _generic_fns():
 
 def _res_realness(levels, samples):
     """phi^[s]_n star-equals itself at strip points."""
-    level = levels[-1]
-    for n in checked_ns(level):
-        yield rel_residual(level.phi(n, samples), level.phi(n, samples.conj()).conj())
+    ns = checked_ns(levels[-1])
+    yield rel_residual(levels[-1].phi(ns, samples), levels[-1].phi(ns, samples.conj()).conj())
 
 
 # the suite checks these at every level from first_level up, in this order;

@@ -24,7 +24,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .analytic import _ARRAY_BLOCK, AnalyticFn, divided_difference, inner_product
+from .analytic import _ARRAY_BLOCK, AnalyticFn, divided_difference, inner_product, row_range
 from .errors import DomainError, ParameterError, PoleError
 from .jets import Jet
 from .quadrature import QuadratureSpec
@@ -91,17 +91,14 @@ class OqmFamily:
     # and U^[s] = W'^[s]^2 + W'^[s]'; s = 0 is the family itself.
     def w_prime(self, s=0):
         """Pre-potential derivative W'^[s] of chain level s."""
-        fam = self
-        return AnalyticFn(lambda x: fam._w_prime_s_jet(s, x, 0).value,
+        return AnalyticFn(lambda x: self._w_prime_s_jet(s, x, 0).value,
                           label=f"{self.label}.W[{s}]'",
-                          jet_fn=lambda x, order: fam._w_prime_s_jet(s, x, order))
+                          jet_fn=lambda x, order: self._w_prime_s_jet(s, x, order))
 
     def potential(self, s=0):
         """Potential U^[s] of chain level s, with the level constant E_s split off."""
-        fam = self
-
         def jet_fn(x, order):
-            wp = fam._w_prime_s_jet(s, x, order + 1)
+            wp = self._w_prime_s_jet(s, x, order + 1)
             return (wp * wp).truncate(order) + wp.derivative()
 
         return AnalyticFn(lambda x: jet_fn(x, 0).value, label=f"{self.label}.U[{s}]",
@@ -109,21 +106,21 @@ class OqmFamily:
 
     def phi(self, n, s=0):
         """Eigenfunction phi^[s]_n of chain level s, with exact jets; phi_n =
-        phi_0 P_n(eta) at s = 0."""
-        if n < 0 or n > self.nmax:
+        phi_0 P_n(eta) at s = 0.  A range of n gives the stacked function of
+        them, with e^W, eta' and one recurrence pass shared by all rows."""
+        ns = row_range(n)
+        if ns[0] < 0 or ns[-1] > self.nmax:
             raise DomainError(f"n={n} outside tabulated range 0..{self.nmax}")
-        fam = self
-
         def jet_fn(x, order):
-            out = fam._poly_jet(n, x, order, s) * fam._w_log_jet(x, order).exp()
+            out = self._poly_jet(n, x, order, s) * self._w_log_jet(x, order).exp()
             if s:
-                d_eta = fam._eta_jet(x, order + 1).derivative()
+                d_eta = self._eta_jet(x, order + 1).derivative()
                 for _ in range(s):
                     out = out * d_eta
             return out
 
-        return AnalyticFn(lambda x: jet_fn(x, 0).value,
-                          label=f"{self.label}.phi[{s}]{n}", jet_fn=jet_fn)
+        return AnalyticFn(lambda x: jet_fn(x, 0).value, label=f"{self.label}.phi[{s}]{n}",
+                          jet_fn=jet_fn, rows=len(n) if isinstance(n, range) else 0)
 
     def _w_prime_s_jet(self, s, x, order):
         """x-jet of W'^[s] = W' + s eta''/eta', with W' the derivative of W."""
@@ -139,7 +136,8 @@ class OqmFamily:
         The eta-jet of P_n of order s + order is the divided difference at
         s + order + 1 copies of eta (analytic.divided_difference); it is
         differentiated s times and composed with the x-jet of eta by Horner's
-        rule, so no x-jet is ever of order above `order`.
+        rule, so no x-jet is ever of order above `order`.  For a range of n
+        every coefficient leads with one row per n.
         """
         eta = self._eta_jet(x, order)
         nodes = np.broadcast_to(eta.value, (s + order + 1,) + np.shape(eta.value))
@@ -153,9 +151,8 @@ class OqmFamily:
         return out
 
     def eta(self):
-        fam = self
-        return AnalyticFn(lambda x: fam._eta_jet(x, 0).value, label=f"{self.label}.eta",
-                          jet_fn=fam._eta_jet)
+        return AnalyticFn(lambda x: self._eta_jet(x, 0).value, label=f"{self.label}.eta",
+                          jet_fn=self._eta_jet)
 
     def energy(self, n):
         if n < 0:
@@ -331,7 +328,8 @@ class _FactorLogSum:
             r = cmax * mags[np.isfinite(mags)].max(initial=0.0)
             while r > 0.25:
                 for c, sign in groups:
-                    s += sign * np.log(1.0 - c * u)
+                    log = np.log(1.0 - c * u)    # sign * log(0) has a NaN imaginary part
+                    s += log if sign > 0 else -log
                 u = u * self.q
                 r *= self.q
             tail = np.zeros(x.shape, dtype=complex)
@@ -410,26 +408,20 @@ class DqmFamily:
 
     # -- wavefunction side --------------------------------------------------
     def phi0(self):
-        fam = self
-        return AnalyticFn(lambda x: np.exp(0.5 * fam.log_phi0sq(x)),
+        return AnalyticFn(lambda x: np.exp(0.5 * self.log_phi0sq(x)),
                           strip_halfwidth=self.strip_halfwidth, label=f"{self.label}.phi0")
-
-    def poly_value(self, n, y):
-        """Monic P_n(y), at a point or at each point of an array: the divided
-        difference at the one node y (analytic.divided_difference)."""
-        return divided_difference(self._recurrence, n, np.asarray(y)[None])[0]
 
     def _recurrence(self, k):
         """(b_k, c_k) of the monic recurrence P_{k+1} = (y - b_k) P_k - c_k P_{k-1}."""
         return self._bc[0][k], self._bc[1][k]
 
     def phi(self, n):
-        if n < 0 or n > self.nmax:
+        """phi_n = phi_0 P_n(cos x), or the stacked function of a range of n:
+        the closed form of the difference chain's level 0."""
+        ns = row_range(n)
+        if ns[0] < 0 or ns[-1] > self.nmax:
             raise DomainError(f"n={n} outside tabulated range 0..{self.nmax}")
-        fam = self
-        return AnalyticFn(
-            lambda x: np.exp(0.5 * fam.log_phi0sq(x)) * fam.poly_value(n, np.cos(x)),
-            strip_halfwidth=self.strip_halfwidth, label=f"{self.label}.phi{n}")
+        return dqm_mod.level0(self).closed_form(n)
 
     def eta(self):
         return AnalyticFn(np.cos, label="cos",

@@ -9,14 +9,11 @@ makes grid-batched evaluation (node scans etc.) cheap.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
-from .errors import CapabilityError
-
-
-def _aslist(coeffs):
-    return [c for c in coeffs]
+from .errors import CapabilityError, PoleError
 
 
 class Jet:
@@ -24,7 +21,7 @@ class Jet:
 
     def __init__(self, anchor, coeffs):
         self.anchor = anchor
-        self.coeffs = _aslist(coeffs)
+        self.coeffs = list(coeffs)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -55,10 +52,7 @@ class Jet:
         """k-th derivative value f^(k)(anchor)."""
         if k > self.order:
             raise CapabilityError(f"jet of order {self.order} has no deriv {k}")
-        fact = 1.0
-        for j in range(2, k + 1):
-            fact *= j
-        return self.coeffs[k] * fact
+        return self.coeffs[k] * float(math.factorial(k))
 
     def truncate(self, order):
         if order >= self.order:
@@ -136,6 +130,8 @@ class Jet:
 
     def log(self):
         u = self.coeffs
+        if not isinstance(u[0], np.ndarray) and u[0] == 0:    # an array gets -inf there
+            raise PoleError(f"log of a function that vanishes at x={self.anchor}")
         out = [_log(u[0])]
         for k in range(1, self.order + 1):
             s = k * u[k]
@@ -195,21 +191,13 @@ def _ones_like(x):
     return 1.0 + 0j
 
 
-def _exp(v):
-    return np.exp(v) if isinstance(v, np.ndarray) else cmath.exp(v)
+def _pointwise(array_fn, point_fn):
+    """array_fn (numpy) on an array, point_fn (cmath) on a number."""
+    return lambda v: array_fn(v) if isinstance(v, np.ndarray) else point_fn(v)
 
 
-def _log(v):
-    return np.log(v) if isinstance(v, np.ndarray) else cmath.log(v)
-
-
-def _sqrt(v):
-    return np.sqrt(v) if isinstance(v, np.ndarray) else cmath.sqrt(v)
-
-
-def _sin(v):
-    return np.sin(v) if isinstance(v, np.ndarray) else cmath.sin(v)
-
-
-def _cos(v):
-    return np.cos(v) if isinstance(v, np.ndarray) else cmath.cos(v)
+_exp = _pointwise(np.exp, cmath.exp)
+_log = _pointwise(np.log, cmath.log)
+_sqrt = _pointwise(np.sqrt, cmath.sqrt)
+_sin = _pointwise(np.sin, cmath.sin)
+_cos = _pointwise(np.cos, cmath.cos)

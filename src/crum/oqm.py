@@ -24,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from .analytic import (AnalyticFn, ChainLevel, Identity, downshift_roundtrip, factorization,
-                       grow_chain, identity_residual, intertwine, iso_spectral, rel_residual,
-                       sign_changes, values_at, wronskian, zero_mode)
+                       grow_chain, identity_residual, intertwine, iso_spectral, per_row,
+                       rel_residual, sign_changes, values_at, wronskian, zero_mode)
 from .errors import PoleError
 from .jets import Jet
 
@@ -67,7 +67,7 @@ def _first_order(level, f, sign, name):
         return sign * jf.derivative() - w.jet(x, order) * jf.truncate(order)
 
     return AnalyticFn(lambda x: jet_fn(x, 0).value, strip_halfwidth=f.strip_halfwidth,
-                      label=f"{name}[{level.s}]({f.label})", jet_fn=jet_fn)
+                      label=f"{name}[{level.s}]({f.label})", jet_fn=jet_fn, rows=f.rows)
 
 
 def hamiltonian_apply(level, f):
@@ -80,7 +80,7 @@ def hamiltonian_apply(level, f):
         return -jf.derivative().derivative() + (u.jet(x, order) + e_s) * jf.truncate(order)
 
     return AnalyticFn(lambda x: jet_fn(x, 0).value, strip_halfwidth=f.strip_halfwidth,
-                      label=f"H[{level.s}]({f.label})", jet_fn=jet_fn)
+                      label=f"H[{level.s}]({f.label})", jet_fn=jet_fn, rows=f.rows)
 
 
 def level0(family, nmax=None):
@@ -88,7 +88,8 @@ def level0(family, nmax=None):
 
 
 def node_count(fn, interval, npoints=NODE_GRID):
-    """Sign changes of a real function on a uniform grid (analytic.sign_changes)."""
+    """Sign changes of a real function on a uniform grid (analytic.sign_changes),
+    or the list of them for each row of a stacked one, from one evaluation."""
     return sign_changes(fn(np.linspace(interval[0], interval[1], npoints)))
 
 
@@ -102,29 +103,29 @@ def build_chain(family, depth, nmax=None):
 
 
 def downshift(level, n):
-    """Reconstruct the parent's phi_n from this level's: Adag/(E_n - E_{s-1})."""
+    """Reconstruct the parent's phi_n from this level's: Adag/(E_n - E_{s-1});
+    for a range of n, the stacked function of them."""
     gap = level.downshift_gap(n)
     g = apply_Adag(level.parent, level.phi(n))
 
     def jet_fn(x, order):
-        return g.jet(x, order) / gap
+        return g.jet(x, order) / per_row(gap, x)
 
     return AnalyticFn(lambda x: jet_fn(x, 0).value,
                       label=f"downshift[{level.s}->{level.s-1}]phi{n}",
-                      jet_fn=jet_fn)
+                      jet_fn=jet_fn, rows=g.rows)
 
 
 def phi_via_wronskian(levels, s, n, x):
     """Determinant route to phi^[s]_n at x or at each point of an array x:
-    ratio of two Wronskians of level-0 eigenfunctions."""
-    base = levels[0]
-    fs = [base.phi(k) for k in range(s)]
+    ratio of two Wronskians of level-0 eigenfunctions (one stacked column
+    function); for a range of n, the rows of phi^[s]_n."""
+    fs = [levels[0].phi(range(s))] if s else []
     den = wronskian(fs, x)
     pole = np.abs(den) < 1e-280
     if pole.any():
         raise PoleError(f"denominator Wronskian vanishes at x={np.ravel(x)[pole.argmax()]}")
-    num = wronskian(fs + [base.phi(n)], x)
-    return num / den
+    return wronskian(fs, x, last=levels[0].phi(n)) / den
 
 
 def relation_residual(kind, levels, samples):
@@ -132,11 +133,6 @@ def relation_residual(kind, levels, samples):
     the deepest level of `levels`, a chain from level 0, over the samples; a
     non-finite sample makes it inf (see analytic.identity_residual)."""
     return identity_residual(IDENTITIES, kind, levels, samples)
-
-
-def _ns(level):
-    """Indices n of the eigenfunctions built at this level, ascending."""
-    return list(range(level.s, level.nmax + 1))
 
 
 def _res_riccati(levels, samples):
@@ -158,7 +154,8 @@ def _res_potential_wronskian(levels, samples):
     base = levels[0]
     level = levels[-1]
     s = level.s
-    jets = [base.phi(k).jet(samples, s + 1) for k in range(s)]
+    stacked = base.phi(range(s)).jet(samples, s + 1)
+    jets = [Jet(samples, [c[k] for c in stacked.coeffs]) for k in range(s)]
     j = _jet_det([[_jet_nth(jets[k], r, 2) for k in range(s)] for r in range(s)], samples, 2)
     w, w1, w2 = j.coeffs[0], j.deriv(1), j.deriv(2)
     lhs = values_at(level.potential(), samples) + level.E_s
@@ -208,30 +205,31 @@ def _where(mask, a, b):
 def _res_wronskian_product(levels, samples):
     """Wronskian of the first s eigenfunctions equals the seed product, and
     appending phi_n appends the lifted eigenfunction."""
-    base = levels[0]
     s = len(levels) - 1
-    fs = [base.phi(k) for k in range(s)]
+    n = levels[s].nmax
+    fs = [levels[0].phi(range(s))]
     prod = 1.0 + 0j
     for k in range(s):
         prod = prod * values_at(levels[k].phi(k), samples)
     yield rel_residual(wronskian(fs, samples), prod)
-    for n in _ns(levels[s])[-1:]:
-        wn = wronskian(fs + [base.phi(n)], samples)
-        yield rel_residual(wn, prod * values_at(levels[s].phi(n), samples))
+    yield rel_residual(wronskian(fs, samples, last=levels[0].phi(n)),
+                       prod * values_at(levels[s].phi(n), samples))
 
 
 def _res_wronskian_ratio(levels, samples):
     s = len(levels) - 1
-    for n in _ns(levels[s])[-2:]:
-        yield rel_residual(phi_via_wronskian(levels, s, n, samples),
-                           values_at(levels[s].phi(n), samples))
+    ns = range(max(s, levels[s].nmax - 1), levels[s].nmax + 1)
+    yield rel_residual(phi_via_wronskian(levels, s, ns, samples),
+                       values_at(levels[s].phi(ns), samples))
 
 
 def _res_node_count(levels, samples):
-    """Sign changes of phi^[s]_n on the interior grid against n - s."""
+    """Sign changes of phi^[s]_n on the interior grid against n - s, from
+    one evaluation of the stacked phi^[s]_s..phi^[s]_{s+3}."""
     level = levels[-1]
-    for n in _ns(level)[:4]:
-        yield abs(node_count(level.phi(n), level.interior()) - (n - level.s))
+    counts = node_count(level.phi(range(level.s, min(level.s + 4, level.nmax + 1))),
+                        level.interior())
+    yield [abs(c - k) for k, c in enumerate(counts)]
 
 
 # the suite checks these at every level from first_level up, in this order;

@@ -176,9 +176,9 @@ def grid_eigensolve(u_fn, domain, n_points, k):
 
 
 def gram_matrix(fns, quad: QuadratureSpec):
-    """Hermitian matrix of pairwise inner products, from one refinement on
-    shared nodes: each function is evaluated once per quadrature level."""
-    fns = list(fns)
+    """Hermitian matrix of the pairwise inner products of the rows of a
+    stacked function (AnalyticFn.rows), from one refinement on shared nodes:
+    the stack is evaluated once per quadrature level."""
     return inner_product(fns, fns, quad)
 
 
@@ -321,16 +321,6 @@ def _growth_scan(det, pts):
     return max(1.0, worst_residual([growth]))
 
 
-def _wronskian_det(family, s):
-    fs = [family.phi(k) for k in range(s)]
-    return lambda x: wronskian(fs, x, info=True)
-
-
-def _casoratian_det(family, s):
-    fs = [family.phi(k) for k in range(s + 1)]
-    return lambda x: casoratian(fs, x, family.gamma, info=True)
-
-
 def _axis_points(family, config):
     return [sample_points(family, config.samples, config.seed)]
 
@@ -345,16 +335,17 @@ def _strip_points(family, config):
 
 
 def _gram_block(family, levels, s, config):
-    ns = list(range(s, min(config.nmax, s + 3) + 1))
+    ns = range(s, min(config.nmax, s + 3) + 1)
     if len(ns) < 2:
         return {"skipped": "fewer than two levels in range"}
-    fns = [levels[s].phi(n) for n in ns]
     try:
-        g = gram_matrix(fns, family.quad)
+        g = gram_matrix(levels[s].phi(ns), family.quad)
     except AccuracyError as exc:
         return {"skipped": f"quadrature: {exc}"}
     herm_defect = float(np.max(np.abs(g - g.conj().T)))
-    expected = np.asarray([family.hnorm(n) * _gap_product(family, s, n) for n in ns])
+    # the norms scale along the chain by the product of (E_n - E_k), k < s
+    expected = np.asarray([family.hnorm(n) * math.prod(family.energy(n) - family.energy(k)
+                                                       for k in range(s)) for n in ns])
     diag = np.real(np.diag(g))
     off = g - np.diag(np.diag(g))
     scale = np.sqrt(np.outer(np.abs(diag), np.abs(diag)))
@@ -363,7 +354,7 @@ def _gram_block(family, levels, s, config):
     tol = config.tolerance("gram")
     ok = off_rel <= tol and diag_rel <= tol and herm_defect <= 1e-12 * (1 + float(np.max(np.abs(g))))
     return {
-        "ns": ns,
+        "ns": list(ns),
         "diag": [float(d) for d in diag],
         "expected_diag": [float(e) for e in expected],
         "max_offdiag_rel": off_rel,
@@ -372,14 +363,6 @@ def _gram_block(family, levels, s, config):
         "tol": tol,
         "pass": bool(ok),
     }
-
-
-def _gap_product(family, s, n):
-    """Norm scaling along the chain: product of (E_n - E_k) for k < s."""
-    prod = 1.0
-    for k in range(s):
-        prod *= family.energy(n) - family.energy(k)
-    return prod
 
 
 def _oracle_oqm(family, levels, config):
@@ -490,14 +473,15 @@ _KINDS = {
     "oqm": _ChainKind(
         chain=oqm_mod,
         point_sets=_axis_points,
-        growth_det=_wronskian_det,
+        growth_det=lambda family, s: lambda x: wronskian([family.phi(range(s))], x, info=True),
         oracle=_oracle_oqm,
         eta_tol=1e-8,
     ),
     "dqm": _ChainKind(
         chain=dqm_mod,
         point_sets=_strip_points,
-        growth_det=_casoratian_det,
+        growth_det=lambda family, s: lambda x: casoratian([family.phi(range(s + 1))], x,
+                                                          family.gamma, info=True),
         oracle=_oracle_dqm,
         eta_tol=1e-7,
     ),

@@ -7,7 +7,8 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from crum import AnalyticFn, make_family
-from crum.analytic import checked_ns, rel_residual, sign_changes, star_eval, worst_residual
+from crum.analytic import (checked_ns, divided_difference, rel_residual, sign_changes, star_eval,
+                           worst_residual)
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
 from crum.errors import AccuracyError, ChainBreakError, DomainError, PoleError
@@ -96,6 +97,12 @@ def qpochhammer_inf(a, q):
     return result
 
 
+def poly_value(family, n, y):
+    """A family's monic P_n(y), at a point or at each point of an array: the
+    divided difference at the one node y."""
+    return divided_difference(family._recurrence, n, np.asarray(y)[None])[0]
+
+
 def _memoized(f, label):
     """f with its jets kept per point, each computed to order 4 or more."""
     cache = {}
@@ -178,6 +185,38 @@ def jet_ring_poly_jet(family, n, x, order, s):
     for c in reversed(p.coeffs[:order]):
         out = out * step + c
     return out
+
+
+# -- the per-n evaluators --------------------------------------------------------------
+# The evaluators that the stacked rows of `OqmFamily.phi` and
+# `DqmChainLevel.phi` replaced, kept as their oracle: one n per call, the
+# n-independent part (e^W and eta', the ground-state log-sum and the
+# potential logs) recomputed for each.
+
+def per_n_oqm_jet(family, n, s, x, order):
+    """x-jet of phi^[s]_n of a differential family at x."""
+    out = family._poly_jet(n, x, order, s) * family._w_log_jet(x, order).exp()
+    if s:
+        d_eta = family._eta_jet(x, order + 1).derivative()
+        for _ in range(s):
+            out = out * d_eta
+    return out
+
+
+def per_n_dqm_phi(level, n, x):
+    """phi^[s]_n of a difference chain level at each point of the array x."""
+    fam, s = level.family, level.s
+    xs = np.asarray(x, dtype=complex).reshape(-1)
+    h = 0.5j * fam.gamma
+    log_pref = fam.log_phi0sq(xs + s * h)
+    for lvl in range(s):
+        log_pref = log_pref + dqm_mod._log_v(fam, lvl, xs + (s - lvl) * h)
+    vand = 1j ** s
+    for m in range(1, s + 1):
+        vand = vand * (2j * math.sinh(0.5 * m * fam.gamma)) * np.sin(xs + (s - m) * h)
+    eta = np.cos(xs + np.arange(s, -s - 1, -2)[:, None] * h)
+    out = np.exp(0.5 * log_pref) * vand * divided_difference(fam._recurrence, n, eta)[0]
+    return out.reshape(np.shape(x))
 
 
 # -- the level-on-level difference chain ------------------------------------------
@@ -271,7 +310,7 @@ def recursive_dqm_chain(family, depth, nmax):
     sqrt_v0 = lambda x: complex(np.exp(0.5 * family.log_v(x)))
 
     def phi0(n, x):
-        return cmath.exp(0.5 * log_phi0sq(x)) * complex(family.poly_value(n, cmath.cos(x)))
+        return cmath.exp(0.5 * log_phi0sq(x)) * complex(poly_value(family, n, cmath.cos(x)))
 
     levels = [RecursiveDqmLevel(family, 0, nmax, sqrt_v0, _memo(phi0))]
     for _ in range(depth):

@@ -176,9 +176,8 @@ def test_criterion_6_gram_law(oqm_chains, dqm_chains):
     chains = {**{k: v[:2] for k, v in oqm_chains.items()},
               **{k: v[:2] for k, v in dqm_chains.items()}}
     for name, (fam, levels) in chains.items():
-        ns = list(range(1, 6 if fam.kind == "oqm" else 5))
-        fns = [levels[1].phi(n) for n in ns]
-        g = gram_matrix(fns, fam.quad)
+        ns = range(1, 6 if fam.kind == "oqm" else 5)
+        g = gram_matrix(levels[1].phi(ns), fam.quad)
         worst = 0.0
         for i, n in enumerate(ns):
             expected = fam.energy(n) * fam.hnorm(n)

@@ -134,7 +134,7 @@ def test_iso_spectrality_level1(name, tol, request):
 def test_level1_gram_diagonal(name, request):
     fam = request.getfixturevalue(name)
     levels = request.getfixturevalue(name + "_chain")
-    fns = [levels[1].phi(n) for n in range(1, 5)]
+    fns = levels[1].phi(range(1, 5))
     g = gram_matrix(fns, fam.quad)
     for i, n in enumerate(range(1, 5)):
         expected = fam.energy(n) * fam.hnorm(n)

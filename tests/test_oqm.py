@@ -110,7 +110,7 @@ def test_hermite_level1_operator_is_shifted_oscillator(hermite_chain):
 
 def test_level1_gram_diagonal(hermite):
     levels = oqm.build_chain(hermite, 1, nmax=5)
-    fns = [levels[1].phi(n) for n in range(1, 6)]
+    fns = levels[1].phi(range(1, 6))
     g = gram_matrix(fns, hermite.quad)
     for i, n in enumerate(range(1, 6)):
         expected = hermite.energy(n) * hermite.hnorm(n)

@@ -61,8 +61,7 @@ def test_grid_eigensolve_rejects_coarse_grid():
 # -- gram matrices ------------------------------------------------------------------
 
 def test_gram_level0_hermite(hermite):
-    fns = [hermite.phi(n) for n in range(5)]
-    g = gram_matrix(fns, hermite.quad)
+    g = gram_matrix(hermite.phi(range(5)), hermite.quad)
     assert np.max(np.abs(g - g.conj().T)) < 1e-12 * np.max(np.abs(g))
     for n in range(5):
         assert abs(g[n, n].real - hermite.hnorm(n)) < 1e-9 * hermite.hnorm(n)
@@ -96,10 +95,11 @@ def hermite_report(hermite_run):
 
 
 def test_suite_checks_each_level_once(hermite_run):
-    # 3 levels x (2 wronskian_product + 4 wronskian_ratio calls), each call on
-    # the whole sample array; re-checking every lower level at each level
-    # would make 36, and one call per sample point 360
-    assert hermite_run[1] == 18
+    # 3 levels x (2 wronskian_product + 2 wronskian_ratio calls: the
+    # denominator, and the numerators of both states as one stack), each call
+    # on the whole sample array; re-checking every lower level at each level
+    # would make 24, one call per state 18, and one per sample point 360
+    assert hermite_run[1] == 12
 
 
 def test_suite_hermite_passes(hermite_report):
@@ -290,9 +290,8 @@ def test_gram_matches_per_entry_oracle(name, request):
     fam = request.getfixturevalue(name)
     chain = request.getfixturevalue(f"{name}_chain")
     for level in chain[:3]:
-        fns = [level.phi(n) for n in range(level.s, level.s + 4)]
-        g = gram_matrix(fns, fam.quad)
-        ref = scalar_gram(fns, fam.quad)
+        g = gram_matrix(level.phi(range(level.s, level.s + 4)), fam.quad)
+        ref = scalar_gram([level.phi(n) for n in range(level.s, level.s + 4)], fam.quad)
         assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), (name, level.s)
 
 
@@ -317,7 +316,7 @@ def _holed(f, hole):
             j.coeffs[0] = np.where(hole(x), np.nan, j.coeffs[0])
         return j
 
-    return AnalyticFn(f.fn, label=f.label, jet_fn=jet_fn)
+    return AnalyticFn(f.fn, label=f.label, jet_fn=jet_fn, rows=f.rows)
 
 
 def test_non_finite_potential_on_the_oracle_grid_is_an_error(monkeypatch):
@@ -359,17 +358,15 @@ def test_evaluation_counts_are_one_call_per_grid_and_per_level(monkeypatch):
 
         return real_grid(counted, *args)
 
-    def gram(fns, quad):
-        calls = [0] * len(fns)
-        grams.append(calls)
+    def gram(f, quad):
+        sizes = []
+        grams.append(sizes)
 
-        def counted(i, f):
-            def g(x):
-                calls[i] += 1
-                return f(x)
-            return g
+        def counted(x):
+            sizes.append(x.size)
+            return f(x)
 
-        return real_gram([counted(i, f) for i, f in enumerate(fns)], quad)
+        return real_gram(dataclasses.replace(f, fn=counted, jet_fn=None), quad)
 
     monkeypatch.setattr(verify, "grid_eigensolve", grid)
     monkeypatch.setattr(verify, "gram_matrix", gram)
@@ -377,8 +374,9 @@ def test_evaluation_counts_are_one_call_per_grid_and_per_level(monkeypatch):
     assert rep.status == "pass"
     # one call per grid: the validation grids, then the oracle at levels 0 and 1
     assert grids == [[1400, 2800], [2000, 4000], [2000, 4000]]
-    # each phi once per quadrature level (levels 0..3) at each Gram level
-    assert grams == [[4, 4, 4, 4]] * 3
+    # the stacked phi once per quadrature level (levels 0..3, 41 + 40 + 80 +
+    # 160 nodes) at each Gram level
+    assert grams == [[41, 40, 80, 160]] * 3
 
 
 def test_identities_make_no_scalar_jet_call(monkeypatch):
@@ -461,7 +459,7 @@ def test_pole_at_one_sample_of_a_difference_chain_is_a_skip(monkeypatch):
                 raise PoleError(f"injected at x={bad}")
             return f.fn(t)
 
-        return AnalyticFn(fn, strip_halfwidth=f.strip_halfwidth, label=f.label)
+        return AnalyticFn(fn, strip_halfwidth=f.strip_halfwidth, label=f.label, rows=f.rows)
 
     monkeypatch.setattr(dqm.DqmChainLevel, "phi", phi)
     rep = run_suite(RunConfig(family="q_hermite", params={"q": 0.5}, depth=1, nmax=3,
