@@ -1,5 +1,12 @@
 """Catalog of exactly solvable models.
 
+Every family is a `Family`, which holds the record both kinds share (name,
+params, label, domain, nmax, the quadrature of the domain, shape-invariance
+data) and writes their shared rules once: the n-range refusal of phi, the
+energy guard, the squared norms h_n, the interior and the descriptor.  A
+subclass gives the closed form of phi, the recurrence of the polynomial part,
+the energy rule, eta and its own validation.
+
 Continuous families (hermite, laguerre, jacobi) are defined by a pre-potential
 W alone: the ground state is e^W, the factor A = d/dx - W' and the potential
 are built from W', which is taken as the derivative of W's jet, and the
@@ -10,11 +17,11 @@ of q-shifted factorials (one q-series, on arrays); excited states are the
 ground state times a monic polynomial in cos x generated by a three-term
 recurrence, which both kinds run through analytic.divided_difference.
 
-Every family validates itself at construction time.  A continuous family
-checks that e^W is positive and its closed-form energy rule against a
-finite-difference eigensolver; a q-family checks that its ground state is a
-zero mode of the lowering factor and its energy rule against least-squares
-eigenvalue extraction from the difference equation.
+Every family validates itself at construction time (`validate`).  A
+continuous family checks that e^W is positive and its closed-form energy rule
+against a finite-difference eigensolver; a q-family checks that its ground
+state is a zero mode of the lowering factor and its energy rule against
+least-squares eigenvalue extraction from the difference equation.
 """
 
 from __future__ import annotations
@@ -30,13 +37,11 @@ from .jets import Jet
 from .quadrature import QuadratureSpec
 from . import dqm as dqm_mod
 
-OQM_NAMES = ("hermite", "laguerre", "jacobi")
-DQM_NAMES = ("q_hermite", "askey_wilson")
-
 DEFAULT_NMAX = 32
 _VALIDATE_POINTS = 20
 _ZERO_MODE_TOL = 1e-10
 _ENERGY_ORACLE_TOL = 1e-3
+_BOX_STEPS = 48        # candidate right edges 1.25^k of the oracle box, up to ~3.6e4
 # results a dQM family keeps of its ground-state array log-sum, each of at
 # most _ARRAY_BLOCK points: the checks evaluate phi_0 over and over on the
 # same few shifted sample rows (an Askey-Wilson depth-2 suite asks 521 times
@@ -53,27 +58,25 @@ class ShapeData:
         self.e1 = e1          # params dict -> first energy gap
 
 
-# --------------------------------------------------------------------------
-# continuous families
-# --------------------------------------------------------------------------
+class Family:
+    """The record and the rules that every solvable family shares.
 
-class OqmFamily:
-    """Solvable Schrodinger family on an interval, factorized through W."""
+    A subclass provides `_phi(n, ...)` (phi_n, or the stacked function of a
+    range of n, which `phi` returns past its n-range refusal), `_recurrence(k)`
+    (the (b_k, c_k) of the monic three-term recurrence of the polynomial part
+    P_n), the energy rule `_energy(n, params)`, `eta()` and `validate()` (its
+    construction-time self-consistency checks); `kind` names its chain module.
+    """
 
-    kind = "oqm"
+    gamma = None                  # the imaginary shift of a difference family
+    strip_halfwidth = math.inf    # half-height of the strip of analyticity
 
-    def __init__(self, name, params, domain, w_log_jet, energy_rule,
-                 poly_recurrence, eta_jet, shape, label_params):
+    def __init__(self, name, params, domain, shape, label_params):
         self.name = name
         self.params = dict(params)
         self.domain = domain
-        self.strip_halfwidth = math.inf
-        self.nmax = DEFAULT_NMAX
-        self._w_log_jet = w_log_jet   # (x, order) -> x-jet of W, ground state e^W
-        self._energy = energy_rule
-        self._recurrence = poly_recurrence  # n -> (b_n, c_n) for monic P in eta
-        self._eta_jet = eta_jet
         self.shape = shape
+        self.nmax = DEFAULT_NMAX
         self.label = f"{name}({label_params})" if label_params else name
         self._h0 = None
         a, b = domain
@@ -83,6 +86,61 @@ class OqmFamily:
             self.quad = QuadratureSpec(kind="half_line", tolerance=1e-12)
         else:
             self.quad = QuadratureSpec(kind="interval", a=a, b=b, tolerance=1e-12)
+
+    def phi(self, n, *level):
+        """phi_n, or the stacked function of a range of n, for n in 0..nmax."""
+        ns = row_range(n)
+        if ns[0] < 0 or ns[-1] > self.nmax:
+            raise DomainError(f"n={n} outside tabulated range 0..{self.nmax}")
+        return self._phi(n, *level)
+
+    def energy(self, n):
+        if n < 0:
+            raise DomainError("energy level must be >= 0")
+        return float(self._energy(n, self.params))
+
+    def hnorm(self, n):
+        """Squared norm h_n of phi_n = phi_0 P_n: h_0 by quadrature (computed
+        once per family, phi_0 evaluated once per node array), times c_1 ...
+        c_n of the monic recurrence of P_n, since h_n = c_n h_{n-1} for monic
+        orthogonal polynomials."""
+        if self._h0 is None:
+            phi0 = self.phi(0)
+            self._h0 = float(inner_product(phi0, phi0, self.quad).real)
+        h = self._h0
+        for k in range(1, n + 1):
+            h *= self._recurrence(k)[1]
+        return h
+
+    def interior(self, fraction=0.9):
+        """The middle `fraction` of the domain, clipped to [-8, 8]."""
+        a, b = self.domain
+        a = max(a, -8.0)
+        b = min(b, 8.0)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return mid - fraction * half, mid + fraction * half
+
+    def descriptor(self):
+        return {"name": self.name, "params": _plain_params(self.params),
+                "gamma": self.gamma, "domain": list(self.domain), "nmax": self.nmax}
+
+
+# --------------------------------------------------------------------------
+# continuous families
+# --------------------------------------------------------------------------
+
+class OqmFamily(Family):
+    """Solvable Schrodinger family on an interval, factorized through W."""
+
+    kind = "oqm"
+
+    def __init__(self, name, params, domain, w_log_jet, energy_rule,
+                 poly_recurrence, eta_jet, shape, label_params):
+        super().__init__(name, params, domain, shape, label_params)
+        self._w_log_jet = w_log_jet   # (x, order) -> x-jet of W, ground state e^W
+        self._energy = energy_rule    # (n, params) -> E_n
+        self._recurrence = poly_recurrence  # n -> (b_n, c_n) for monic P in eta
+        self._eta_jet = eta_jet
 
     # -- core evaluators -----------------------------------------------
     # Level s of the Crum chain is evaluated in closed form.  With
@@ -104,13 +162,10 @@ class OqmFamily:
         return AnalyticFn(lambda x: jet_fn(x, 0).value, label=f"{self.label}.U[{s}]",
                           jet_fn=jet_fn)
 
-    def phi(self, n, s=0):
+    def _phi(self, n, s=0):
         """Eigenfunction phi^[s]_n of chain level s, with exact jets; phi_n =
         phi_0 P_n(eta) at s = 0.  A range of n gives the stacked function of
         them, with e^W, eta' and one recurrence pass shared by all rows."""
-        ns = row_range(n)
-        if ns[0] < 0 or ns[-1] > self.nmax:
-            raise DomainError(f"n={n} outside tabulated range 0..{self.nmax}")
         def jet_fn(x, order):
             out = self._poly_jet(n, x, order, s) * self._w_log_jet(x, order).exp()
             if s:
@@ -154,24 +209,24 @@ class OqmFamily:
         return AnalyticFn(lambda x: self._eta_jet(x, 0).value, label=f"{self.label}.eta",
                           jet_fn=self._eta_jet)
 
-    def energy(self, n):
-        if n < 0:
-            raise DomainError("energy level must be >= 0")
-        return float(self._energy(n, self.params))
+    def validate(self):
+        """The ground state e^W is positive at sample points of the interior,
+        and the first three closed-form energies agree with a finite-difference
+        eigensolve of U on the oracle box."""
+        from .verify import grid_eigensolve  # deferred: verify imports families
 
-    def hnorm(self, n):
-        return _hnorm(self, n)
-
-    def interior(self, fraction=0.9):
-        a, b = self.domain
-        a = max(a, -8.0)
-        b = min(b, 8.0)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return mid - fraction * half, mid + fraction * half
-
-    def descriptor(self):
-        return {"name": self.name, "params": _plain_params(self.params),
-                "gamma": None, "domain": list(self.domain), "nmax": self.nmax}
+        xs = np.linspace(*self.interior(), _VALIDATE_POINTS).astype(complex)
+        bad = ~(self.phi(0)(xs).real > 0)
+        if bad.any():
+            raise ParameterError(f"{self.label}: ground state not positive at "
+                                 f"x={xs[bad.argmax()].real:g}")
+        u = self.potential()
+        levels = grid_eigensolve(lambda x: u(x).real, _oracle_box(self), 1400, 3)
+        for n, level in enumerate(levels):
+            if abs(level - self.energy(n)) > _ENERGY_ORACLE_TOL * (1 + abs(self.energy(n))):
+                raise ParameterError(
+                    f"{self.label}: closed-form energy E_{n}={self.energy(n)} disagrees with "
+                    f"grid oracle {level:.6f}")
 
 
 def _hermite_family():
@@ -231,18 +286,6 @@ def _jacobi_family(g):
                       e1=lambda p: 1.0 + 2.0 * p["g"])
     return OqmFamily("jacobi", {"g": float(g)}, (0.0, math.pi), w_log_jet,
                      lambda n, p: n * (n + 2.0 * g), recurrence, eta_jet, shape, f"g={g}")
-
-
-def _hnorm(fam, n):
-    """Squared norm h_n of phi_n = phi_0 P_n: h_0 by quadrature (computed
-    once per family), times c_1 ... c_n of the monic recurrence of P_n, since
-    h_n = c_n h_{n-1} for monic orthogonal polynomials."""
-    if fam._h0 is None:
-        fam._h0 = float(inner_product(fam.phi(0), fam.phi(0), fam.quad).real)
-    h = fam._h0
-    for k in range(1, n + 1):
-        h *= fam._recurrence(k)[1]
-    return h
 
 
 # --------------------------------------------------------------------------
@@ -339,27 +382,23 @@ class _FactorLogSum:
         return s
 
 
-class DqmFamily:
+class DqmFamily(Family):
     """Solvable difference-Schrodinger family on (0, pi) with shift i*gamma."""
 
     kind = "dqm"
 
     def __init__(self, name, params, q, avals, label_params):
-        self.name = name
-        self.params = dict(params)
         self.q = float(q)
+        shape = ShapeData(si=lambda p, s=math.sqrt(self.q): _shift_avals(p, s), kappa=1.0 / self.q,
+                          e1=lambda p: (1.0 / self.q - 1.0) * (1.0 - _prod_avals(p).real))
+        super().__init__(name, params, (0.0, math.pi), shape, label_params)
         self.gamma = math.log(self.q)
         self.avals = [complex(a) for a in avals]
-        self.domain = (0.0, math.pi)
-        self.nmax = DEFAULT_NMAX
-        self.label = f"{name}({label_params})" if label_params else name
         # analyticity over the open strip 0 < Re x < pi: factors of real
         # parameters vanish only on the boundary lines Re x in {0, pi}, so
         # only parameters with a genuine phase bound the strip height
         nonreal = [abs(a) for a in self.avals if abs(a) > 0 and abs(a.imag) > 1e-14]
         self.strip_halfwidth = min((-math.log(r) for r in nonreal), default=math.inf)
-        self._h0 = None
-        self.quad = QuadratureSpec(kind="interval", a=0.0, b=math.pi, tolerance=1e-12)
 
         # log V: V is the product of (1 - a_j e^{ix}) over ((1-e^{2ix})(1-q e^{2ix}))
         self.log_v = _VLogSum(self.q, self.avals)
@@ -370,16 +409,8 @@ class DqmFamily:
         self._logphi0sq = _FactorLogSum(self.q, gterms)
         self._logphi0sq_memo = OrderedDict()
 
-        b4 = complex(np.prod(self.avals)) if self.avals else 0j
-        self._b4 = b4
+        self._b4 = complex(np.prod(self.avals)) if self.avals else 0j
         self._bc = _aw_monic_coefficients(self.avals, self.q, self.nmax)
-
-        qhalf = math.sqrt(self.q)
-        self.shape = ShapeData(
-            si=lambda p, s=qhalf: _shift_avals(p, s),
-            kappa=1.0 / self.q,
-            e1=lambda p: (1.0 / self.q - 1.0) * (1.0 - _prod_avals(p).real),
-        )
 
     # -- potential side ---------------------------------------------------
     # every function below, like log_v, takes a point or an array of points
@@ -407,38 +438,22 @@ class DqmFamily:
         return value
 
     # -- wavefunction side --------------------------------------------------
-    def phi0(self):
-        return AnalyticFn(lambda x: np.exp(0.5 * self.log_phi0sq(x)),
-                          strip_halfwidth=self.strip_halfwidth, label=f"{self.label}.phi0")
-
     def _recurrence(self, k):
         """(b_k, c_k) of the monic recurrence P_{k+1} = (y - b_k) P_k - c_k P_{k-1}."""
         return self._bc[0][k], self._bc[1][k]
 
-    def phi(self, n):
+    def _phi(self, n):
         """phi_n = phi_0 P_n(cos x), or the stacked function of a range of n:
         the closed form of the difference chain's level 0."""
-        ns = row_range(n)
-        if ns[0] < 0 or ns[-1] > self.nmax:
-            raise DomainError(f"n={n} outside tabulated range 0..{self.nmax}")
         return dqm_mod.level0(self).closed_form(n)
 
     def eta(self):
         return AnalyticFn(np.cos, label="cos",
                           jet_fn=lambda x, order: Jet.variable(x, order).cos())
 
-    def energy(self, n):
-        if n < 0:
-            raise DomainError("energy level must be >= 0")
-        val = (self.q ** (-n) - 1.0) * (1.0 - self._b4 * self.q ** (n - 1))
-        return float(val.real)
-
-    def hnorm(self, n):
-        return _hnorm(self, n)
-
-    def interior(self, fraction=0.9):
-        half = 0.5 * math.pi
-        return half - fraction * half, half + fraction * half
+    def _energy(self, n, params):
+        """E_n = (q^-n - 1)(1 - a1 a2 a3 a4 q^(n-1)), real for a conjugation-closed set."""
+        return ((self.q ** (-n) - 1.0) * (1.0 - self._b4 * self.q ** (n - 1))).real
 
     def virtual_prefactor(self):
         return AnalyticFn(np.sin, label="sin",
@@ -448,9 +463,27 @@ class DqmFamily:
         """Same family at the shape-invariance-shifted parameters."""
         return make_family(self.name, **self.shape.si(self.params))
 
-    def descriptor(self):
-        return {"name": self.name, "params": _plain_params(self.params),
-                "gamma": self.gamma, "domain": list(self.domain), "nmax": self.nmax}
+    def validate(self):
+        """The ground state is a zero mode of the lowering factor,
+        sqrtV*(x - ig/2) phi_0(x - ig/2) = sqrtV(x + ig/2) phi_0(x + ig/2), at
+        sample points of the interior, and the energies E_0..E_4 agree with a
+        least-squares eigenvalue fit to the difference equation."""
+        xs = np.linspace(0.08 * math.pi, 0.92 * math.pi, _VALIDATE_POINTS).astype(complex)
+        level = dqm_mod.level0(self)
+        phi0 = self.phi(0).fn
+        dn, up = xs - 0.5j * self.gamma, xs + 0.5j * self.gamma
+        lhs = level.sqrt_v_star(dn) * phi0(dn)
+        rhs = level.sqrt_v(up) * phi0(up)
+        bad = ~(np.abs(lhs - rhs) <= _ZERO_MODE_TOL * (1.0 + np.abs(rhs)))
+        if bad.any():
+            raise ParameterError(f"{self.label}: ground-state zero mode fails at "
+                                 f"x={xs[bad.argmax()].real:g}")
+        xs = np.linspace(0.15 * math.pi, 0.85 * math.pi, 10).astype(complex)
+        for n, e_fit in enumerate(dqm_mod.energy_fit(self, range(5), xs)):
+            if abs(e_fit - self.energy(n)) > 1e-8 * (1.0 + abs(self.energy(n))):
+                raise ParameterError(
+                    f"{self.label}: closed-form energy E_{n}={self.energy(n):.8f} disagrees "
+                    f"with difference-equation fit {e_fit:.8f}")
 
 
 class _VLogSum:
@@ -566,7 +599,7 @@ def make_family(name, validate=True, **params):
     else:
         raise ParameterError(f"unknown family {name!r}; see catalog()")
     if validate:
-        _validate_family(fam)
+        fam.validate()
     return fam
 
 
@@ -595,7 +628,7 @@ def virtual_state(fam):
         return AnalyticFn(lambda x: jet_fn(x, 0).value,
                           label=f"{fam.label}.virtual", jet_fn=jet_fn)
     shifted = fam.shifted()
-    phi0s = shifted.phi0()
+    phi0s = shifted.phi(0)
     pref = fam.virtual_prefactor()
     xs = np.linspace(0.05 * math.pi, 0.95 * math.pi, 11).astype(complex)
     small = ~(np.abs(phi0s.fn(xs)) >= 1e-13)
@@ -615,74 +648,15 @@ def _plain_params(params):
     return out
 
 
-# -- construction-time validation -------------------------------------------
-
-def _validate_family(fam):
-    if fam.kind == "oqm":
-        _validate_oqm(fam)
-    else:
-        _validate_dqm(fam)
-
-
-def _validate_oqm(fam):
-    """The ground state e^W is positive at sample points of the interior;
-    then the energy oracle."""
-    lo, hi = fam.interior()
-    xs = np.linspace(lo, hi, _VALIDATE_POINTS).astype(complex)
-    bad = ~(fam.phi(0)(xs).real > 0)
-    if bad.any():
-        raise ParameterError(f"{fam.label}: ground state not positive at "
-                             f"x={xs[bad.argmax()].real:g}")
-    _oqm_energy_oracle(fam)
-
-
-def _oqm_energy_oracle(fam, k=3):
-    from .verify import grid_eigensolve  # deferred: verify imports families
-
-    u = fam.potential()
-    lo, hi = _oracle_box(fam)
-    levels = grid_eigensolve(lambda x: u(x).real, (lo, hi), 1400, k)
-    for n in range(k):
-        if abs(levels[n] - fam.energy(n)) > _ENERGY_ORACLE_TOL * (1 + abs(fam.energy(n))):
-            raise ParameterError(
-                f"{fam.label}: closed-form energy E_{n}={fam.energy(n)} disagrees with "
-                f"grid oracle {levels[n]:.6f}")
-
-
 def _oracle_box(fam):
+    """The grid oracle's interval: a finite domain less 1e-9 at each end; on
+    an infinite one, out to the first hi = 1.25^k past the well of U, where U
+    is at least 40 (1 + E_4) and does not fall from hi to the next hi."""
     a, b = fam.domain
-    if math.isinf(a) or math.isinf(b):
-        hi = 1.0
-        while math.isinf(b) and fam.potential()(complex(hi)).real < 40 * (1 + fam.energy(4)):
-            hi *= 1.25
-        if math.isinf(a):
-            return (-hi, hi) if math.isinf(b) else (a, hi)
-        return (max(a, 1e-4), hi)
-    return (a + 1e-9, b - 1e-9)
-
-
-def _validate_dqm(fam):
-    """The ground state is a zero mode of the lowering factor,
-    sqrtV*(x - ig/2) phi_0(x - ig/2) = sqrtV(x + ig/2) phi_0(x + ig/2), at
-    sample points of the interior; then the energy oracle."""
-    xs = np.linspace(0.08 * math.pi, 0.92 * math.pi, _VALIDATE_POINTS).astype(complex)
-    level = dqm_mod.level0(fam)
-    phi0 = fam.phi0().fn
-    dn, up = xs - 0.5j * fam.gamma, xs + 0.5j * fam.gamma
-    lhs = level.sqrt_v_star(dn) * phi0(dn)
-    rhs = level.sqrt_v(up) * phi0(up)
-    bad = ~(np.abs(lhs - rhs) <= _ZERO_MODE_TOL * (1.0 + np.abs(rhs)))
-    if bad.any():
-        raise ParameterError(f"{fam.label}: ground-state zero mode fails at "
-                             f"x={xs[bad.argmax()].real:g}")
-    _dqm_energy_oracle(fam)
-
-
-def _dqm_energy_oracle(fam, nmax=4):
-    """Least-squares eigenvalue extraction from the difference equation."""
-    xs = np.linspace(0.15 * math.pi, 0.85 * math.pi, 10).astype(complex)
-    for n, e_fit in enumerate(dqm_mod.energy_fit(fam, range(nmax + 1), xs)):
-        if abs(e_fit - fam.energy(n)) > 1e-8 * (1.0 + abs(fam.energy(n))):
-            raise ParameterError(
-                f"{fam.label}: closed-form energy E_{n}={fam.energy(n):.8f} disagrees "
-                f"with difference-equation fit {e_fit:.8f}")
+    if not math.isinf(b):
+        return (a + 1e-9, b - 1e-9)
+    his = np.cumprod(np.r_[1.0, np.full(_BOX_STEPS - 1, 1.25)])
+    u = fam.potential()(his.astype(complex)).real
+    past = (u >= 40 * (1 + fam.energy(4))) & (np.diff(u, append=np.inf) >= 0)
+    hi = float(his[past.argmax()])
+    return (-hi, hi) if math.isinf(a) else (max(a, 1e-4), hi)

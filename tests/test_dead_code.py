@@ -1,7 +1,8 @@
-"""Every function, class and method defined in the package is referenced
-somewhere in the package besides its own definition."""
+"""Every function, class, method and module-level name defined in the
+package is referenced somewhere in the package besides its own definition."""
 
 import ast
+import collections
 import pathlib
 import re
 
@@ -18,21 +19,23 @@ ALLOWED = {
 
 
 def _definitions(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield node.name
+    names = [node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for node in tree.body:    # module-level assignments
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    for name in names:
+        if not (name.startswith("__") and name.endswith("__")):
+            yield name
 
 
 def test_every_definition_has_a_caller():
     sources = {path: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    text = "\n".join(sources.values())
-    defined = {}
-    for src in sources.values():
-        for name in _definitions(ast.parse(src)):
-            defined[name] = defined.get(name, 0) + 1
+    words = collections.Counter(re.findall(r"\w+", "\n".join(sources.values())))
+    defined = collections.Counter(
+        name for src in sources.values() for name in _definitions(ast.parse(src)))
     unused = sorted(
         name for name, count in defined.items()
-        if name not in crum.__all__ and name not in ALLOWED
-        and len(re.findall(rf"\b{re.escape(name)}\b", text)) <= count)
+        if name not in crum.__all__ and name not in ALLOWED and words[name] <= count)
     assert not unused, "defined but never referenced: " + ", ".join(unused)

@@ -1,14 +1,16 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import (AW_PARAMS, factor_log_sum_oracle, jet_ring_poly_jet, point_log_sum,
                       poly_value, qpochhammer_inf, starred)
-from crum import make_family, virtual_state
+from crum import RunConfig, make_family, run_suite, virtual_state
 from crum.analytic import inner_product, star_eval
 from crum.errors import DomainError, ParameterError
+from crum.families import _oracle_box
 from crum.quadrature import refinement_sequence
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
@@ -59,6 +61,15 @@ def test_laguerre_constraint():
         make_family("laguerre", g=0.5)
 
 
+def test_laguerre_with_a_high_wall_builds():
+    # at g = 40 the g(g-1)/x^2 wall puts U(1) above the oracle box's bound, so
+    # the box's right edge must be found past the well near x = sqrt(g)
+    fam = make_family("laguerre", g=40)
+    assert _oracle_box(fam)[1] > 2.0 * math.sqrt(40.0)
+    assert run_suite(RunConfig(family="laguerre", params={"g": 40.0}, depth=2,
+                               seed=7)).status == "pass"
+
+
 def test_jacobi_constraint():
     with pytest.raises(ParameterError, match="g > 1"):
         make_family("jacobi", g=1.0)
@@ -106,6 +117,29 @@ def test_phi_n_out_of_range(hermite):
         hermite.phi(50)
 
 
+@pytest.mark.parametrize("name", ["hermite", "laguerre", "jacobi", "q_hermite", "askey_wilson"])
+def test_shared_family_rules(name, request):
+    # the rules written once on families.Family, the same on both kinds
+    fam = request.getfixturevalue(name)
+    top = fam.nmax
+    for n in (-1, top + 1, range(top, top + 2)):
+        with pytest.raises(DomainError,
+                           match=f"^{re.escape(f'n={n} outside tabulated range 0..{top}')}$"):
+            fam.phi(n)
+    with pytest.raises(DomainError, match="energy level must be >= 0"):
+        fam.energy(-1)
+    descriptor = fam.descriptor()
+    assert list(descriptor) == ["name", "params", "gamma", "domain", "nmax"]
+    assert descriptor["gamma"] == (None if fam.kind == "oqm" else math.log(fam.q))
+    a, b = fam.domain
+    assert fam.quad.kind == ("full_line" if math.isinf(a) else
+                             "half_line" if math.isinf(b) else "interval")
+    if fam.kind == "dqm":
+        assert fam.interior() == (0.05 * math.pi, 0.95 * math.pi)
+    phi0 = fam.phi(0)
+    assert fam.hnorm(0) == inner_product(phi0, phi0, fam.quad).real
+
+
 def test_aw_potential_star_pair(askey_wilson):
     for xr in (0.6, 1.2, 2.2):
         v = dqm_mod.level0(askey_wilson).v(xr)
@@ -146,9 +180,9 @@ def test_oqm_eigen_residual(name, request):
 def test_dqm_zero_mode_residual(name, request):
     fam = request.getfixturevalue(name)
     level = dqm_mod.level0(fam)
-    low = dqm_mod.apply_A(level, fam.phi0().fn)
+    low = dqm_mod.apply_A(level, fam.phi(0).fn)
     for x in np.linspace(0.2, math.pi - 0.2, 20):
-        assert abs(low(complex(x))) <= 1e-10 * (1 + abs(fam.phi0()(complex(x))))
+        assert abs(low(complex(x))) <= 1e-10 * (1 + abs(fam.phi(0)(complex(x))))
 
 
 @pytest.mark.parametrize("name", ["q_hermite", "askey_wilson"])
@@ -337,7 +371,7 @@ def test_aw_virtual_state_shape(askey_wilson):
     assert abs(complex(shifted.params["a1"]) - 0.3 * math.sqrt(0.6)) < 1e-12
     phi_prime = virtual_state(askey_wilson)
     x = 1.1
-    expect = math.sin(x) / shifted.phi0()(complex(x))
+    expect = math.sin(x) / shifted.phi(0)(complex(x))
     assert abs(phi_prime(complex(x)) - expect) < 1e-12 * (1 + abs(expect))
 
 
