@@ -44,14 +44,20 @@ class AnalyticFn:
     (a function that takes points only serves the single-point calls);
     ``jet_fn``, when given, produces exact truncated Taylor expansions
     (built-in families wire closed-form recurrences here).  Without it,
-    derivatives fall back to Cauchy-circle numerical differentiation.
+    derivatives fall back to Cauchy-circle numerical differentiation.  A
+    function given by its jet rule alone takes its values from the order-0
+    jets, so ``fn`` may then be left out.
     """
 
-    fn: Callable[[complex | np.ndarray], complex | np.ndarray]
+    fn: Optional[Callable[[complex | np.ndarray], complex | np.ndarray]] = None
     strip_halfwidth: float = math.inf
     label: str = ""
     jet_fn: Optional[Callable[[complex, int], Jet]] = None
     rows: int = 0     # of a stacked function, whose values and jets lead with a row axis
+
+    def __post_init__(self):
+        if self.fn is None:
+            object.__setattr__(self, "fn", lambda x, rule=self.jet_fn: rule(x, 0).value)
 
     def __len__(self):    # rows of a stacked function, 1 for a plain one
         return self.rows or 1
@@ -295,19 +301,20 @@ class ChainLevel:
         if ns[-1] > self.nmax:
             raise DomainError(f"phi_{ns[-1]} not built (nmax exceeded)")
 
-    def interior(self, fraction=0.9):
-        return self.family.interior(fraction)
+    def interior(self):
+        return self.family.interior()
 
-    def step(self, seed_sign_changes):
+    def step(self):
         """Level s+1 over this one.  Refuses when no eigenfunction is left to
-        lift, and when seed_sign_changes(new level), the sign changes of its
-        seed phi^[s+1]_{s+1} on the kind's scan grid (`sign_changes`), is not
-        0: a node there makes the deformed potential singular."""
+        lift, and when its seed phi^[s+1]_{s+1} changes sign (`sign_changes`)
+        at the SCAN_POINTS points of the interior that the kind's level class
+        sets: a node there makes the deformed potential singular."""
         s_new = self.s + 1
         if self.nmax < s_new:
             raise ChainBreakError(f"no eigenfunctions left to lift to level {s_new}")
         new = type(self)(self.family, s_new, self.family.energy(s_new), self.nmax, parent=self)
-        if seed_sign_changes(new) != 0:
+        seed = new.phi(s_new)(np.linspace(*new.interior(), self.SCAN_POINTS))
+        if sign_changes(seed) != 0:
             raise ChainBreakError(
                 f"phi[{s_new}]_{s_new} changes sign on the physical region; the chain "
                 "assumption (node-free seed) is violated")

@@ -27,12 +27,8 @@ import sys
 
 from .errors import CrumError, ParameterError
 from .families import catalog
-from .structure import LimitScaling, emit_csv_rows, limit_check
+from .structure import GAMMAS, LimitScaling, emit_csv_rows, limit_check
 from .verify import RunConfig, run_suite
-
-_CSV_FIELDS = ("mode", "label", "parameter", "max_error", "fitted_slope", "flag")
-_C_VALUES = (10.0, 100.0, 1000.0)
-_GAMMAS = (1e-1, 1e-2, 1e-3)
 
 
 def _parse_param(text):
@@ -88,7 +84,7 @@ def build_parser():
     lim.add_argument("--csv", default="-", help="CSV path, '-' for stdout")
 
     scan = sub.add_parser("scan-gamma0", help="shift-to-zero determinant scan", allow_abbrev=False)
-    scan.add_argument("--gammas", type=_float_list, default=_GAMMAS)
+    scan.add_argument("--gammas", type=_float_list)
     scan.add_argument("--csv", default="-")
     scan.set_defaults(mode="gamma-to-0")
     return p
@@ -115,11 +111,11 @@ def _write_text(path, text):
 
 
 def _csv_text(rows):
+    """CSV of the rows of a limit scan (never empty), columns in their key order."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in _CSV_FIELDS})
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -168,10 +164,9 @@ def _cmd_verify(args):
 
 def _cmd_limit(args):
     if args.mode == "c-to-inf":
-        table = limit_check("c_to_inf", LimitScaling(w1=lambda x: x + 0.3j * x * x,
-                                                     c_values=args.c or _C_VALUES))
+        table = limit_check("c_to_inf", LimitScaling(c_values=args.c) if args.c else None)
     else:
-        table = limit_check("gamma_to_0", gammas=args.gammas or _GAMMAS)
+        table = limit_check("gamma_to_0", gammas=args.gammas or GAMMAS)
     _write_text(args.csv, _csv_text(emit_csv_rows(table)))
     return 0
 

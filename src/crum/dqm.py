@@ -61,7 +61,7 @@ import numpy as np
 from .analytic import (AnalyticFn, ChainLevel, Identity, casoratian, checked_ns,
                        divided_difference, downshift_roundtrip, factorization, grow_chain,
                        identity_residual, intertwine, iso_spectral, per_row, rel_residual,
-                       sign_changes, zero_mode)
+                       zero_mode)
 from .errors import BranchError, PoleError
 
 NODE_SCAN_POINTS = 301
@@ -146,6 +146,8 @@ class DqmChainLevel(ChainLevel):
     """Level s of the difference chain (analytic.ChainLevel).  Every
     evaluator is closed form (module docstring) and takes a point or an
     array of points."""
+
+    SCAN_POINTS = NODE_SCAN_POINTS
 
     def phi(self, n, x=None):
         """phi^[s]_n as an AnalyticFn, or its value at x (a point or an
@@ -260,8 +262,7 @@ def step_chain(level):
     """Level s+1 over level s.  Nothing is built, since every level is closed
     form; the new seed phi^[s+1]_{s+1} is scanned at NODE_SCAN_POINTS points
     of the physical region."""
-    return level.step(lambda new: sign_changes(
-        new.phi(new.s, np.linspace(*new.interior(), NODE_SCAN_POINTS))))
+    return level.step()
 
 
 def build_chain(family, depth, nmax=None):

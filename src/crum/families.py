@@ -149,8 +149,7 @@ class OqmFamily(Family):
     # and U^[s] = W'^[s]^2 + W'^[s]'; s = 0 is the family itself.
     def w_prime(self, s=0):
         """Pre-potential derivative W'^[s] of chain level s."""
-        return AnalyticFn(lambda x: self._w_prime_s_jet(s, x, 0).value,
-                          label=f"{self.label}.W[{s}]'",
+        return AnalyticFn(label=f"{self.label}.W[{s}]'",
                           jet_fn=lambda x, order: self._w_prime_s_jet(s, x, order))
 
     def potential(self, s=0):
@@ -159,8 +158,7 @@ class OqmFamily(Family):
             wp = self._w_prime_s_jet(s, x, order + 1)
             return (wp * wp).truncate(order) + wp.derivative()
 
-        return AnalyticFn(lambda x: jet_fn(x, 0).value, label=f"{self.label}.U[{s}]",
-                          jet_fn=jet_fn)
+        return AnalyticFn(label=f"{self.label}.U[{s}]", jet_fn=jet_fn)
 
     def _phi(self, n, s=0):
         """Eigenfunction phi^[s]_n of chain level s, with exact jets; phi_n =
@@ -174,8 +172,8 @@ class OqmFamily(Family):
                     out = out * d_eta
             return out
 
-        return AnalyticFn(lambda x: jet_fn(x, 0).value, label=f"{self.label}.phi[{s}]{n}",
-                          jet_fn=jet_fn, rows=len(n) if isinstance(n, range) else 0)
+        return AnalyticFn(label=f"{self.label}.phi[{s}]{n}", jet_fn=jet_fn,
+                          rows=len(n) if isinstance(n, range) else 0)
 
     def _w_prime_s_jet(self, s, x, order):
         """x-jet of W'^[s] = W' + s eta''/eta', with W' the derivative of W."""
@@ -206,8 +204,7 @@ class OqmFamily(Family):
         return out
 
     def eta(self):
-        return AnalyticFn(lambda x: self._eta_jet(x, 0).value, label=f"{self.label}.eta",
-                          jet_fn=self._eta_jet)
+        return AnalyticFn(label=f"{self.label}.eta", jet_fn=self._eta_jet)
 
     def validate(self):
         """The ground state e^W is positive at sample points of the interior,
@@ -292,13 +289,13 @@ def _jacobi_family(g):
 # difference families (pure imaginary shifts)
 # --------------------------------------------------------------------------
 
-def _conjugation_closed(avals, tol=1e-12):
+def _conjugation_closed(avals):
     pool = list(avals)
     for a in avals:
         target = complex(a).conjugate()
         hit = None
         for k, b in enumerate(pool):
-            if abs(b - target) <= tol * (1.0 + abs(target)):
+            if abs(b - target) <= 1e-12 * (1.0 + abs(target)):
                 hit = k
                 break
         if hit is None:
@@ -413,15 +410,13 @@ class DqmFamily(Family):
         self._bc = _aw_monic_coefficients(self.avals, self.q, self.nmax)
 
     # -- potential side ---------------------------------------------------
-    # every function below, like log_v, takes a point or an array of points
     def log_phi0sq(self, x):
-        """log phi_0^2 at x: the ground-state log-sum, on arrays through its
-        array rule (one direct-factor count per array).  The last
-        _LOGSUM_MEMO_ENTRIES array results of at most _ARRAY_BLOCK points are
-        kept, keyed by the array's dtype, shape and exact bytes, and returned
+        """log phi_0^2 at each point of the complex array x (dqm._on_points
+        sends a single point as a one-point array): the ground-state log-sum's
+        array rule, one direct-factor count per array.  The last
+        _LOGSUM_MEMO_ENTRIES results of at most _ARRAY_BLOCK points are kept,
+        keyed by the array's dtype, shape and exact bytes, and returned
         read-only: a hit is the very array the rule gave."""
-        if not isinstance(x, np.ndarray):
-            return self._logphi0sq(complex(x))
         if x.size > _ARRAY_BLOCK:
             return self._logphi0sq.at(x)
         memo = self._logphi0sq_memo
@@ -622,11 +617,8 @@ def virtual_state(fam):
     (sin x here) over the ground state at shifted parameters.
     """
     if fam.kind == "oqm":
-        def jet_fn(x, order):
-            return (-fam._w_log_jet(x, order)).exp()
-
-        return AnalyticFn(lambda x: jet_fn(x, 0).value,
-                          label=f"{fam.label}.virtual", jet_fn=jet_fn)
+        return AnalyticFn(label=f"{fam.label}.virtual",
+                          jet_fn=lambda x, order: (-fam._w_log_jet(x, order)).exp())
     shifted = fam.shifted()
     phi0s = shifted.phi(0)
     pref = fam.virtual_prefactor()

@@ -36,6 +36,8 @@ class OqmChainLevel(ChainLevel):
     """Level s of the differential chain (analytic.ChainLevel); its
     evaluators take the level index into the family's closed forms."""
 
+    SCAN_POINTS = NODE_GRID
+
     def phi(self, n):
         self.check_n(n)
         return self.family.phi(n, self.s)
@@ -66,8 +68,8 @@ def _first_order(level, f, sign, name):
         jf = f.jet(x, order + 1)
         return sign * jf.derivative() - w.jet(x, order) * jf.truncate(order)
 
-    return AnalyticFn(lambda x: jet_fn(x, 0).value, strip_halfwidth=f.strip_halfwidth,
-                      label=f"{name}[{level.s}]({f.label})", jet_fn=jet_fn, rows=f.rows)
+    return AnalyticFn(strip_halfwidth=f.strip_halfwidth, label=f"{name}[{level.s}]({f.label})",
+                      jet_fn=jet_fn, rows=f.rows)
 
 
 def hamiltonian_apply(level, f):
@@ -79,23 +81,23 @@ def hamiltonian_apply(level, f):
         jf = f.jet(x, order + 2)
         return -jf.derivative().derivative() + (u.jet(x, order) + e_s) * jf.truncate(order)
 
-    return AnalyticFn(lambda x: jet_fn(x, 0).value, strip_halfwidth=f.strip_halfwidth,
-                      label=f"H[{level.s}]({f.label})", jet_fn=jet_fn, rows=f.rows)
+    return AnalyticFn(strip_halfwidth=f.strip_halfwidth, label=f"H[{level.s}]({f.label})",
+                      jet_fn=jet_fn, rows=f.rows)
 
 
 def level0(family, nmax=None):
     return OqmChainLevel.level0(family, nmax)
 
 
-def node_count(fn, interval, npoints=NODE_GRID):
-    """Sign changes of a real function on a uniform grid (analytic.sign_changes),
+def node_count(fn, interval):
+    """Sign changes of a real function on NODE_GRID uniform points (analytic.sign_changes),
     or the list of them for each row of a stacked one, from one evaluation."""
-    return sign_changes(fn(np.linspace(interval[0], interval[1], npoints)))
+    return sign_changes(fn(np.linspace(interval[0], interval[1], NODE_GRID)))
 
 
 def step_chain(level):
     """Level s+1 over level s; refuses if its seed phi^[s+1]_{s+1} has a node."""
-    return level.step(lambda new: node_count(new.phi(new.s), new.interior()))
+    return level.step()
 
 
 def build_chain(family, depth, nmax=None):
@@ -111,9 +113,8 @@ def downshift(level, n):
     def jet_fn(x, order):
         return g.jet(x, order) / per_row(gap, x)
 
-    return AnalyticFn(lambda x: jet_fn(x, 0).value,
-                      label=f"downshift[{level.s}->{level.s-1}]phi{n}",
-                      jet_fn=jet_fn, rows=g.rows)
+    return AnalyticFn(label=f"downshift[{level.s}->{level.s-1}]phi{n}", jet_fn=jet_fn,
+                      rows=g.rows)
 
 
 def phi_via_wronskian(levels, s, n, x):

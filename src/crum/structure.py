@@ -22,6 +22,9 @@ from .errors import DomainError, ParameterError
 from .families import make_family
 from . import dqm as dqm_mod
 
+SHAPE_POINTS = 30               # points of a shape fit's global residual
+GAMMAS = (1e-1, 1e-2, 1e-3)     # the default shifts of the gamma_to_0 scan
+
 
 @dataclass
 class ShapeFit:
@@ -43,7 +46,7 @@ class LimitScaling:
     a: float = 1.0
     gamma: float = 1.0
     c_values: tuple = (10.0, 100.0, 1000.0)
-    w1: object = None          # callable x -> complex
+    w1: object = lambda x: x + 0.3j * x * x    # callable x -> complex
     tail: float = 0.0          # quadratic-coefficient of the default V form
 
     def potential(self, c):
@@ -81,15 +84,15 @@ class LimitTable:
 # shape invariance
 # ---------------------------------------------------------------------------
 
-def shape_invariance_residual(family, chain, npoints=30):
+def shape_invariance_residual(family, chain):
     """Fit (kappa, lambda') from the level-1 potential, then report the max
     pointwise mismatch of kappa x (potential at the fitted parameters).
 
     Non-convergence is a verdict (ShapeFit.converged False), not an error.
     """
     if family.kind == "dqm":
-        return _shape_fit_dqm(family, chain, npoints)
-    return _shape_fit_oqm(family, chain, npoints)
+        return _shape_fit_dqm(family, chain)
+    return _shape_fit_oqm(family, chain)
 
 
 def _anchor_points(family, count):
@@ -97,7 +100,7 @@ def _anchor_points(family, count):
     return np.linspace(lo, hi, count).astype(complex)
 
 
-def _shape_fit_dqm(family, chain, npoints):
+def _shape_fit_dqm(family, chain):
     # trial potentials are evaluated straight from the factor-log form so the
     # optimizer may pass through parameter sets that a family constructor
     # would (rightly) reject
@@ -107,8 +110,8 @@ def _shape_fit_dqm(family, chain, npoints):
     n_unknowns = 1 + 2 * len(free_keys)
     anchors = _anchor_points(family, max(2 + len(free_keys), (n_unknowns + 1) // 2 + 1))
     lo, hi = family.interior(0.9)
-    line = np.linspace(lo, hi, npoints // 2).astype(complex)
-    xs = np.concatenate([line, line[: npoints - npoints // 2] + 0.25j * abs(family.gamma)])
+    line = np.linspace(lo, hi, SHAPE_POINTS // 2).astype(complex)
+    xs = np.concatenate([line, line + 0.25j * abs(family.gamma)])
 
     def model(u, pts):
         avals = [complex(u[1 + 2 * j], u[2 + 2 * j]) for j in range(len(free_keys))]
@@ -132,7 +135,7 @@ def _shape_fit_dqm(family, chain, npoints):
     return ShapeFit(True, float(u[0]), fitted, res)
 
 
-def _shape_fit_oqm(family, chain, npoints):
+def _shape_fit_oqm(family, chain):
     """Derivative-side analog: the full level-1 potential (level constant
     included) equals U(x; p') + shift with shift = the first gap."""
     level1 = chain[1]
@@ -140,7 +143,7 @@ def _shape_fit_oqm(family, chain, npoints):
     free_keys = sorted(family.params)
     anchors = _anchor_points(family, 3 + len(free_keys))
     lo, hi = family.interior(0.9)
-    xs = np.linspace(lo, hi, npoints).astype(complex)
+    xs = np.linspace(lo, hi, SHAPE_POINTS).astype(complex)
 
     def model(u, pts):
         params = {k: u[1 + j] for j, k in enumerate(free_keys)}
@@ -185,7 +188,7 @@ def _best_fit(starts, target, model, anchors, xs):
     return best
 
 
-def _gauss_newton(u0, target, model, iters=40, tol=1e-13):
+def _gauss_newton(u0, target, model):
     u = np.array(u0, dtype=float)
     t = np.concatenate([target.real, target.imag])
 
@@ -198,7 +201,7 @@ def _gauss_newton(u0, target, model, iters=40, tol=1e-13):
     r = resid(u)
     if r is None:
         return u, False
-    for _ in range(iters):
+    for _ in range(40):
         jac = np.zeros((len(r), len(u)))
         for j in range(len(u)):
             h = 1e-7 * (1.0 + abs(u[j]))
@@ -217,7 +220,7 @@ def _gauss_newton(u0, target, model, iters=40, tol=1e-13):
         if r_new is None:
             return u, False
         r = r_new
-        if np.max(np.abs(step)) < tol * (1.0 + np.max(np.abs(u))):
+        if np.max(np.abs(step)) < 1e-13 * (1.0 + np.max(np.abs(u))):
             break
     return u, bool(np.max(np.abs(r)) < 1e-6 * (1.0 + np.max(np.abs(t))))
 
@@ -312,21 +315,20 @@ ETA_RELATIONS = {
 # limits
 # ---------------------------------------------------------------------------
 
-def limit_check(mode, config=None, x0=0.55, function_sets=None, gammas=(1e-1, 1e-2, 1e-3)):
+def limit_check(mode, config=None, function_sets=None, gammas=GAMMAS):
     """Convergence scan for one of the two limits.
 
     gamma_to_0: scaled shifted determinants against derivative determinants
-    on fixed entire functions.  c_to_inf: scaled difference-operator actions
+    on fixed entire functions at x = 0.55.  c_to_inf: scaled difference-operator actions
     against derivative-operator actions on Gaussian test functions (config is
     a LimitScaling).  Rows carry (parameter, max_error); each labelled series
     gets a fitted log-log slope and a flag ('ok', 'exact', 'inconclusive').
     Scanned values outside the domain raise ParameterError (_scan_values).
     """
     if mode == "gamma_to_0":
-        return _limit_gamma(function_sets, _scan_values("gamma", gammas), x0)
+        return _limit_gamma(function_sets, _scan_values("gamma", gammas))
     if mode == "c_to_inf":
-        if config is None:
-            config = LimitScaling(w1=lambda x: x + 0.3j * x * x)
+        config = LimitScaling() if config is None else config
         _scan_values("c", config.c_values)
         return _limit_c(config)
     raise DomainError(f"unknown limit mode {mode!r}")
@@ -345,19 +347,16 @@ def _std_fn(name):
     from .jets import Jet
 
     table = {
-        "1": (lambda x: 1.0 + 0j, lambda x, o: Jet.const(1.0, x, o)),
-        "x": (lambda x: x, lambda x, o: Jet.variable(x, o)),
-        "x^2": (lambda x: x * x, lambda x, o: (lambda j: j * j)(Jet.variable(x, o))),
-        "gauss": (lambda x: cmath.exp(-0.5 * x * x),
-                  lambda x, o: (lambda j: (-0.5 * j * j).exp())(Jet.variable(x, o))),
-        "x*gauss": (lambda x: x * cmath.exp(-0.5 * x * x),
-                    lambda x, o: (lambda j: j * (-0.5 * j * j).exp())(Jet.variable(x, o))),
+        "1": lambda x, o: Jet.const(1.0, x, o),
+        "x": lambda x, o: Jet.variable(x, o),
+        "x^2": lambda x, o: (lambda j: j * j)(Jet.variable(x, o)),
+        "gauss": lambda x, o: (lambda j: (-0.5 * j * j).exp())(Jet.variable(x, o)),
+        "x*gauss": lambda x, o: (lambda j: j * (-0.5 * j * j).exp())(Jet.variable(x, o)),
     }
-    fn, jet = table[name]
-    return AnalyticFn(fn, label=name, jet_fn=jet)
+    return AnalyticFn(label=name, jet_fn=table[name])
 
 
-def _limit_gamma(function_sets, gammas, x0):
+def _limit_gamma(function_sets, gammas):
     if function_sets is None:
         function_sets = [["x", "gauss"], ["1", "x", "gauss"], ["1", "x"],
                          ["1", "x", "x^2", "gauss"]]
@@ -366,10 +365,10 @@ def _limit_gamma(function_sets, gammas, x0):
         fs = [_std_fn(nm) for nm in names]
         n = len(fs)
         label = "{" + ",".join(names) + "}"
-        target = wronskian(fs, complex(x0))
+        target = wronskian(fs, 0.55 + 0j)
         errs = []
         for gam in gammas:
-            scaled = casoratian(fs, complex(x0), gam) * gam ** (-n * (n - 1) // 2)
+            scaled = casoratian(fs, 0.55 + 0j, gam) * gam ** (-n * (n - 1) // 2)
             err = abs(scaled - target)
             errs.append(err)
             table.rows.append(LimitRow("gamma_to_0", label, float(gam), float(err)))
@@ -421,8 +420,8 @@ def _limit_level(v, gamma):
                            sqrt_v_star=sqrt_v_star)
 
 
-def _wpp(config, x, h=1e-6):
-    return (config.w_prime(x + h) - config.w_prime(x - h)) / (2 * h)
+def _wpp(config, x):
+    return (config.w_prime(x + 1e-6) - config.w_prime(x - 1e-6)) / 2e-6
 
 
 def _fit_slope(params, errs, scale=1.0):

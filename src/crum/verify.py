@@ -182,14 +182,14 @@ def gram_matrix(fns, quad: QuadratureSpec):
     return inner_product(fns, fns, quad)
 
 
-def norm_divergence_flag(fn, quad: QuadratureSpec, levels=6):
-    """Refine the squared-norm integral; report whether it settles or grows."""
+def norm_divergence_flag(fn, quad: QuadratureSpec):
+    """Refine the squared-norm integral to level 6; report whether it settles or grows."""
 
     def integrand(x):
         v = fn(x)
         return (v.conj() * v).real
 
-    values, diverging = refinement_sequence(integrand, quad, levels=levels)
+    values, diverging = refinement_sequence(integrand, quad, levels=6)
     finite = [v for v in values if math.isfinite(abs(v))]
     return {
         "estimates": [float(abs(v)) for v in values[-3:]],
@@ -369,9 +369,9 @@ def _oracle_oqm(family, levels, config):
     block = {}
     ok = True
     tol = config.tolerance("oracle_spectrum")
+    lo, hi = _oracle_box(family)
     for s in (0, 1):
         u = levels[s].potential()
-        lo, hi = _oracle_box(family)
         grid = grid_eigensolve(lambda t: u(t).real, (lo + (0.02 if s else 0.0), hi), 2000, 3)
         shifted = [float(e + levels[s].E_s) for e in grid]
         expected = [family.energy(n) for n in range(s, s + 3)]

@@ -196,7 +196,7 @@ def test_criterion_7_shape_invariance(dqm_chains):
     thirty strip points; orbit-summed energies match to 1e-10."""
     ok = True
     for name, (fam, levels, _bt) in dqm_chains.items():
-        fit = structure.shape_invariance_residual(fam, levels, npoints=30)
+        fit = structure.shape_invariance_residual(fam, levels)
         spec_err = max(abs(structure.si_spectrum(fam, n) - fam.energy(n))
                        / (1.0 + abs(fam.energy(n))) for n in range(9))
         this = fit.converged and fit.max_residual <= 1e-7 and spec_err <= 1e-10

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import AW_PARAMS, from_poly, scalar_lu_det, scalar_wronskian, starred
 from crum import dqm, make_family, oqm
-from crum.analytic import (AnalyticFn, casoratian, divided_difference, inner_product, lu_det,
-                           star_eval, worst_residual, wronskian)
+from crum.analytic import (_ARRAY_BLOCK, AnalyticFn, casoratian, divided_difference,
+                           inner_product, lu_det, star_eval, worst_residual, wronskian)
 from crum.errors import (AccuracyError, CapabilityError, ChainBreakError, DomainError,
                          StripError)
 from crum.jets import Jet
@@ -337,6 +337,15 @@ def test_jet_of_a_long_array_goes_in_blocks():
     assert np.array_equal(f(xs), jet.value)
 
 
+def test_a_jet_rule_alone_gives_the_order0_jets_as_values(hermite):
+    # the family's potential and stacked phi are given by their jet rules alone
+    xs = np.linspace(-3.0, 3.0, 2 * _ARRAY_BLOCK + 5) + 0.1j
+    for f in (AnalyticFn(jet_fn=GAUSS.jet_fn), hermite.potential(1), hermite.phi(range(1, 4))):
+        for x in (0.3 - 0.2j, -1.7 + 0j):
+            assert np.array_equal(f(x), f.jet_fn(x, 0).value)
+        assert np.array_equal(f(xs), f.jet(xs, 0).coeffs[0])
+
+
 def test_worst_residual_fails_closed():
     assert worst_residual([]) == 0.0
     assert worst_residual(iter([1e-12, 3e-12, 2e-12])) == 3e-12
@@ -504,7 +513,7 @@ def test_step_drops_exact_zeros_of_the_seed_on_its_scan_grid(monkeypatch, chain,
     # the sign changes (refused, as any node is), or it only touches 0 (kept)
     fam = make_family(name, **params)
     level = chain.level0(fam)
-    npoints = oqm.NODE_GRID if chain is oqm else dqm.NODE_SCAN_POINTS
+    npoints = type(level).SCAN_POINTS
     mid = np.linspace(*level.interior(), npoints)[npoints // 2]
     seed = AnalyticFn((lambda x: x - mid) if crosses else (lambda x: np.abs(x - mid)))
     monkeypatch.setattr(type(level), "phi", lambda self, n, *x: seed.fn(*x) if x else seed)

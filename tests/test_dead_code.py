@@ -39,3 +39,44 @@ def test_every_definition_has_a_caller():
         name for name, count in defined.items()
         if name not in crum.__all__ and name not in ALLOWED and words[name] <= count)
     assert not unused, "defined but never referenced: " + ", ".join(unused)
+
+
+def _private_defaulted(tree):
+    """(name, defaulted parameters, positional parameters in the order a call
+    fills them) of each private function of a module that has defaults; a
+    method's call fills them from the parameter after self."""
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_") \
+                or node.name.endswith("__"):
+            continue
+        a = node.args
+        positional = [p.arg for p in a.posonlyargs + a.args]
+        defaulted = positional[len(positional) - len(a.defaults):] + [
+            p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        if defaulted:
+            yield node.name, defaulted, positional[1:] if id(node) in methods else positional
+
+
+def test_every_defaulted_parameter_of_a_private_function_is_set_by_a_caller():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    calls = collections.defaultdict(list)   # callee name -> its calls
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls[getattr(node.func, "attr", getattr(node.func, "id", None))].append(node)
+    unset = []
+    for tree in trees:
+        for name, defaulted, positional in _private_defaulted(tree):
+            passed = set()
+            for call in calls[name]:
+                if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                        kw.arg is None for kw in call.keywords):
+                    passed.update(defaulted)    # *args or **kwargs may set any of them
+                    continue
+                passed.update(positional[:len(call.args)])
+                passed.update(kw.arg for kw in call.keywords)
+            unset += [f"{name}({p})" for p in defaulted if p not in passed]
+    assert not unset, "defaulted parameters that no call in the package sets: " + ", ".join(unset)

@@ -4,15 +4,19 @@ The sweep is the 30 reports of hermite, laguerre g=3, jacobi g=2, q_hermite
 q=0.5 and Askey-Wilson a=(0.3, -0.2, 0.1+0.2i, 0.1-0.2i), q=0.6 (the
 benchmark's parameters) at depths 1-3, seeds 7 and 2021, nmax 5 and the
 default samples: each `VerificationReport.to_dict()` without `wall_time_s`,
-which is the only field that is not deterministic per seed.
+which is the only field that is not deterministic per seed.  With them come
+the CSV rows (`structure.emit_csv_rows`) of the two default limit scans,
+`structure.limit_check("c_to_inf")` and `limit_check("gamma_to_0")`, whose
+`flag` counts as a verdict.
 
     python3 tools/report_sweep.py OTHER_CHECKOUT
 
-runs the sweep on this checkout's `src/` and on OTHER_CHECKOUT's, each in a
-fresh interpreter, then prints every status or verdict that changed (a
-change of a report's layout counts as one), every number that moved with
-its old and new value, and the largest absolute move.  It exits 1 when a
-status or verdict changed, and 0 otherwise, moved numbers or not.
+runs the sweep and the scans on this checkout's `src/` and on
+OTHER_CHECKOUT's, each in a fresh interpreter, then prints every status or
+verdict that changed (a change of a report's layout counts as one), every
+number that moved with its old and new value, and the largest absolute
+move.  It exits 1 when a status or verdict changed, and 0 otherwise, moved
+numbers or not.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ SEEDS = (7, 2021)
 NMAX = 5
 # report keys whose values are verdicts, not measurements
 VERDICT_KEYS = {"status", "pass", "spectrum_pass", "converged", "diverging",
-                "norm_divergence_flag", "parent_ground_absent", "skipped"}
+                "norm_divergence_flag", "parent_ground_absent", "skipped", "flag"}
+SCANS = ("c_to_inf", "gamma_to_0")
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -53,8 +58,16 @@ def sweep():
     return out
 
 
+def scans():
+    """{mode: CSV rows} of the default limit scans, from the crum on sys.path."""
+    from crum.structure import emit_csv_rows, limit_check
+
+    return {mode: emit_csv_rows(limit_check(mode)) for mode in SCANS}
+
+
 def run_sweep(checkout):
-    """The sweep of the checkout's src/, run in a fresh interpreter."""
+    """{"reports": the sweep, "scans": the limit scans} of the checkout's
+    src/, run in a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "CRUM_SEED"}
     env["PYTHONPATH"] = str(pathlib.Path(checkout).resolve() / "src")
     done = subprocess.run([sys.executable, __file__, "--emit"], capture_output=True,
@@ -93,7 +106,7 @@ def diff(old, new, path=""):
 
 def main(argv):
     if argv == ["--emit"]:
-        json.dump(sweep(), sys.stdout)
+        json.dump({"reports": sweep(), "scans": scans()}, sys.stdout)
         return 0
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -105,7 +118,8 @@ def main(argv):
     for where, a, b, move in moves:
         print(f"moved {where}: {a!r} -> {b!r} (|move| {move:.3g})")
     largest = max(moves, key=lambda row: row[3], default=None)
-    print(f"{len(new)} reports: {len(changes)} changed statuses or verdicts, "
+    print(f"{len(new['reports'])} reports and {len(new['scans'])} limit scans: "
+          f"{len(changes)} changed statuses or verdicts, "
           f"{len(moves)} moved numbers"
           + (f", largest |move| {largest[3]:.3g} at {largest[0]}" if largest else ""))
     return 1 if changes else 0
