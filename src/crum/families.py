@@ -208,8 +208,8 @@ class OqmFamily(Family):
 
     def validate(self):
         """The ground state e^W is positive at sample points of the interior,
-        and the first three closed-form energies agree with a finite-difference
-        eigensolve of U on the oracle box."""
+        and the first three closed-form energies agree with the spectral-element
+        eigensolve of U on the oracle box (`verify.grid_eigensolve`)."""
         from .verify import grid_eigensolve  # deferred: verify imports families
 
         xs = np.linspace(*self.interior(), _VALIDATE_POINTS).astype(complex)
@@ -218,7 +218,7 @@ class OqmFamily(Family):
             raise ParameterError(f"{self.label}: ground state not positive at "
                                  f"x={xs[bad.argmax()].real:g}")
         u = self.potential()
-        levels = grid_eigensolve(lambda x: u(x).real, _oracle_box(self), 1400, 3)
+        levels = grid_eigensolve(lambda x: u(x).real, _oracle_box(self), 3)
         for n, level in enumerate(levels):
             if abs(level - self.energy(n)) > _ENERGY_ORACLE_TOL * (1 + abs(self.energy(n))):
                 raise ParameterError(
@@ -641,9 +641,10 @@ def _plain_params(params):
 
 
 def _oracle_box(fam):
-    """The grid oracle's interval: a finite domain less 1e-9 at each end; on
-    an infinite one, out to the first hi = 1.25^k past the well of U, where U
-    is at least 40 (1 + E_4) and does not fall from hi to the next hi."""
+    """The grid oracle's interval: 1e-9 inside each finite end of the domain
+    (a wall); toward an infinite end, out to the first hi = 1.25^k past the
+    well of U, where U is at least 40 (1 + E_4) and does not fall from hi to
+    the next hi."""
     a, b = fam.domain
     if not math.isinf(b):
         return (a + 1e-9, b - 1e-9)
@@ -651,4 +652,4 @@ def _oracle_box(fam):
     u = fam.potential()(his.astype(complex)).real
     past = (u >= 40 * (1 + fam.energy(4))) & (np.diff(u, append=np.inf) >= 0)
     hi = float(his[past.argmax()])
-    return (-hi, hi) if math.isinf(a) else (max(a, 1e-4), hi)
+    return (-hi, hi) if math.isinf(a) else (a + 1e-9, hi)

@@ -9,6 +9,7 @@ reports (wall time aside).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -17,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
 from .analytic import casoratian, inner_product, values_at, worst_residual, wronskian
 from .errors import AccuracyError, CrumError, ParameterError, StripError
@@ -29,6 +30,13 @@ from . import structure as structure_mod
 
 GOLDEN = 0.6180339887498949
 _MASK64 = (1 << 64) - 1
+
+# the spectral-element grid oracle (`grid_eigensolve`)
+_GLL_ORDER = 16       # polynomial order of each element, and bandwidth of the matrix
+_ELEMENTS = 10        # equal elements across the oracle box
+_LAYER_RATIO = 0.15   # width ratio of successive geometric layers toward a wall
+_MAX_LAYERS = 4
+_WALL_U = 1e4         # an end where U exceeds this is a wall; no layer goes where it would
 
 DEFAULT_TOLERANCES = {
     "zero_mode": 1e-9,
@@ -148,31 +156,90 @@ class VerificationReport:
 # oracles
 # ---------------------------------------------------------------------------
 
-def grid_eigensolve(u_fn, domain, n_points, k):
-    """Lowest k eigenvalues of -d^2/dx^2 + U with Dirichlet walls.
+def grid_eigensolve(u_fn, domain, k):
+    """Lowest k eigenvalues of -d^2/dx^2 + U with Dirichlet walls at the ends
+    of domain, by spectral elements.
 
-    Three-point finite differences on n_points interior nodes, Richardson
-    extrapolated against the doubled grid (the h^2 error term cancels).
-    u_fn maps the array of grid points to the real values of U there, one
-    call per grid; a non-finite value raises AccuracyError.
+    Gauss-Lobatto-Legendre (GLL) elements of order _GLL_ORDER with the lumped
+    (diagonal) GLL mass make the operator a symmetric banded matrix of
+    bandwidth _GLL_ORDER, whose lowest k eigenvalues come from LAPACK's banded
+    solver.  _ELEMENTS equal elements span the domain (`_element_edges` adds
+    geometric layers toward a singular wall).  u_fn maps an array of points to
+    the real values of U there.  It is called twice: at the ends and the
+    candidate layers, then at the interior nodes (at most 287 points); a
+    non-finite value at a node raises AccuracyError.
     """
-    if n_points < 200:
-        raise ValueError("grid too coarse for the oracle (need n_points >= 200)")
+    lo, hi = domain
+    if not lo < hi:
+        raise ValueError(f"empty oracle box ({lo:g}, {hi:g})")
+    p = _GLL_ORDER
+    ref, weights, stiff = _gll()
+    edges = _element_edges(u_fn, lo, hi)
+    widths = np.diff(edges)
+    n = p * widths.size + 1
+    node = p * np.arange(widths.size)[:, None] + np.arange(p + 1)   # (element, local) -> global
+    mass = np.bincount(node.ravel(), (0.5 * widths[:, None] * weights).ravel(), n)
+    # the lower band of M^-1/2 K M^-1/2: entry (row, col) at band[row - col, col]
+    lower = np.tril_indices(p + 1)
+    row, col = node[:, lower[0]], node[:, lower[1]]
+    entries = (2.0 / widths[:, None]) * stiff[lower] / np.sqrt(mass[row] * mass[col])
+    band = np.bincount(((row - col) * n + col).ravel(), entries.ravel(), (p + 1) * n).reshape(p + 1, n)
+    # the nodes less the two ends, where the Dirichlet walls hold psi at 0
+    inner = (edges[:-1, None] + 0.5 * widths[:, None] * (ref + 1.0))[:, :-1].ravel()[1:]
+    u = np.asarray(u_fn(inner), dtype=float)
+    bad = ~np.isfinite(u)
+    if bad.any():
+        raise AccuracyError(f"potential not finite at grid point x={inner[np.argmax(bad)]:g}")
+    band[0, 1:-1] += u
+    # the ends' columns drop out; LAPACK reads no band entry past the last row
+    return eig_banded(band[:, 1:-1], lower=True, eigvals_only=True, select="i",
+                      select_range=(0, k - 1))
 
-    def eigs(npts):
-        x = np.linspace(domain[0], domain[1], npts + 2)[1:-1]
-        h = x[1] - x[0]
-        u = np.asarray(u_fn(x), dtype=float)
-        bad = ~np.isfinite(u)
-        if bad.any():
-            raise AccuracyError(f"potential not finite at grid point x={x[np.argmax(bad)]:g}")
-        diag = 2.0 / h**2 + u
-        off = -np.ones(npts - 1) / h**2
-        return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
 
-    coarse = eigs(n_points)
-    fine = eigs(2 * n_points)
-    return (4.0 * fine - coarse) / 3.0
+def _element_edges(u_fn, lo, hi):
+    """_ELEMENTS equal elements on (lo, hi), with the element at a wall split
+    into geometric layers.
+
+    An end where U exceeds _WALL_U is a wall: there U ~ g(g-1)/x^2 and the
+    eigenfunctions ~ x^g are not smooth, which layers of width ratio
+    _LAYER_RATIO resolve.  Layers are added, up to _MAX_LAYERS, only while U at
+    the new layer stays below _WALL_U, which bounds U on the nodes and with it
+    the rounding of the eigensolve.  An end where U is moderate (a box cut off
+    an infinite domain) gets no layers.
+    """
+    edges = np.linspace(lo, hi, _ELEMENTS + 1)
+    offsets = (edges[1] - lo) * _LAYER_RATIO ** np.arange(_MAX_LAYERS + 1)
+    offsets[0] = 0.0
+    probes = np.r_[lo + offsets, hi - offsets]
+    u = np.asarray(u_fn(probes), dtype=float).reshape(2, -1)
+    for side, (end, sign) in enumerate(((lo, 1.0), (hi, -1.0))):
+        if not u[side, 0] <= _WALL_U:
+            layers = int(np.cumprod(u[side, 1:] <= _WALL_U).sum())
+            edges = np.r_[edges, end + sign * offsets[1:layers + 1]]
+    return np.sort(edges)
+
+
+@functools.cache
+def _gll():
+    """Nodes, weights and stiffness matrix of the GLL element of order
+    p = _GLL_ORDER on [-1, 1], read-only.  The inner nodes are the zeros of
+    P_p', the eigenvalues of the Jacobi(1, 1) matrix (Golub-Welsch); the
+    stiffness D^T W D is exact, since GLL quadrature is exact to degree 2p - 1."""
+    p = _GLL_ORDER
+    m = np.arange(1, p - 1)
+    inner = eigvalsh_tridiagonal(np.zeros(p - 1), np.sqrt(m * (m + 2) / ((2 * m + 1) * (2 * m + 3))))
+    x = np.r_[-1.0, inner, 1.0]
+    prev, leg = np.ones_like(x), x
+    for m in range(1, p):
+        prev, leg = leg, ((2 * m + 1) * x * leg - m * prev) / (m + 1)
+    weights = 2.0 / (p * (p + 1) * leg**2)
+    d = leg[:, None] / leg / (x[:, None] - x + np.eye(p + 1))
+    np.fill_diagonal(d, 0.0)
+    d[0, 0], d[p, p] = -p * (p + 1) / 4.0, p * (p + 1) / 4.0
+    tables = (x, weights, d.T @ (weights[:, None] * d))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def gram_matrix(fns, quad: QuadratureSpec):
@@ -369,10 +436,10 @@ def _oracle_oqm(family, levels, config):
     block = {}
     ok = True
     tol = config.tolerance("oracle_spectrum")
-    lo, hi = _oracle_box(family)
+    box = _oracle_box(family)
     for s in (0, 1):
         u = levels[s].potential()
-        grid = grid_eigensolve(lambda t: u(t).real, (lo + (0.02 if s else 0.0), hi), 2000, 3)
+        grid = grid_eigensolve(lambda t: u(t).real, box, 3)
         shifted = [float(e + levels[s].E_s) for e in grid]
         expected = [family.energy(n) for n in range(s, s + 3)]
         errs = [abs(a - b) / (1.0 + abs(b)) for a, b in zip(shifted, expected)]

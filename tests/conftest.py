@@ -427,14 +427,17 @@ def scalar_gram(fns, quad):
     return g
 
 
-def scalar_grid_eigensolve(u_fn, domain, n_points, k):
-    """The grid oracle with U evaluated point by point (u_fn takes a float),
-    as `verify.grid_eigensolve` did before it took array functions."""
+def fd_grid_eigensolve(u_fn, domain, n_points, k):
+    """Lowest k eigenvalues of -d^2/dx^2 + U with Dirichlet walls, by
+    three-point finite differences on n_points interior nodes, Richardson
+    extrapolated against the doubled grid (the h^2 error term cancels): the
+    route `verify.grid_eigensolve` replaced, kept as its oracle.  u_fn maps
+    the array of grid points to the real values of U there."""
 
     def eigs(npts):
         x = np.linspace(domain[0], domain[1], npts + 2)[1:-1]
         h = x[1] - x[0]
-        diag = 2.0 / h**2 + np.asarray([u_fn(float(t)) for t in x])
+        diag = 2.0 / h**2 + np.asarray(u_fn(x), dtype=float)
         off = -np.ones(npts - 1) / h**2
         return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
 

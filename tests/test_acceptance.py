@@ -18,6 +18,7 @@ import pytest
 
 from crum import make_family, virtual_state
 from crum import dqm, oqm, structure
+from crum.families import _oracle_box
 from crum.quadrature import refinement_sequence
 from crum.verify import grid_eigensolve, gram_matrix
 
@@ -92,8 +93,7 @@ def test_criterion_2_isospectral_oracle(oqm_chains):
     ok = True
     for name, (fam, levels, _bt) in oqm_chains.items():
         u1 = levels[1].potential()
-        lo, hi = _oracle_interval(fam)
-        grid = grid_eigensolve(lambda t: u1(t).real, (lo, hi), 2000, 3)
+        grid = grid_eigensolve(lambda t: u1(t).real, _oracle_box(fam), 3)
         shifted = grid + levels[1].E_s
         expected = np.array([fam.energy(n) for n in (1, 2, 3)])
         err = float(np.max(np.abs(shifted - expected) / (1.0 + np.abs(expected))))
@@ -108,12 +108,6 @@ def test_criterion_2_isospectral_oracle(oqm_chains):
     note(2, elapsed < 20.0, f"runtime {elapsed:.1f}s")
     assert elapsed < 20.0
     assert ok
-
-
-def _oracle_interval(fam):
-    from crum.families import _oracle_box
-    lo, hi = _oracle_box(fam)
-    return (lo + 0.02 if lo == 0 or math.isfinite(lo) and abs(lo) < 1 else lo, hi)
 
 
 def test_criterion_3_node_counting(oqm_chains):
