@@ -3,12 +3,12 @@ jets, Wronskian and Casoratian determinants, inner products; stacked
 functions, whose values and jets lead with one row per n of a range
 (`AnalyticFn.rows`, `row_range`); the identity engine both chain kinds share:
 an `Identity` table per kind, read by `identity_residual` and reduced
-fail-closed by `worst_residual`, `values_at`, which evaluates a function on a
-whole sample array, and the five operator identities both tables hold; and
-the chain scaffold: `ChainLevel`, the level record both kinds subclass, with
-its n-range, level-0, step and downshift guards, `sign_changes`, the one rule
-by which a step refuses a seed, `divided_difference`, the one three-term
-recurrence of the polynomials P_n, and `grow_chain`, up to DEPTH_CAP.
+fail-closed by `worst_residual`, the five operator identities both tables
+hold and `downshift`; and the chain scaffold: `ChainLevel`, the level record
+both kinds subclass, with its n-range, level-0, step and downshift guards,
+`sign_changes`, the one rule by which a step refuses a seed,
+`divided_difference`, the one three-term recurrence of the polynomials P_n,
+and `grow_chain`, up to DEPTH_CAP.
 
 Everything here is immutable after construction and safe to evaluate
 concurrently; evaluation is pure.
@@ -63,13 +63,13 @@ class AnalyticFn:
         return self.rows or 1
 
     def check_strip(self, x):
-        """x as complex (a complex array for an array), after checking that
-        every point lies in the strip."""
+        """x as complex (a complex array for an array or a list of points),
+        after checking that every point lies in the strip."""
         xs = np.array(x, dtype=complex)
         outside = np.abs(xs.imag) > self.strip_halfwidth * (1 + 1e-12) + 1e-15
         if outside.any():
             raise StripError(complex(xs.flat[np.argmax(outside)]), self.strip_halfwidth, self.label)
-        return xs if isinstance(x, np.ndarray) else complex(x)
+        return complex(x) if np.isscalar(x) else xs
 
     def __call__(self, x):
         """Value at x, or the array of values at an array of points (a
@@ -173,17 +173,6 @@ def worst_residual(residuals):
         if r.size:
             worst = max(worst, float(r.max()))
     return worst
-
-
-def values_at(f, xs):
-    """Values of f at the sample array xs, as every identity evaluates a
-    function: one call on the whole array (an AnalyticFn checks it against
-    the strip first), a constant filled out to the shape of xs (_filled).
-
-    An exception propagates, so a chain error there is a skip and a
-    StripError moves on to the next sample set.
-    """
-    return _filled(np.asarray(f(xs), dtype=complex), xs.shape)
 
 
 def _filled(value, shape):
@@ -346,10 +335,11 @@ def grow_chain(level, step, depth):
 # ---------------------------------------------------------------------------
 # the operator identities of both chain kinds
 #
-# Written against the contract oqm and dqm share: apply_A, apply_Adag,
-# hamiltonian_apply and downshift of the chain module `chain`, looked up when
-# called, and a level's phi(n), parent, E_s and family.energy.  Each table
-# binds them to its module with functools.partial.  The states they check
+# Written against the contract oqm and dqm share: apply_A, apply_Adag and
+# hamiltonian_apply of the chain module `chain`, looked up when called, and a
+# level's phi(n), each an AnalyticFn, called on the whole sample array through
+# its strip check, and the level's parent, E_s and family.energy.  Each module
+# binds them and `downshift` with functools.partial.  The states they check
 # are the rows of one stacked function, phi(checked_ns(level)).
 # ---------------------------------------------------------------------------
 
@@ -366,8 +356,8 @@ def zero_mode(chain, levels, samples):
     level = levels[-1]
     parent = level.parent
     seed = level.phi(0) if parent is None else chain.apply_A(parent, parent.phi(level.s))
-    scale = 1.0 + np.abs(values_at(seed, samples))
-    yield np.abs(values_at(chain.apply_A(level, seed), samples)) / scale
+    scale = 1.0 + np.abs(seed(samples))
+    yield np.abs(chain.apply_A(level, seed)(samples)) / scale
 
 
 def iso_spectral(chain, levels, samples):
@@ -376,8 +366,8 @@ def iso_spectral(chain, levels, samples):
     ns = checked_ns(level)
     f = level.phi(ns)
     e_n = per_row([level.family.energy(n) for n in ns], samples)
-    lhs = values_at(chain.hamiltonian_apply(level, f), samples)
-    f_x = values_at(f, samples)
+    lhs = chain.hamiltonian_apply(level, f)(samples)
+    f_x = f(samples)
     yield np.abs(lhs - e_n * f_x) / ((1.0 + np.abs(e_n)) * (1.0 + np.abs(f_x)))
 
 
@@ -386,8 +376,8 @@ def intertwine(chain, levels, samples):
     level = levels[-1]
     parent = level.parent
     f = parent.phi(checked_ns(level))
-    lhs = values_at(chain.apply_A(parent, chain.hamiltonian_apply(parent, f)), samples)
-    rhs = values_at(chain.hamiltonian_apply(level, chain.apply_A(parent, f)), samples)
+    lhs = chain.apply_A(parent, chain.hamiltonian_apply(parent, f))(samples)
+    rhs = chain.hamiltonian_apply(level, chain.apply_A(parent, f))(samples)
     yield rel_residual(lhs, rhs)
 
 
@@ -396,17 +386,31 @@ def factorization(chain, levels, samples):
     level = levels[-1]
     parent = level.parent
     f = level.phi(checked_ns(level))
-    lifted = values_at(chain.apply_A(parent, chain.apply_Adag(parent, f)), samples)
-    lhs = lifted + parent.E_s * values_at(f, samples)
-    yield rel_residual(lhs, values_at(chain.hamiltonian_apply(level, f), samples))
+    lhs = chain.apply_A(parent, chain.apply_Adag(parent, f))(samples) + parent.E_s * f(samples)
+    yield rel_residual(lhs, chain.hamiltonian_apply(level, f)(samples))
 
 
 def downshift_roundtrip(chain, levels, samples):
     """A^[s-1]dag phi^[s]_n / (E_n - E_{s-1}) gives back the parent's phi_n."""
     level = levels[-1]
     ns = checked_ns(level)
-    rebuilt = values_at(chain.downshift(level, ns), samples)
-    yield rel_residual(rebuilt, values_at(level.parent.phi(ns), samples))
+    yield rel_residual(downshift(chain, level, ns)(samples), level.parent.phi(ns)(samples))
+
+
+def downshift(chain, level, n):
+    """The parent's phi_n rebuilt from this level's, A^[s-1]dag phi^[s]_n /
+    (E_n - E_{s-1}), with jets when the raised function has them; for a
+    range of n, the stacked function of them, each row divided by its own gap."""
+    gap = level.downshift_gap(n)
+    raised = chain.apply_Adag(level.parent, level.phi(n))
+
+    def jet_fn(x, order):
+        return raised.jet(x, order) / per_row(gap, x)
+
+    return AnalyticFn(lambda x: raised(x) / per_row(gap, x),
+                      strip_halfwidth=raised.strip_halfwidth,
+                      label=f"downshift[{level.s}->{level.s - 1}]phi{n}",
+                      jet_fn=jet_fn if raised.jet_fn else None, rows=raised.rows)
 
 
 def lu_det(matrix):
@@ -465,8 +469,8 @@ def wronskian(fs, x, info=False, last=None):
 
 def casoratian(fs, x, gamma, info=False, last=None):
     """Shifted-argument determinant i^{n(n-1)/2} det f_k(x + i(n+1-2j) gamma/2),
-    one per point of an array x; each function is evaluated as `values_at`
-    evaluates it, one call per row, and makes its columns as in `wronskian`.
+    one per point of an array x; each function is called once per row, on
+    that row's shifted points, and makes its columns as in `wronskian`.
 
     Degenerates to 1 for an empty list and to f(x) for a single function;
     raises StripError naming the first shifted point that leaves a strip.
@@ -474,7 +478,7 @@ def casoratian(fs, x, gamma, info=False, last=None):
     cols = fs + ([] if last is None else [last])
     n = sum(len(f) for f in fs) + (last is not None)
     x = np.asarray(x, dtype=complex)
-    rows = [[values_at(f, x + 0.5j * (n + 1 - 2 * j) * gamma) for f in cols]
+    rows = [[f(x + 0.5j * (n + 1 - 2 * j) * gamma) for f in cols]
             for j in range(1, n + 1)]
     det, growth = _det(rows, cols, x.shape, last, True)
     det = det * 1j ** ((n * (n - 1) // 2) % 4)

@@ -39,11 +39,12 @@ logs, keeps nothing between calls, and takes a point or an array of points.
 The chain has the contract of the differential one (`oqm`): its levels are
 analytic.ChainLevel records, whose guards and step both kinds share;
 build_chain(family, depth, nmax) gives levels 0..depth with eigenfunctions
-up to nmax; apply_A,
-apply_Adag, hamiltonian_apply(level, f) and downshift(level, n) return
-functions; and the identities of IDENTITIES check the deepest level of a
-chain through analytic.identity_residual.  Five of them (zero_mode,
-iso_spectral, intertwine, factorization, downshift_roundtrip) are the shared
+up to nmax, and phi(n, x) is checked against the strip; apply_A, apply_Adag
+and hamiltonian_apply(level, f) return AnalyticFns on f's strip less their
+largest shift (|g|/2, |g| for H), as downshift(level, n) does; and the
+identities of IDENTITIES check the deepest level of a chain through
+analytic.identity_residual.  Five of them (zero_mode, iso_spectral,
+intertwine, factorization, downshift_roundtrip) and downshift are the shared
 ones of `analytic`, bound to this module.  Every identity that checks
 eigenstates checks those analytic.checked_ns names, except casoratian_jacobi,
 which takes n = s+1.
@@ -58,10 +59,10 @@ import sys
 
 import numpy as np
 
+from . import analytic
 from .analytic import (AnalyticFn, ChainLevel, Identity, casoratian, checked_ns,
                        divided_difference, downshift_roundtrip, factorization, grow_chain,
-                       identity_residual, intertwine, iso_spectral, per_row, rel_residual,
-                       zero_mode)
+                       identity_residual, intertwine, iso_spectral, rel_residual, zero_mode)
 from .errors import BranchError, PoleError
 
 NODE_SCAN_POINTS = 301
@@ -150,12 +151,12 @@ class DqmChainLevel(ChainLevel):
     SCAN_POINTS = NODE_SCAN_POINTS
 
     def phi(self, n, x=None):
-        """phi^[s]_n as an AnalyticFn, or its value at x (a point or an
-        array), unchecked against the strip; for a range of n, the stacked
-        function of them (AnalyticFn.rows)."""
+        """phi^[s]_n as an AnalyticFn, or its value at x (a point, an array
+        or a list of points), checked against the strip; for a range of n,
+        the stacked function of them (AnalyticFn.rows)."""
         self.check_n(n)
         f = self.closed_form(n)
-        return f if x is None else f.fn(x)
+        return f if x is None else f(x)
 
     def closed_form(self, n):
         """phi^[s]_n, n unchecked: the prefactor and eta rows are computed once
@@ -198,15 +199,15 @@ class DqmChainLevel(ChainLevel):
 def apply_A(level, f):
     """Lowering factor: i (sqrtV*(x-ig/2) f(x-ig/2) - sqrtV(x+ig/2) f(x+ig/2))."""
     return _first_order(level, f, 1j, level.sqrt_v_star, level.sqrt_v,
-                        0.5j * level.family.gamma)
+                        0.5j * level.family.gamma, "A")
 
 
 def apply_Adag(level, f):
     """Raising factor: -i (sqrtV(x) f(x-ig/2) - sqrtV*(x) f(x+ig/2))."""
-    return _first_order(level, f, -1j, level.sqrt_v, level.sqrt_v_star, 0.0)
+    return _first_order(level, f, -1j, level.sqrt_v, level.sqrt_v_star, 0.0, "Adag")
 
 
-def _first_order(level, f, factor, coef_dn, coef_up, at):
+def _first_order(level, f, factor, coef_dn, coef_up, at, name):
     """factor (coef_dn(x - at) f(x - ig/2) - coef_up(x + at) f(x + ig/2)): the
     lowering factor takes its coefficients at the shifted points (at = ig/2),
     the raising one at x (at = 0).  x is a point or an array of points."""
@@ -215,7 +216,15 @@ def _first_order(level, f, factor, coef_dn, coef_up, at):
     def out(x):
         return factor * (coef_dn(x - at) * f(x - half) - coef_up(x + at) * f(x + half))
 
-    return out
+    return _narrowed(out, f, abs(half), f"{name}[{level.s}]")
+
+
+def _narrowed(out, f, shift, name):
+    """out, which evaluates f up to `shift` off its argument, as an AnalyticFn
+    on f's strip less that shift, with f's rows; a plain callable f counts as
+    analytic everywhere, with no rows."""
+    return AnalyticFn(out, strip_halfwidth=getattr(f, "strip_halfwidth", math.inf) - shift,
+                      label=f"{name}({getattr(f, 'label', '')})", rows=getattr(f, "rows", 0))
 
 
 def hamiltonian_apply(level, f):
@@ -235,7 +244,7 @@ def hamiltonian_apply(level, f):
         diag = (sv ** 2 + svs ** 2) * f_x
         return term_down + term_up - diag + level.E_s * f_x
 
-    return out
+    return _narrowed(out, f, abs(g), f"H[{level.s}]")
 
 
 def energy_fit(family, ns, xs):
@@ -267,17 +276,6 @@ def step_chain(level):
 
 def build_chain(family, depth, nmax=None):
     return grow_chain(level0(family, nmax), step_chain, depth)
-
-
-def downshift(level, n):
-    """Parent eigenfunction reconstructed as Adag phi / (E_n - E_{s-1}), rows for a range of n."""
-    gap = level.downshift_gap(n)
-    raise_fn = apply_Adag(level.parent, functools.partial(level.phi, n))
-
-    def out(x):
-        return raise_fn(x) / per_row(gap, x)
-
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +409,10 @@ def _res_realness(levels, samples):
 
 
 # the suite checks these at every level from first_level up, in this order;
-# the operator identities are analytic's, bound to this module's operators
+# the operator identities and downshift are analytic's, bound to this
+# module's operators
 _CHAIN = sys.modules[__name__]
+downshift = functools.partial(analytic.downshift, _CHAIN)
 IDENTITIES = {
     "zero_mode": Identity(functools.partial(zero_mode, _CHAIN)),
     "iso_spectral": Identity(functools.partial(iso_spectral, _CHAIN)),

@@ -5,15 +5,15 @@ eigenfunctions are the Wronskian ratios W[phi_0..phi_{s-1}, phi_n] /
 W[phi_0..phi_{s-1}]; for phi_n = phi_0 P_n(eta) with P_n monic these collapse
 to phi_0 (eta')^s P_n^(s)(eta), which the family evaluates (`OqmFamily.phi`,
 `w_prime` and `potential` take the level index).  The operators A^[s], A^[s]dag
-and H^[s] act on any function with jets.
+and H^[s] act on any function with jets and return one (`AnalyticFn`).
 
 Levels and operators have the contract of the difference chains (`dqm`):
 levels are analytic.ChainLevel records, whose guards and step both kinds
 share, and the five operator identities of IDENTITIES (zero_mode, iso_spectral,
 intertwine, factorization, downshift_roundtrip) are the shared ones of
-`analytic`, bound to this module, and check the states analytic.checked_ns
-names; the others (riccati, node_count and the Wronskian formulas) are the
-differential chain's own.
+`analytic`, bound to this module as `downshift` is, and check the states
+analytic.checked_ns names; the others (riccati, node_count and the Wronskian
+formulas) are the differential chain's own.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from functools import partial
 
 import numpy as np
 
+from . import analytic
 from .analytic import (AnalyticFn, ChainLevel, Identity, downshift_roundtrip, factorization,
-                       grow_chain, identity_residual, intertwine, iso_spectral, per_row,
-                       rel_residual, sign_changes, values_at, wronskian, zero_mode)
+                       grow_chain, identity_residual, intertwine, iso_spectral, rel_residual,
+                       sign_changes, wronskian, zero_mode)
 from .errors import PoleError
 from .jets import Jet
 
@@ -104,19 +105,6 @@ def build_chain(family, depth, nmax=None):
     return grow_chain(level0(family, nmax), step_chain, depth)
 
 
-def downshift(level, n):
-    """Reconstruct the parent's phi_n from this level's: Adag/(E_n - E_{s-1});
-    for a range of n, the stacked function of them."""
-    gap = level.downshift_gap(n)
-    g = apply_Adag(level.parent, level.phi(n))
-
-    def jet_fn(x, order):
-        return g.jet(x, order) / per_row(gap, x)
-
-    return AnalyticFn(label=f"downshift[{level.s}->{level.s-1}]phi{n}", jet_fn=jet_fn,
-                      rows=g.rows)
-
-
 def phi_via_wronskian(levels, s, n, x):
     """Determinant route to phi^[s]_n at x or at each point of an array x:
     ratio of two Wronskians of level-0 eigenfunctions (one stacked column
@@ -159,8 +147,8 @@ def _res_potential_wronskian(levels, samples):
     jets = [Jet(samples, [c[k] for c in stacked.coeffs]) for k in range(s)]
     j = _jet_det([[_jet_nth(jets[k], r, 2) for k in range(s)] for r in range(s)], samples, 2)
     w, w1, w2 = j.coeffs[0], j.deriv(1), j.deriv(2)
-    lhs = values_at(level.potential(), samples) + level.E_s
-    rhs = values_at(base.family.potential(), samples) - 2.0 * (w2 * w - w1 * w1) / (w * w)
+    lhs = level.potential()(samples) + level.E_s
+    rhs = base.family.potential()(samples) - 2.0 * (w2 * w - w1 * w1) / (w * w)
     yield rel_residual(lhs, rhs)
 
 
@@ -211,17 +199,17 @@ def _res_wronskian_product(levels, samples):
     fs = [levels[0].phi(range(s))]
     prod = 1.0 + 0j
     for k in range(s):
-        prod = prod * values_at(levels[k].phi(k), samples)
+        prod = prod * levels[k].phi(k)(samples)
     yield rel_residual(wronskian(fs, samples), prod)
     yield rel_residual(wronskian(fs, samples, last=levels[0].phi(n)),
-                       prod * values_at(levels[s].phi(n), samples))
+                       prod * levels[s].phi(n)(samples))
 
 
 def _res_wronskian_ratio(levels, samples):
     s = len(levels) - 1
     ns = range(max(s, levels[s].nmax - 1), levels[s].nmax + 1)
     yield rel_residual(phi_via_wronskian(levels, s, ns, samples),
-                       values_at(levels[s].phi(ns), samples))
+                       levels[s].phi(ns)(samples))
 
 
 def _res_node_count(levels, samples):
@@ -234,8 +222,10 @@ def _res_node_count(levels, samples):
 
 
 # the suite checks these at every level from first_level up, in this order;
-# the operator identities are analytic's, bound to this module's operators
+# the operator identities and downshift are analytic's, bound to this
+# module's operators
 _CHAIN = sys.modules[__name__]
+downshift = partial(analytic.downshift, _CHAIN)
 IDENTITIES = {
     "zero_mode": Identity(partial(zero_mode, _CHAIN)),
     "iso_spectral": Identity(partial(iso_spectral, _CHAIN)),

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .analytic import (AnalyticFn, Identity, casoratian, identity_residual, rel_residual,
-                       values_at, worst_residual, wronskian)
+                       worst_residual, wronskian)
 from .errors import DomainError, ParameterError
 from .families import make_family
 from . import dqm as dqm_mod
@@ -260,8 +260,8 @@ def _affine_fit(xs, ys):
 def _res_eta_affine(levels, samples):
     """Ratio of the first two eigenfunctions of the family is affine in eta."""
     family = levels[0].family
-    ratios = values_at(family.phi(1), samples) / values_at(family.phi(0), samples)
-    etas = values_at(family.eta(), samples)
+    ratios = family.phi(1)(samples) / family.phi(0)(samples)
+    etas = family.eta()(samples)
     a, b = _affine_fit(etas, ratios)
     yield rel_residual(ratios, a + b * etas)
 
@@ -275,7 +275,7 @@ def _res_eta_level(levels, samples):
     s = len(levels) - 1
     level = levels[s]
     ratios = level.phi(s + 1, samples) / level.phi(s, samples)
-    etas = sum(values_at(eta, samples + 0.5j * (2 * k - s) * g) for k in range(s + 1))
+    etas = sum(eta(samples + 0.5j * (2 * k - s) * g) for k in range(s + 1))
     a, b = _affine_fit(etas, ratios)
     yield rel_residual(ratios, a + b * etas)
 
@@ -289,10 +289,10 @@ def _res_vs_product(levels, samples):
     s = len(levels) - 1
     lhs = levels[s].v(samples + 0.5j * s * g)
     prod = levels[0].v(samples)
-    eta_x, eta_dn = values_at(eta, samples), values_at(eta, samples - 1j * g)
+    eta_x, eta_dn = eta(samples), eta(samples - 1j * g)
     for k in range(s):
-        num = eta_dn - values_at(eta, samples + 1j * k * g)
-        den = eta_x - values_at(eta, samples + 1j * (k + 1) * g)
+        num = eta_dn - eta(samples + 1j * k * g)
+        den = eta_x - eta(samples + 1j * (k + 1) * g)
         prod = prod * (num / den)
     yield rel_residual(lhs, prod)
 
@@ -390,8 +390,8 @@ def _limit_c(config):
         errs_a, errs_h = [], []
         for c in config.c_values:
             level = _limit_level(config.potential(c), g / c)
-            low = dqm_mod.apply_A(level, f.fn)
-            h_f = dqm_mod.hamiltonian_apply(level, f.fn)
+            low = dqm_mod.apply_A(level, f)
+            h_f = dqm_mod.hamiltonian_apply(level, f)
             worst_a = worst_residual(abs((c / (math.sqrt(a) * g)) * low(x) - la)
                                      for x, la in zip(xs, lim_a))
             worst_h = worst_residual(
@@ -406,9 +406,9 @@ def _limit_c(config):
 
 
 def _limit_level(v, gamma):
-    """Stand-in for a chain level with potential v: a family of shift gamma,
-    level constant 0 and the principal square root of v, so the chain
-    operators apply."""
+    """Stand-in for a chain level with potential v: level 0 of a family of
+    shift gamma, level constant 0 and the principal square root of v, so the
+    chain operators apply."""
 
     def sqrt_v(x):
         return cmath.sqrt(v(x))
@@ -416,7 +416,7 @@ def _limit_level(v, gamma):
     def sqrt_v_star(x):
         return complex(sqrt_v(complex(x).conjugate())).conjugate()
 
-    return SimpleNamespace(family=SimpleNamespace(gamma=gamma), E_s=0.0, sqrt_v=sqrt_v,
+    return SimpleNamespace(family=SimpleNamespace(gamma=gamma), s=0, E_s=0.0, sqrt_v=sqrt_v,
                            sqrt_v_star=sqrt_v_star)
 
 

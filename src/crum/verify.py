@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
-from .analytic import casoratian, inner_product, values_at, worst_residual, wronskian
+from .analytic import casoratian, inner_product, worst_residual, wronskian
 from .errors import AccuracyError, CrumError, ParameterError, StripError
 from .families import _oracle_box, _plain_params, make_family, virtual_state
 from .quadrature import QuadratureSpec, refinement_sequence
@@ -523,7 +523,10 @@ def _virtual_block(family, levels, config, pts, chain):
     phi_prime = virtual_state(family)
     up = chain.apply_Adag(levels[0], phi_prime)
     xs = np.asarray(pts, dtype=complex)
-    res = worst_residual([np.abs(values_at(up, xs)) / (1.0 + np.abs(values_at(phi_prime, xs)))])
+    phi_x = phi_prime(xs)
+    # a pole of the virtual state at a sample scales its residual there to 0, so it fails here
+    res = worst_residual([np.abs(up(xs)) / (1.0 + np.abs(phi_x)),
+                          np.where(np.isfinite(phi_x), 0.0, np.inf)])
     flag = norm_divergence_flag(phi_prime, family.quad)
     tol = config.tolerance("virtual_zero_mode")
     ok = res <= tol

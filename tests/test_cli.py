@@ -33,6 +33,17 @@ def test_chain_writes_report(tmp_path, capsys):
     assert out == ""          # nothing but the report may reach stdout
 
 
+def test_chain_at_q_near_1_writes_a_report(tmp_path, capsys):
+    # the shifted ground state of q = 0.99 is about 1e-20 near the ends of the
+    # interval: small, not zero, so the virtual state is checked, not refused
+    out_file = tmp_path / "report.json"
+    code, _, err = run_cli(capsys, "chain", "--family", "q_hermite", "--param", "q=0.99",
+                           "--depth", "2", "--seed", "7", "--out", str(out_file))
+    assert code == 0, err
+    report = json.loads(out_file.read_text())
+    assert report["virtual_state"]["pass"] and report["status"] == "pass"
+
+
 def test_chain_stdout_only_json(capsys):
     code, out, err = run_cli(capsys, "chain", "--family", "hermite",
                              "--depth", "1", "--nmax", "3", "--out", "-")

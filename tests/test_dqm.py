@@ -59,11 +59,29 @@ def test_ladder_consistency(q_hermite):
 def test_adjointness_under_quadrature(q_hermite):
     level = dqm.level0(q_hermite)
     f, g = q_hermite.phi(1), q_hermite.phi(2)
-    af = AnalyticFn(dqm.apply_A(level, f.fn), strip_halfwidth=f.strip_halfwidth)
-    adg = AnalyticFn(dqm.apply_Adag(level, g.fn), strip_halfwidth=g.strip_halfwidth)
-    lhs = inner_product(af, g, q_hermite.quad)
-    rhs = inner_product(f, adg, q_hermite.quad)
+    lhs = inner_product(dqm.apply_A(level, f), g, q_hermite.quad)
+    rhs = inner_product(f, dqm.apply_Adag(level, g), q_hermite.quad)
     assert abs(lhs - rhs.conjugate() * 0 - rhs) < 1e-9 * (1 + abs(lhs))
+
+
+def test_operators_return_analytic_fns_on_the_narrowed_strip(askey_wilson_chain):
+    # each operator's strip is its input's less the largest shift it makes of
+    # the argument, and it keeps the input's rows
+    level, deeper = askey_wilson_chain[1:3]
+    f = level.phi(range(2, 5))    # deeper.phi(range(2, 5)) has the same strip
+    g = abs(level.family.gamma)
+    for out, shift in [(dqm.apply_A(level, f), g / 2), (dqm.apply_Adag(level, f), g / 2),
+                       (dqm.hamiltonian_apply(level, f), g),
+                       (dqm.downshift(deeper, range(2, 5)), g / 2)]:
+        assert isinstance(out, AnalyticFn)
+        assert out.strip_halfwidth == pytest.approx(f.strip_halfwidth - shift)
+        assert out.rows == 3 and out(np.array([1.0, 1.5])).shape == (3, 2)
+        outer = 1.0 + 1j * (f.strip_halfwidth - shift / 2)
+        with pytest.raises(StripError) as err:
+            out(outer)
+        assert err.value.point == outer
+    plain = dqm.apply_A(level, lambda x: np.cos(x))
+    assert plain.strip_halfwidth == math.inf and plain.rows == 0
 
 
 def test_hamiltonian_zero_on_ground_state(askey_wilson):

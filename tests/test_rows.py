@@ -17,7 +17,7 @@ import pytest
 
 from conftest import AW_PARAMS, per_n_dqm_phi, per_n_oqm_jet
 from crum import dqm, families, make_family, oqm, verify
-from crum.analytic import AnalyticFn, casoratian, values_at, wronskian
+from crum.analytic import AnalyticFn, casoratian, wronskian
 from crum.errors import DomainError, PoleError
 from crum.verify import RunConfig, run_suite, sample_points
 
@@ -101,12 +101,11 @@ def test_large_arrays_go_in_blocks_of_rows_times_points(monkeypatch, hermite, q_
 def test_values_keep_the_row_axis_and_fill_a_constant(hermite):
     xs = np.linspace(-1.0, 1.0, 6).astype(complex)
     for x in (xs, xs.reshape(2, 3)):
-        assert values_at(hermite.phi(range(1, 4)), x).shape == (3,) + x.shape
-        assert values_at(hermite.phi(range(2, 3)), x).shape == (1,) + x.shape
-        assert values_at(hermite.phi(2), x).shape == x.shape
-        for const in (AnalyticFn(lambda t: 2.0), lambda t: 2.0):
-            out = values_at(const, x)
-            assert out.shape == x.shape and np.all(out == 2.0)
+        assert hermite.phi(range(1, 4))(x).shape == (3,) + x.shape
+        assert hermite.phi(range(2, 3))(x).shape == (1,) + x.shape
+        assert hermite.phi(2)(x).shape == x.shape
+        out = AnalyticFn(lambda t: 2.0)(x)
+        assert out.shape == x.shape and np.all(out == 2.0)
     assert hermite.phi(range(1, 4))(0.3).shape == (3,)
     assert np.isscalar(hermite.phi(2)(0.3))
 

@@ -505,6 +505,56 @@ def test_pole_at_one_sample_of_a_difference_chain_is_a_skip(monkeypatch):
     assert rep.status == "incomplete"
 
 
+@pytest.mark.parametrize("seed", [7, 2021])
+def test_no_identity_evaluates_phi_off_the_strip(monkeypatch, seed):
+    # the Askey-Wilson set at q = 0.2 has a strip (1.498) narrower than |gamma|
+    # (1.609): every identity must refuse a sample set whose shifts leave it
+    params = {**AW_PARAMS, "q": 0.2}
+    fam = make_family("askey_wilson", **params)
+    config = RunConfig(family="askey_wilson", params=params, depth=2, seed=seed)
+    levels = dqm.build_chain(fam, 2, nmax=config.nmax)
+    kind = verify._KINDS["dqm"]
+    real = dqm.DqmChainLevel._phi_at
+    worst = {}
+
+    def spy(self, n, x):
+        worst[name] = max(worst.get(name, 0.0), float(np.max(np.abs(np.imag(x)))))
+        return real(self, n, x)
+
+    monkeypatch.setattr(dqm.DqmChainLevel, "_phi_at", spy)
+    for s in range(3):
+        for name, entry in dqm.IDENTITIES.items():
+            if s >= entry.first_level:
+                verify._identity(kind, name, levels[: s + 1], entry.sampled,
+                                 verify._strip_points(fam, config), config)
+    bound = fam.strip_halfwidth * (1 + 1e-12) + 1e-15    # AnalyticFn.check_strip's
+    assert worst and {name: im for name, im in worst.items() if im > bound} == {}
+
+
+def test_a_vanishing_shifted_ground_state_fails_the_virtual_block(monkeypatch):
+    # the virtual state divides by the shifted ground state: a zero of it at
+    # an axis sample is a pole there, which fails the block, not the run
+    config = RunConfig(family="q_hermite", params={"q": 0.5}, depth=1, nmax=3, samples=4,
+                       seed=7)
+    fam = make_family("q_hermite", q=0.5)
+    zero_at = verify._strip_points(fam, config)[-1][1]
+    real_shifted = type(fam).shifted
+
+    def shifted(self):
+        out = real_shifted(self)
+        phi0 = out.phi(0)
+        vanishing = AnalyticFn(lambda x: np.where(x == zero_at, 0.0, phi0.fn(x)),
+                               strip_halfwidth=phi0.strip_halfwidth)
+        monkeypatch.setattr(out, "phi", lambda n: vanishing)
+        return out
+
+    monkeypatch.setattr(type(fam), "shifted", shifted)
+    rep = run_suite(config)
+    assert rep.virtual_state["annihilation_residual"] == math.inf
+    assert rep.virtual_state["pass"] is False
+    assert rep.status == "fail"
+
+
 # lu_growth: the largest LU growth of the deepest determinant over the first
 # five axis samples, against a loop of single-point determinants
 @pytest.mark.parametrize("family,params,depth", [("hermite", {}, 3), ("q_hermite", {"q": 0.5}, 2)])

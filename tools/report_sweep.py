@@ -1,9 +1,10 @@
 """Suite reports of a fixed sweep, diffed between two checkouts.
 
-The sweep is the 30 reports of hermite, laguerre g=3, jacobi g=2, q_hermite
-q=0.5 and Askey-Wilson a=(0.3, -0.2, 0.1+0.2i, 0.1-0.2i), q=0.6 (the
-benchmark's parameters) at depths 1-3, seeds 7 and 2021, nmax 5 and the
-default samples: each `VerificationReport.to_dict()` without `wall_time_s`,
+The sweep is the 36 reports of hermite, laguerre g=3, jacobi g=2, q_hermite
+q=0.5, Askey-Wilson a=(0.3, -0.2, 0.1+0.2i, 0.1-0.2i) at q=0.6 (the
+benchmark's parameters) and the same a at q=0.2, whose strip (1.498) is
+narrower than |gamma| (1.609), so that strip refusals show in the diff, at
+depths 1-3, seeds 7 and 2021, nmax 5 and the default samples: each `VerificationReport.to_dict()` without `wall_time_s`,
 which is the only field that is not deterministic per seed.  With them come
 the CSV rows (`structure.emit_csv_rows`) of the two default limit scans,
 `structure.limit_check("c_to_inf")` and `limit_check("gamma_to_0")`, whose
@@ -28,10 +29,12 @@ import pathlib
 import subprocess
 import sys
 
-FAMILIES = (("hermite", {}), ("laguerre", {"g": 3.0}), ("jacobi", {"g": 2.0}),
-            ("q_hermite", {"q": 0.5}),
-            ("askey_wilson", {"a1": 0.3, "a2": -0.2, "a3": [0.1, 0.2], "a4": [0.1, -0.2],
-                              "q": 0.6}))
+AW = {"a1": 0.3, "a2": -0.2, "a3": [0.1, 0.2], "a4": [0.1, -0.2]}
+# (report key, family, parameters)
+FAMILIES = (("hermite", "hermite", {}), ("laguerre", "laguerre", {"g": 3.0}),
+            ("jacobi", "jacobi", {"g": 2.0}), ("q_hermite", "q_hermite", {"q": 0.5}),
+            ("askey_wilson", "askey_wilson", {**AW, "q": 0.6}),
+            ("askey_wilson_q0.2", "askey_wilson", {**AW, "q": 0.2}))
 DEPTHS = (1, 2, 3)
 SEEDS = (7, 2021)
 NMAX = 5
@@ -43,18 +46,18 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def sweep():
-    """{"family/depth/seed": report dict} of the sweep, from the crum on sys.path."""
+    """{"key/depth/seed": report dict} of the sweep, from the crum on sys.path."""
     from crum.verify import RunConfig, run_suite
 
     out = {}
-    for name, params in FAMILIES:
+    for key, name, params in FAMILIES:
         for depth in DEPTHS:
             for seed in SEEDS:
                 config = RunConfig.from_dict({"family": name, "params": params, "depth": depth,
                                               "nmax": NMAX, "seed": seed})
                 report = run_suite(config).to_dict()
                 del report["wall_time_s"]
-                out[f"{name}/d{depth}/s{seed}"] = report
+                out[f"{key}/d{depth}/s{seed}"] = report
     return out
 
 
