@@ -33,8 +33,17 @@ g = gamma = log q and L(w) = Log(1 - e^{2iw}):
     the divided difference from analytic.divided_difference on the rows
     eta_j; at s = 0 it is phi_0 P_n(cos x), the family's phi_n.
 
-A level evaluates each point with one ground-state log-sum and O(s) potential
-logs, keeps nothing between calls, and takes a point or an array of points.
+The prefactor's log telescopes over the levels:
+
+    sum_{l<s} log V^[l](x + i(s-l)g/2) = sum_{l<s} log V(x + i(s-2l)g/2)
+        - s(s-1)g/2 + sum_{k=1}^{s-1} [L(x - ikg/2) - L(x + ikg/2)].
+
+So a level evaluates an array of points on the lattice rows x + ikg/2,
+|k| <= s, with one call per function and not one per level: the ground-state
+log-sum on row s, log V on rows s, s-2, ..., 2-s, L on rows +-1 .. +-(s-1),
+the Vandermonde sines on rows 0 .. s-1 and eta on rows s, s-2, ..., -s;
+log V^[s] takes its four L rows in one call too.  A level keeps nothing
+between calls, and takes a point or an array of points.
 
 The chain has the contract of the differential one (`oqm`): its levels are
 analytic.ChainLevel records, whose guards and step both kinds share;
@@ -134,12 +143,13 @@ def _log_sin_factor(w):
 
 
 def _log_v(family, s, x):
-    """log V^[s] at each point of the array x (module docstring)."""
+    """log V^[s] at each point of the array x (module docstring), its four
+    sine factors from one call."""
     h = 0.5j * family.gamma
     out = family.log_v(x - s * h)
     if s:
-        out = (out - s * family.gamma + _log_sin_factor(x - (s + 1) * h)
-               + _log_sin_factor(x - s * h) - _log_sin_factor(x - h) - _log_sin_factor(x))
+        log_sin = _log_sin_factor(x - np.array([s + 1, s, 1, 0])[:, None] * h)
+        out = out - s * family.gamma + log_sin[0] + log_sin[1] - log_sin[2] - log_sin[3]
     return out
 
 
@@ -168,16 +178,19 @@ class DqmChainLevel(ChainLevel):
     def _phi_at(self, n, x):
         fam, s = self.family, self.s
         g = fam.gamma
-        h = 0.5j * g
-        log_pref = fam.log_phi0sq(x + s * h)
-        for lvl in range(s):
-            log_pref = log_pref + _log_v(fam, lvl, x + (s - lvl) * h)
+        rows = x + np.arange(s, -s - 1, -1)[:, None] * (0.5j * g)    # row i: x + (s-i)ig/2
+        log_pref = fam.log_phi0sq(rows[0])
         vand = 1j ** s
-        for m in range(1, s + 1):
-            vand = vand * (2j * math.sinh(0.5 * m * g)) * np.sin(x + (s - m) * h)
-        eta = np.cos(x + np.arange(s, -s - 1, -2)[:, None] * h)
+        if s:
+            log_pref = (log_pref + fam.log_v(rows[:2 * s:2]).sum(axis=0)
+                        - 0.5 * s * (s - 1) * g)
+            if s > 1:
+                log_sin = _log_sin_factor(np.concatenate((rows[1:s], rows[s + 1:2 * s])))
+                log_pref = log_pref + log_sin[s - 1:].sum(axis=0) - log_sin[:s - 1].sum(axis=0)
+            vand = (vand * math.prod(2j * math.sinh(0.5 * m * g) for m in range(1, s + 1))
+                    * np.prod(np.sin(rows[1:s + 1]), axis=0))
         return (np.exp(0.5 * log_pref) * vand
-                * divided_difference(fam._recurrence, n, eta)[0])
+                * divided_difference(fam._recurrence, n, np.cos(rows[::2]))[0])
 
     def sqrt_v(self, x):
         return _on_points(lambda xs: np.exp(0.5 * _log_v(self.family, self.s, xs)), x)

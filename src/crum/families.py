@@ -141,6 +141,7 @@ class OqmFamily(Family):
         self._energy = energy_rule    # (n, params) -> E_n
         self._recurrence = poly_recurrence  # n -> (b_n, c_n) for monic P in eta
         self._eta_jet = eta_jet
+        self._oracle_levels = None
 
     # -- core evaluators -----------------------------------------------
     # Level s of the Crum chain is evaluated in closed form.  With
@@ -206,20 +207,28 @@ class OqmFamily(Family):
     def eta(self):
         return AnalyticFn(label=f"{self.label}.eta", jet_fn=self._eta_jet)
 
+    def oracle_levels(self):
+        """The three lowest eigenvalues of U by the spectral-element eigensolve
+        on the oracle box (`verify.grid_eigensolve`), solved once per family:
+        validation and the suite's level-0 grid oracle read the same solve."""
+        if self._oracle_levels is None:
+            from .verify import grid_eigensolve  # deferred: verify imports families
+
+            u = self.potential()
+            levels = grid_eigensolve(lambda x: u(x).real, _oracle_box(self), 3)
+            self._oracle_levels = tuple(float(e) for e in levels)
+        return self._oracle_levels
+
     def validate(self):
         """The ground state e^W is positive at sample points of the interior,
-        and the first three closed-form energies agree with the spectral-element
-        eigensolve of U on the oracle box (`verify.grid_eigensolve`)."""
-        from .verify import grid_eigensolve  # deferred: verify imports families
-
+        and the first three closed-form energies agree with the grid oracle's
+        (`oracle_levels`)."""
         xs = np.linspace(*self.interior(), _VALIDATE_POINTS).astype(complex)
         bad = ~(self.phi(0)(xs).real > 0)
         if bad.any():
             raise ParameterError(f"{self.label}: ground state not positive at "
                                  f"x={xs[bad.argmax()].real:g}")
-        u = self.potential()
-        levels = grid_eigensolve(lambda x: u(x).real, _oracle_box(self), 3)
-        for n, level in enumerate(levels):
+        for n, level in enumerate(self.oracle_levels()):
             if abs(level - self.energy(n)) > _ENERGY_ORACLE_TOL * (1 + abs(self.energy(n))):
                 raise ParameterError(
                     f"{self.label}: closed-form energy E_{n}={self.energy(n)} disagrees with "
@@ -322,14 +331,19 @@ class _FactorLogSum:
         sum_g sign_g sum_{k>=K} Log(1 - c_g u q^(k-K))
             = -sum_{j>=1} u^j sum_g sign_g c_g^j / (j (1 - q^j)),
 
-    summed by Horner's rule up to the length J at which 4^-J / (J (1 - q))
-    drops below QPOCH_TAIL.  The series keeps the principal branch: for
-    |w| < 1 the Taylor series -sum w^j / j is the principal Log(1 - w), and
-    summing it over k and g only reorders an absolutely convergent series.
-    With all evaluation points kept inside the open vertical strip
-    0 < Re x < pi and away from the factor zeros the per-factor principal
-    branch is single-valued, so exp(half the sum) is the analytic square root
-    that is positive on the real segment.
+    summed up to the length J at which 4^-J / (J (1 - q)) drops below
+    QPOCH_TAIL.  The series keeps the principal branch: for |w| < 1 the
+    Taylor series -sum w^j / j is the principal Log(1 - w), and summing it
+    over k and g only reorders an absolutely convergent series.  With all
+    evaluation points kept inside the open vertical strip 0 < Re x < pi and
+    away from the factor zeros the per-factor principal branch is
+    single-valued, so exp(half the sum) is the analytic square root that is
+    positive on the real segment.
+
+    The directions are evaluated together: u is one (directions x points)
+    array, the direct logs of every direction are one log call, and the
+    tails of every direction are one Horner pass over u, in place, so a call
+    costs 2 J + O(1) numpy calls whatever the number of directions.
     """
 
     def __init__(self, q, terms):
@@ -347,6 +361,9 @@ class _FactorLogSum:
             series = [sum(sign * c**j for c, sign in groups) / (j * (1.0 - self.q**j))
                       for j in range(n, 0, -1)]
             self.directions.append((m, groups, max(abs(c) for c, _ in groups), series))
+        self._im = np.array([1j * m for m, *_ in self.directions])
+        # J x directions x 1, highest power first
+        self._horner = np.array([series for *_, series in self.directions]).T[:, :, None]
 
     def __call__(self, x):
         """The sum at the point x: `at` on a one-point array."""
@@ -358,25 +375,34 @@ class _FactorLogSum:
         any point needs; the extra direct logs of the other points are the
         same principal logs the series would sum).  A non-finite point gives
         a non-finite value and does not set K."""
-        z = np.exp(1j * x)
-        zi = 1.0 / z
-        powers = {1: z, -1: zi, 2: z * z, -2: zi * zi}
-        s = np.zeros(x.shape, dtype=complex)
-        for m, groups, cmax, series in self.directions:
-            u = powers[m]
-            mags = np.abs(u)
-            r = cmax * mags[np.isfinite(mags)].max(initial=0.0)
+        xs = x.reshape(-1)
+        u = np.exp(np.multiply.outer(self._im, xs))
+        mags = np.abs(u)
+        rmax = np.where(np.isfinite(mags), mags, 0.0).max(axis=1, initial=0.0).tolist()
+        # direction and coefficient c q^k of each direct factor, numerators in
+        # the first list and denominators in the second
+        rows, coefs, qk = ([], []), ([], []), []
+        for d, (_, groups, cmax, _) in enumerate(self.directions):
+            r, k = cmax * rmax[d], 0
             while r > 0.25:
                 for c, sign in groups:
-                    log = np.log(1.0 - c * u)    # sign * log(0) has a NaN imaginary part
-                    s += log if sign > 0 else -log
-                u = u * self.q
+                    rows[sign < 0].append(d)
+                    coefs[sign < 0].append(c * self.q**k)
                 r *= self.q
-            tail = np.zeros(x.shape, dtype=complex)
-            for b in series:
-                tail = (tail + b) * u
-            s -= tail
-        return s
+                k += 1
+            qk.append(self.q**k)
+        s = 0.0
+        if rows[0] or rows[1]:
+            logs = np.log(1.0 - np.array(coefs[0] + coefs[1])[:, None] * u[rows[0] + rows[1]])
+            # numerators less denominators: a sign times log(0) would have a
+            # NaN imaginary part
+            s = logs[:len(rows[0])].sum(axis=0) - logs[len(rows[0]):].sum(axis=0)
+        u *= np.array(qk)[:, None]
+        tail = np.zeros_like(u)
+        for b in self._horner:
+            tail += b
+            tail *= u
+        return (s - tail.sum(axis=0)).reshape(x.shape)
 
 
 class DqmFamily(Family):

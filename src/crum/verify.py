@@ -436,10 +436,9 @@ def _oracle_oqm(family, levels, config):
     block = {}
     ok = True
     tol = config.tolerance("oracle_spectrum")
-    box = _oracle_box(family)
-    for s in (0, 1):
-        u = levels[s].potential()
-        grid = grid_eigensolve(lambda t: u(t).real, box, 3)
+    u = levels[1].potential()
+    grids = (family.oracle_levels(), grid_eigensolve(lambda t: u(t).real, _oracle_box(family), 3))
+    for s, grid in enumerate(grids):
         shifted = [float(e + levels[s].E_s) for e in grid]
         expected = [family.energy(n) for n in range(s, s + 3)]
         errs = [abs(a - b) / (1.0 + abs(b)) for a, b in zip(shifted, expected)]

@@ -45,13 +45,41 @@ def starred(f):
 
 def factor_log_sum_oracle(q, groups, x):
     """Term-by-term ground-state log-sum: the principal log of every factor
-    1 - c e^{imx} q^k of each group (c, m, sign), down to |c q^k| < QPOCH_TAIL."""
+    1 - c e^{imx} q^k of each group (c, m, sign), down to |c q^k| < QPOCH_TAIL,
+    at the point x or at each point of the array x."""
+    exp, log = (np.exp, np.log) if isinstance(x, np.ndarray) else (cmath.exp, cmath.log)
     s = 0j
     for c, m, sign in groups:
         ck = complex(c)
         while abs(ck) >= QPOCH_TAIL:
-            s += sign * cmath.log(1.0 - ck * cmath.exp(1j * m * x))
+            s += sign * log(1.0 - ck * exp(1j * m * x))
             ck *= q
+    return s
+
+
+def per_direction_log_sum(logsum, x):
+    """A `families._FactorLogSum` at each point of the complex array x, one
+    direction at a time, each direction's q-series tail by its own Horner
+    pass: the array rule the one-pass tail over every direction replaced,
+    kept as its oracle."""
+    z = np.exp(1j * x)
+    zi = 1.0 / z
+    powers = {1: z, -1: zi, 2: z * z, -2: zi * zi}
+    s = np.zeros(x.shape, dtype=complex)
+    for m, groups, cmax, series in logsum.directions:
+        u = powers[m]
+        mags = np.abs(u)
+        r = cmax * mags[np.isfinite(mags)].max(initial=0.0)
+        while r > 0.25:
+            for c, sign in groups:
+                log = np.log(1.0 - c * u)
+                s += log if sign > 0 else -log
+            u = u * logsum.q
+            r *= logsum.q
+        tail = np.zeros(x.shape, dtype=complex)
+        for b in series:
+            tail = (tail + b) * u
+        s -= tail
     return s
 
 
@@ -204,7 +232,9 @@ def per_n_oqm_jet(family, n, s, x, order):
 
 
 def per_n_dqm_phi(level, n, x):
-    """phi^[s]_n of a difference chain level at each point of the array x."""
+    """phi^[s]_n of a difference chain level at each point of the array x,
+    its prefactor summed level by level: the loop the closed form's stacked
+    lattice rows replaced, kept as their oracle."""
     fam, s = level.family, level.s
     xs = np.asarray(x, dtype=complex).reshape(-1)
     h = 0.5j * fam.gamma

@@ -1,3 +1,4 @@
+import collections
 import gc
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from crum.analytic import (AnalyticFn, Identity, checked_ns, identity_residual, inner_product,
                            rel_residual, worst_residual)
 from crum.errors import ChainBreakError, DomainError, PoleError, StripError
-from crum import dqm, structure, verify
+from crum import dqm, families, structure, verify
 from crum.verify import gram_matrix
 
 from conftest import worst_over_levels
@@ -428,6 +429,30 @@ def test_chain_eval_answers_match_the_recursion(name, request, closed_chains):
         assert _worst(rec.v(x), top.v(x)) <= 1e-11, x
         route = dqm.phi_via_casoratian(closed_chains[name], 3, 4, x)
         assert _worst(rec.phi(4, x), route) <= 1e-11, x
+
+
+def test_a_fresh_request_evaluates_each_lattice_row_set_once(monkeypatch, q_hermite):
+    # a fresh phi[3]_4 and V[3] (a chain-eval request): one ground-state
+    # log-sum, one log V call on phi's three rows and one for V, one sine
+    # factor call on phi's four rows and one on V's four; the per-level loop
+    # made 1, 4 and 12
+    top = dqm.build_chain(q_hermite, 3)[3]
+    calls = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(families._FactorLogSum, "at",
+                        counted("log_sum", families._FactorLogSum.at))
+    monkeypatch.setattr(families._VLogSum, "__call__",
+                        counted("log_v", families._VLogSum.__call__))
+    monkeypatch.setattr(dqm, "_log_sin_factor", counted("sines", dqm._log_sin_factor))
+    x = complex(1.2345678, 0.1)
+    top.phi(4, x), top.v(x)
+    assert calls == {"log_sum": 1, "log_v": 2, "sines": 2}
 
 
 def test_level_evaluation_retains_no_memory(q_hermite):

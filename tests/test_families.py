@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (AW_PARAMS, factor_log_sum_oracle, jet_ring_poly_jet, point_log_sum,
-                      poly_value, qpochhammer_inf, starred)
+from conftest import (AW_PARAMS, factor_log_sum_oracle, jet_ring_poly_jet, per_direction_log_sum,
+                      point_log_sum, poly_value, qpochhammer_inf, starred)
 from crum import RunConfig, make_family, run_suite, virtual_state
 from crum.analytic import inner_product, star_eval
 from crum.errors import DomainError, ParameterError
@@ -305,6 +305,34 @@ def test_ground_state_log_sum_on_arrays_matches_the_point_rule(q):
         with_nan = fam._logphi0sq.at(np.append(xs[:3], complex(math.nan, 0.0)))
     assert np.array_equal(with_nan[:3], fam._logphi0sq.at(xs[:3]))
     assert not np.isfinite(with_nan[3])
+
+
+@pytest.mark.parametrize("q", [0.1, 0.6, 0.95])
+@pytest.mark.parametrize("name", ["q_hermite", "askey_wilson"])
+def test_one_pass_over_the_directions_matches_the_oracles(name, q):
+    # every direction's direct logs and tail at once, against the term-by-term
+    # sum and the per-direction Horner rule it replaced, on arrays of several
+    # sizes and shapes; a nan point neither sets K nor spreads
+    fam = make_family(name, validate=False, **({"q": q} if name == "q_hermite" else
+                                               {**AW_PARAMS, "q": q}))
+    logsum = fam._logphi0sq
+    groups = [(1.0, 2, 1), (1.0, -2, 1)] + [(a, m, -1) for a in fam.avals for m in (1, -1)]
+    h = 0.95 * min(fam.strip_halfwidth, 1.0)
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(0.05, math.pi - 0.05, 301) + 1j * rng.uniform(-h, h, 301)
+    expected = np.exp(0.5 * factor_log_sum_oracle(q, groups, xs))
+    for size in (1, 2, 40, 301):
+        values = np.exp(0.5 * logsum.at(xs[:size]))
+        assert np.all(np.abs(values - expected[:size]) <= 1e-12 * np.abs(expected[:size])), size
+        oracle = np.exp(0.5 * per_direction_log_sum(logsum, xs[:size]))
+        assert np.all(np.abs(values - oracle) <= 1e-12 * np.abs(oracle)), size
+    block = logsum.at(xs[:40].reshape(4, 10))
+    assert block.shape == (4, 10) and np.array_equal(block.ravel(), logsum.at(xs[:40]))
+    for size in (3, 301):
+        with np.errstate(invalid="ignore"):
+            with_nan = logsum.at(np.append(xs[:size], complex(math.nan, 0.0)))
+        assert np.array_equal(with_nan[:size], logsum.at(xs[:size]))
+        assert not np.isfinite(with_nan[size])
 
 
 def _counted_log_sum(monkeypatch, fam):

@@ -406,8 +406,9 @@ def test_evaluation_counts_are_one_call_per_grid_and_per_level(monkeypatch):
     rep = run_suite(RunConfig(family="hermite", depth=2, seed=7))
     assert rep.status == "pass"
     # two calls per solve (the wall probes, then the nodes of ten elements of
-    # order 16): the validation solve, then the oracle at levels 0 and 1
-    assert grids == [[10, 159]] * 3
+    # order 16): the validation solve, which the oracle's level 0 reads
+    # again, then the oracle at level 1
+    assert grids == [[10, 159]] * 2
     # the stacked phi once per quadrature level (levels 0..3, 41 + 40 + 80 +
     # 160 nodes) at each Gram level
     assert grams == [[41, 40, 80, 160]] * 3
