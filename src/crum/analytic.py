@@ -16,7 +16,6 @@ concurrently; evaluation is pure.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -30,6 +29,7 @@ from .quadrature import QuadratureSpec, integrate
 MAX_JET_ORDER = 24
 DEPTH_CAP = 4
 _CAUCHY_POINTS = 64
+_CAUCHY_ROOTS = np.exp(2j * np.pi * np.arange(_CAUCHY_POINTS) / _CAUCHY_POINTS)
 # points per jet of an array: a jet makes tens of temporaries per
 # block, and 4,000-point blocks (64 kB each) left the process about 0.3 MB
 # larger after the oracle grids, where 1,024-point blocks leave it unchanged
@@ -40,13 +40,13 @@ _ARRAY_BLOCK = 1024
 class AnalyticFn:
     """A complex-analytic function on |Im x| <= strip_halfwidth.
 
-    ``fn`` evaluates the function at a point or at each point of an array
-    (a function that takes points only serves the single-point calls);
+    ``fn`` evaluates the function at a point or at each point of an array;
     ``jet_fn``, when given, produces exact truncated Taylor expansions
     (built-in families wire closed-form recurrences here).  Without it,
-    derivatives fall back to Cauchy-circle numerical differentiation.  A
-    function given by its jet rule alone takes its values from the order-0
-    jets, so ``fn`` may then be left out.
+    derivatives fall back to Cauchy-circle numerical differentiation, which
+    calls ``fn`` on an array of circles, at a single point too.  A function
+    given by its jet rule alone takes its values from the order-0 jets, so
+    ``fn`` may then be left out.
     """
 
     fn: Optional[Callable[[complex | np.ndarray], complex | np.ndarray]] = None
@@ -98,7 +98,7 @@ class AnalyticFn:
         x = self.check_strip(x)
         if self.jet_fn is not None:
             return self._blocked(self.jet_fn, x, order)
-        return self._cauchy_jet(x, order)
+        return self._cauchy_jet(np.asarray(x), order)
 
     def _blocked(self, fn, x, *order):
         """fn(x, *order), a jet or values; an array goes in blocks of at most
@@ -121,36 +121,28 @@ class AnalyticFn:
 
     def _cauchy_jet(self, x, order):
         """Jet from the FFT of fn on a circle of _CAUCHY_POINTS points around
-        x, of radius 0.1 or less, inside the strip.  At a single point fn is
-        called once per circle point, so it may take points only; at an
-        array of points it is called once, on the (..., _CAUCHY_POINTS)
+        each point of the array x (0-d for a single point), of radius 0.1 or
+        less, inside the strip: one call of fn on the (..., _CAUCHY_POINTS)
         array of every point's circle, each circle with its own radius."""
         if order == 0:
             return Jet(x, [self(x)])
-        m = _CAUCHY_POINTS
-        roots = [cmath.exp(2j * math.pi * k / m) for k in range(m)]
         h = self.strip_halfwidth
-        if not isinstance(x, np.ndarray):
-            r = min(0.1, h / 2.0, h - abs(x.imag))
-            if r <= 0:
-                raise StripError(x, h, self.label)
-            coeffs = np.fft.fft([self.fn(x + r * root) for root in roots]) / m
-            return Jet(x, [complex(coeffs[k]) / r**k for k in range(order + 1)])
         r = np.minimum(min(0.1, h / 2.0), h - np.abs(x.imag))
         outside = r <= 0
         if outside.any():
-            raise StripError(x.flat[np.argmax(outside)], h, self.label)
-        circles = x[..., None] + r[..., None] * np.array(roots)
+            raise StripError(complex(x.flat[np.argmax(outside)]), h, self.label)
+        circles = x[..., None] + r[..., None] * _CAUCHY_ROOTS
         vals = np.broadcast_to(np.asarray(self.fn(circles), dtype=complex), circles.shape)
-        coeffs = np.fft.fft(vals) / m
+        coeffs = np.fft.fft(vals) / _CAUCHY_POINTS
         return Jet(x, [coeffs[..., k] / r**k for k in range(order + 1)])
 
 
 def star_eval(f, x):
-    """Value of the star-conjugate of f at x: conj(f(conj x))."""
+    """Value of the star-conjugate of f at x, or at each point of an array x:
+    conj(f(conj x))."""
     x = f.check_strip(x)
-    f.check_strip(x.conjugate())
-    return complex(f.fn(x.conjugate())).conjugate()
+    f.check_strip(np.conj(x))
+    return np.conj(f.fn(np.conj(x)))
 
 
 def rel_residual(ref, other):

@@ -8,7 +8,6 @@ makes grid-batched evaluation (node scans etc.) cheap.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -26,9 +25,10 @@ class Jet:
     # -- constructors -------------------------------------------------
     @staticmethod
     def variable(x, order):
-        """Jet of the identity map at x."""
+        """Jet of the identity map at x, its value complex even at a real x,
+        so that the elementary functions take their complex branch there."""
         c = [_zeros_like(x) for _ in range(order + 1)]
-        c[0] = x * 1.0
+        c[0] = x * _ones_like(x)
         if order >= 1:
             c[1] = _ones_like(x)
         return Jet(x, c)
@@ -120,7 +120,7 @@ class Jet:
     # -- elementary functions ---------------------------------------------
     def exp(self):
         u = self.coeffs
-        out = [_exp(u[0])]
+        out = [np.exp(u[0])]
         for k in range(1, self.order + 1):
             s = 0.0
             for j in range(1, k + 1):
@@ -132,7 +132,7 @@ class Jet:
         u = self.coeffs
         if not isinstance(u[0], np.ndarray) and u[0] == 0:    # an array gets -inf there
             raise PoleError(f"log of a function that vanishes at x={self.anchor}")
-        out = [_log(u[0])]
+        out = [np.log(u[0])]
         for k in range(1, self.order + 1):
             s = k * u[k]
             for j in range(1, k):
@@ -142,7 +142,7 @@ class Jet:
 
     def sqrt(self):
         u = self.coeffs
-        out = [_sqrt(u[0])]
+        out = [np.sqrt(u[0])]
         for k in range(1, self.order + 1):
             s = u[k]
             for j in range(1, k):
@@ -156,8 +156,8 @@ class Jet:
 
     def sincos(self):
         u = self.coeffs
-        s = [_sin(u[0])]
-        c = [_cos(u[0])]
+        s = [np.sin(u[0])]
+        c = [np.cos(u[0])]
         for k in range(1, self.order + 1):
             as_ = 0.0
             ac = 0.0
@@ -178,7 +178,7 @@ class Jet:
         return f"Jet(anchor={self.anchor!r}, coeffs={self.coeffs!r})"
 
 
-# scalar/array polymorphic helpers
+# complex zeros and ones shaped like a point or an array
 def _zeros_like(x):
     if isinstance(x, np.ndarray):
         return np.zeros_like(x, dtype=complex)
@@ -190,14 +190,3 @@ def _ones_like(x):
         return np.ones_like(x, dtype=complex)
     return 1.0 + 0j
 
-
-def _pointwise(array_fn, point_fn):
-    """array_fn (numpy) on an array, point_fn (cmath) on a number."""
-    return lambda v: array_fn(v) if isinstance(v, np.ndarray) else point_fn(v)
-
-
-_exp = _pointwise(np.exp, cmath.exp)
-_log = _pointwise(np.log, cmath.log)
-_sqrt = _pointwise(np.sqrt, cmath.sqrt)
-_sin = _pointwise(np.sin, cmath.sin)
-_cos = _pointwise(np.cos, cmath.cos)

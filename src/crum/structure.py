@@ -9,7 +9,6 @@ never assumptions.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -40,13 +39,14 @@ class LimitScaling:
 
     w1 is the first-order coefficient function: V(x; c) = a (1 + i gamma w1(x)/c
     + O(1/c^2)).  The derivative of the limiting pre-potential is minus the
-    star-real part of w1.
+    star-real part of w1.  w1 takes an array of points and returns the array
+    of its values.
     """
 
     a: float = 1.0
     gamma: float = 1.0
     c_values: tuple = (10.0, 100.0, 1000.0)
-    w1: object = lambda x: x + 0.3j * x * x    # callable x -> complex
+    w1: object = lambda x: x + 0.3j * x * x    # callable, array of x -> array of complex
     tail: float = 0.0          # quadratic-coefficient of the default V form
 
     def potential(self, c):
@@ -59,9 +59,8 @@ class LimitScaling:
         return v
 
     def w_prime(self, x):
-        w = self.w1(complex(x))
-        ws = complex(self.w1(complex(x).conjugate())).conjugate()
-        return -0.5 * (w + ws)
+        """W'(x) = -(w1(x) + w1*(x)) / 2 at each point of an array x."""
+        return -0.5 * (self.w1(x) + np.conj(self.w1(np.conj(x))))
 
 
 @dataclass
@@ -335,11 +334,12 @@ def limit_check(mode, config=None, function_sets=None, gammas=GAMMAS):
 
 
 def _scan_values(name, values):
-    """The values of a limit scan: two or more (a slope needs two), each finite and > 0."""
+    """The values of a limit scan: two or more distinct ones (a slope needs
+    two), each finite and > 0."""
     values = tuple(values)
-    if len(values) < 2 or not all(math.isfinite(v) and v > 0 for v in values):
-        raise ParameterError(f"a limit scan takes two or more {name} values, each finite "
-                             f"and > 0, got {', '.join(map(str, values)) or 'none'}")
+    if len(set(values)) < 2 or not all(math.isfinite(v) and v > 0 for v in values):
+        raise ParameterError(f"a limit scan takes two or more distinct {name} values, each "
+                             f"finite and > 0, got {', '.join(map(str, values)) or 'none'}")
     return values
 
 
@@ -364,44 +364,35 @@ def _limit_gamma(function_sets, gammas):
     for names in function_sets:
         fs = [_std_fn(nm) for nm in names]
         n = len(fs)
-        label = "{" + ",".join(names) + "}"
         target = wronskian(fs, 0.55 + 0j)
-        errs = []
-        for gam in gammas:
-            scaled = casoratian(fs, 0.55 + 0j, gam) * gam ** (-n * (n - 1) // 2)
-            err = abs(scaled - target)
-            errs.append(err)
-            table.rows.append(LimitRow("gamma_to_0", label, float(gam), float(err)))
-        table.slopes[label], table.flags[label] = _fit_slope(gammas, errs, scale=abs(target))
+        errs = [abs(casoratian(fs, 0.55 + 0j, gam) * gam ** (-n * (n - 1) // 2) - target)
+                for gam in gammas]
+        _append_series(table, gammas, {"{" + ",".join(names) + "}": errs}, scale=abs(target))
     return table
 
 
 def _limit_c(config):
+    """The c_to_inf scan on an array of 10 points of [-1.2, 1.2]: per test
+    function one jet, and per c one evaluation of A and one of H.  W'' comes
+    from the Cauchy jet of W' (config.w_prime)."""
     table = LimitTable(mode="c_to_inf")
-    tests = [(name, _std_fn(name)) for name in ("gauss", "x*gauss")]
-    g = config.gamma
-    a = config.a
-    xs = [complex(t) for t in np.linspace(-1.2, 1.2, 10)]
-    for label, f in tests:
-        jets = [f.jet(x, 2) for x in xs]
-        lim_a = [jf.deriv(1) - config.w_prime(x) * jf.value for x, jf in zip(xs, jets)]
-        lim_h = [-jf.deriv(2) + (config.w_prime(x) ** 2 + _wpp(config, x)) * jf.value
-                 for x, jf in zip(xs, jets)]
+    g, a = config.gamma, config.a
+    xs = np.linspace(-1.2, 1.2, 10).astype(complex)
+    w = AnalyticFn(config.w_prime).jet(xs, 1)
+    wp, wpp = w.value, w.deriv(1)
+    levels = [_limit_level(config.potential(c), g / c) for c in config.c_values]
+    for label in ("gauss", "x*gauss"):
+        f = _std_fn(label)
+        jet = f.jet(xs, 2)
+        lim_a = jet.deriv(1) - wp * jet.value
+        lim_h = -jet.deriv(2) + (wp ** 2 + wpp) * jet.value
         errs_a, errs_h = [], []
-        for c in config.c_values:
-            level = _limit_level(config.potential(c), g / c)
-            low = dqm_mod.apply_A(level, f)
-            h_f = dqm_mod.hamiltonian_apply(level, f)
-            worst_a = worst_residual(abs((c / (math.sqrt(a) * g)) * low(x) - la)
-                                     for x, la in zip(xs, lim_a))
-            worst_h = worst_residual(
-                abs((c**2 / (a * g * g)) * h_f(x) - lh) for x, lh in zip(xs, lim_h))
-            errs_a.append(worst_a)
-            errs_h.append(worst_h)
-            table.rows.append(LimitRow("c_to_inf", f"A:{label}", float(c), float(worst_a)))
-            table.rows.append(LimitRow("c_to_inf", f"H:{label}", float(c), float(worst_h)))
-        table.slopes[f"A:{label}"], table.flags[f"A:{label}"] = _fit_slope(config.c_values, errs_a)
-        table.slopes[f"H:{label}"], table.flags[f"H:{label}"] = _fit_slope(config.c_values, errs_h)
+        for c, level in zip(config.c_values, levels):
+            low = (c / (math.sqrt(a) * g)) * dqm_mod.apply_A(level, f)(xs)
+            h_f = (c**2 / (a * g * g)) * dqm_mod.hamiltonian_apply(level, f)(xs)
+            errs_a.append(worst_residual([np.abs(low - lim_a)]))
+            errs_h.append(worst_residual([np.abs(h_f - lim_h)]))
+        _append_series(table, config.c_values, {f"A:{label}": errs_a, f"H:{label}": errs_h})
     return table
 
 
@@ -411,22 +402,31 @@ def _limit_level(v, gamma):
     chain operators apply."""
 
     def sqrt_v(x):
-        return cmath.sqrt(v(x))
+        return np.sqrt(v(x))
 
     def sqrt_v_star(x):
-        return complex(sqrt_v(complex(x).conjugate())).conjugate()
+        return np.conj(sqrt_v(np.conj(x)))
 
     return SimpleNamespace(family=SimpleNamespace(gamma=gamma), s=0, E_s=0.0, sqrt_v=sqrt_v,
                            sqrt_v_star=sqrt_v_star)
 
 
-def _wpp(config, x):
-    return (config.w_prime(x + 1e-6) - config.w_prime(x - 1e-6)) / 2e-6
+def _append_series(table, params, series, scale=1.0):
+    """Appends labelled series of errors over the scanned values params:
+    their rows, by value in the order given and the series in order at each
+    value, then each series' fitted slope and flag (_fit_slope)."""
+    for i, p in enumerate(params):
+        table.rows += [LimitRow(table.mode, label, float(p), float(errs[i]))
+                       for label, errs in series.items()]
+    for label, errs in series.items():
+        table.slopes[label], table.flags[label] = _fit_slope(table.mode, params, errs, scale)
 
 
-def _fit_slope(params, errs, scale=1.0):
-    """log-log slope with sanity flags: 'exact' when errors sit at roundoff,
-    'inconclusive' when the sequence is not monotone decreasing."""
+def _fit_slope(mode, params, errs, scale=1.0):
+    """Decay exponent of the errors toward the limit of `mode` (gamma -> 0,
+    c -> infinity), a log-log fit, with sanity flags: 'exact' when errors sit
+    at roundoff, 'inconclusive' when they do not decrease monotonically as
+    the values approach the limit, whatever order the values come in."""
     errs = [float(e) for e in errs]
     if not all(math.isfinite(e) for e in errs):
         return float("nan"), "inconclusive"
@@ -434,11 +434,11 @@ def _fit_slope(params, errs, scale=1.0):
         return 0.0, "exact"
     if any(e == 0.0 for e in errs):
         return 0.0, "exact"
-    decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
+    toward_zero = mode == "gamma_to_0"
+    ordered = [e for _, e in sorted(zip(params, errs), reverse=toward_zero)]
+    decreasing = all(ordered[i + 1] < ordered[i] for i in range(len(ordered) - 1))
     slope = float(np.polyfit(np.log10(params), np.log10(errs), 1)[0])
-    # decay exponent relative to the vanishing parameter
-    expo = slope if params[1] < params[0] else -slope
-    return expo, ("ok" if decreasing else "inconclusive")
+    return (slope if toward_zero else -slope), ("ok" if decreasing else "inconclusive")
 
 
 def emit_csv_rows(table):

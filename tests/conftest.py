@@ -46,13 +46,12 @@ def starred(f):
 def factor_log_sum_oracle(q, groups, x):
     """Term-by-term ground-state log-sum: the principal log of every factor
     1 - c e^{imx} q^k of each group (c, m, sign), down to |c q^k| < QPOCH_TAIL,
-    at the point x or at each point of the array x."""
-    exp, log = (np.exp, np.log) if isinstance(x, np.ndarray) else (cmath.exp, cmath.log)
+    at each point of the array x."""
     s = 0j
     for c, m, sign in groups:
         ck = complex(c)
         while abs(ck) >= QPOCH_TAIL:
-            s += sign * log(1.0 - ck * exp(1j * m * x))
+            s += sign * np.log(1.0 - ck * np.exp(1j * m * x))
             ck *= q
     return s
 

@@ -97,12 +97,28 @@ def test_eval_jet_matches_finite_differences(hermite):
 def test_cauchy_fallback_jet_accuracy():
     # the circle radius is capped at 0.1, so roundoff amplification 1/r^k
     # limits the fallback near order 8; low orders are essentially exact
-    f = AnalyticFn(lambda x: cmath.exp(-0.5 * x * x))  # no jet_fn attached
+    f = AnalyticFn(lambda x: np.exp(-0.5 * x * x))  # no jet_fn attached
     j = f.jet(0.4, 8)
     exact = GAUSS.jet(0.4, 8)
     for k in range(9):
         tol = 1e-9 if k <= 4 else 1e-4
         assert abs(j.coeffs[k] - exact.coeffs[k]) <= tol * (1 + abs(exact.coeffs[k]))
+
+
+def test_cauchy_fallback_jet_at_a_point_is_the_one_point_array_jet():
+    # a point goes through the array rule as a 0-d array: one call of fn on
+    # its circle, and the same bits as the jet of the one-point array
+    shapes = []
+
+    def fn(x):
+        shapes.append(np.shape(x))
+        return np.exp(-0.5 * x * x)
+
+    f = AnalyticFn(fn)
+    jet = f.jet(0.4 - 0.1j, 5)
+    assert shapes == [(64,)]
+    ref = f.jet(np.array([0.4 - 0.1j]), 5)
+    assert all(c == r[0] for c, r in zip(jet.coeffs, ref.coeffs))
 
 
 def test_cauchy_fallback_jet_on_an_array_matches_per_point_jets():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crum.errors import CapabilityError
+from crum.errors import CapabilityError, PoleError
 from crum.jets import Jet
 
 
@@ -44,6 +44,18 @@ def test_exp_derivatives_match_function():
     assert abs(g.coeffs[0] - 1.0) < 1e-15
     assert abs(g.coeffs[1]) < 1e-15
     assert abs(g.coeffs[2] + 0.5) < 1e-15
+
+
+def test_log_and_sqrt_at_a_real_anchor_take_the_complex_branch():
+    # a real anchor's value is complex, so log(-1) is i pi and sqrt(-4) is 2i
+    # (numpy's real log and sqrt give nan there); a zero value is a pole
+    lg = Jet.variable(-1.0, 1).log()
+    assert lg.value == 1j * math.pi
+    assert lg.deriv(1) == -1.0
+    assert (Jet.variable(-4.0, 0)).sqrt().value == 2j
+    assert (Jet.const(-1.0, 0.5, 1)).log().value == 1j * math.pi
+    with pytest.raises(PoleError):
+        Jet.variable(0.0, 2).log()
 
 
 def test_sincos_pythagoras():

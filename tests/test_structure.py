@@ -216,12 +216,57 @@ def test_c_scan_nan_everywhere_fails_closed():
 
 def test_c_scan_nan_at_some_samples_fails_closed():
     # NaN only where |Re x| >= 1: some of the scan's points on [-1.2, 1.2]
-    w1 = lambda x: complex(float("nan"), 0) if abs(x.real) >= 1 else x + 0.3j * x * x
+    def w1(x):
+        return np.where(np.abs(x.real) >= 1, complex(math.nan, 0), x + 0.3j * x * x)
+
+    # the same NaN points as the per-point rule it stands for
+    xs = np.linspace(-1.2, 1.2, 10).astype(complex)
+    per_point = [math.nan if abs(x.real) >= 1 else 0.0 for x in xs.tolist()]
+    assert np.array_equal(np.isnan(w1(xs)), np.isnan(per_point))
+    assert 0 < np.isnan(per_point).sum() < len(xs)
     _assert_scan_fails_closed(structure.limit_check("c_to_inf", LimitScaling(w1=w1)))
 
 
+def test_c_scan_calls_w1_on_arrays_only():
+    # per c and test function one A and one H evaluation on the scan's
+    # point array, and W'' from one Cauchy jet: no call per point
+    shapes = []
+
+    def w1(x):
+        shapes.append(np.shape(x))
+        return x + 0.3j * x * x
+
+    table = structure.limit_check("c_to_inf", LimitScaling(w1=w1))
+    assert set(table.flags.values()) == {"ok"}
+    assert 0 < len(shapes) <= 40
+    assert all(len(shape) >= 1 and math.prod(shape) >= 10 for shape in shapes)
+
+
+@pytest.mark.parametrize("mode,values", [("c_to_inf", (1000.0, 10.0, 100.0)),
+                                         ("c_to_inf", (1000.0, 100.0, 10.0)),
+                                         ("gamma_to_0", (0.001, 0.1, 0.01)),
+                                         ("gamma_to_0", (0.001, 0.01, 0.1))])
+def test_limit_scan_slope_and_flag_do_not_depend_on_the_order_of_the_values(mode, values):
+    # the exponent's sign and the monotonicity come from the limit's
+    # direction (gamma -> 0, c -> infinity), not from the first two values;
+    # the rows keep the order given
+    def scan(vals):
+        if mode == "c_to_inf":
+            return structure.limit_check(mode, LimitScaling(c_values=vals))
+        return structure.limit_check(mode, gammas=vals)
+
+    table, ref = scan(values), scan(tuple(sorted(values)))
+    assert table.flags == ref.flags and "ok" in table.flags.values()
+    assert "inconclusive" not in table.flags.values()
+    for label, slope in ref.slopes.items():
+        assert slope > 0.5 or ref.flags[label] == "exact"
+        assert table.slopes[label] == pytest.approx(slope, rel=1e-12)
+    assert [row.parameter for row in table.rows if row.label == table.rows[0].label] == \
+        list(values)
+
+
 @pytest.mark.parametrize("values", [(), (0.1,), (0.0, 0.1), (-0.1, 0.01),
-                                    (math.nan, 0.1), (0.1, math.inf)])
+                                    (math.nan, 0.1), (0.1, math.inf), (0.1, 0.1)])
 def test_limit_scan_refuses_values_outside_the_domain(values):
     with pytest.raises(ParameterError):
         structure.limit_check("gamma_to_0", gammas=values)
