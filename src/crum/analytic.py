@@ -67,7 +67,9 @@ class AnalyticFn:
         after checking that every point lies in the strip."""
         xs = np.array(x, dtype=complex)
         outside = np.abs(xs.imag) > self.strip_halfwidth * (1 + 1e-12) + 1e-15
-        if outside.any():
+        # count_nonzero, not .any(): on the 0-d array of a single point,
+        # ndarray.any() leaves a 52-byte block allocated per call (NumPy 2.4)
+        if np.count_nonzero(outside):
             raise StripError(complex(xs.flat[np.argmax(outside)]), self.strip_halfwidth, self.label)
         return complex(x) if np.isscalar(x) else xs
 
@@ -129,7 +131,7 @@ class AnalyticFn:
         h = self.strip_halfwidth
         r = np.minimum(min(0.1, h / 2.0), h - np.abs(x.imag))
         outside = r <= 0
-        if outside.any():
+        if np.count_nonzero(outside):
             raise StripError(complex(x.flat[np.argmax(outside)]), h, self.label)
         circles = x[..., None] + r[..., None] * _CAUCHY_ROOTS
         vals = np.broadcast_to(np.asarray(self.fn(circles), dtype=complex), circles.shape)
