@@ -8,14 +8,16 @@ hold and `downshift`; and the chain scaffold: `ChainLevel`, the level record
 both kinds subclass, with its n-range, level-0, step and downshift guards,
 `sign_changes`, the one rule by which a step refuses a seed,
 `divided_difference`, the one three-term recurrence of the polynomials P_n,
-and `grow_chain`, up to DEPTH_CAP.
+`grow_chain`, up to DEPTH_CAP, and the run table of `run_cached`.
 
 Everything here is immutable after construction and safe to evaluate
-concurrently; evaluation is pure.
+concurrently; evaluation is pure, and each thread has its own run table.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -34,6 +36,8 @@ _CAUCHY_ROOTS = np.exp(2j * np.pi * np.arange(_CAUCHY_POINTS) / _CAUCHY_POINTS)
 # block, and 4,000-point blocks (64 kB each) left the process about 0.3 MB
 # larger after the oracle grids, where 1,024-point blocks leave it unchanged
 _ARRAY_BLOCK = 1024
+# the table of the run open in this context (run_table), None outside a run
+_RUN_TABLE = contextvars.ContextVar("crum_run_table", default=None)
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,31 @@ class AnalyticFn:
         vals = np.broadcast_to(np.asarray(self.fn(circles), dtype=complex), circles.shape)
         coeffs = np.fft.fft(vals) / _CAUCHY_POINTS
         return Jet(x, [coeffs[..., k] / r**k for k in range(order + 1)])
+
+
+@contextlib.contextmanager
+def run_table():
+    """A run: its own table (run_cached), closed again however the run ends."""
+    token = _RUN_TABLE.set({})
+    try:
+        yield
+    finally:
+        _RUN_TABLE.reset(token)
+
+
+def run_cached(compute, family, s, n, x):
+    """compute(family, s, n, x), level s's values for the states n at the 1-d
+    array x; in a run, computed once if x has at most _ARRAY_BLOCK points and
+    kept read-only, keyed by the arguments and x's dtype, shape and bytes."""
+    table = _RUN_TABLE.get()
+    if table is None or x.size > _ARRAY_BLOCK:
+        return compute(family, s, n, x)
+    key = (compute, family, s, n, x.dtype, x.shape, x.tobytes())
+    value = table.get(key)
+    if value is None:
+        value = table[key] = compute(family, s, n, x)
+        value.setflags(write=False)
+    return value
 
 
 def star_eval(f, x):

@@ -43,7 +43,8 @@ So a level evaluates an array of points on the lattice rows x + ikg/2,
 log-sum on row s, log V on rows s, s-2, ..., 2-s, L on rows +-1 .. +-(s-1),
 the Vandermonde sines on rows 0 .. s-1 and eta on rows s, s-2, ..., -s;
 log V^[s] takes its four L rows in one call too.  A level keeps nothing
-between calls, and takes a point or an array of points.
+between calls, and takes a point or an array of points; in a suite run,
+phi^[s]_n and log V^[s] are computed once per array (analytic.run_cached).
 
 The chain has the contract of the differential one (`oqm`): its levels are
 analytic.ChainLevel records, whose guards and step both kinds share;
@@ -143,14 +144,37 @@ def _log_sin_factor(w):
 
 
 def _log_v(family, s, x):
+    """log V^[s] at each point of the array x, kept in a run's table."""
+    return analytic.run_cached(_log_v_values, family, s, None, x)
+
+
+def _log_v_values(family, s, _n, x):
     """log V^[s] at each point of the array x (module docstring), its four
-    sine factors from one call."""
+    sine factors from one call; log V has no states (_n)."""
     h = 0.5j * family.gamma
     out = family.log_v(x - s * h)
     if s:
         log_sin = _log_sin_factor(x - np.array([s + 1, s, 1, 0])[:, None] * h)
         out = out - s * family.gamma + log_sin[0] + log_sin[1] - log_sin[2] - log_sin[3]
     return out
+
+
+def _phi_values(fam, s, n, x):
+    """phi^[s]_n, or the rows of a range of n, at the 1-d array x (module docstring)."""
+    g = fam.gamma
+    rows = x + np.arange(s, -s - 1, -1)[:, None] * (0.5j * g)    # row i: x + (s-i)ig/2
+    log_pref = fam.log_phi0sq(rows[0])
+    vand = 1j ** s
+    if s:
+        log_pref = (log_pref + fam.log_v(rows[:2 * s:2]).sum(axis=0)
+                    - 0.5 * s * (s - 1) * g)
+        if s > 1:
+            log_sin = _log_sin_factor(np.concatenate((rows[1:s], rows[s + 1:2 * s])))
+            log_pref = log_pref + log_sin[s - 1:].sum(axis=0) - log_sin[:s - 1].sum(axis=0)
+        vand = (vand * math.prod(2j * math.sinh(0.5 * m * g) for m in range(1, s + 1))
+                * np.prod(np.sin(rows[1:s + 1]), axis=0))
+    return (np.exp(0.5 * log_pref) * vand
+            * divided_difference(fam._recurrence, n, np.cos(rows[::2]))[0])
 
 
 class DqmChainLevel(ChainLevel):
@@ -176,21 +200,7 @@ class DqmChainLevel(ChainLevel):
                           label=f"phi[{self.s}]_{n}", rows=len(n) if isinstance(n, range) else 0)
 
     def _phi_at(self, n, x):
-        fam, s = self.family, self.s
-        g = fam.gamma
-        rows = x + np.arange(s, -s - 1, -1)[:, None] * (0.5j * g)    # row i: x + (s-i)ig/2
-        log_pref = fam.log_phi0sq(rows[0])
-        vand = 1j ** s
-        if s:
-            log_pref = (log_pref + fam.log_v(rows[:2 * s:2]).sum(axis=0)
-                        - 0.5 * s * (s - 1) * g)
-            if s > 1:
-                log_sin = _log_sin_factor(np.concatenate((rows[1:s], rows[s + 1:2 * s])))
-                log_pref = log_pref + log_sin[s - 1:].sum(axis=0) - log_sin[:s - 1].sum(axis=0)
-            vand = (vand * math.prod(2j * math.sinh(0.5 * m * g) for m in range(1, s + 1))
-                    * np.prod(np.sin(rows[1:s + 1]), axis=0))
-        return (np.exp(0.5 * log_pref) * vand
-                * divided_difference(fam._recurrence, n, np.cos(rows[::2]))[0])
+        return analytic.run_cached(_phi_values, self.family, self.s, n, x)
 
     def sqrt_v(self, x):
         return _on_points(lambda xs: np.exp(0.5 * _log_v(self.family, self.s, xs)), x)

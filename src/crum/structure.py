@@ -335,9 +335,10 @@ def limit_check(mode, config=None, function_sets=None, gammas=GAMMAS):
 
 def _scan_values(name, values):
     """The values of a limit scan: two or more distinct ones (a slope needs
-    two), each finite and > 0."""
+    two, and a repeat would count twice in the fit), each finite and > 0."""
     values = tuple(values)
-    if len(set(values)) < 2 or not all(math.isfinite(v) and v > 0 for v in values):
+    in_domain = all(math.isfinite(v) and v > 0 for v in values)
+    if len(set(values)) < max(2, len(values)) or not in_domain:
         raise ParameterError(f"a limit scan takes two or more distinct {name} values, each "
                              f"finite and > 0, got {', '.join(map(str, values)) or 'none'}")
     return values

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
-from .analytic import casoratian, inner_product, worst_residual, wronskian
+from .analytic import casoratian, inner_product, run_table, worst_residual, wronskian
 from .errors import AccuracyError, CrumError, ParameterError, StripError
 from .families import _oracle_box, _plain_params, make_family, virtual_state
 from .quadrature import QuadratureSpec, refinement_sequence
@@ -306,6 +306,7 @@ class _ChainKind:
     eta_tol: float              # tolerance of the coordinate relations
 
 
+@run_table()    # each run its own table of difference-chain values
 def run_suite(config: RunConfig):
     t0 = time.perf_counter()
     family = make_family(config.family, **config.params)

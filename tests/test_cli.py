@@ -209,10 +209,13 @@ def test_limit_malformed_list_exit_code(capsys):
                                   ["--mode", "gamma-to-0", "--gammas", "inf,0.1"],
                                   ["--mode", "gamma-to-0", "--gammas=-0.1,0.01"],
                                   ["--mode", "c-to-inf", "--c", "10,10"],
-                                  ["--mode", "gamma-to-0", "--gammas", "0.1,0.1"]])
+                                  ["--mode", "gamma-to-0", "--gammas", "0.1,0.1"],
+                                  ["--mode", "gamma-to-0", "--gammas", "0.1,0.1,0.01"],
+                                  ["--mode", "c-to-inf", "--c", "10,10,100"]])
 def test_limit_scan_values_outside_the_domain_exit_code(capsys, argv):
     # none of these can be scanned: a zero divides by zero, one value (or
-    # one value repeated) has no slope, and nan / inf give NaN rows
+    # one value repeated) has no slope, a repeat next to other values counts
+    # twice in the fit, and nan / inf give NaN rows
     code, out, err = run_cli(capsys, "limit", *argv)
     assert code == 2
     assert out == ""

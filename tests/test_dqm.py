@@ -1,6 +1,8 @@
 import collections
+import dataclasses
 import gc
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,11 +10,11 @@ import pytest
 
 from crum.analytic import (AnalyticFn, Identity, checked_ns, identity_residual, inner_product,
                            rel_residual, worst_residual)
-from crum.errors import ChainBreakError, DomainError, PoleError, StripError
-from crum import dqm, families, structure, verify
-from crum.verify import gram_matrix
+from crum.errors import ChainBreakError, DomainError, ParameterError, PoleError, StripError
+from crum import analytic, dqm, families, structure, verify
+from crum.verify import RunConfig, gram_matrix
 
-from conftest import worst_over_levels
+from conftest import AW_PARAMS, worst_over_levels
 
 
 def _pts(fam, count=10, im=0.0):
@@ -478,3 +480,87 @@ def test_level_evaluation_retains_no_memory(q_hermite):
     finally:
         tracemalloc.stop()
     assert retained < 16 * 1024
+
+
+# -- the run table ---------------------------------------------------------------------------
+
+def _aw_config(seed, depth=2, nmax=5):
+    return RunConfig(family="askey_wilson", params=dict(AW_PARAMS), depth=depth, nmax=nmax,
+                     seed=seed)
+
+
+def _suite_evaluations(monkeypatch, nmax):
+    """Computations of a difference level's two uncached evaluators, phi^[s]_n
+    and log V^[s], per (evaluator, family, s, states, array) key, and calls
+    of the family's log V per array, in a seed-7 Askey-Wilson depth-2 suite."""
+    computed, log_v = collections.Counter(), collections.Counter()
+    fam = families.make_family("askey_wilson", **AW_PARAMS)
+    real_log_v = families._VLogSum.__call__
+
+    def spied(real):
+        def counted(family, s, n, x):
+            computed[(real, family, s, n, x.dtype, x.shape, x.tobytes())] += 1
+            return real(family, s, n, x)
+        return counted
+
+    def counted_log_v(self, x):
+        if self is fam.log_v:
+            log_v[x.tobytes()] += 1
+        return real_log_v(self, x)
+
+    monkeypatch.setattr(dqm, "_phi_values", spied(dqm._phi_values))
+    monkeypatch.setattr(dqm, "_log_v_values", spied(dqm._log_v_values))
+    monkeypatch.setattr(families._VLogSum, "__call__", counted_log_v)
+    monkeypatch.setattr(verify, "make_family", lambda name, **params: fam)
+    report = verify.run_suite(_aw_config(7, nmax=nmax))
+    monkeypatch.undo()
+    assert report.status == "pass"
+    return computed, log_v
+
+
+def test_a_suite_evaluates_each_level_state_array_once(monkeypatch):
+    # without the table a suite computed phi^[s]_n 227 times on 103 keys, some
+    # keys up to 11 times, and called the family's log V 205 times on 35
+    # arrays; with it, 103 keys at nmax 5 and 109 at nmax 3, and 68 and 71
+    # log V calls
+    for nmax in (5, 3):
+        computed, log_v = _suite_evaluations(monkeypatch, nmax)
+        assert computed and max(computed.values()) == 1, nmax
+        assert sum(log_v.values()) <= 3 * len(log_v), nmax
+
+
+def test_the_run_table_lives_for_one_run():
+    seeds = (7, 2021)
+
+    def report(seed):
+        return dataclasses.replace(verify.run_suite(_aw_config(seed, depth=1)),
+                                   wall_time_s=0.0).to_json()
+
+    serial = [report(seed) for seed in seeds]
+    assert analytic._RUN_TABLE.get() is None
+    with pytest.raises(ParameterError):
+        verify.run_suite(_aw_config(7, nmax=families.DEFAULT_NMAX + 1))
+    assert analytic._RUN_TABLE.get() is None
+
+    threaded = {}
+    threads = [threading.Thread(target=lambda seed=seed: threaded.update({seed: report(seed)}))
+               for seed in seeds]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert [threaded[seed] for seed in seeds] == serial
+
+    # the table goes with its run: a second suite keeps nothing of it
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verify.run_suite(_aw_config(7))
+        gc.collect()
+        first = tracemalloc.get_traced_memory()[0]
+        verify.run_suite(_aw_config(7))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - first
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024

@@ -199,10 +199,15 @@ def _log_v_calls(monkeypatch, nmax):
 
 
 def test_dqm_suite_makes_the_same_potential_logs_whatever_the_states(monkeypatch):
-    # per-n evaluation made 591 calls of the family's log V on 38 arrays
+    # the family's log V: per-n evaluation made 591 calls on 38 arrays, the
+    # stacked rows 205 on 35; with the run table each level's values are
+    # computed once per run, so the calls follow the distinct (level, states,
+    # array) keys, 68 at nmax 5 and 71 at nmax 3, on the same 35 arrays
     calls = _log_v_calls(monkeypatch, 5)
-    assert sum(calls.values()) <= 7 * len(calls)
-    assert _log_v_calls(monkeypatch, 3) == calls
+    fewer_states = _log_v_calls(monkeypatch, 3)
+    assert set(fewer_states) == set(calls)
+    for counts in (calls, fewer_states):
+        assert sum(counts.values()) <= 3 * len(counts)
 
 
 # -- the pole guards at single points and arrays ---------------------------------------------

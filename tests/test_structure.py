@@ -266,7 +266,8 @@ def test_limit_scan_slope_and_flag_do_not_depend_on_the_order_of_the_values(mode
 
 
 @pytest.mark.parametrize("values", [(), (0.1,), (0.0, 0.1), (-0.1, 0.01),
-                                    (math.nan, 0.1), (0.1, math.inf), (0.1, 0.1)])
+                                    (math.nan, 0.1), (0.1, math.inf), (0.1, 0.1),
+                                    (0.1, 0.1, 0.01)])
 def test_limit_scan_refuses_values_outside_the_domain(values):
     with pytest.raises(ParameterError):
         structure.limit_check("gamma_to_0", gammas=values)
