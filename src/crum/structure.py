@@ -2,9 +2,10 @@
 sinusoidal-coordinate identities, and the two limits (shift to zero inside
 determinants; continuum limit of the difference operators).
 
-Shape-invariance parameters are fitted from the level-1 potential and then
-verified globally; the catalog's declared maps are initial-guess candidates,
-never assumptions.
+Shape invariance is checked against each family's declared rule
+(`family.shape`): the level-1 potential must equal kappa times the potential
+at the shifted parameters si(lambda), plus the first gap e1(lambda) on the
+derivative side.  Nothing is fitted, so a wrong declared rule fails.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ from .errors import DomainError, ParameterError
 from .families import make_family
 from . import dqm as dqm_mod
 
-SHAPE_POINTS = 30               # points of a shape fit's global residual
+SHAPE_POINTS = 30               # points of the shape-invariance residual
 GAMMAS = (1e-1, 1e-2, 1e-3)     # the default shifts of the gamma_to_0 scan
 
 
 @dataclass
-class ShapeFit:
-    converged: bool
+class ShapeCheck:
+    converged: bool       # the family accepted the declared shifted parameters
     kappa: float
-    params: dict
+    params: dict          # si(lambda); an oQM family adds shift = e1(lambda)
     max_residual: float
 
 
@@ -84,144 +85,34 @@ class LimitTable:
 # ---------------------------------------------------------------------------
 
 def shape_invariance_residual(family, chain):
-    """Fit (kappa, lambda') from the level-1 potential, then report the max
-    pointwise mismatch of kappa x (potential at the fitted parameters).
+    """Worst mismatch of the family's declared shape-invariance rule
+    (family.shape: si, kappa, e1) on the level-1 potential of `chain`.
 
-    Non-convergence is a verdict (ShapeFit.converged False), not an error.
+    dQM: V^[1](x) against kappa V(x; si(lambda)), on SHAPE_POINTS // 2 points
+    of interior(0.9) and the same points raised by 0.25 i |gamma|.  oQM:
+    U^[1](x) + E_1 against kappa U(x; si(lambda)) + e1(lambda), on
+    SHAPE_POINTS points of interior(0.9).  `converged` says the family
+    constructor accepted si(lambda); a refusal (ParameterError) is a failed
+    verdict (converged False, max_residual inf), not an error.
     """
-    if family.kind == "dqm":
-        return _shape_fit_dqm(family, chain)
-    return _shape_fit_oqm(family, chain)
-
-
-def _anchor_points(family, count):
-    lo, hi = family.interior(0.8)
-    return np.linspace(lo, hi, count).astype(complex)
-
-
-def _shape_fit_dqm(family, chain):
-    # trial potentials are evaluated straight from the factor-log form so the
-    # optimizer may pass through parameter sets that a family constructor
-    # would (rightly) reject
-    from .families import _VLogSum
-
-    free_keys = [k for k in ("a1", "a2", "a3", "a4") if k in family.params]
-    n_unknowns = 1 + 2 * len(free_keys)
-    anchors = _anchor_points(family, max(2 + len(free_keys), (n_unknowns + 1) // 2 + 1))
-    lo, hi = family.interior(0.9)
-    line = np.linspace(lo, hi, SHAPE_POINTS // 2).astype(complex)
-    xs = np.concatenate([line, line + 0.25j * abs(family.gamma)])
-
-    def model(u, pts):
-        avals = [complex(u[1 + 2 * j], u[2 + 2 * j]) for j in range(len(free_keys))]
-        return u[0] * np.exp(_VLogSum(family.q, avals)(pts))
-
-    starts = []
-    for scale in (math.sqrt(family.q), family.q, 1.0):
-        u = np.zeros(n_unknowns)
-        u[0] = 1.0 / family.q
-        for j, k in enumerate(free_keys):
-            guess = complex(family.params[k]) * scale
-            u[1 + 2 * j], u[2 + 2 * j] = guess.real, guess.imag
-        starts.append(u)
-    best = _best_fit(starts, chain[1].v, model, anchors, xs)
-    if best is None:
-        return ShapeFit(False, float("nan"), {}, float("inf"))
-    res, u = best
-    fitted = dict(family.params)
-    for j, k in enumerate(free_keys):
-        fitted[k] = complex(u[1 + 2 * j], u[2 + 2 * j])
-    return ShapeFit(True, float(u[0]), fitted, res)
-
-
-def _shape_fit_oqm(family, chain):
-    """Derivative-side analog: the full level-1 potential (level constant
-    included) equals U(x; p') + shift with shift = the first gap."""
+    shape = family.shape
+    params = shape.si(family.params)
+    try:
+        shifted = make_family(family.name, validate=False, **params)
+    except ParameterError:
+        return ShapeCheck(False, shape.kappa, params, math.inf)
     level1 = chain[1]
-    u1 = level1.potential()
-    free_keys = sorted(family.params)
-    anchors = _anchor_points(family, 3 + len(free_keys))
     lo, hi = family.interior(0.9)
-    xs = np.linspace(lo, hi, SHAPE_POINTS).astype(complex)
-
-    def model(u, pts):
-        params = {k: u[1 + j] for j, k in enumerate(free_keys)}
-        try:
-            fam2 = make_family(family.name, validate=False, **params)
-        except ParameterError:
-            return None
-        return fam2.potential()(pts) + u[0]
-
-    starts = []
-    for delta in (1.0, 0.0, 2.0):
-        u = np.zeros(1 + len(free_keys))
-        u[0] = family.energy(1)
-        for j, k in enumerate(free_keys):
-            u[1 + j] = family.params[k] + delta
-        starts.append(u)
-    best = _best_fit(starts, lambda pts: u1(pts) + level1.E_s, model, anchors, xs)
-    if best is None:
-        return ShapeFit(False, float("nan"), {}, float("inf"))
-    res, u = best
-    fitted = {k: float(u[1 + j]) for j, k in enumerate(free_keys)}
-    fitted["shift"] = float(u[0])
-    return ShapeFit(True, 1.0, fitted, res)
-
-
-def _best_fit(starts, target, model, anchors, xs):
-    """Shape fit of model(u, points) to target(points), both arrays of
-    values at an array of points: Gauss-Newton on the anchors from each
-    start, then the global residual, the worst rel_residual of the fitted
-    model against the target on xs.  The converged fit with the least
-    global residual as (residual, u), or None when no start converges; the
-    model returns None at parameters a family refuses."""
-    t_anchors, t_xs = target(anchors), target(xs)
-    best = None
-    for u0 in starts:
-        u, ok = _gauss_newton(u0, t_anchors, lambda uv: model(uv, anchors))
-        if not ok:
-            continue
-        res = worst_residual([rel_residual(t_xs, model(u, xs))])
-        if best is None or res < best[0]:
-            best = (res, u)
-    return best
-
-
-def _gauss_newton(u0, target, model):
-    u = np.array(u0, dtype=float)
-    t = np.concatenate([target.real, target.imag])
-
-    def resid(uv):
-        vals = model(uv)
-        if vals is None:
-            return None
-        return np.concatenate([vals.real, vals.imag]) - t
-
-    r = resid(u)
-    if r is None:
-        return u, False
-    for _ in range(40):
-        jac = np.zeros((len(r), len(u)))
-        for j in range(len(u)):
-            h = 1e-7 * (1.0 + abs(u[j]))
-            up = u.copy()
-            up[j] += h
-            rp = resid(up)
-            if rp is None:
-                return u, False
-            jac[:, j] = (rp - r) / h
-        try:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            return u, False
-        u = u + step
-        r_new = resid(u)
-        if r_new is None:
-            return u, False
-        r = r_new
-        if np.max(np.abs(step)) < 1e-13 * (1.0 + np.max(np.abs(u))):
-            break
-    return u, bool(np.max(np.abs(r)) < 1e-6 * (1.0 + np.max(np.abs(t))))
+    if family.kind == "dqm":
+        line = np.linspace(lo, hi, SHAPE_POINTS // 2).astype(complex)
+        xs = np.concatenate([line, line + 0.25j * abs(family.gamma)])
+        got, want = level1.v(xs), shape.kappa * np.exp(shifted.log_v(xs))
+    else:
+        params = {**params, "shift": shape.e1(family.params)}
+        xs = np.linspace(lo, hi, SHAPE_POINTS).astype(complex)
+        got = level1.potential()(xs) + level1.E_s
+        want = shape.kappa * shifted.potential()(xs) + params["shift"]
+    return ShapeCheck(True, shape.kappa, params, worst_residual([rel_residual(got, want)]))
 
 
 def si_spectrum(family, n):

@@ -61,6 +61,10 @@ DEFAULT_TOLERANCES = {
     "virtual_zero_mode": 1e-8,
 }
 
+# tolerance of the declared shape-invariance rule's residual on the level-1 potential
+_SHAPE_TOL = 1e-7
+
+
 @dataclass
 class RunConfig:
     """Everything a suite run depends on; JSON round-trips losslessly.
@@ -475,13 +479,16 @@ def _oracle_dqm(family, levels, config):
 
 
 def _shape_block(family, levels):
-    fit = structure_mod.shape_invariance_residual(family, levels)
+    """The declared shape-invariance rule on the level-1 potential
+    (structure.shape_invariance_residual) and the spectrum summed along its
+    parameter orbit (structure.si_spectrum) against the closed form."""
+    check = structure_mod.shape_invariance_residual(family, levels)
     block = {
-        "converged": fit.converged,
-        "kappa": fit.kappa if math.isfinite(fit.kappa) else None,
-        "fitted_params": _plain_params(fit.params),
-        "max_residual": fit.max_residual if math.isfinite(fit.max_residual) else None,
-        "tol": 1e-7,
+        "converged": check.converged,
+        "kappa": check.kappa,
+        "shifted_params": _plain_params(check.params),
+        "max_residual": check.max_residual if math.isfinite(check.max_residual) else None,
+        "tol": _SHAPE_TOL,
     }
     spec_ok = True
     rows = {}
@@ -493,7 +500,7 @@ def _shape_block(family, levels):
         spec_ok &= err <= 1e-10
     block["spectrum_rel_err"] = rows
     block["spectrum_pass"] = bool(spec_ok)
-    block["pass"] = bool(fit.converged and fit.max_residual <= 1e-7 and spec_ok)
+    block["pass"] = bool(check.converged and check.max_residual <= _SHAPE_TOL and spec_ok)
     return block
 
 

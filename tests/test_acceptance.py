@@ -186,8 +186,8 @@ def test_criterion_6_gram_law(oqm_chains, dqm_chains):
 
 
 def test_criterion_7_shape_invariance(dqm_chains):
-    """Fitted (scale, shifted parameters) reproduce the level-1 potential at
-    thirty strip points; orbit-summed energies match to 1e-10."""
+    """The declared (scale, shifted parameters) reproduce the level-1 potential
+    at thirty strip points; orbit-summed energies match to 1e-10."""
     ok = True
     for name, (fam, levels, _bt) in dqm_chains.items():
         fit = structure.shape_invariance_residual(fam, levels)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from crum import structure, verify
+from crum import make_family, structure, verify
 from crum.analytic import worst_residual
 from crum.errors import ParameterError
+from crum.families import ShapeData, _shift_avals
 from crum.structure import LimitScaling
 
-from conftest import SCALAR_ETA_RELATIONS, overall_slope
+from conftest import AW_PARAMS, SCALAR_ETA_RELATIONS, overall_slope, shape_fit
 
 
 def _pts(fam, count=20):
@@ -21,38 +22,86 @@ def _pts(fam, count=20):
 def test_hermite_shape_fit(hermite, hermite_chain):
     fit = structure.shape_invariance_residual(hermite, hermite_chain)
     assert fit.converged
-    assert fit.kappa == pytest.approx(1.0)
-    assert fit.params["shift"] == pytest.approx(2.0, abs=1e-8)
+    assert fit.kappa == 1.0
+    assert fit.params == {"shift": 2.0}
     assert fit.max_residual <= 1e-8
 
 
 def test_q_hermite_shape_fit(q_hermite, q_hermite_chain):
     fit = structure.shape_invariance_residual(q_hermite, q_hermite_chain)
     assert fit.converged
-    assert fit.kappa == pytest.approx(2.0, abs=1e-8)
+    assert fit.kappa == 2.0
     assert fit.max_residual <= 1e-8
 
 
 def test_aw_shape_fit(askey_wilson, askey_wilson_chain):
     fit = structure.shape_invariance_residual(askey_wilson, askey_wilson_chain)
     assert fit.converged
-    assert fit.kappa == pytest.approx(1.0 / 0.6, abs=1e-7)
+    assert fit.kappa == 1.0 / 0.6
     assert fit.max_residual <= 1e-7
     root_q = math.sqrt(0.6)
     for key in ("a1", "a2", "a3", "a4"):
-        assert abs(complex(fit.params[key]) - complex(askey_wilson.params[key]) * root_q) < 1e-7
+        assert fit.params[key] == complex(askey_wilson.params[key]) * root_q
 
 
-def test_shape_fit_that_does_not_converge_fails_the_suite(monkeypatch, hermite, hermite_chain):
-    # every trial family refused: no start converges, which is a failed
-    # verdict; any other error from the model is a defect and propagates
+@pytest.mark.parametrize("name", ["hermite", "laguerre", "jacobi", "q_hermite", "askey_wilson"])
+def test_shape_fit_oracle_recovers_the_declared_rule(name, request):
+    # the Gauss-Newton fit never reads family.shape: it finds the rule the
+    # level-1 potential obeys, which must be the declared one
+    family = request.getfixturevalue(name)
+    fit = shape_fit(family, request.getfixturevalue(f"{name}_chain"))
+    assert fit.converged and fit.max_residual <= 1e-7
+    shape = family.shape
+    declared = shape.si(family.params)
+    if family.kind == "oqm":
+        declared["shift"] = shape.e1(family.params)
+    assert abs(fit.kappa - shape.kappa) <= 1e-7
+    assert fit.params.keys() == declared.keys()
+    for key, value in declared.items():
+        assert abs(complex(fit.params[key]) - complex(value)) <= 1e-7, key
+
+
+# one wrong declared rule per family: (family, params, the ShapeData field, its
+# wrong value given the family's true shape)
+WRONG_RULES = {
+    "hermite-e1": ("hermite", {}, "e1", lambda shape: lambda p: 3.0),
+    "laguerre-si": ("laguerre", {"g": 3.0}, "si", lambda shape: lambda p: {"g": p["g"] + 2.0}),
+    "jacobi-si": ("jacobi", {"g": 2.0}, "si", lambda shape: lambda p: {"g": p["g"] + 2.0}),
+    "q_hermite-kappa": ("q_hermite", {"q": 0.5}, "kappa", lambda shape: shape.kappa ** 2),
+    "askey_wilson-si": ("askey_wilson", AW_PARAMS, "si",
+                        lambda shape: lambda p: _shift_avals(p, p["q"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_RULES))
+def test_a_wrong_declared_rule_fails_the_shape_block(monkeypatch, case):
+    name, params, key, wrong = WRONG_RULES[case]
+
+    def with_wrong_rule(family_name, **kwargs):
+        family = make_family(family_name, **kwargs)
+        family.shape = ShapeData(**{**vars(family.shape), key: wrong(family.shape)})
+        return family
+
+    monkeypatch.setattr(verify, "make_family", with_wrong_rule)
+    rep = verify.run_suite(verify.RunConfig(family=name, params=params, depth=1, nmax=3,
+                                            samples=4, seed=7))
+    block = rep.shape_invariance
+    assert block["converged"] is True
+    assert block["max_residual"] > block["tol"]
+    assert block["pass"] is False
+    assert rep.status == "fail"
+
+
+def test_a_refused_declared_rule_fails_the_suite(monkeypatch, hermite, hermite_chain):
+    # the family refuses the declared shifted parameters: a failed verdict;
+    # any other error from the constructor is a defect and propagates
     def refuse(*args, **kwargs):
         raise ParameterError("injected")
 
     monkeypatch.setattr(structure, "make_family", refuse)
-    fit = structure.shape_invariance_residual(hermite, hermite_chain)
-    assert not fit.converged
-    assert fit.max_residual == math.inf
+    check = structure.shape_invariance_residual(hermite, hermite_chain)
+    assert not check.converged
+    assert check.max_residual == math.inf
     rep = verify.run_suite(verify.RunConfig(family="hermite", depth=1, nmax=3, samples=4,
                                             seed=7))
     assert rep.shape_invariance["pass"] is False
@@ -68,7 +117,7 @@ def test_shape_fit_that_does_not_converge_fails_the_suite(monkeypatch, hermite, 
 
 def test_operator_level_shape_invariance(q_hermite, q_hermite_chain):
     # apply both sides of the factor-reordering identity to test functions
-    from crum import dqm, make_family
+    from crum import dqm
     fam2 = make_family("q_hermite", q=0.5)       # same parameters (self-similar map)
     kappa = 1.0 / q_hermite.q
     e1 = q_hermite.energy(1)
