@@ -27,17 +27,17 @@ class Jet:
     def variable(x, order):
         """Jet of the identity map at x, its value complex even at a real x,
         so that the elementary functions take their complex branch there."""
-        c = [_zeros_like(x) for _ in range(order + 1)]
-        c[0] = x * _ones_like(x)
+        zero = _zero_like(x)
+        c = [zero] * (order + 1)
+        c[0] = x * (1.0 + 0j)
         if order >= 1:
-            c[1] = _ones_like(x)
+            c[1] = zero + 1.0
         return Jet(x, c)
 
     @staticmethod
     def const(value, x, order):
-        c = [_zeros_like(x) for _ in range(order + 1)]
-        c[0] = value * _ones_like(x)
-        return Jet(x, c)
+        zero = _zero_like(x)
+        return Jet(x, [value + zero] + [zero] * order)
 
     # -- basic queries -------------------------------------------------
     @property
@@ -178,15 +178,12 @@ class Jet:
         return f"Jet(anchor={self.anchor!r}, coeffs={self.coeffs!r})"
 
 
-# complex zeros and ones shaped like a point or an array
-def _zeros_like(x):
+def _zero_like(x):
+    """A read-only complex zero shaped like a point or an array, which a jet's
+    structurally zero coefficients share: no jet operation writes into one."""
     if isinstance(x, np.ndarray):
-        return np.zeros_like(x, dtype=complex)
+        zero = np.zeros_like(x, dtype=complex)
+        zero.setflags(write=False)
+        return zero
     return 0j
-
-
-def _ones_like(x):
-    if isinstance(x, np.ndarray):
-        return np.ones_like(x, dtype=complex)
-    return 1.0 + 0j
 

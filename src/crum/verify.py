@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
 from .analytic import casoratian, inner_product, run_table, worst_residual, wronskian
 from .errors import AccuracyError, CrumError, ParameterError, StripError
@@ -165,13 +164,13 @@ def grid_eigensolve(u_fn, domain, k):
     of domain, by spectral elements.
 
     Gauss-Lobatto-Legendre (GLL) elements of order _GLL_ORDER with the lumped
-    (diagonal) GLL mass make the operator a symmetric banded matrix of
-    bandwidth _GLL_ORDER, whose lowest k eigenvalues come from LAPACK's banded
-    solver.  _ELEMENTS equal elements span the domain (`_element_edges` adds
-    geometric layers toward a singular wall).  u_fn maps an array of points to
-    the real values of U there.  It is called twice: at the ends and the
-    candidate layers, then at the interior nodes (at most 287 points); a
-    non-finite value at a node raises AccuracyError.
+    (diagonal) GLL mass make the operator a symmetric matrix of at most 287
+    rows, whose lowest k eigenvalues come from one dense LAPACK solve.
+    _ELEMENTS equal elements span the domain (`_element_edges` adds geometric
+    layers toward a singular wall).  u_fn maps an array of points to the real
+    values of U there.  It is called twice: at the ends and the candidate
+    layers, then at the interior nodes (at most 287 points); a non-finite value
+    at a node raises AccuracyError.
     """
     lo, hi = domain
     if not lo < hi:
@@ -183,21 +182,19 @@ def grid_eigensolve(u_fn, domain, k):
     n = p * widths.size + 1
     node = p * np.arange(widths.size)[:, None] + np.arange(p + 1)   # (element, local) -> global
     mass = np.bincount(node.ravel(), (0.5 * widths[:, None] * weights).ravel(), n)
-    # the lower band of M^-1/2 K M^-1/2: entry (row, col) at band[row - col, col]
-    lower = np.tril_indices(p + 1)
-    row, col = node[:, lower[0]], node[:, lower[1]]
-    entries = (2.0 / widths[:, None]) * stiff[lower] / np.sqrt(mass[row] * mass[col])
-    band = np.bincount(((row - col) * n + col).ravel(), entries.ravel(), (p + 1) * n).reshape(p + 1, n)
+    # M^-1/2 K M^-1/2, summed over every element's full (p+1)^2 block
+    row, col = node[:, :, None], node[:, None, :]
+    entries = (2.0 / widths[:, None, None]) * stiff / np.sqrt(mass[row] * mass[col])
+    matrix = np.bincount((row * n + col).ravel(), entries.ravel(), n * n).reshape(n, n)
     # the nodes less the two ends, where the Dirichlet walls hold psi at 0
     inner = (edges[:-1, None] + 0.5 * widths[:, None] * (ref + 1.0))[:, :-1].ravel()[1:]
     u = np.asarray(u_fn(inner), dtype=float)
     bad = ~np.isfinite(u)
     if bad.any():
         raise AccuracyError(f"potential not finite at grid point x={inner[np.argmax(bad)]:g}")
-    band[0, 1:-1] += u
-    # the ends' columns drop out; LAPACK reads no band entry past the last row
-    return eig_banded(band[:, 1:-1], lower=True, eigvals_only=True, select="i",
-                      select_range=(0, k - 1))
+    matrix = matrix[1:-1, 1:-1]
+    matrix[np.diag_indices(n - 2)] += u
+    return np.linalg.eigvalsh(matrix)[:k]
 
 
 def _element_edges(u_fn, lo, hi):
@@ -231,7 +228,8 @@ def _gll():
     stiffness D^T W D is exact, since GLL quadrature is exact to degree 2p - 1."""
     p = _GLL_ORDER
     m = np.arange(1, p - 1)
-    inner = eigvalsh_tridiagonal(np.zeros(p - 1), np.sqrt(m * (m + 2) / ((2 * m + 1) * (2 * m + 3))))
+    off = np.sqrt(m * (m + 2) / ((2 * m + 1) * (2 * m + 3)))
+    inner = np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
     x = np.r_[-1.0, inner, 1.0]
     prev, leg = np.ones_like(x), x
     for m in range(1, p):

@@ -5,13 +5,14 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
 from crum import AnalyticFn, make_family
 from crum.analytic import (checked_ns, divided_difference, rel_residual, sign_changes, star_eval,
                            worst_residual)
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
+from crum import verify as verify_mod
 from crum.errors import AccuracyError, ChainBreakError, DomainError, ParameterError, PoleError
 from crum.jets import Jet
 from crum.families import QPOCH_TAIL, _VLogSum
@@ -473,6 +474,32 @@ def fd_grid_eigensolve(u_fn, domain, n_points, k):
         return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
 
     return (4.0 * eigs(2 * n_points) - eigs(n_points)) / 3.0
+
+
+def banded_grid_eigensolve(u_fn, domain, k):
+    """Lowest k eigenvalues of -d^2/dx^2 + U with Dirichlet walls, by the
+    spectral elements of `verify.grid_eigensolve` (its nodes, layers and
+    lumped mass) assembled as the lower band of the matrix and solved by
+    LAPACK's banded eigensolver: the route the dense solve replaced, kept as
+    its oracle.  u_fn maps an array of points to the real values of U there."""
+    lo, hi = domain
+    p = verify_mod._GLL_ORDER
+    ref, weights, stiff = verify_mod._gll()
+    edges = verify_mod._element_edges(u_fn, lo, hi)
+    widths = np.diff(edges)
+    n = p * widths.size + 1
+    node = p * np.arange(widths.size)[:, None] + np.arange(p + 1)   # (element, local) -> global
+    mass = np.bincount(node.ravel(), (0.5 * widths[:, None] * weights).ravel(), n)
+    # the lower band of M^-1/2 K M^-1/2: entry (row, col) at band[row - col, col]
+    lower = np.tril_indices(p + 1)
+    row, col = node[:, lower[0]], node[:, lower[1]]
+    entries = (2.0 / widths[:, None]) * stiff[lower] / np.sqrt(mass[row] * mass[col])
+    band = np.bincount(((row - col) * n + col).ravel(), entries.ravel(), (p + 1) * n).reshape(p + 1, n)
+    inner = (edges[:-1, None] + 0.5 * widths[:, None] * (ref + 1.0))[:, :-1].ravel()[1:]
+    band[0, 1:-1] += np.asarray(u_fn(inner), dtype=float)
+    # the ends' columns drop out; LAPACK reads no band entry past the last row
+    return eig_banded(band[:, 1:-1], lower=True, eigvals_only=True, select="i",
+                      select_range=(0, k - 1))
 
 
 def scalar_lu_det(matrix):

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import crum
 from crum.cli import main
 
 
@@ -227,3 +232,16 @@ def test_non_integer_seed_env_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "chain", "--family", "hermite", "--depth", "1")
     assert code == 2
     assert "CRUM_SEED" in err
+
+
+def test_import_loads_no_scipy():
+    # numpy is crum's only run-time dependency; a fresh interpreter, since
+    # the tests' own oracles import scipy into this one
+    src = str(pathlib.Path(crum.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**{k: v for k, v in os.environ.items() if k != "CRUM_SEED"}, "PYTHONPATH": path}
+    code = "import sys, crum, crum.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

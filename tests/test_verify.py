@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import AW_PARAMS, fd_grid_eigensolve, scalar_gram
+from conftest import AW_PARAMS, banded_grid_eigensolve, fd_grid_eigensolve, scalar_gram
 from crum import dqm, families, make_family, oqm, structure, verify, virtual_state
 from crum.analytic import AnalyticFn, Identity, casoratian, wronskian
 from crum.errors import (AccuracyError, ChainBreakError, ParameterError, PoleError,
@@ -71,6 +71,21 @@ def test_grid_eigensolve_matches_the_finite_difference_oracle(name, request):
         slow = fd_grid_eigensolve(lambda t: u(t).real, box, 1000, 3)
         own_err = np.max(np.abs(slow - fd_grid_eigensolve(lambda t: u(t).real, box, 2000, 3)))
         assert np.max(np.abs(fast - slow)) <= 2.0 * own_err, (name, level.s)
+
+
+@pytest.mark.parametrize("name, params", [("hermite", {}), ("laguerre", {"g": 3.0}),
+                                          ("jacobi", {"g": 2.0}), ("laguerre", {"g": 1.05})],
+                         ids=["hermite", "laguerre-g3", "jacobi-g2", "laguerre-g1.05"])
+def test_grid_eigensolve_matches_the_banded_solve(name, params):
+    # the same spectral elements, solved dense and as a band; laguerre
+    # g = 1.05 takes the most wall layers
+    fam = make_family(name, **params)
+    box = _oracle_box(fam)
+    for level in oqm.build_chain(fam, 1, 3):
+        u = level.potential()
+        dense = grid_eigensolve(lambda t: u(t).real, box, 3)
+        banded = banded_grid_eigensolve(lambda t: u(t).real, box, 3)
+        assert np.all(np.abs(dense - banded) <= 1e-9 * (1.0 + np.abs(banded))), (name, params, level.s)
 
 
 @pytest.mark.parametrize("name, g", [("laguerre", 1.05), ("laguerre", 1.2), ("jacobi", 1.05)])
