@@ -270,18 +270,6 @@ def hamiltonian_apply(level, f):
     return _narrowed(out, f, abs(g), f"H[{level.s}]")
 
 
-def energy_fit(family, ns, xs):
-    """Least-squares eigenvalues of the family's phi_n, n in the range ns,
-    from the level-0 difference equation at the points xs.  The states go
-    through the Hamiltonian as one stacked function, so each shifted point
-    array costs one ground-state log-sum."""
-    xs = np.asarray(xs, dtype=complex)
-    states = family.phi(ns).fn
-    pv = states(xs)
-    num = np.sum(hamiltonian_apply(level0(family), states)(xs) * pv.conj(), axis=1)
-    return (num / np.sum(np.abs(pv) ** 2, axis=1)).real.tolist()
-
-
 # ---------------------------------------------------------------------------
 # chain construction
 # ---------------------------------------------------------------------------

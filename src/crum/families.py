@@ -17,11 +17,11 @@ of q-shifted factorials (one q-series, on arrays); excited states are the
 ground state times a monic polynomial in cos x generated by a three-term
 recurrence, which both kinds run through analytic.divided_difference.
 
-Every family validates itself at construction time (`validate`).  A
-continuous family checks that e^W is positive and its closed-form energy rule
-against a finite-difference eigensolver; a q-family checks that its ground
-state is a zero mode of the lowering factor and its energy rule against
-least-squares eigenvalue extraction from the difference equation.
+Every family validates itself at construction time (`validate`): a
+continuous family checks that e^W is positive and its closed-form energies
+against the grid eigensolve of U; a q-family checks that its ground state is a
+zero mode of the lowering factor and its energies against a least-squares fit
+to the difference equation in the polynomial gauge, on the real axis.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from . import dqm as dqm_mod
 DEFAULT_NMAX = 32
 _VALIDATE_POINTS = 20
 _ZERO_MODE_TOL = 1e-10
-_ENERGY_ORACLE_TOL = 1e-3
 _BOX_STEPS = 48        # candidate right edges 1.25^k of the oracle box, up to ~3.6e4
 # results a dQM family keeps of its ground-state array log-sum, each of at
 # most _ARRAY_BLOCK points: the checks evaluate phi_0 over and over on the
@@ -64,8 +63,8 @@ class Family:
     A subclass provides `_phi(n, ...)` (phi_n, or the stacked function of a
     range of n, which `phi` returns past its n-range refusal), `_recurrence(k)`
     (the (b_k, c_k) of the monic three-term recurrence of the polynomial part
-    P_n), the energy rule `_energy(n, params)`, `eta()` and `validate()` (its
-    construction-time self-consistency checks); `kind` names its chain module.
+    P_n), the energy rule `_energy(n, params)`, `eta()`, `_check_ground_state()`
+    and its level-0 oracle `_level0_spectrum()`; `kind` names its chain module.
     """
 
     gamma = None                  # the imaginary shift of a difference family
@@ -79,6 +78,8 @@ class Family:
         self.nmax = DEFAULT_NMAX
         self.label = f"{name}({label_params})" if label_params else name
         self._h0 = None
+        self._oracle_levels = None
+        self._shifted = None
         a, b = domain
         if math.isinf(a):
             self.quad = QuadratureSpec(kind="full_line", tolerance=1e-12)
@@ -112,6 +113,29 @@ class Family:
             h *= self._recurrence(k)[1]
         return h
 
+    def oracle_levels(self):
+        """The lowest energies by the kind's level-0 oracle, computed once per
+        family: validation and the suite's oracle block read the same ones."""
+        if self._oracle_levels is None:
+            self._oracle_levels = tuple(float(e) for e in self._level0_spectrum())
+        return self._oracle_levels
+
+    def validate(self):
+        """The kind's ground-state check, then the energies against `oracle_levels`."""
+        self._check_ground_state()
+        for n, level in enumerate(self.oracle_levels()):
+            e = self.energy(n)
+            if abs(level - e) > self._ORACLE_TOL * (1 + abs(e)):
+                raise ParameterError(f"{self.label}: closed-form energy E_{n}={e:.8f} disagrees "
+                                     f"with {self._ORACLE_NAME} {level:.8f}")
+
+    def shifted(self):
+        """The family at the shape-invariance parameters si(lambda), built once
+        and not validated (the shape rule and the virtual state check it)."""
+        if self._shifted is None:
+            self._shifted = make_family(self.name, validate=False, **self.shape.si(self.params))
+        return self._shifted
+
     def interior(self, fraction=0.9):
         """The middle `fraction` of the domain, clipped to [-8, 8]."""
         a, b = self.domain
@@ -133,6 +157,7 @@ class OqmFamily(Family):
     """Solvable Schrodinger family on an interval, factorized through W."""
 
     kind = "oqm"
+    _ORACLE_TOL, _ORACLE_NAME = 1e-3, "grid oracle"
 
     def __init__(self, name, params, domain, w_log_jet, energy_rule,
                  poly_recurrence, eta_jet, shape, label_params):
@@ -141,7 +166,6 @@ class OqmFamily(Family):
         self._energy = energy_rule    # (n, params) -> E_n
         self._recurrence = poly_recurrence  # n -> (b_n, c_n) for monic P in eta
         self._eta_jet = eta_jet
-        self._oracle_levels = None
 
     # -- core evaluators -----------------------------------------------
     # Level s of the Crum chain is evaluated in closed form.  With
@@ -207,32 +231,20 @@ class OqmFamily(Family):
     def eta(self):
         return AnalyticFn(label=f"{self.label}.eta", jet_fn=self._eta_jet)
 
-    def oracle_levels(self):
-        """The three lowest eigenvalues of U by the spectral-element eigensolve
-        on the oracle box (`verify.grid_eigensolve`), solved once per family:
-        validation and the suite's level-0 grid oracle read the same solve."""
-        if self._oracle_levels is None:
-            from .verify import grid_eigensolve  # deferred: verify imports families
+    def _level0_spectrum(self):
+        """The three lowest eigenvalues of U by `verify.grid_eigensolve` on the oracle box."""
+        from .verify import grid_eigensolve  # deferred: verify imports families
 
-            u = self.potential()
-            levels = grid_eigensolve(lambda x: u(x).real, _oracle_box(self), 3)
-            self._oracle_levels = tuple(float(e) for e in levels)
-        return self._oracle_levels
+        u = self.potential()
+        return grid_eigensolve(lambda x: u(x).real, _oracle_box(self), 3)
 
-    def validate(self):
-        """The ground state e^W is positive at sample points of the interior,
-        and the first three closed-form energies agree with the grid oracle's
-        (`oracle_levels`)."""
+    def _check_ground_state(self):
+        """The ground state e^W is positive at sample points of the interior."""
         xs = np.linspace(*self.interior(), _VALIDATE_POINTS).astype(complex)
         bad = ~(self.phi(0)(xs).real > 0)
         if bad.any():
             raise ParameterError(f"{self.label}: ground state not positive at "
                                  f"x={xs[bad.argmax()].real:g}")
-        for n, level in enumerate(self.oracle_levels()):
-            if abs(level - self.energy(n)) > _ENERGY_ORACLE_TOL * (1 + abs(self.energy(n))):
-                raise ParameterError(
-                    f"{self.label}: closed-form energy E_{n}={self.energy(n)} disagrees with "
-                    f"grid oracle {level:.6f}")
 
 
 def _hermite_family():
@@ -409,6 +421,7 @@ class DqmFamily(Family):
     """Solvable difference-Schrodinger family on (0, pi) with shift i*gamma."""
 
     kind = "dqm"
+    _ORACLE_TOL, _ORACLE_NAME = 1e-8, "difference-equation fit"
 
     def __init__(self, name, params, q, avals, label_params):
         self.q = float(q)
@@ -480,15 +493,22 @@ class DqmFamily(Family):
         return AnalyticFn(np.sin, label="sin",
                           jet_fn=lambda x, order: Jet.variable(x, order).sin())
 
-    def shifted(self):
-        """Same family at the shape-invariance-shifted parameters."""
-        return make_family(self.name, **self.shape.si(self.params))
+    def _level0_spectrum(self):
+        """E_0..E_4, each P_n's least-squares eigenvalue of phi_0^-1 H phi_0 at 10
+        real points: V(x) (P_n(x - ig) - P_n(x)) + V*(x) (P_n(x + ig) - P_n(x)) =
+        E_n P_n(x), P_n taken at cos of its argument and V*(x) = conj V(x).  No
+        ground state, so no square root and no strip."""
+        xs = np.linspace(0.15 * math.pi, 0.85 * math.pi, 10)
+        v = np.exp(self.log_v(xs))
+        shifts = np.array([0.0, -1.0, 1.0])[:, None] * (1j * self.gamma)
+        p = divided_difference(self._recurrence, range(5), np.cos(xs + shifts)[None])[0]
+        lhs = v * (p[:, 1] - p[:, 0]) + v.conj() * (p[:, 2] - p[:, 0])
+        return (np.sum(lhs * p[:, 0].conj(), axis=1) / np.sum(np.abs(p[:, 0]) ** 2, axis=1)).real
 
-    def validate(self):
+    def _check_ground_state(self):
         """The ground state is a zero mode of the lowering factor,
         sqrtV*(x - ig/2) phi_0(x - ig/2) = sqrtV(x + ig/2) phi_0(x + ig/2), at
-        sample points of the interior, and the energies E_0..E_4 agree with a
-        least-squares eigenvalue fit to the difference equation."""
+        sample points of the interior."""
         xs = np.linspace(0.08 * math.pi, 0.92 * math.pi, _VALIDATE_POINTS).astype(complex)
         level = dqm_mod.level0(self)
         phi0 = self.phi(0).fn
@@ -499,12 +519,6 @@ class DqmFamily(Family):
         if bad.any():
             raise ParameterError(f"{self.label}: ground-state zero mode fails at "
                                  f"x={xs[bad.argmax()].real:g}")
-        xs = np.linspace(0.15 * math.pi, 0.85 * math.pi, 10).astype(complex)
-        for n, e_fit in enumerate(dqm_mod.energy_fit(self, range(5), xs)):
-            if abs(e_fit - self.energy(n)) > 1e-8 * (1.0 + abs(self.energy(n))):
-                raise ParameterError(
-                    f"{self.label}: closed-form energy E_{n}={self.energy(n):.8f} disagrees "
-                    f"with difference-equation fit {e_fit:.8f}")
 
 
 class _VLogSum:

@@ -19,7 +19,6 @@ import numpy as np
 from .analytic import (AnalyticFn, Identity, casoratian, identity_residual, rel_residual,
                        worst_residual, wronskian)
 from .errors import DomainError, ParameterError
-from .families import make_family
 from . import dqm as dqm_mod
 
 SHAPE_POINTS = 30               # points of the shape-invariance residual
@@ -98,7 +97,7 @@ def shape_invariance_residual(family, chain):
     shape = family.shape
     params = shape.si(family.params)
     try:
-        shifted = make_family(family.name, validate=False, **params)
+        shifted = family.shifted()
     except ParameterError:
         return ShapeCheck(False, shape.kappa, params, math.inf)
     level1 = chain[1]

@@ -461,12 +461,10 @@ def _oracle_oqm(family, levels, config):
 
 
 def _oracle_dqm(family, levels, config):
-    """Least-squares eigenvalues of the level-0 difference equation."""
-    xs = sample_points(family, 10, config.seed)
+    """The family's level-0 difference-equation fit (`oracle_levels`), n <= min(nmax, 4)."""
     block = {"levels": {}}
     ok = True
-    ns = range(0, min(config.nmax, 4) + 1)
-    for n, e_fit in zip(ns, dqm_mod.energy_fit(family, ns, xs)):
+    for n, e_fit in enumerate(family.oracle_levels()[:config.nmax + 1]):
         e_closed = family.energy(n)
         err = abs(e_fit - e_closed) / (1.0 + abs(e_closed))
         this_ok = err <= config.tolerance("oracle_spectrum")

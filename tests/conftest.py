@@ -502,6 +502,20 @@ def banded_grid_eigensolve(u_fn, domain, k):
                       select_range=(0, k - 1))
 
 
+def energy_fit(family, ns, xs):
+    """Least-squares eigenvalues of the family's phi_n, n in the range ns,
+    from the level-0 difference equation at the points xs.  The states go
+    through the Hamiltonian as one stacked function, so each shifted point
+    array costs one ground-state log-sum: the phi-form fit that the
+    polynomial-gauge fit (`DqmFamily.oracle_levels`) replaced, kept as its
+    oracle."""
+    xs = np.asarray(xs, dtype=complex)
+    states = family.phi(ns).fn
+    pv = states(xs)
+    num = np.sum(dqm_mod.hamiltonian_apply(dqm_mod.level0(family), states)(xs) * pv.conj(), axis=1)
+    return (num / np.sum(np.abs(pv) ** 2, axis=1)).real.tolist()
+
+
 def scalar_lu_det(matrix):
     """Determinant and LU growth of one matrix, pivoted row by row: the
     per-matrix route the stacked `analytic.lu_det` replaced, kept as its oracle."""

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (AW_PARAMS, factor_log_sum_oracle, jet_ring_poly_jet, per_direction_log_sum,
-                      point_log_sum, poly_value, qpochhammer_inf, starred)
+from conftest import (AW_PARAMS, energy_fit, factor_log_sum_oracle, jet_ring_poly_jet,
+                      per_direction_log_sum, point_log_sum, poly_value, qpochhammer_inf, starred)
 from crum import RunConfig, make_family, run_suite, virtual_state
 from crum.analytic import inner_product, star_eval
 from crum.errors import DomainError, ParameterError
@@ -54,6 +54,57 @@ def test_validation_rejects_a_ground_state_off_the_prepotential(monkeypatch):
     monkeypatch.setattr(families, "_hermite_family", lambda: bad)
     with pytest.raises(ParameterError, match="disagrees with grid oracle"):
         make_family("hermite")
+
+
+def test_validation_rejects_a_wrong_difference_energy_rule(monkeypatch):
+    # E_2 off by 1e-6 relative: far above the fit's rounding, far below any
+    # other check's reach
+    from crum import families
+
+    real = families.DqmFamily._energy
+    monkeypatch.setattr(families.DqmFamily, "_energy",
+                        lambda self, n, p: real(self, n, p) * (1.0 + 1e-6 * (n == 2)))
+    with pytest.raises(ParameterError, match=r"E_2=.* disagrees with difference-equation fit"):
+        make_family("askey_wilson", **AW_PARAMS)
+
+
+def test_validation_rejects_a_ground_state_that_is_no_zero_mode(monkeypatch):
+    # log phi_0^2 + x/10 is phi_0 e^{x/20}: the lowering factor's two shifted
+    # terms then differ by the factor e^{i gamma/20}
+    from crum import families
+
+    real = families.DqmFamily.log_phi0sq
+    monkeypatch.setattr(families.DqmFamily, "log_phi0sq", lambda self, x: real(self, x) + 0.1 * x)
+    with pytest.raises(ParameterError, match="ground-state zero mode fails at x=0.251327"):
+        make_family("q_hermite", q=0.5)
+
+
+GAUGE_FIT_SETS = ([("q_hermite", {"q": q}) for q in (0.02, 0.5, 0.99)]
+                  + [("askey_wilson", {**AW_PARAMS, "q": q}) for q in (0.2, 0.6, 0.9)])
+
+
+@pytest.mark.parametrize("name,params", GAUGE_FIT_SETS)
+def test_gauge_fit_matches_the_phi_form_fit(name, params):
+    # the polynomial-gauge fit on the real axis against the phi-form fit
+    # through phi_0, sqrtV and H at Im +-|gamma|, at the same real points
+    fam = make_family(name, validate=False, **params)
+    xs = np.linspace(0.15 * math.pi, 0.85 * math.pi, 10)
+    for n, (gauge, phi_form) in enumerate(zip(fam.oracle_levels(),
+                                              energy_fit(fam, range(5), xs))):
+        assert abs(gauge - phi_form) <= 1e-12 * (1 + abs(phi_form))
+        assert abs(gauge - fam.energy(n)) <= 1e-12 * (1 + abs(fam.energy(n)))
+
+
+def test_difference_oracle_evaluates_no_ground_state(monkeypatch):
+    from crum import families
+
+    calls = []
+    real = families._FactorLogSum.at
+    monkeypatch.setattr(families._FactorLogSum, "at",
+                        lambda self, x: calls.append(x.shape) or real(self, x))
+    fam = make_family("askey_wilson", validate=False, **{**AW_PARAMS, "q": 0.2})
+    assert len(fam.oracle_levels()) == 5
+    assert calls == []
 
 
 def test_laguerre_constraint():

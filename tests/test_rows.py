@@ -254,3 +254,13 @@ def test_report_sweep_tells_verdicts_from_moved_numbers():
     assert sorted(changes) == ["a.extra: only in new", "a.levels[0].pass: True -> False",
                                "a.note: 'x' -> 'y'", "a.status: 'pass' -> 'fail'"]
     assert moves == [("a.levels[0].residual", 1e-14, 3e-14, pytest.approx(2e-14))]
+
+
+def test_report_sweep_counts_moves_by_block_path():
+    sweep = _report_sweep()
+    assert sweep.block("reports.askey_wilson_q0.2/d1/s2021.oracle.levels.4.fit") == \
+        "oracle.levels.fit"
+    assert sweep.block("reports.hermite/d2/s7.levels[1].gram.diag[0]") == "levels.gram.diag"
+    assert sweep.block("reports.jacobi/d1/s7.shape_invariance.spectrum_rel_err.3") == \
+        "shape_invariance.spectrum_rel_err"
+    assert sweep.block("scans.c_to_inf[3].max_error") == "max_error"

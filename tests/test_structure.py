@@ -92,14 +92,17 @@ def test_a_wrong_declared_rule_fails_the_shape_block(monkeypatch, case):
     assert rep.status == "fail"
 
 
-def test_a_refused_declared_rule_fails_the_suite(monkeypatch, hermite, hermite_chain):
+def test_a_refused_declared_rule_fails_the_suite(monkeypatch, hermite_chain):
     # the family refuses the declared shifted parameters: a failed verdict;
-    # any other error from the constructor is a defect and propagates
+    # any other error from the constructor is a defect and propagates.  The
+    # families are fresh, since a family keeps the shifted family it built
+    from crum import families
+
     def refuse(*args, **kwargs):
         raise ParameterError("injected")
 
-    monkeypatch.setattr(structure, "make_family", refuse)
-    check = structure.shape_invariance_residual(hermite, hermite_chain)
+    monkeypatch.setattr(families, "make_family", refuse)
+    check = structure.shape_invariance_residual(make_family("hermite"), hermite_chain)
     assert not check.converged
     assert check.max_residual == math.inf
     rep = verify.run_suite(verify.RunConfig(family="hermite", depth=1, nmax=3, samples=4,
@@ -110,9 +113,9 @@ def test_a_refused_declared_rule_fails_the_suite(monkeypatch, hermite, hermite_c
     def broken(*args, **kwargs):
         raise TypeError("injected")
 
-    monkeypatch.setattr(structure, "make_family", broken)
+    monkeypatch.setattr(families, "make_family", broken)
     with pytest.raises(TypeError, match="injected"):
-        structure.shape_invariance_residual(hermite, hermite_chain)
+        structure.shape_invariance_residual(make_family("hermite"), hermite_chain)
 
 
 def test_operator_level_shape_invariance(q_hermite, q_hermite_chain):

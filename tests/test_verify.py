@@ -429,6 +429,24 @@ def test_evaluation_counts_are_one_call_per_grid_and_per_level(monkeypatch):
     assert grams == [[41, 40, 80, 160]] * 3
 
 
+def test_a_difference_suite_fits_level_0_once_and_builds_two_families(monkeypatch):
+    # the validated family's fit is the one the oracle block reads; the
+    # family at si(lambda) is built once, unvalidated, for the shape rule and
+    # the virtual state
+    fits, built, validated = [], [], []
+    for name, log in (("_level0_spectrum", fits), ("__init__", built), ("validate", validated)):
+        real = getattr(families.DqmFamily, name)
+        monkeypatch.setattr(families.DqmFamily, name,
+                            lambda self, *a, _real=real, _log=log, **k:
+                            _log.append(self) or _real(self, *a, **k))
+    rep = run_suite(RunConfig(family="askey_wilson", params=AW_PARAMS, depth=2, seed=7))
+    assert rep.status == "pass"
+    assert len(fits) == 1 and len(built) == 2 and len(validated) == 1
+    assert fits == validated
+    fam = fits[0]
+    assert [rep.oracle["levels"][str(n)]["fit"] for n in range(5)] == list(fam.oracle_levels())
+
+
 def test_identities_make_no_scalar_jet_call(monkeypatch):
     # hermite depth 2: every identity evaluates each function on the whole
     # sample array, so no jet anchored at a single point is built inside one

@@ -15,17 +15,20 @@ the CSV rows (`structure.emit_csv_rows`) of the two default limit scans,
 runs the sweep and the scans on this checkout's `src/` and on
 OTHER_CHECKOUT's, each in a fresh interpreter, then prints every status or
 verdict that changed (a change of a report's layout counts as one), every
-number that moved with its old and new value, and the largest absolute
-move.  It exits 1 when a status or verdict changed, and 0 otherwise, moved
-numbers or not.
+number that moved with its old and new value, the count of moved numbers
+per block path (the path below the report or scan, indices dropped, e.g.
+`oracle.levels.fit: 78`) and the largest absolute move.  It exits 1 when a
+status or verdict changed, and 0 otherwise, moved numbers or not.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -43,6 +46,10 @@ VERDICT_KEYS = {"status", "pass", "spectrum_pass", "converged", "diverging",
                 "norm_divergence_flag", "parent_ground_absent", "skipped", "flag"}
 SCANS = ("c_to_inf", "gamma_to_0")
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the report key ("key/d1/s7") or scan mode that leads a path, and a list
+# index or numbered key in it
+_REPORT_OR_SCAN = re.compile(r"^(reports\.[^/]+/d\d+/s\d+|scans\.\w+)")
+_INDEX = re.compile(r"\[\d+\]|\.\d+(?=\.|$)")
 
 
 def sweep():
@@ -107,6 +114,12 @@ def diff(old, new, path=""):
     return ([] if old == new else [f"{path}: {old!r} -> {new!r}"]), []
 
 
+def block(where):
+    """The dotted path `where` below its report or scan, without indices:
+    `reports.hermite/d1/s7.levels[0].gram.diag[1]` is `levels.gram.diag`."""
+    return _INDEX.sub("", _REPORT_OR_SCAN.sub("", where)).lstrip(".")
+
+
 def main(argv):
     if argv == ["--emit"]:
         json.dump({"reports": sweep(), "scans": scans()}, sys.stdout)
@@ -120,6 +133,8 @@ def main(argv):
         print(f"CHANGED {line}")
     for where, a, b, move in moves:
         print(f"moved {where}: {a!r} -> {b!r} (|move| {move:.3g})")
+    for path, count in sorted(collections.Counter(block(row[0]) for row in moves).items()):
+        print(f"{path}: {count}")
     largest = max(moves, key=lambda row: row[3], default=None)
     print(f"{len(new['reports'])} reports and {len(new['scans'])} limit scans: "
           f"{len(changes)} changed statuses or verdicts, "
