@@ -1,10 +1,11 @@
 """Complex-analytic function values on a strip: star conjugation, derivative
-jets, Wronskian and Casoratian determinants, inner products; stacked
-functions, whose values and jets lead with one row per n of a range
-(`AnalyticFn.rows`, `row_range`); the identity engine both chain kinds share:
-an `Identity` table per kind, read by `identity_residual` and reduced
-fail-closed by `worst_residual`, the five operator identities both tables
-hold and `downshift`; and the chain scaffold: `ChainLevel`, the level record
+jets, Wronskian and Casoratian determinants, inner products over a
+family's domain (a, b) by `quadrature.integrate`; stacked functions, whose
+values and jets lead with one row per n of a range (`AnalyticFn.rows`,
+`row_range`); the identity engine both chain kinds share: an `Identity`
+table per kind, read by `identity_residual` and reduced fail-closed by
+`worst_residual`, the five operator identities both tables hold and
+`downshift`; and the chain scaffold: `ChainLevel`, the level record
 both kinds subclass, with its n-range, level-0, step and downshift guards,
 `sign_changes`, the one rule by which a step refuses a seed,
 `divided_difference`, the one three-term recurrence of the polynomials P_n,
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import CapabilityError, ChainBreakError, DomainError, StripError
 from .jets import Jet
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import integrate
 
 MAX_JET_ORDER = 24
 DEPTH_CAP = 4
@@ -524,8 +525,8 @@ def _det(rows, fs, shape, last, info):
     return (det, growth) if info else det
 
 
-def inner_product(f, g, quad: QuadratureSpec):
-    """Integral of conj(f(x)) g(x) over the physical domain.
+def inner_product(f, g, domain):
+    """Integral of conj(f(x)) g(x) over the physical domain (a, b).
 
     For stacked functions f and g (AnalyticFn.rows) it is the matrix of
     <f_i, g_j> over their rows, from one refinement on shared nodes; each
@@ -537,5 +538,5 @@ def inner_product(f, g, quad: QuadratureSpec):
         gx = fx if g is f else np.atleast_2d(g(x))
         return fx.conj()[:, None, :] * gx[None, :, :]
 
-    value, _err = integrate(integrand, quad)
+    value, _err = integrate(integrand, domain)
     return value if f.rows else value[0, 0]

@@ -129,7 +129,7 @@ def _cmd_chain(args):
     params = dict(_parse_param(t) for t in args.param)
     config = RunConfig(family=args.family, params=params, depth=args.depth,
                        nmax=args.nmax, samples=args.samples,
-                       seed=_seed_from(args.seed), out=args.out)
+                       seed=_seed_from(args.seed))
     report = run_suite(config)
     payload = report.to_dict()
     payload["config"] = json.loads(config.to_json())

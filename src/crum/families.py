@@ -1,9 +1,9 @@
 """Catalog of exactly solvable models.
 
 Every family is a `Family`, which holds the record both kinds share (name,
-params, label, domain, nmax, the quadrature of the domain, shape-invariance
-data) and writes their shared rules once: the n-range refusal of phi, the
-energy guard, the squared norms h_n, the interior and the descriptor.  A
+params, label, domain, nmax, shape-invariance data) and writes their shared
+rules once: the n-range refusal of phi, the energy guard, the squared norms
+h_n (by quadrature over the domain), the interior and the descriptor.  A
 subclass gives the closed form of phi, the recurrence of the polynomial part,
 the energy rule, eta and its own validation.
 
@@ -34,7 +34,6 @@ import numpy as np
 from .analytic import _ARRAY_BLOCK, AnalyticFn, divided_difference, inner_product, row_range
 from .errors import DomainError, ParameterError
 from .jets import Jet
-from .quadrature import QuadratureSpec
 from . import dqm as dqm_mod
 
 DEFAULT_NMAX = 32
@@ -80,13 +79,6 @@ class Family:
         self._h0 = None
         self._oracle_levels = None
         self._shifted = None
-        a, b = domain
-        if math.isinf(a):
-            self.quad = QuadratureSpec(kind="full_line", tolerance=1e-12)
-        elif math.isinf(b):
-            self.quad = QuadratureSpec(kind="half_line", tolerance=1e-12)
-        else:
-            self.quad = QuadratureSpec(kind="interval", a=a, b=b, tolerance=1e-12)
 
     def phi(self, n, *level):
         """phi_n, or the stacked function of a range of n, for n in 0..nmax."""
@@ -107,7 +99,7 @@ class Family:
         orthogonal polynomials."""
         if self._h0 is None:
             phi0 = self.phi(0)
-            self._h0 = float(inner_product(phi0, phi0, self.quad).real)
+            self._h0 = float(inner_product(phi0, phi0, self.domain).real)
         h = self._h0
         for k in range(1, n + 1):
             h *= self._recurrence(k)[1]

@@ -1,10 +1,12 @@
-"""Double-exponential (tanh-sinh) quadrature.
+"""Double-exponential (tanh-sinh) quadrature over a family's domain (a, b).
 
-Three variants of the double-exponential substitution cover the three
-physical domains (finite interval, half line, full line); the adaptive
-driver halves the trapezoid step until two consecutive levels agree to the
-requested tolerance.  The same level sequence doubles as a divergence
-detector for non-normalizable functions.
+The domain's infinite ends choose the double-exponential substitution: the
+full line (-inf, inf), the half line (0, inf) or a finite interval a < b;
+any other domain raises DomainError.  The trapezoid step is halved level by
+level (`_levels`, the one refinement loop): `integrate` stops when two
+consecutive levels agree to TOLERANCE, and `refinement_sequence` keeps every
+level's estimate, which doubles as a divergence detector for
+non-normalizable functions.
 
 Integrands are array functions: each refinement level calls the integrand
 once, on the array of that level's new nodes, and it returns its values
@@ -16,114 +18,89 @@ shows as a non-finite value, never as an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError
 
 _HALF_PI = math.pi / 2.0
+TOLERANCE = 1e-12         # relative change between levels at which integrate stops
+BASE_POINTS = 40          # nodes of level 0
+MAX_LEVEL = 9             # the last level integrate refines to
+ENDPOINT_MARGIN = 1e-6    # share of a finite interval's half-width kept clear of each end
+# |x| beyond which a non-finite integrand value on an infinite domain is read
+# as underflow of a decaying tail (the node contributes zero), not as an error
+DECAY_RADIUS = 25.0
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Domain plus accuracy contract for an integral.
-
-    kind: 'interval' (uses a, b), 'half_line' (0, inf) or 'full_line'.
-    points: base number of nodes per level.
-    decay_radius: for infinite domains, |x| beyond which an arithmetic
-    failure of the integrand is read as underflow of a decaying tail (the
-    node contributes zero) rather than as an error.
-    """
-
-    kind: str = "full_line"
-    a: float = 0.0
-    b: float = 0.0
-    points: int = 40
-    tolerance: float = 1e-11
-    max_level: int = 9
-    endpoint_margin: float = 1e-6
-    decay_radius: float = 25.0
-
-    def nodes_weights(self, level):
-        if self.kind == "interval":
-            return _de_interval(self.a, self.b, self.points, level, self.endpoint_margin)
-        if self.kind == "half_line":
-            return _de_half_line(self.points, level)
-        if self.kind == "full_line":
-            return _de_full_line(self.points, level)
-        raise DomainError(f"unknown quadrature domain kind {self.kind!r}")
-
-
-def _t_grid(base_points, level, t_max):
+def _t_grid(level, t_max):
     # level 0: base grid; level L: same span, step / 2^L, reusing odd offsets
-    h = 2.0 * t_max / base_points
+    h = 2.0 * t_max / BASE_POINTS
     step = h / 2**level
     if level == 0:
-        return np.arange(-base_points // 2, base_points // 2 + 1) * h, h
+        return np.arange(-BASE_POINTS // 2, BASE_POINTS // 2 + 1) * h, h
     # only the new midpoints of the previous level
-    prev = 2.0 * t_max / (base_points * 2 ** (level - 1))
+    prev = 2.0 * t_max / (BASE_POINTS * 2 ** (level - 1))
     t = np.arange(-t_max + step, t_max, prev)
     return t, step
 
 
-def _de_interval(a, b, base_points, level, margin):
-    t, h = _t_grid(base_points, level, t_max=3.8)
-    u = np.tanh(_HALF_PI * np.sinh(t))
-    w = _HALF_PI * np.cosh(t) / np.cosh(_HALF_PI * np.sinh(t)) ** 2
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + half * u
-    # keep an epsilon away from singular endpoints
-    keep = (x > a + margin * half) & (x < b - margin * half)
-    return x[keep], (half * h) * w[keep]
+def nodes_weights(domain, level):
+    """The new nodes of one refinement level over domain (a, b) and their
+    weights, by the map the domain's infinite ends choose."""
+    a, b = domain
+    if a == -math.inf and b == math.inf:    # x = sinh(pi/2 sinh t)
+        t, h = _t_grid(level, t_max=3.2)
+        s = _HALF_PI * np.sinh(t)
+        return np.sinh(s), h * (_HALF_PI * np.cosh(t) * np.cosh(s))
+    if a == 0.0 and b == math.inf:          # x = exp(pi/2 sinh t)
+        t, h = _t_grid(level, t_max=3.6)
+        x = np.exp(_HALF_PI * np.sinh(t))
+        keep = np.isfinite(x) & (x > 0)
+        return x[keep], h * (_HALF_PI * np.cosh(t) * x)[keep]
+    if math.isfinite(a) and math.isfinite(b) and a < b:    # x = mid + half tanh(pi/2 sinh t)
+        t, h = _t_grid(level, t_max=3.8)
+        s = _HALF_PI * np.sinh(t)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        x = mid + half * np.tanh(s)
+        # keep an epsilon away from singular endpoints
+        keep = (x > a + ENDPOINT_MARGIN * half) & (x < b - ENDPOINT_MARGIN * half)
+        return x[keep], (half * h) * (_HALF_PI * np.cosh(t) / np.cosh(s) ** 2)[keep]
+    raise DomainError(f"no quadrature over ({a:g}, {b:g}): the domain must be the full "
+                      "line, the half line (0, inf) or a finite interval a < b")
 
 
-def _de_half_line(base_points, level):
-    t, h = _t_grid(base_points, level, t_max=3.6)
-    x = np.exp(_HALF_PI * np.sinh(t))
-    w = _HALF_PI * np.cosh(t) * x
-    keep = np.isfinite(x) & (x > 0)
-    return x[keep], h * w[keep]
+def _levels(fn, domain, levels):
+    """Levels 0..levels of the trapezoid halving: per level its new nodes,
+    the integral estimate, the estimate of the integral of |f| and the mask
+    of the non-finite values among fn's values there (one call of fn on the
+    new nodes, values of shape (..., nodes)); a non-finite value counts as
+    zero in both estimates."""
+    total = abs_total = None
+    for level in range(levels + 1):
+        x, w = nodes_weights(domain, level)
+        fx = np.asarray(fn(x), dtype=complex)
+        bad = ~np.isfinite(fx)
+        wf = w * np.where(bad, 0j, fx)
+        contrib, abs_contrib = np.sum(wf, axis=-1), np.sum(np.abs(wf), axis=-1)
+        # trapezoid halving: new total = old/2 + (new step) * sum(new points)
+        total = contrib if level == 0 else total / 2.0 + contrib
+        abs_total = abs_contrib if level == 0 else abs_total / 2.0 + abs_contrib
+        yield x, total, abs_total, bad
 
 
-def _de_full_line(base_points, level):
-    t, h = _t_grid(base_points, level, t_max=3.2)
-    x = np.sinh(_HALF_PI * np.sinh(t))
-    w = _HALF_PI * np.cosh(t) * np.cosh(_HALF_PI * np.sinh(t))
-    return x, h * w
-
-
-def _level_sums(fn, spec, level):
-    """Nodes of one refinement level, the integrand at all of them (one call),
-    the weighted sums over the node axis and the mask of non-finite values.
-
-    fn takes the node array and returns values of shape (..., nodes); the
-    non-finite values are zeroed in the sums and flagged in the mask.
-    """
-    x, w = spec.nodes_weights(level)
-    fx = np.asarray(fn(x), dtype=complex)
-    bad = ~np.isfinite(fx)
-    wf = w * np.where(bad, 0j, fx)
-    return x, np.sum(wf, axis=-1), np.sum(np.abs(wf), axis=-1), bad
-
-
-def refinement_sequence(fn, spec, levels=None):
-    """Cumulative integral estimates per refinement level.
+def refinement_sequence(fn, domain, levels):
+    """Cumulative integral estimates of refinement levels 0..levels.
 
     Returns (values, diverging): the list of successive estimates and a flag
     set when the sequence grows without settling or the integrand blows up,
     which is how non-square-integrable functions announce themselves.
     """
-    levels = spec.max_level if levels is None else levels
-    total = None
     values = []
     diverging = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for level in range(levels + 1):
-            _x, contrib, _abs, bad = _level_sums(fn, spec, level)
+        for _x, total, _abs_total, bad in _levels(fn, domain, levels):
             diverging |= bool(bad.any())
-            # trapezoid halving: new total = old/2 + (new step) * sum(new points)
-            total = contrib if level == 0 else total / 2.0 + contrib
             values.append(total)
     # growth detection on magnitudes
     mags = [float(np.max(np.abs(v))) for v in values]
@@ -133,14 +110,14 @@ def refinement_sequence(fn, spec, levels=None):
     return values, diverging
 
 
-def integrate(fn, spec):
-    """Adaptive integral of fn over spec's domain.
+def integrate(fn, domain):
+    """Adaptive integral of fn over domain (a, b), up to level MAX_LEVEL.
 
     fn is called once per refinement level on the whole node array and
     returns values of shape (..., nodes); the integral has that leading shape
     and has converged when every entry changed by at most
-    tolerance * (1 + integral of |f|) from the previous level.  A non-finite
-    value beyond decay_radius on an infinite domain is read as underflow of a
+    TOLERANCE * (1 + integral of |f|) from the previous level.  A non-finite
+    value beyond DECAY_RADIUS on an infinite domain is read as underflow of a
     decaying tail and counts as zero; anywhere else it raises AccuracyError
     naming the node.
 
@@ -148,28 +125,21 @@ def integrate(fn, spec):
     of an entry.  Raises AccuracyError (carrying the best estimate) when
     consecutive refinements refuse to settle.
     """
-    total = None
-    abs_mass = 0.0   # integral of |f|; sets the resolvable scale for cancelling integrands
     prev = None
     err = math.inf
-    unbounded = spec.kind in ("half_line", "full_line")
+    unbounded = math.isinf(domain[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for level in range(spec.max_level + 1):
-            x, contrib, abs_contrib, bad = _level_sums(fn, spec, level)
+        for x, total, abs_mass, bad in _levels(fn, domain, MAX_LEVEL):
             failed = bad.reshape(-1, x.size).any(axis=0)
             if unbounded:
-                failed &= np.abs(x) <= spec.decay_radius
+                failed &= np.abs(x) <= DECAY_RADIUS
             if failed.any():
                 node = float(x[np.argmax(failed)])
-                raise AccuracyError(f"integrand not finite at node x={node:g}", best=total)
-            total = contrib if level == 0 else total / 2.0 + contrib
-            abs_mass = abs_contrib if level == 0 else abs_mass / 2.0 + abs_contrib
+                raise AccuracyError(f"integrand not finite at node x={node:g}", best=prev)
             if prev is not None:
                 change = np.abs(total - prev)
                 err = float(np.max(change))
-                if np.all(change <= spec.tolerance * (1.0 + abs_mass)):
+                if np.all(change <= TOLERANCE * (1.0 + abs_mass)):
                     return total, err
             prev = total
-    raise AccuracyError(
-        f"quadrature did not converge (last change {err:.3e})", best=total
-    )
+    raise AccuracyError(f"quadrature did not converge (last change {err:.3e})", best=prev)

@@ -37,24 +37,20 @@ class ShapeCheck:
 class LimitScaling:
     """Large-parameter rescaling of a difference family toward a derivative one.
 
-    w1 is the first-order coefficient function: V(x; c) = a (1 + i gamma w1(x)/c
-    + O(1/c^2)).  The derivative of the limiting pre-potential is minus the
-    star-real part of w1.  w1 takes an array of points and returns the array
-    of its values.
+    The potential at scale c is V(x; c) = 1 + i w1(x)/c, a family of shift
+    1/c; w1 is the first-order coefficient function.  The derivative of the
+    limiting pre-potential is minus the star-real part of w1.  w1 takes an
+    array of points and returns the array of its values.
     """
 
-    a: float = 1.0
-    gamma: float = 1.0
     c_values: tuple = (10.0, 100.0, 1000.0)
     w1: object = lambda x: x + 0.3j * x * x    # callable, array of x -> array of complex
-    tail: float = 0.0          # quadratic-coefficient of the default V form
 
     def potential(self, c):
-        a, g, w1, tail = self.a, self.gamma, self.w1, self.tail
+        w1 = self.w1
 
         def v(x):
-            u = 1j * g * w1(x) / c
-            return a * (1.0 + u + tail * u * u)
+            return 1.0 + 1j * w1(x) / c
 
         return v
 
@@ -267,11 +263,10 @@ def _limit_c(config):
     function one jet, and per c one evaluation of A and one of H.  W'' comes
     from the Cauchy jet of W' (config.w_prime)."""
     table = LimitTable(mode="c_to_inf")
-    g, a = config.gamma, config.a
     xs = np.linspace(-1.2, 1.2, 10).astype(complex)
     w = AnalyticFn(config.w_prime).jet(xs, 1)
     wp, wpp = w.value, w.deriv(1)
-    levels = [_limit_level(config.potential(c), g / c) for c in config.c_values]
+    levels = [_limit_level(config.potential(c), 1.0 / c) for c in config.c_values]
     for label in ("gauss", "x*gauss"):
         f = _std_fn(label)
         jet = f.jet(xs, 2)
@@ -279,8 +274,8 @@ def _limit_c(config):
         lim_h = -jet.deriv(2) + (wp ** 2 + wpp) * jet.value
         errs_a, errs_h = [], []
         for c, level in zip(config.c_values, levels):
-            low = (c / (math.sqrt(a) * g)) * dqm_mod.apply_A(level, f)(xs)
-            h_f = (c**2 / (a * g * g)) * dqm_mod.hamiltonian_apply(level, f)(xs)
+            low = c * dqm_mod.apply_A(level, f)(xs)
+            h_f = c**2 * dqm_mod.hamiltonian_apply(level, f)(xs)
             errs_a.append(worst_residual([np.abs(low - lim_a)]))
             errs_h.append(worst_residual([np.abs(h_f - lim_h)]))
         _append_series(table, config.c_values, {f"A:{label}": errs_a, f"H:{label}": errs_h})

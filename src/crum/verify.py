@@ -22,7 +22,7 @@ import numpy as np
 from .analytic import casoratian, inner_product, run_table, worst_residual, wronskian
 from .errors import AccuracyError, CrumError, ParameterError, StripError
 from .families import _oracle_box, _plain_params, make_family, virtual_state
-from .quadrature import QuadratureSpec, refinement_sequence
+from .quadrature import refinement_sequence
 from . import dqm as dqm_mod
 from . import oqm as oqm_mod
 from . import structure as structure_mod
@@ -78,7 +78,6 @@ class RunConfig:
     samples: int = 20
     tolerances: dict = field(default_factory=dict)
     seed: int = 2021
-    out: str = ""
 
     def __post_init__(self):
         for name, low in (("depth", 1), ("nmax", 0), ("samples", 1), ("seed", None)):
@@ -244,21 +243,22 @@ def _gll():
     return tables
 
 
-def gram_matrix(fns, quad: QuadratureSpec):
+def gram_matrix(fns, domain):
     """Hermitian matrix of the pairwise inner products of the rows of a
     stacked function (AnalyticFn.rows), from one refinement on shared nodes:
     the stack is evaluated once per quadrature level."""
-    return inner_product(fns, fns, quad)
+    return inner_product(fns, fns, domain)
 
 
-def norm_divergence_flag(fn, quad: QuadratureSpec):
-    """Refine the squared-norm integral to level 6; report whether it settles or grows."""
+def norm_divergence_flag(fn, domain):
+    """Refine the squared-norm integral over domain (a, b) to level 6; report
+    whether it settles or grows."""
 
     def integrand(x):
         v = fn(x)
         return (v.conj() * v).real
 
-    values, diverging = refinement_sequence(integrand, quad, levels=6)
+    values, diverging = refinement_sequence(integrand, domain, 6)
     finite = [v for v in values if math.isfinite(abs(v))]
     return {
         "estimates": [float(abs(v)) for v in values[-3:]],
@@ -409,7 +409,7 @@ def _gram_block(family, levels, s, config):
     if len(ns) < 2:
         return {"skipped": "fewer than two levels in range"}
     try:
-        g = gram_matrix(levels[s].phi(ns), family.quad)
+        g = gram_matrix(levels[s].phi(ns), family.domain)
     except AccuracyError as exc:
         return {"skipped": f"quadrature: {exc}"}
     herm_defect = float(np.max(np.abs(g - g.conj().T)))
@@ -530,7 +530,7 @@ def _virtual_block(family, levels, config, pts, chain):
     # a pole of the virtual state at a sample scales its residual there to 0, so it fails here
     res = worst_residual([np.abs(up(xs)) / (1.0 + np.abs(phi_x)),
                           np.where(np.isfinite(phi_x), 0.0, np.inf)])
-    flag = norm_divergence_flag(phi_prime, family.quad)
+    flag = norm_divergence_flag(phi_prime, family.domain)
     tol = config.tolerance("virtual_zero_mode")
     ok = res <= tol
     return {

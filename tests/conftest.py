@@ -12,6 +12,7 @@ from crum.analytic import (checked_ns, divided_difference, rel_residual, sign_ch
                            worst_residual)
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
+from crum import quadrature
 from crum import verify as verify_mod
 from crum.errors import AccuracyError, ChainBreakError, DomainError, ParameterError, PoleError
 from crum.jets import Jet
@@ -410,22 +411,23 @@ def _eval_node(fn, xi):
     return v
 
 
-def scalar_integrate(fn, spec):
-    """Adaptive integral of a scalar integrand, called once per node: the
-    per-node route that `quadrature.integrate` replaced, kept as its oracle."""
+def scalar_integrate(fn, domain):
+    """Adaptive integral of a scalar integrand over domain (a, b), called once
+    per node: the per-node route that `quadrature.integrate` replaced, kept as
+    its oracle."""
     total = None
     abs_mass = 0.0
     prev = None
     err = math.inf
-    unbounded = spec.kind in ("half_line", "full_line")
+    unbounded = math.isinf(domain[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for level in range(spec.max_level + 1):
-            x, w = spec.nodes_weights(level)
+        for level in range(quadrature.MAX_LEVEL + 1):
+            x, w = quadrature.nodes_weights(domain, level)
             fx = []
             for xi in x:
                 v = _eval_node(fn, xi)
                 if v is None:
-                    if unbounded and abs(xi) > spec.decay_radius:
+                    if unbounded and abs(xi) > quadrature.DECAY_RADIUS:
                         v = 0j
                     else:
                         raise AccuracyError(
@@ -439,13 +441,13 @@ def scalar_integrate(fn, spec):
             abs_mass = abs_contrib if level == 0 else abs_mass / 2.0 + abs_contrib
             if prev is not None:
                 err = abs(total - prev)
-                if err <= spec.tolerance * (1.0 + abs_mass):
+                if err <= quadrature.TOLERANCE * (1.0 + abs_mass):
                     return total, err
             prev = total
     raise AccuracyError(f"quadrature did not converge (last change {err:.3e})", best=total)
 
 
-def scalar_gram(fns, quad):
+def scalar_gram(fns, domain):
     """Gram matrix entry by entry, each a scalar integral over the nodes."""
     m = len(fns)
     g = np.zeros((m, m), dtype=complex)
@@ -453,7 +455,7 @@ def scalar_gram(fns, quad):
         for j in range(i, m):
             fi, fj = fns[i].fn, fns[j].fn
             val, _err = scalar_integrate(
-                lambda x: complex(fi(complex(x))).conjugate() * fj(complex(x)), quad)
+                lambda x: complex(fi(complex(x))).conjugate() * fj(complex(x)), domain)
             g[i, j] = val
             g[j, i] = val.conjugate()
     return g

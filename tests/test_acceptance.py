@@ -19,7 +19,7 @@ import pytest
 from crum import make_family, virtual_state
 from crum import dqm, oqm, structure
 from crum.families import _oracle_box
-from crum.quadrature import refinement_sequence
+from crum.quadrature import MAX_LEVEL, refinement_sequence
 from crum.verify import grid_eigensolve, gram_matrix
 
 from conftest import AW_PARAMS, overall_slope, recursive_dqm_chain, worst_over_levels
@@ -171,7 +171,7 @@ def test_criterion_6_gram_law(oqm_chains, dqm_chains):
               **{k: v[:2] for k, v in dqm_chains.items()}}
     for name, (fam, levels) in chains.items():
         ns = range(1, 6 if fam.kind == "oqm" else 5)
-        g = gram_matrix(levels[1].phi(ns), fam.quad)
+        g = gram_matrix(levels[1].phi(ns), fam.domain)
         worst = 0.0
         for i, n in enumerate(ns):
             expected = fam.energy(n) * fam.hnorm(n)
@@ -263,7 +263,7 @@ def test_criterion_10_divergence_flags_differential(oqm_chains):
     for name, (fam, _levels, _bt) in oqm_chains.items():
         phi_prime = virtual_state(fam)
         _vals, diverging = refinement_sequence(
-            lambda x: np.abs(phi_prime(x)) ** 2, fam.quad)
+            lambda x: np.abs(phi_prime(x)) ** 2, fam.domain, MAX_LEVEL)
         ok &= note(10, diverging, f"{name}: norm divergence flag {diverging}")
         assert diverging, name
     assert ok
@@ -279,7 +279,7 @@ def test_criterion_10_divergence_flags_difference(dqm_chains):
     for name, (fam, _levels, _bt) in dqm_chains.items():
         phi_prime = virtual_state(fam)
         _vals, diverging = refinement_sequence(
-            lambda x: np.abs(phi_prime(x)) ** 2, fam.quad)
+            lambda x: np.abs(phi_prime(x)) ** 2, fam.domain, MAX_LEVEL)
         ok &= note(10, diverging, f"{name}: norm divergence flag {diverging} "
                                   "(criterion expects True)")
         assert diverging, name

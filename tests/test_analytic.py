@@ -13,7 +13,6 @@ from crum.analytic import (_ARRAY_BLOCK, AnalyticFn, casoratian, divided_differe
 from crum.errors import (AccuracyError, CapabilityError, ChainBreakError, DomainError,
                          StripError)
 from crum.jets import Jet
-from crum.quadrature import QuadratureSpec
 from crum.verify import DEFAULT_TOLERANCES, sample_points
 
 GAUSS = AnalyticFn(lambda x: cmath.exp(-0.5 * x * x), label="gauss",
@@ -373,7 +372,7 @@ def test_worst_residual_fails_closed():
 
 # -- inner products -----------------------------------------------------------
 
-FULL = QuadratureSpec(kind="full_line", tolerance=1e-12)
+FULL = (-math.inf, math.inf)
 
 
 def test_inner_product_gaussian():
@@ -397,12 +396,14 @@ def test_inner_product_conjugate_symmetry():
 def test_inner_product_aw_all_zero_parameters_orthogonality():
     from crum import make_family
     fam = make_family("askey_wilson", a1=0, a2=0, a3=0, a4=0, q=0.5)
-    val = inner_product(fam.phi(0), fam.phi(1), fam.quad)
-    val2x = inner_product(fam.phi(0), fam.phi(1),
-                          QuadratureSpec(kind="interval", a=0.0, b=math.pi,
-                                         tolerance=1e-12, points=80))
-    assert abs(val) < 1e-10
-    assert abs(val - val2x) < 1e-10
+    assert abs(inner_product(fam.phi(0), fam.phi(1), fam.domain)) < 1e-10
+    # an independent route: phi_m phi_n is even and 2 pi-periodic in x, so
+    # the midpoint rule on (0, pi) converges spectrally
+    x = (np.arange(100) + 0.5) * math.pi / 100
+    for m, n in ((0, 1), (1, 1), (0, 0)):
+        val = inner_product(fam.phi(m), fam.phi(n), fam.domain)
+        mid = np.sum(np.conj(fam.phi(m)(x)) * fam.phi(n)(x)) * math.pi / 100
+        assert abs(val - mid) < 1e-10 * (1 + abs(mid))
 
 
 def test_inner_product_divergent_raises_accuracy():

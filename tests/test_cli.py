@@ -101,6 +101,15 @@ def test_verify_subcommand_round_trip(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(out_file))
     assert code == 0
     assert "re-verified hermite" in err
+    # a report written by an older version stores its own path in the config
+    stored = json.loads(out_file.read_text())
+    assert "out" not in stored["config"]
+    stored["config"]["out"] = str(out_file)
+    old_file = tmp_path / "old-report.json"
+    old_file.write_text(json.dumps(stored))
+    code, _, err = run_cli(capsys, "verify", str(old_file))
+    assert code == 0
+    assert "re-verified hermite depth 1: pass" in err
 
 
 def test_chain_with_a_skip_is_incomplete(tmp_path, capsys):

@@ -60,23 +60,71 @@ def _private_defaulted(tree):
             yield node.name, defaulted, positional[1:] if id(node) in methods else positional
 
 
-def test_every_defaulted_parameter_of_a_private_function_is_set_by_a_caller():
+def _trees_and_calls():
+    """The parsed modules of the package and {callee name: its calls}."""
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
-    calls = collections.defaultdict(list)   # callee name -> its calls
+    calls = collections.defaultdict(list)
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 calls[getattr(node.func, "attr", getattr(node.func, "id", None))].append(node)
+    return trees, calls
+
+
+def _passed(calls, defaulted, positional):
+    """The defaulted names of `defaulted` that some call sets, by position
+    (`positional` in the order a call fills them) or by keyword."""
+    passed = set()
+    for call in calls:
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                kw.arg is None for kw in call.keywords):
+            passed.update(defaulted)    # *args or **kwargs may set any of them
+            continue
+        passed.update(positional[:len(call.args)])
+        passed.update(kw.arg for kw in call.keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_of_a_private_function_is_set_by_a_caller():
+    trees, calls = _trees_and_calls()
     unset = []
     for tree in trees:
         for name, defaulted, positional in _private_defaulted(tree):
-            passed = set()
-            for call in calls[name]:
-                if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
-                        kw.arg is None for kw in call.keywords):
-                    passed.update(defaulted)    # *args or **kwargs may set any of them
-                    continue
-                passed.update(positional[:len(call.args)])
-                passed.update(kw.arg for kw in call.keywords)
+            passed = _passed(calls[name], defaulted, positional)
             unset += [f"{name}({p})" for p in defaulted if p not in passed]
     assert not unset, "defaulted parameters that no call in the package sets: " + ", ".join(unset)
+
+
+# dataclass fields with a plain default that no call in the package sets, one reason each
+UNSET_FIELDS = {
+    "LimitScaling.w1": "the c -> infinity model, which tests swap out to feed a NaN",
+}
+
+
+def _dataclass_defaults(cls):
+    """(fields in the order a call fills them, fields with a plain default:
+    one that is not a `field(...)` call) of a dataclass."""
+    if not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+        return [], []
+    annotated = [node for node in cls.body
+                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    plain = [node.target.id for node in annotated if node.value is not None and not (
+        isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "field")]
+    return [node.target.id for node in annotated], plain
+
+
+def test_every_defaulted_dataclass_field_is_set_by_a_caller():
+    # a class is called by its name, or inside its own body by `cls` or `type(self)`
+    trees, calls = _trees_and_calls()
+    unset = []
+    for cls in (node for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)):
+        fields, plain = _dataclass_defaults(cls)
+        own = [node for node in ast.walk(cls) if isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "cls" or isinstance(node.func, ast.Call)
+            and getattr(node.func.func, "id", None) == "type")]
+        passed = _passed(calls[cls.name] + own, plain, fields)
+        unset += [f"{cls.name}.{f}" for f in plain
+                  if f not in passed and f"{cls.name}.{f}" not in UNSET_FIELDS]
+    assert not unset, ("dataclass fields with a default that no call in the package sets: "
+                       + ", ".join(unset))

@@ -62,8 +62,8 @@ def test_ladder_consistency(q_hermite):
 def test_adjointness_under_quadrature(q_hermite):
     level = dqm.level0(q_hermite)
     f, g = q_hermite.phi(1), q_hermite.phi(2)
-    lhs = inner_product(dqm.apply_A(level, f), g, q_hermite.quad)
-    rhs = inner_product(f, dqm.apply_Adag(level, g), q_hermite.quad)
+    lhs = inner_product(dqm.apply_A(level, f), g, q_hermite.domain)
+    rhs = inner_product(f, dqm.apply_Adag(level, g), q_hermite.domain)
     assert abs(lhs - rhs.conjugate() * 0 - rhs) < 1e-9 * (1 + abs(lhs))
 
 
@@ -156,7 +156,7 @@ def test_level1_gram_diagonal(name, request):
     fam = request.getfixturevalue(name)
     levels = request.getfixturevalue(name + "_chain")
     fns = levels[1].phi(range(1, 5))
-    g = gram_matrix(fns, fam.quad)
+    g = gram_matrix(fns, fam.domain)
     for i, n in enumerate(range(1, 5)):
         expected = fam.energy(n) * fam.hnorm(n)
         assert abs(g[i, i].real - expected) <= 1e-7 * expected

@@ -11,7 +11,7 @@ from crum import RunConfig, make_family, run_suite, virtual_state
 from crum.analytic import inner_product, star_eval
 from crum.errors import DomainError, ParameterError
 from crum.families import _oracle_box
-from crum.quadrature import refinement_sequence
+from crum.quadrature import MAX_LEVEL, nodes_weights, refinement_sequence
 from crum import dqm as dqm_mod
 from crum import oqm as oqm_mod
 
@@ -191,12 +191,12 @@ def test_shared_family_rules(name, request):
     assert list(descriptor) == ["name", "params", "gamma", "domain", "nmax"]
     assert descriptor["gamma"] == (None if fam.kind == "oqm" else math.log(fam.q))
     a, b = fam.domain
-    assert fam.quad.kind == ("full_line" if math.isinf(a) else
-                             "half_line" if math.isinf(b) else "interval")
+    nodes, _weights = nodes_weights(fam.domain, 0)
+    assert np.all((nodes > a) & (nodes < b))
     if fam.kind == "dqm":
         assert fam.interior() == (0.05 * math.pi, 0.95 * math.pi)
     phi0 = fam.phi(0)
-    assert fam.hnorm(0) == inner_product(phi0, phi0, fam.quad).real
+    assert fam.hnorm(0) == inner_product(phi0, phi0, fam.domain).real
 
 
 def test_aw_potential_star_pair(askey_wilson):
@@ -213,7 +213,7 @@ def test_orthogonality(name, request):
     fam = request.getfixturevalue(name)
     ns = range(7)
     from crum.verify import gram_matrix
-    g = gram_matrix(fam.phi(ns), fam.quad)
+    g = gram_matrix(fam.phi(ns), fam.domain)
     h = np.real(np.diag(g))
     assert np.all(h > 0)
     for i in ns:
@@ -465,7 +465,7 @@ def test_aw_virtual_state_shape(askey_wilson):
 def test_oqm_virtual_norm_diverges(hermite):
     phi_prime = virtual_state(hermite)
     _vals, diverging = refinement_sequence(
-        lambda x: np.abs(phi_prime(x)) ** 2, hermite.quad)
+        lambda x: np.abs(phi_prime(x)) ** 2, hermite.domain, MAX_LEVEL)
     assert diverging
 
 
@@ -475,7 +475,7 @@ def test_dqm_virtual_norm_is_finite(q_hermite):
     # a norm divergence
     phi_prime = virtual_state(q_hermite)
     vals, diverging = refinement_sequence(
-        lambda x: np.abs(phi_prime(x)) ** 2, q_hermite.quad)
+        lambda x: np.abs(phi_prime(x)) ** 2, q_hermite.domain, MAX_LEVEL)
     assert not diverging
     assert abs(vals[-1]) < 50.0
 
@@ -558,5 +558,5 @@ def test_norms_follow_the_recurrence(name, request):
     # h_n = h_0 c_1 ... c_n, checked against the quadrature of each phi_n
     fam = request.getfixturevalue(name)
     for n in range(6):
-        quad = inner_product(fam.phi(n), fam.phi(n), fam.quad).real
+        quad = inner_product(fam.phi(n), fam.phi(n), fam.domain).real
         assert abs(fam.hnorm(n) - quad) <= 1e-13 * quad

@@ -73,8 +73,8 @@ def test_apply_Adag_by_hand(hermite):
 def test_adjointness_under_quadrature(hermite):
     level = oqm.level0(hermite, nmax=3)
     f, g = hermite.phi(1), hermite.phi(2)
-    lhs = inner_product(oqm.apply_A(level, f), g, hermite.quad)
-    rhs = inner_product(f, oqm.apply_Adag(level, g), hermite.quad)
+    lhs = inner_product(oqm.apply_A(level, f), g, hermite.domain)
+    rhs = inner_product(f, oqm.apply_Adag(level, g), hermite.domain)
     assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
 
 
@@ -111,7 +111,7 @@ def test_hermite_level1_operator_is_shifted_oscillator(hermite_chain):
 def test_level1_gram_diagonal(hermite):
     levels = oqm.build_chain(hermite, 1, nmax=5)
     fns = levels[1].phi(range(1, 6))
-    g = gram_matrix(fns, hermite.quad)
+    g = gram_matrix(fns, hermite.domain)
     for i, n in enumerate(range(1, 6)):
         expected = hermite.energy(n) * hermite.hnorm(n)
         assert abs(g[i, i].real - expected) < 1e-7 * expected

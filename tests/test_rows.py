@@ -264,3 +264,13 @@ def test_report_sweep_counts_moves_by_block_path():
     assert sweep.block("reports.jacobi/d1/s7.shape_invariance.spectrum_rel_err.3") == \
         "shape_invariance.spectrum_rel_err"
     assert sweep.block("scans.c_to_inf[3].max_error") == "max_error"
+
+
+def test_report_sweep_counts_source_lines(tmp_path):
+    sweep = _report_sweep()
+    package = tmp_path / "src" / "crum"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not counted\n")
+    assert sweep.source_lines(tmp_path) == 3

@@ -328,17 +328,15 @@ def test_limit_scan_refuses_values_outside_the_domain(values):
 
 
 def test_limit_scaling_expansion_invariant():
-    # V(x;c) = a (1 + i gamma w1(x)/c + O(1/c^2)) verified by fit over c
-    config = LimitScaling(w1=lambda x: x + 0.3j * x * x, tail=0.5)
-    x = 0.7
-    resid = []
+    # V(x; c) = 1 + i w1(x)/c with no remainder, and minus the star-real
+    # part of w1 is W' (real on the real axis)
+    config = LimitScaling()
+    xs = np.linspace(-1.2, 1.2, 7) + 0.05j
+    w1 = xs + 0.3j * xs * xs
     for c in config.c_values:
-        v = config.potential(c)(x)
-        first_order = 1.0 + 1j * config.gamma * config.w1(x) / c
-        resid.append(abs(v - config.a * first_order))
-    # remainder falls off like 1/c^2
-    ratios = [resid[i] / resid[i + 1] for i in range(len(resid) - 1)]
-    assert all(60 <= r <= 160 for r in ratios)
+        assert np.allclose(config.potential(c)(xs), 1.0 + 1j * w1 / c, rtol=1e-15, atol=0.0)
+    real_axis = np.linspace(-1.2, 1.2, 7).astype(complex)
+    assert np.allclose(config.w_prime(real_axis), -real_axis.real, rtol=0.0, atol=1e-15)
 
 
 def test_csv_rows_schema():

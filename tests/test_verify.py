@@ -13,6 +13,7 @@ from crum.errors import (AccuracyError, ChainBreakError, ParameterError, PoleErr
                          StripError)
 from crum.families import _oracle_box
 from crum.jets import Jet
+from crum.quadrature import nodes_weights
 from crum.verify import (DEFAULT_TOLERANCES, RunConfig, grid_eigensolve, gram_matrix,
                          norm_divergence_flag, run_suite, sample_points)
 
@@ -121,7 +122,7 @@ def test_grid_eigensolve_evaluates_u_on_few_points():
 # -- gram matrices ------------------------------------------------------------------
 
 def test_gram_level0_hermite(hermite):
-    g = gram_matrix(hermite.phi(range(5)), hermite.quad)
+    g = gram_matrix(hermite.phi(range(5)), hermite.domain)
     assert np.max(np.abs(g - g.conj().T)) < 1e-12 * np.max(np.abs(g))
     for n in range(5):
         assert abs(g[n, n].real - hermite.hnorm(n)) < 1e-9 * hermite.hnorm(n)
@@ -132,7 +133,7 @@ def test_gram_level0_hermite(hermite):
 
 def test_virtual_state_divergence_flagging(hermite, jacobi):
     for fam in (hermite, jacobi):
-        flag = norm_divergence_flag(virtual_state(fam), fam.quad)
+        flag = norm_divergence_flag(virtual_state(fam), fam.domain)
         assert flag["diverging"]
 
 
@@ -316,8 +317,9 @@ def test_run_config_round_trip():
                         nmax=5, samples=18, tolerances={"zero_mode": 1e-8}, seed=9)
         back = RunConfig.from_dict(json.loads(cfg.to_json()))
         assert back == cfg
-        # configs stored by older versions carry two more keys
-        stored = dict(json.loads(cfg.to_json()), precision="double", check_limits=False)
+        # configs stored by older versions carry more keys
+        stored = dict(json.loads(cfg.to_json()), precision="double", check_limits=False,
+                      out="report.json")
         assert RunConfig.from_dict(stored) == cfg
 
 
@@ -350,8 +352,8 @@ def test_gram_matches_per_entry_oracle(name, request):
     fam = request.getfixturevalue(name)
     chain = request.getfixturevalue(f"{name}_chain")
     for level in chain[:3]:
-        g = gram_matrix(level.phi(range(level.s, level.s + 4)), fam.quad)
-        ref = scalar_gram([level.phi(n) for n in range(level.s, level.s + 4)], fam.quad)
+        g = gram_matrix(level.phi(range(level.s, level.s + 4)), fam.domain)
+        ref = scalar_gram([level.phi(n) for n in range(level.s, level.s + 4)], fam.domain)
         assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), (name, level.s)
 
 
@@ -379,7 +381,7 @@ def test_non_finite_potential_on_the_oracle_grid_is_an_error(monkeypatch):
 
 
 def test_non_finite_gram_node_is_a_skip(monkeypatch, hermite):
-    node = hermite.quad.nodes_weights(0)[0][21]
+    node = nodes_weights(hermite.domain, 0)[0][21]
     real = oqm.OqmChainLevel.phi
     monkeypatch.setattr(oqm.OqmChainLevel, "phi", lambda level, n: (
         _holed(real(level, n), lambda x: x == node) if level.s == 1 else real(level, n)))
@@ -406,7 +408,7 @@ def test_evaluation_counts_are_one_call_per_grid_and_per_level(monkeypatch):
 
         return real_grid(counted, *args)
 
-    def gram(f, quad):
+    def gram(f, domain):
         sizes = []
         grams.append(sizes)
 
@@ -414,7 +416,7 @@ def test_evaluation_counts_are_one_call_per_grid_and_per_level(monkeypatch):
             sizes.append(x.size)
             return f(x)
 
-        return real_gram(dataclasses.replace(f, fn=counted, jet_fn=None), quad)
+        return real_gram(dataclasses.replace(f, fn=counted, jet_fn=None), domain)
 
     monkeypatch.setattr(verify, "grid_eigensolve", grid)
     monkeypatch.setattr(verify, "gram_matrix", gram)

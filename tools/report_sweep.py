@@ -17,8 +17,9 @@ OTHER_CHECKOUT's, each in a fresh interpreter, then prints every status or
 verdict that changed (a change of a report's layout counts as one), every
 number that moved with its old and new value, the count of moved numbers
 per block path (the path below the report or scan, indices dropped, e.g.
-`oracle.levels.fit: 78`) and the largest absolute move.  It exits 1 when a
-status or verdict changed, and 0 otherwise, moved numbers or not.
+`oracle.levels.fit: 78`), the largest absolute move and the line count of
+`src/crum` in both checkouts.  It exits 1 when a status or verdict changed,
+and 0 otherwise, moved numbers or not.
 """
 
 from __future__ import annotations
@@ -85,6 +86,12 @@ def run_sweep(checkout):
     return json.loads(done.stdout)
 
 
+def source_lines(checkout):
+    """Lines of the package's modules, src/crum/*.py, in the checkout."""
+    paths = (pathlib.Path(checkout).resolve() / "src" / "crum").glob("*.py")
+    return sum(len(path.read_text(encoding="utf-8").splitlines()) for path in paths)
+
+
 def diff(old, new, path=""):
     """(verdict changes, moved numbers) from old to new: messages, and
     (path, old, new, |move|) rows."""
@@ -140,6 +147,8 @@ def main(argv):
           f"{len(changes)} changed statuses or verdicts, "
           f"{len(moves)} moved numbers"
           + (f", largest |move| {largest[3]:.3g} at {largest[0]}" if largest else ""))
+    lines_old, lines_new = source_lines(argv[0]), source_lines(ROOT)
+    print(f"src/crum lines: {lines_old} -> {lines_new} ({lines_new - lines_old:+d})")
     return 1 if changes else 0
 
 
