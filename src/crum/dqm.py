@@ -44,7 +44,8 @@ log-sum on row s, log V on rows s, s-2, ..., 2-s, L on rows +-1 .. +-(s-1),
 the Vandermonde sines on rows 0 .. s-1 and eta on rows s, s-2, ..., -s;
 log V^[s] takes its four L rows in one call too.  A level keeps nothing
 between calls, and takes a point or an array of points; in a suite run,
-phi^[s]_n and log V^[s] are computed once per array (analytic.run_cached).
+phi^[s]_n, log V^[s] and the Casoratians of level-0 eigenfunctions
+(level0_casoratian) are computed once per array (analytic.run_cached).
 
 The chain has the contract of the differential one (`oqm`): its levels are
 analytic.ChainLevel records, whose guards and step both kinds share;
@@ -302,20 +303,31 @@ def _sqrt_v_prefactor(levels, s, x, gamma):
     return pref
 
 
+def level0_casoratian(fam, s, n, x):
+    """C[phi_0..phi_{s-1}] of level-0 eigenfunctions (one stacked column
+    function), with phi_n appended for n not None (the rows of a range of n),
+    at each point of the array x; in a run, computed once per array
+    (analytic.run_cached)."""
+    return analytic.run_cached(_level0_casoratian, fam, s, n, x)
+
+
+def _level0_casoratian(fam, s, n, x):
+    fs = [fam.phi(range(s))] if s else []
+    return casoratian(fs, x, fam.gamma, last=None if n is None else fam.phi(n))
+
+
 def phi_via_casoratian(levels, s, n, x):
     """Determinant route to phi^[s]_n at x or at each point of an array x:
     prefactor times a ratio of shifted determinants of level-0 eigenfunctions
-    (one stacked column function); for a range of n, the rows of phi^[s]_n."""
+    (level0_casoratian); for a range of n, the rows of phi^[s]_n."""
     fam = levels[0].family
     g = fam.gamma
     x = np.asarray(x, dtype=complex)
-    fs = [fam.phi(range(s))] if s else []
-    den = casoratian(fs, x - 0.5j * g, g)
+    den = level0_casoratian(fam, s, None, x - 0.5j * g)
     pole = np.abs(den) < 1e-280
     if pole.any():
         raise PoleError(f"denominator determinant vanishes at x={x.ravel()[pole.argmax()]}")
-    num = casoratian(fs, x, g, last=fam.phi(n))
-    return _sqrt_v_prefactor(levels, s, x, g) * num / den
+    return _sqrt_v_prefactor(levels, s, x, g) * level0_casoratian(fam, s, n, x) / den
 
 
 def check_function(levels, s, n, x):
@@ -376,7 +388,7 @@ def _res_check_product(levels, samples):
     g = fam.gamma
     s = len(levels) - 1
     ns = checked_ns(levels[s])
-    lhs = casoratian([fam.phi(range(s))], samples, g, last=fam.phi(ns))
+    lhs = level0_casoratian(fam, s, ns, samples)    # casoratian_ratio's numerator
     rhs = check_function(levels, s, ns, samples)
     for k in range(s):
         rhs = rhs * check_function(levels, k, k, samples + 0.5j * (k - s) * g)
@@ -390,27 +402,47 @@ def _res_casoratian_ratio(levels, samples):
 
 
 def _res_casoratian_jacobi(levels, samples):
-    """Two-determinant contraction identity, on the eigenfunction list of the
-    deepest level and on generic analytic test functions."""
+    """Two-determinant contraction identity
+
+        C[f, a](x + ig/2) C[f, b](x - ig/2) - C[f, b](x + ig/2) C[f, a](x - ig/2)
+            = -i C[f](x) C[f, a, b](x),
+
+    on the level-0 eigenfunctions f = phi_0..phi_{s-1}, a = phi_s, b = phi_{s+1}
+    of the deepest level s (level0_casoratian, a and b as one stacked last
+    column), and on the generic functions f = 1, x, a = x^2, b = e^{ix}.  The
+    generic residual has no level, so a run computes it once and every level
+    yields it (analytic.run_cached)."""
     fam = levels[0].family
     g = fam.gamma
     s = len(levels) - 1
-    n = s + 1
-    generic = _generic_fns()
-    lists = [([fam.phi(range(s))], fam.phi(s), fam.phi(n)),
-             (generic[:-2], generic[-2], generic[-1])]
-    up, dn = samples + 0.5j * g, samples - 0.5j * g
-    for head, f_s, f_n in lists:
-        m11, m12 = casoratian(head + [f_s], up, g), casoratian(head + [f_n], up, g)
-        m21, m22 = casoratian(head + [f_s], dn, g), casoratian(head + [f_n], dn, g)
-        rhs = -1j * casoratian(head, samples, g) * casoratian(head + [f_s, f_n], samples, g)
-        yield rel_residual(m11 * m22 - m12 * m21, rhs)
+    up = level0_casoratian(fam, s, range(s, s + 2), samples + 0.5j * g)
+    dn = level0_casoratian(fam, s, range(s, s + 2), samples - 0.5j * g)
+    yield _contraction(up, dn, level0_casoratian(fam, s, None, samples),
+                       level0_casoratian(fam, s + 2, None, samples))
+    yield analytic.run_cached(_generic_jacobi, fam, None, None, samples)
 
 
-def _generic_fns():
-    mk = lambda fn, lbl: AnalyticFn(fn, label=lbl)
-    return [mk(lambda x: 1.0 + 0j, "1"), mk(lambda x: x, "x"),
-            mk(lambda x: x * x, "x^2"), mk(lambda x: np.exp(1j * x), "e^{ix}")]
+def _contraction(up, dn, head, full):
+    """Residual of the contraction identity from its determinants: the stacked
+    pairs C[f, a], C[f, b] at x + ig/2 (up) and x - ig/2 (dn), C[f] and C[f, a, b]."""
+    return rel_residual(up[0] * dn[1] - up[1] * dn[0], -1j * head * full)
+
+
+# the generic functions of casoratian_jacobi: 1 and x, then x^2 and e^{ix} stacked
+_GENERIC_HEAD = [AnalyticFn(lambda x: 1.0 + 0j, label="1"), AnalyticFn(lambda x: x, label="x")]
+_GENERIC_PAIR = AnalyticFn(lambda x: np.stack([x * x, np.exp(1j * x)]), label="x^2, e^{ix}",
+                           rows=2)
+
+
+def _generic_jacobi(fam, _s, _n, x):
+    """The contraction identity's residual on the generic functions at the
+    array x; of the family it reads gamma only, and it has no level (_s) or
+    states (_n)."""
+    g = fam.gamma
+    return _contraction(casoratian(_GENERIC_HEAD, x + 0.5j * g, g, last=_GENERIC_PAIR),
+                        casoratian(_GENERIC_HEAD, x - 0.5j * g, g, last=_GENERIC_PAIR),
+                        casoratian(_GENERIC_HEAD, x, g),
+                        casoratian(_GENERIC_HEAD + [_GENERIC_PAIR], x, g))
 
 
 def _res_realness(levels, samples):

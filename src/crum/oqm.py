@@ -13,7 +13,8 @@ share, and the five operator identities of IDENTITIES (zero_mode, iso_spectral,
 intertwine, factorization, downshift_roundtrip) are the shared ones of
 `analytic`, bound to this module as `downshift` is, and check the states
 analytic.checked_ns names; the others (riccati, node_count and the Wronskian
-formulas) are the differential chain's own.
+formulas) are the differential chain's own.  In a suite run, each Wronskian of
+level-0 eigenfunctions (level0_wronskian) is computed once per array.
 """
 
 from __future__ import annotations
@@ -105,16 +106,30 @@ def build_chain(family, depth, nmax=None):
     return grow_chain(level0(family, nmax), step_chain, depth)
 
 
+def level0_wronskian(fam, s, n, x):
+    """W[phi_0..phi_{s-1}] of level-0 eigenfunctions (one stacked column
+    function), with phi_n appended for n not None (the rows of a range of n),
+    at x or at each point of an array x; in a run, computed once per array
+    (analytic.run_cached)."""
+    return analytic.run_cached(_level0_wronskian, fam, s, n, x)
+
+
+def _level0_wronskian(fam, s, n, x):
+    fs = [fam.phi(range(s))] if s else []
+    return wronskian(fs, x, last=None if n is None else fam.phi(n))
+
+
 def phi_via_wronskian(levels, s, n, x):
     """Determinant route to phi^[s]_n at x or at each point of an array x:
-    ratio of two Wronskians of level-0 eigenfunctions (one stacked column
-    function); for a range of n, the rows of phi^[s]_n."""
-    fs = [levels[0].phi(range(s))] if s else []
-    den = wronskian(fs, x)
+    ratio of two Wronskians of level-0 eigenfunctions (level0_wronskian); for
+    a range of n, the rows of phi^[s]_n."""
+    levels[0].check_n(n)
+    fam = levels[0].family
+    den = level0_wronskian(fam, s, None, x)
     pole = np.abs(den) < 1e-280
     if pole.any():
         raise PoleError(f"denominator Wronskian vanishes at x={np.ravel(x)[pole.argmax()]}")
-    return wronskian(fs, x, last=levels[0].phi(n)) / den
+    return level0_wronskian(fam, s, n, x) / den
 
 
 def relation_residual(kind, levels, samples):
@@ -196,13 +211,13 @@ def _res_wronskian_product(levels, samples):
     appending phi_n appends the lifted eigenfunction."""
     s = len(levels) - 1
     n = levels[s].nmax
-    fs = [levels[0].phi(range(s))]
+    fam = levels[0].family
     prod = 1.0 + 0j
     for k in range(s):
         prod = prod * levels[k].phi(k)(samples)
-    yield rel_residual(wronskian(fs, samples), prod)
-    yield rel_residual(wronskian(fs, samples, last=levels[0].phi(n)),
-                       prod * levels[s].phi(n)(samples))
+    # W[phi_0..phi_{s-1}] is wronskian_ratio's denominator, computed once in a run
+    yield rel_residual(level0_wronskian(fam, s, None, samples), prod)
+    yield rel_residual(level0_wronskian(fam, s, n, samples), prod * levels[s].phi(n)(samples))
 
 
 def _res_wronskian_ratio(levels, samples):

@@ -308,7 +308,7 @@ class _ChainKind:
     eta_tol: float              # tolerance of the coordinate relations
 
 
-@run_table()    # each run its own table of difference-chain values
+@run_table()    # each run its own table of chain values and level-0 determinants
 def run_suite(config: RunConfig):
     t0 = time.perf_counter()
     family = make_family(config.family, **config.params)

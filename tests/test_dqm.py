@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crum.analytic import (AnalyticFn, Identity, checked_ns, identity_residual, inner_product,
-                           rel_residual, worst_residual)
+from crum.analytic import (AnalyticFn, Identity, casoratian, checked_ns, identity_residual,
+                           inner_product, rel_residual, worst_residual)
 from crum.errors import ChainBreakError, DomainError, ParameterError, PoleError, StripError
 from crum import analytic, dqm, families, structure, verify
 from crum.verify import RunConfig, gram_matrix
@@ -564,3 +564,59 @@ def test_the_run_table_lives_for_one_run():
     finally:
         tracemalloc.stop()
     assert retained < 64 * 1024
+
+
+# -- level-0 determinants --------------------------------------------------------
+
+def _separate_contraction(head, a, b, x, g):
+    """casoratian_jacobi's residual from six separate Casoratians, the route
+    before the pairs C[f, a], C[f, b] were stacked and the run table kept them."""
+    up, dn = x + 0.5j * g, x - 0.5j * g
+    m11, m12 = casoratian(head + [a], up, g), casoratian(head + [b], up, g)
+    m21, m22 = casoratian(head + [a], dn, g), casoratian(head + [b], dn, g)
+    rhs = -1j * casoratian(head, x, g) * casoratian(head + [a, b], x, g)
+    return rel_residual(m11 * m22 - m12 * m21, rhs)
+
+
+_X2 = AnalyticFn(lambda x: x * x, label="x^2")
+_EXP = AnalyticFn(lambda x: np.exp(1j * x), label="e^{ix}")
+
+
+@pytest.mark.parametrize("name", ["askey_wilson", "q_hermite"])
+def test_a_stacked_last_column_gives_the_separate_casoratians_bit_for_bit(name, request):
+    fam = request.getfixturevalue(name)
+    g = fam.gamma
+    x = np.asarray(verify.sample_points(fam, 12, 7))
+    for pts in (x + 0.5j * g, x - 0.5j * g):
+        for s in (1, 2):
+            head = [fam.phi(range(s))]
+            stacked = casoratian(head, pts, g, last=fam.phi(range(s, s + 2)))
+            separate = [casoratian(head + [fam.phi(k)], pts, g) for k in (s, s + 1)]
+            assert np.array_equal(stacked, np.stack(separate)), s
+            assert np.array_equal(casoratian([fam.phi(range(s + 2))], pts, g),
+                                  casoratian(head + [fam.phi(s), fam.phi(s + 1)], pts, g)), s
+        head = dqm._GENERIC_HEAD
+        stacked = casoratian(head, pts, g, last=dqm._GENERIC_PAIR)
+        separate = [casoratian(head + [f], pts, g) for f in (_X2, _EXP)]
+        assert np.array_equal(stacked, np.stack(separate))
+        assert np.array_equal(casoratian(head + [dqm._GENERIC_PAIR], pts, g),
+                              casoratian(head + [_X2, _EXP], pts, g))
+
+
+def test_casoratian_jacobi_is_the_six_determinant_route_and_its_generic_half_is_run_cached(
+        askey_wilson_chain, askey_wilson):
+    fam = askey_wilson
+    g = fam.gamma
+    x = np.asarray(verify.sample_points(fam, 12, 7))
+    fresh = [list(dqm._res_casoratian_jacobi(askey_wilson_chain[:s + 1], x)) for s in (1, 2)]
+    with analytic.run_table():
+        in_run = [list(dqm._res_casoratian_jacobi(askey_wilson_chain[:s + 1], x))
+                  for s in (1, 2)]
+    # the generic residual has no level: a run computes it once and yields it at both
+    assert in_run[0][1] is in_run[1][1]
+    generic = _separate_contraction(dqm._GENERIC_HEAD, _X2, _EXP, x, g)
+    for s, (out, run) in enumerate(zip(fresh, in_run), start=1):
+        phi = _separate_contraction([fam.phi(range(s))], fam.phi(s), fam.phi(s + 1), x, g)
+        for got in (out, run):
+            assert np.array_equal(got[0], phi), s
+            assert np.array_equal(got[1], generic), s

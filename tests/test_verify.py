@@ -158,9 +158,35 @@ def hermite_report(hermite_run):
 def test_suite_checks_each_level_once(hermite_run):
     # 3 levels x (2 wronskian_product + 2 wronskian_ratio calls: the
     # denominator, and the numerators of both states as one stack), each call
-    # on the whole sample array; re-checking every lower level at each level
+    # on the whole sample array, less the denominator, which is
+    # wronskian_product's first Wronskian and is computed once per run (12
+    # without the run table); re-checking every lower level at each level
     # would make 24, one call per state 18, and one per sample point 360
-    assert hermite_run[1] == 12
+    assert hermite_run[1] == 9
+
+
+@pytest.mark.parametrize("family,params,name,count", [
+    ("askey_wilson", AW_PARAMS, "casoratian", 17), ("hermite", {}, "wronskian", 7)],
+    ids=["askey_wilson", "hermite"])
+def test_a_suite_computes_each_level0_determinant_once(monkeypatch, family, params, name, count):
+    # seed-7 depth-2 suites: each (columns, last column, points) key once; 31
+    # Casoratians on 23 keys and 9 Wronskians on 7 before the run table kept
+    # level-0 determinants and the generic casoratian_jacobi residual
+    keys = []
+    real = getattr(verify, name)
+
+    def counted(fs, x, *args, **kwargs):
+        last = getattr(kwargs.get("last"), "label", None)
+        keys.append((tuple(f.label for f in fs), last, np.asarray(x).tobytes()))
+        return real(fs, x, *args, **kwargs)
+
+    for module in (dqm, oqm, structure, verify):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    report = run_suite(RunConfig(family=family, params=dict(params), depth=2, nmax=5, seed=7))
+    assert report.status == "pass"
+    assert len(keys) == count
+    assert len(set(keys)) == count
 
 
 def test_suite_hermite_passes(hermite_report):
