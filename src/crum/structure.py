@@ -6,6 +6,14 @@ Shape invariance is checked against each family's declared rule
 (`family.shape`): the level-1 potential must equal kappa times the potential
 at the shifted parameters si(lambda), plus the first gap e1(lambda) on the
 derivative side.  Nothing is fitted, so a wrong declared rule fails.
+
+The eta relations fit one line, phi_1/phi_0 = a + b eta, by least squares in
+closed form: b = sum conj(deta) dr / sum |deta|^2 over the deviations from
+the means, a = mean r - b mean eta.  With no spread in eta (one sample, or
+all equal) b is 0 and the line runs through the mean, an exact fit where the
+data allow one, as the minimum-norm least-squares answer is.  A non-finite
+value makes the fit non-finite, so the residual fails closed.  No LAPACK
+routine runs, so none is paged into the process.
 """
 
 from __future__ import annotations
@@ -137,9 +145,11 @@ def eta_relations_residual(kind, family, chain, samples):
 
 
 def _affine_fit(xs, ys):
-    m = np.stack([np.ones(len(xs)), np.asarray(xs)], axis=1)
-    coef, *_ = np.linalg.lstsq(m, np.asarray(ys), rcond=None)
-    return coef  # (a, b)
+    """(a, b) of the least-squares line ys ~ a + b xs, in closed form."""
+    dx, dy = xs - xs.mean(), ys - ys.mean()
+    spread = (dx.real**2 + dx.imag**2).sum()
+    b = (dx.conj() * dy).sum() / spread if spread else 0.0
+    return ys.mean() - b * xs.mean(), b
 
 
 def _res_eta_affine(levels, samples):

@@ -128,3 +128,34 @@ def test_every_defaulted_dataclass_field_is_set_by_a_caller():
                   if f not in passed and f"{cls.name}.{f}" not in UNSET_FIELDS]
     assert not unset, ("dataclass fields with a default that no call in the package sets: "
                        + ", ".join(unset))
+
+
+# the np.linalg functions each module may call, one reason each: the first call
+# of a LAPACK routine pages its share of numpy's bundled library into the process
+LINALG_ALLOWED = {
+    ("verify", "eigvalsh"): "the grid oracle's dense eigensolve and the Gauss-Lobatto nodes",
+}
+
+
+def _linalg_uses(tree):
+    """The name of each np.linalg.<name> of a parsed module, and the source
+    of any other reach into a linalg module (an import, an alias), which
+    could hide a call from the first form."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) \
+                and node.value.attr == "linalg":
+            named.add(id(node.value))
+            yield node.attr
+    for node in ast.walk(tree):
+        bare = isinstance(node, ast.Attribute) and node.attr == "linalg" and id(node) not in named
+        imported = isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node)
+        if bare or imported:
+            yield ast.unparse(node)
+
+
+def test_the_package_calls_no_linear_algebra_routine_but_the_allowed_ones():
+    used = sorted({(path.stem, name) for path in sorted(SRC.glob("*.py"))
+                   for name in _linalg_uses(ast.parse(path.read_text(encoding="utf-8")))})
+    extra = [f"{module}: {name}" for module, name in used if (module, name) not in LINALG_ALLOWED]
+    assert not extra, "linear-algebra calls outside LINALG_ALLOWED: " + ", ".join(extra)

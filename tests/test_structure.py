@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from crum import make_family, structure, verify
-from crum.analytic import worst_residual
+from crum.analytic import rel_residual, worst_residual
 from crum.errors import ParameterError
 from crum.families import ShapeData, _shift_avals
 from crum.structure import LimitScaling
 
-from conftest import AW_PARAMS, SCALAR_ETA_RELATIONS, overall_slope, shape_fit
+from conftest import AW_PARAMS, SCALAR_ETA_RELATIONS, _affine_residuals, overall_slope, shape_fit
 
 
 def _pts(fam, count=20):
@@ -206,6 +206,37 @@ def test_eta_relations_on_arrays_match_the_point_rule(name, request):
             array = structure.eta_relations_residual(kind, fam, chain[: s + 1], pts)
             scalar = worst_residual(SCALAR_ETA_RELATIONS[kind](chain[: s + 1], pts))
             assert abs(array - scalar) <= 1e-12, (kind, s, array, scalar)
+
+
+@pytest.mark.parametrize("count", [20, 2, 1])
+@pytest.mark.parametrize("spread", [1.0, 1e-2, 1e-3])
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+def test_affine_fit_matches_the_least_squares_oracle(count, spread, noise):
+    rng = np.random.default_rng(count + int(1e4 * spread) + int(1e6 * noise))
+    etas = 0.4 - 0.3j + spread * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    ratios = (1.5 + 0.5j) - (0.7 - 2j) * etas
+    ratios = ratios + noise * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    a, b = structure._affine_fit(etas, ratios)
+    got = rel_residual(ratios, a + b * etas)
+    want = np.array(list(_affine_residuals(ratios, etas)))
+    assert np.all(np.abs(got - want) <= 1e-13), (got, want)
+
+
+@pytest.mark.parametrize("name,params", [("hermite", {}), ("q_hermite", {"q": 0.5})])
+def test_a_one_sample_suite_fits_its_eta_line_exactly(name, params):
+    # one sample spreads eta over nothing: the fit's slope is 0 and its line
+    # goes through the sample, as the least-squares minimum-norm answer does
+    rep = verify.run_suite(verify.RunConfig(family=name, params=params, depth=1, nmax=3,
+                                            samples=1, seed=7))
+    assert rep.status == "pass"
+    assert rep.eta_relations["eta_affine"] == 0.0
+
+
+def test_a_nan_sample_fails_the_eta_line_closed_and_quietly(capfd, q_hermite, q_hermite_chain):
+    res = structure.eta_relations_residual("eta_affine", q_hermite, q_hermite_chain[:2],
+                                           [0.5, math.nan, 1.0])
+    assert res == math.inf
+    assert capfd.readouterr().out == ""
 
 
 def test_eta_undeclared_capability():
