@@ -9,7 +9,8 @@ table per kind, read by `identity_residual` and reduced fail-closed by
 both kinds subclass, with its n-range, level-0, step and downshift guards,
 `sign_changes`, the one rule by which a step refuses a seed,
 `divided_difference`, the one three-term recurrence of the polynomials P_n,
-`grow_chain`, up to DEPTH_CAP, and the run table of `run_cached`.
+`grow_chain`, up to DEPTH_CAP, and the run table of `run_cached`, which
+also holds a continuous family's coordinate jets, eta and W (`run_jet`).
 
 Everything here is immutable after construction and safe to evaluate
 concurrently; evaluation is pure, and each thread has its own run table.
@@ -161,7 +162,8 @@ def run_cached(compute, family, s, n, x):
     the generic Casoratian-Jacobi residual, which has no level.  In a run,
     computed once if x has at most _ARRAY_BLOCK points and kept read-only,
     keyed by the arguments and x's dtype, shape and bytes; outside a run,
-    computed at each call."""
+    computed at each call.  The same table holds a continuous family's
+    eta and W jets (run_jet)."""
     table = _RUN_TABLE.get()
     if table is None or x.size > _ARRAY_BLOCK:
         return compute(family, s, n, x)
@@ -171,6 +173,25 @@ def run_cached(compute, family, s, n, x):
         value = table[key] = compute(family, s, n, x)
         value.setflags(write=False)
     return value
+
+
+def run_jet(rule, x, order):
+    """rule(x, order), a continuous family's eta or W jet.  In a run, one jet
+    per rule and array x of at most _ARRAY_BLOCK points, keyed as in
+    run_cached: of the highest order asked so far, coefficients read-only,
+    and a lower order is its truncation, bit for bit a fresh jet, since
+    coefficient k of Jet.variable, products, sincos, log and exp reads only
+    coefficients <= k; outside a run, computed at each call."""
+    table = _RUN_TABLE.get()
+    if table is None or np.ndim(x) == 0 or x.size > _ARRAY_BLOCK:
+        return rule(x, order)
+    key = (rule, x.dtype, x.shape, x.tobytes())
+    jet = table.get(key)
+    if jet is None or jet.order < order:
+        jet = table[key] = rule(x, order)
+        for c in jet.coeffs:
+            c.setflags(write=False)
+    return Jet(jet.anchor, jet.coeffs[:order + 1])
 
 
 def star_eval(f, x):

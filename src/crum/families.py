@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 
-from .analytic import _ARRAY_BLOCK, AnalyticFn, divided_difference, inner_product, row_range
+from .analytic import (_ARRAY_BLOCK, AnalyticFn, divided_difference, inner_product, row_range,
+                       run_jet)
 from .errors import DomainError, ParameterError
 from .jets import Jet
 from . import dqm as dqm_mod
@@ -154,10 +156,13 @@ class OqmFamily(Family):
     def __init__(self, name, params, domain, w_log_jet, energy_rule,
                  poly_recurrence, eta_jet, shape, label_params):
         super().__init__(name, params, domain, shape, label_params)
-        self._w_log_jet = w_log_jet   # (x, order) -> x-jet of W, ground state e^W
+        # (x, order) -> x-jet of W (ground state e^W) and of eta: the raw
+        # rules, and the ones every evaluator reads, once per run and array
+        self._w_log_rule, self._eta_rule = w_log_jet, eta_jet
+        self._w_log_jet = partial(run_jet, w_log_jet)
+        self._eta_jet = partial(run_jet, eta_jet)
         self._energy = energy_rule    # (n, params) -> E_n
         self._recurrence = poly_recurrence  # n -> (b_n, c_n) for monic P in eta
-        self._eta_jet = eta_jet
 
     # -- core evaluators -----------------------------------------------
     # Level s of the Crum chain is evaluated in closed form.  With

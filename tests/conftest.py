@@ -1,5 +1,9 @@
 import cmath
+import dataclasses
+import gc
 import math
+import threading
+import tracemalloc
 from collections import namedtuple
 from functools import partial
 
@@ -10,7 +14,9 @@ from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 from crum import AnalyticFn, make_family
 from crum.analytic import (checked_ns, divided_difference, rel_residual, sign_changes, star_eval,
                            worst_residual)
+from crum import analytic as analytic_mod
 from crum import dqm as dqm_mod
+from crum import families as families_mod
 from crum import oqm as oqm_mod
 from crum import quadrature
 from crum import verify as verify_mod
@@ -876,6 +882,48 @@ def _gauss_newton(u0, target, model):
         if np.max(np.abs(step)) < 1e-13 * (1.0 + np.max(np.abs(u))):
             break
     return u, bool(np.max(np.abs(r)) < 1e-6 * (1.0 + np.max(np.abs(t))))
+
+
+# -- the run table's lifetime ------------------------------------------------------
+
+def suite_report(config):
+    """A suite's report as JSON, its wall time zeroed."""
+    return dataclasses.replace(verify_mod.run_suite(config), wall_time_s=0.0).to_json()
+
+
+def check_the_run_table_lives_for_one_run(config):
+    """No table is open after a suite, nor after a refused one; two threads
+    give the serial reports; and under tracemalloc a second suite keeps
+    nothing of the first's table.  config(seed, **fields) is a RunConfig."""
+    seeds = (7, 2021)
+    serial = [suite_report(config(seed, depth=1)) for seed in seeds]
+    assert analytic_mod._RUN_TABLE.get() is None
+    with pytest.raises(ParameterError):
+        verify_mod.run_suite(config(7, nmax=families_mod.DEFAULT_NMAX + 1))
+    assert analytic_mod._RUN_TABLE.get() is None
+
+    threaded = {}
+    threads = [threading.Thread(target=lambda seed=seed: threaded.update(
+        {seed: suite_report(config(seed, depth=1))})) for seed in seeds]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert [threaded[seed] for seed in seeds] == serial
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verify_mod.run_suite(config(7))
+        gc.collect()
+        first = tracemalloc.get_traced_memory()[0]
+        verify_mod.run_suite(config(7))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - first
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,6 @@
 import collections
-import dataclasses
 import gc
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -10,11 +8,11 @@ import pytest
 
 from crum.analytic import (AnalyticFn, Identity, casoratian, checked_ns, identity_residual,
                            inner_product, rel_residual, worst_residual)
-from crum.errors import ChainBreakError, DomainError, ParameterError, PoleError, StripError
+from crum.errors import ChainBreakError, DomainError, PoleError, StripError
 from crum import analytic, dqm, families, structure, verify
 from crum.verify import RunConfig, gram_matrix
 
-from conftest import AW_PARAMS, worst_over_levels
+from conftest import AW_PARAMS, check_the_run_table_lives_for_one_run, worst_over_levels
 
 
 def _pts(fam, count=10, im=0.0):
@@ -530,40 +528,7 @@ def test_a_suite_evaluates_each_level_state_array_once(monkeypatch):
 
 
 def test_the_run_table_lives_for_one_run():
-    seeds = (7, 2021)
-
-    def report(seed):
-        return dataclasses.replace(verify.run_suite(_aw_config(seed, depth=1)),
-                                   wall_time_s=0.0).to_json()
-
-    serial = [report(seed) for seed in seeds]
-    assert analytic._RUN_TABLE.get() is None
-    with pytest.raises(ParameterError):
-        verify.run_suite(_aw_config(7, nmax=families.DEFAULT_NMAX + 1))
-    assert analytic._RUN_TABLE.get() is None
-
-    threaded = {}
-    threads = [threading.Thread(target=lambda seed=seed: threaded.update({seed: report(seed)}))
-               for seed in seeds]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert [threaded[seed] for seed in seeds] == serial
-
-    # the table goes with its run: a second suite keeps nothing of it
-    gc.collect()
-    tracemalloc.start()
-    try:
-        verify.run_suite(_aw_config(7))
-        gc.collect()
-        first = tracemalloc.get_traced_memory()[0]
-        verify.run_suite(_aw_config(7))
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - first
-    finally:
-        tracemalloc.stop()
-    assert retained < 64 * 1024
+    check_the_run_table_lives_for_one_run(_aw_config)
 
 
 # -- level-0 determinants --------------------------------------------------------

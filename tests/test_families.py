@@ -50,7 +50,7 @@ def test_validation_rejects_a_ground_state_off_the_prepotential(monkeypatch):
         return -(jx * jx)
 
     bad = families.OqmFamily("hermite", {}, h.domain, w_log_jet, h._energy, h._recurrence,
-                             h._eta_jet, h.shape, "")
+                             h._eta_rule, h.shape, "")
     monkeypatch.setattr(families, "_hermite_family", lambda: bad)
     with pytest.raises(ParameterError, match="disagrees with grid oracle"):
         make_family("hermite")

@@ -1,6 +1,8 @@
+import collections
 import gc
 import math
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,11 +11,11 @@ import pytest
 from crum.analytic import AnalyticFn, inner_product, rel_residual, worst_residual
 from crum.errors import ChainBreakError, DomainError, PoleError
 from crum.jets import Jet
-from crum import make_family, oqm, virtual_state
-from crum.verify import gram_matrix, sample_points
+from crum import analytic, families, make_family, oqm, verify, virtual_state
+from crum.verify import RunConfig, gram_matrix, sample_points
 
-from conftest import (list_node_count, recursive_chain, scalar_identity_residual,
-                      worst_over_levels)
+from conftest import (check_the_run_table_lives_for_one_run, list_node_count, recursive_chain,
+                      scalar_identity_residual, suite_report, worst_over_levels)
 
 
 def _pts(fam, count=12):
@@ -353,3 +355,72 @@ def test_array_call_matches_scalar_call(request):
         for x, v in zip(xs, values):
             ref = f(complex(x))
             assert abs(v - ref) <= 1e-13 * abs(ref), (f.label, x, v, ref)
+
+
+# -- the coordinate jets in the run table ---------------------------------------------
+
+def _oqm_config(name, seed=7, depth=2, nmax=5):
+    params = {"jacobi": {"g": 2.0}}.get(name, {})
+    return RunConfig.from_dict({"family": name, "params": params, "depth": depth,
+                                "nmax": nmax, "seed": seed})
+
+
+@pytest.mark.parametrize("name", ["hermite", "jacobi"])
+def test_a_suite_reports_as_the_raw_coordinate_rules(name, monkeypatch):
+    # the slow path as oracle: without the run table's eta and W jets every
+    # call runs the family's raw rule
+    shipped = suite_report(_oqm_config(name))
+    monkeypatch.setattr(families, "run_jet", lambda rule, x, order: rule(x, order))
+    assert suite_report(_oqm_config(name)) == shipped
+
+
+def test_a_suite_computes_each_coordinate_jet_once_per_array(monkeypatch):
+    # with the lookup bypassed this seed-7 hermite depth-2 suite computes eta
+    # 167 times on 37 (array, order) keys and W 144 times on 27
+    h = families._hermite_family()
+    calls, keys = collections.Counter(), collections.defaultdict(set)
+
+    def counted(rule, tag):
+        def raw(x, order):
+            calls[tag] += 1
+            return rule(x, order)
+        raw.tag = tag
+        return raw
+
+    def spied(rule, x, order):
+        # the family at si(lambda), which the shape block builds, is not counted
+        keys[getattr(rule, "tag", None)].add((x.shape, x.tobytes(), order))
+        return analytic.run_jet(rule, x, order)
+
+    monkeypatch.setattr(families, "run_jet", spied)
+    fam = families.OqmFamily("hermite", {}, h.domain, counted(h._w_log_rule, "W"), h._energy,
+                             h._recurrence, counted(h._eta_rule, "eta"), h.shape, "")
+    monkeypatch.setattr(verify, "make_family", lambda name, **params: fam)
+    assert verify.run_suite(_oqm_config("hermite")).status == "pass"
+    for tag in ("eta", "W"):
+        assert 0 < calls[tag] <= len(keys[tag]), (tag, calls[tag], len(keys[tag]))
+
+
+def _bytes(jet):
+    return [c.tobytes() for c in jet.coeffs]
+
+
+@pytest.mark.parametrize("name", ["hermite", "laguerre", "jacobi"])
+def test_a_lower_order_coordinate_jet_is_the_truncation_bit_for_bit(name, request):
+    fam = request.getfixturevalue(name)
+    x = np.linspace(*fam.interior(0.5), 20) + 0.1j * np.linspace(-1.0, 1.0, 20)
+    for rule, cached in ((fam._eta_rule, fam._eta_jet), (fam._w_log_rule, fam._w_log_jet)):
+        top = rule(x, 5)
+        assert cached(x, 2).coeffs[0] is not cached(x, 2).coeffs[0]    # no run, no lookup
+        with analytic.run_table():
+            kept = cached(x, 5)
+            assert _bytes(kept) == _bytes(top)
+            for k in range(5):
+                assert _bytes(rule(x, k)) == _bytes(top)[:k + 1]
+                low = cached(x, k)
+                assert low.order == k and all(a is b for a, b in zip(low.coeffs, kept.coeffs))
+                assert not any(c.flags.writeable for c in low.coeffs)
+
+
+def test_the_run_table_of_coordinate_jets_lives_for_one_run():
+    check_the_run_table_lives_for_one_run(partial(_oqm_config, "hermite"))

@@ -14,13 +14,19 @@ benchmark's parameters) at depths 1-4, seed 7 and nmax 5:
 each REPEATS times in one interpreter, after one untimed suite, against this
 checkout's `src/` and OTHER_CHECKOUT's, in ROUNDS fresh interpreters per
 checkout, the two checkouts alternating which goes first.  The untimed suite
-counts the Casoratians and Wronskians the suite makes (`analytic.casoratian`
-and `analytic.wronskian`, wrapped wherever a crum module binds them), which
-are deterministic, and gives the report's status.  A depth the family
-refuses shows its error instead.
+gives the report's status and counts, deterministically:
+
+- the Casoratians and Wronskians the suite makes (`analytic.casoratian` and
+  `analytic.wronskian`, wrapped wherever a crum module binds them);
+- its `jets.Jet.variable` calls, one per computation of a continuous
+  family's eta or W jet;
+- for a difference family, the calls of the array log-sum
+  `families._FactorLogSum.at` and the points they take.
+
+A depth the family refuses shows its error instead.
 
 It prints, per checkout, family and depth, the median build and suite times
-in seconds over every timed run, the two counts and the status, as JSON, and
+in seconds over every timed run, the counts and the status, as JSON, and
 exits 1 when an interpreter fails.  Unlike `process_time.py`, whose wall
 times hold interpreter start-up and imports, these are the times a
 long-lived caller of the library pays.
@@ -47,6 +53,7 @@ NMAX = 5
 REPEATS = 5
 ROUNDS = 2
 COUNTED = {"casoratians": "casoratian", "wronskians": "wronskian"}
+LOGSUM = ("logsum_calls", "logsum_points")
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -66,7 +73,7 @@ def scan():
             family = make_family(name, **config.params)
             chain = {"oqm": oqm, "dqm": dqm}[family.kind]
             try:
-                cell = counted_suite(config)
+                cell = counted_suite(config, family.kind)
             except CrumError as exc:
                 out[f"{key}/d{depth}"] = {"error": f"{type(exc).__name__}: {exc}"}
                 continue
@@ -86,13 +93,28 @@ def timed(call):
     return times
 
 
-def counted_suite(config):
-    """{"casoratians": ..., "wronskians": ..., "status": ...} of one suite."""
-    from crum import analytic
+def counted_suite(config, kind):
+    """{"casoratians": ..., "wronskians": ..., "jet_variables": ..., "status":
+    ...} of one suite, with "logsum_calls" and "logsum_points" for a
+    difference family."""
+    from crum import analytic, families, jets
     from crum.verify import run_suite
 
-    counts = dict.fromkeys(COUNTED, 0)
-    bound = []
+    counts = dict.fromkeys(COUNTED, 0) | dict.fromkeys(LOGSUM, 0) | {"jet_variables": 0}
+    real_variable, real_at = jets.Jet.variable, families._FactorLogSum.at
+
+    def variable(x, order):
+        counts["jet_variables"] += 1
+        return real_variable(x, order)
+
+    def at(self, x):
+        counts["logsum_calls"] += 1
+        counts["logsum_points"] += x.size
+        return real_at(self, x)
+
+    bound = [(jets.Jet, "variable", staticmethod(real_variable)),
+             (families._FactorLogSum, "at", real_at)]
+    jets.Jet.variable, families._FactorLogSum.at = staticmethod(variable), at
     for key, name in COUNTED.items():
         real = getattr(analytic, name)
 
@@ -109,6 +131,9 @@ def counted_suite(config):
     finally:
         for module, name, real in bound:
             setattr(module, name, real)
+    if kind != "dqm":
+        for name in LOGSUM:
+            del counts[name]
     return {**counts, "status": status}
 
 
